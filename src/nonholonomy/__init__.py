@@ -4,7 +4,7 @@ derived-length-one classification."""
 
 __version__ = "0.1.0"
 
-from .algebra import Chart, Polynomial, Scalar, poly_diff, poly_eval
+from .algebra import Chart, Polynomial, poly_diff, poly_eval
 from .errors import (
     ConsistencyError,
     DegeneratePresentationError,
@@ -57,7 +57,6 @@ from .parser import InputDocument, parse_document, pretty_print
 __all__ = [
     "Chart",
     "Polynomial",
-    "Scalar",
     "poly_diff",
     "poly_eval",
     "ConsistencyError",

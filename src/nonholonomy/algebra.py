@@ -1,9 +1,10 @@
 """Exact scalars and sparse polynomials over a named coordinate chart.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
-rank decision and independence verdict downstream is exact: equality to zero
-is equality, not a tolerance. Polynomials are sparse maps from exponent
-tuples to nonzero scalars; the zero polynomial has an empty term map.
+Every scalar is an arbitrary-precision rational (``fractions.Fraction``), so
+every rank decision and independence verdict downstream is exact: equality
+to zero is equality, not a tolerance. Polynomials are sparse maps from
+exponent tuples to nonzero Fractions; the zero polynomial has an empty term
+map.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import random
 from fractions import Fraction
 
 from .errors import InputError
-
-Scalar = Fraction
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -75,7 +74,7 @@ class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps an exponent tuple (one entry per chart coordinate) to a
-    nonzero Scalar. Instances are treated as immutable; all arithmetic
+    nonzero Fraction. Instances are treated as immutable; all arithmetic
     returns new objects and zero coefficients are dropped on construction.
     """
 
@@ -125,10 +124,6 @@ class Polynomial:
         exps[i - 1] = 1
         return cls(chart, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, chart: Chart, exps, coeff=1) -> "Polynomial":
-        return cls(chart, {tuple(exps): coeff})
-
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -144,12 +139,6 @@ class Polynomial:
         if not self.is_constant():
             raise InputError("polynomial %s is not constant" % self)
         return self.terms[(0,) * self.chart.n]
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -272,7 +261,7 @@ class Polynomial:
 
 
 def poly_eval(p: Polynomial, point) -> Fraction:
-    """Evaluate at a point given as a sequence of Scalars in chart order."""
+    """Evaluate at a point given as a sequence of Fractions in chart order."""
     point = tuple(point)
     if len(point) != p.chart.n:
         raise InputError(

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import __version__
+from .algebra import Chart
 from .constructions import build_example, verify_prop_ori_identity
 from .distributions import (
     Distribution,
@@ -193,29 +194,29 @@ def _task_failed(task) -> bool:
 # -- subcommands ------------------------------------------------------------
 
 
-def _run_flag(args, seed):
-    doc, digest = _read_document(args.file)
+# Each runner is a generator of its report's tasks; doc is the parsed input
+# document, or None for the fileless subcommands.
+
+
+def _run_flag(args, seed, doc):
     dist = _document_distribution(doc)
     point = _parse_point(doc.chart, args.point)
-    return digest, [_flag_task(dist, point, args.depth)]
+    yield _flag_task(dist, point, args.depth)
 
 
-def _run_check_dlo(args, seed):
-    doc, digest = _read_document(args.file)
+def _run_check_dlo(args, seed, doc):
     dist = _document_distribution(doc)
     verdict = has_derived_length_one(dist, seed=seed)
-    return digest, [_verdict_task("check-dlo", verdict, doc.chart, rank=dist.rank, dim=dist.chart.n)]
+    yield _verdict_task("check-dlo", verdict, doc.chart, rank=dist.rank, dim=dist.chart.n)
 
 
-def _run_check_mni(args, seed):
-    doc, digest = _read_document(args.file)
+def _run_check_mni(args, seed, doc):
     coframe = doc.one_forms()
     verdict = check_mni(coframe, args.k, seed=seed)
-    return digest, [_verdict_task("check-mni", verdict, doc.chart, k=args.k)]
+    yield _verdict_task("check-mni", verdict, doc.chart, k=args.k)
 
 
-def _run_check_amni(args, seed):
-    doc, digest = _read_document(args.file)
+def _run_check_amni(args, seed, doc):
     coframe = doc.one_forms()
     omegas = []
     for name in args.omegas.split(","):
@@ -224,17 +225,17 @@ def _run_check_amni(args, seed):
             raise InputError("binding %r is not a 2-form" % name.strip())
         omegas.append(value)
     verdict = check_almost_mni(coframe, omegas, args.k, seed=seed)
-    return digest, [_verdict_task("check-amni", verdict, doc.chart, k=args.k)]
+    yield _verdict_task("check-amni", verdict, doc.chart, k=args.k)
 
 
-def _run_thinness(args, seed):
+def _run_thinness(args, seed, doc):
     report = thinness_probe(args.n, args.k, args.samples, seed)
     task = {"task": "thinness"}
     task.update(report.to_json_dict())
-    return None, [task]
+    yield task
 
 
-def _run_example(args, seed):
+def _run_example(args, seed, doc):
     bundle = build_example(args.name)
     dist = bundle.distribution
     describe = {
@@ -249,45 +250,42 @@ def _run_example(args, seed):
         describe["frame"] = [str(f) for f in dist.frame]
     if bundle.omegas is not None:
         describe["omegas"] = [str(w) for w in bundle.omegas]
-    tasks = [describe]
+    yield describe
     if args.check:
         origin = tuple(Fraction(0) for _ in dist.chart.names)
         for claim in bundle.claims:
             if claim == "flag":
-                tasks.append(_flag_task(dist, origin, expected=bundle.expected_flag))
+                yield _flag_task(dist, origin, expected=bundle.expected_flag)
             elif claim == "check-dlo":
                 verdict = has_derived_length_one(dist, seed=seed)
-                tasks.append(_verdict_task("check-dlo", verdict, dist.chart))
+                yield _verdict_task("check-dlo", verdict, dist.chart)
             elif claim == "check-dbasis":
                 verdict = check_dbasis_condition(bundle.coframe, seed=seed)
-                tasks.append(_verdict_task("check-dbasis", verdict, dist.chart))
+                yield _verdict_task("check-dbasis", verdict, dist.chart)
             elif claim == "check-mni":
                 verdict = check_mni(bundle.coframe, bundle.k, seed=seed)
-                tasks.append(_verdict_task("check-mni", verdict, dist.chart, k=bundle.k))
+                yield _verdict_task("check-mni", verdict, dist.chart, k=bundle.k)
             elif claim == "check-amni":
                 verdict = check_almost_mni(bundle.coframe, bundle.omegas, bundle.k, seed=seed)
-                tasks.append(_verdict_task("check-amni", verdict, dist.chart, k=bundle.k))
+                yield _verdict_task("check-amni", verdict, dist.chart, k=bundle.k)
             elif claim == "verify-ori":
-                tasks.append(_ori_task(bundle.ori_coframe, bundle.k))
+                yield _ori_task(bundle.ori_coframe, bundle.k)
             else:
                 raise ConsistencyError("unknown claim %r on %s" % (claim, bundle.name))
-    return None, tasks
 
 
-def _run_verify_ori(args, seed):
+def _run_verify_ori(args, seed, doc):
     k = args.k
     if k < 1:
         raise InputError("k must be >= 1")
     n = args.n if args.n is not None else 2 * k + 1
     if n < 2 * k + 1:
         raise InputError("need n >= 2k+1 = %d, got %d" % (2 * k + 1, n))
-    from .algebra import Chart
-
     chart = Chart(tuple("x%d" % j for j in range(1, n + 1)))
     coframe = [DiffForm.basis(chart, j) for j in range(1, 2 * k + 2)]
     task = _ori_task(coframe, k)
     task["n"] = n
-    return None, [task]
+    yield task
 
 
 _RUNNERS = {
@@ -309,11 +307,15 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-        started = time.perf_counter()
-        digest, tasks = _RUNNERS[args.command](args, seed)
-        if args.timings:
-            for task in tasks:
-                task["elapsed_seconds"] = round(time.perf_counter() - started, 6)
+        last = time.perf_counter()
+        doc, digest = _read_document(args.file) if "file" in args else (None, None)
+        tasks = []
+        for task in _RUNNERS[args.command](args, seed, doc):
+            if args.timings:  # each task's own time; the first includes reading the input
+                now = time.perf_counter()
+                task["elapsed_seconds"] = round(now - last, 6)
+                last = now
+            tasks.append(task)
     except ParseError as exc:
         _emit({"tool_version": __version__, "error": {"kind": "parse", "message": str(exc)}})
         return 2

@@ -34,21 +34,30 @@ class ExampleBundle:
     claims: tuple = ()
 
 
-def contact_structure(m: int) -> ExampleBundle:
-    """The contact structure on R^(2m+1): kernel of dz - sum y_i dx_i."""
-    if m < 1:
-        raise InputError("contact structure needs m >= 1")
+def _contact_form(m: int, extra=()):
+    """Chart (z, x1, y1, ..., xm, ym, *extra), the 1-form dz - sum y_i dx_i,
+    and the frame of its kernel over the contact coordinates."""
     names = ["z"]
     for i in range(1, m + 1):
         names += ["x%d" % i, "y%d" % i]
-    chart = Chart(names)
+    chart = Chart(names + list(extra))
     alpha = DiffForm.basis(chart, "z")
     fields = []
     for i in range(1, m + 1):
         y = Polynomial.coordinate(chart, "y%d" % i)
         alpha = alpha - y * DiffForm.basis(chart, "x%d" % i)
-        dx_field = VectorField.basis(chart, "x%d" % i) + y * VectorField.basis(chart, "z")
-        fields += [dx_field, VectorField.basis(chart, "y%d" % i)]
+        fields += [
+            VectorField.basis(chart, "x%d" % i) + y * VectorField.basis(chart, "z"),
+            VectorField.basis(chart, "y%d" % i),
+        ]
+    return chart, alpha, fields
+
+
+def contact_structure(m: int) -> ExampleBundle:
+    """The contact structure on R^(2m+1): kernel of dz - sum y_i dx_i."""
+    if m < 1:
+        raise InputError("contact structure needs m >= 1")
+    chart, alpha, fields = _contact_form(m)
     dist = Distribution(chart, frame=fields, coframe=[alpha])
     return ExampleBundle(
         name="contact-%d" % m,
@@ -65,20 +74,7 @@ def even_contact_structure(n: int) -> ExampleBundle:
     if n < 4 or n % 2:
         raise InputError("even-contact structure needs even n >= 4")
     k = (n - 2) // 2
-    names = ["z"]
-    for i in range(1, k + 1):
-        names += ["x%d" % i, "y%d" % i]
-    names.append("w")
-    chart = Chart(names)
-    alpha = DiffForm.basis(chart, "z")
-    fields = []
-    for i in range(1, k + 1):
-        y = Polynomial.coordinate(chart, "y%d" % i)
-        alpha = alpha - y * DiffForm.basis(chart, "x%d" % i)
-        fields += [
-            VectorField.basis(chart, "x%d" % i) + y * VectorField.basis(chart, "z"),
-            VectorField.basis(chart, "y%d" % i),
-        ]
+    chart, alpha, fields = _contact_form(k, ["w"])
     fields.append(VectorField.basis(chart, "w"))
     dist = Distribution(chart, frame=fields, coframe=[alpha])
     return ExampleBundle(

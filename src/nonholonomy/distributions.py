@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import islice, product
 
 from .algebra import Chart, Polynomial, random_rational
 from .errors import ConsistencyError, DegeneratePresentationError, InputError
@@ -23,11 +23,11 @@ from .forms import (
     evaluate_at_point,
     exterior_derivative,
     independent_at_point,
+    kernel_frame,
     lie_bracket,
     wedge,
     wedge_all,
     wedge_power,
-    _poly_det,
 )
 from .linalg import kernel_basis, rank
 
@@ -168,6 +168,13 @@ class Distribution:
         return "Distribution(rank %d on %r)" % (self.rank, self.chart)
 
 
+def _rank_drop(what, point):
+    point = tuple(point)
+    return DegeneratePresentationError(
+        "%s drops rank at point (%s)" % (what, ", ".join(str(x) for x in point)), point=point
+    )
+
+
 def pointwise_kernel(coframe, point):
     """Exact basis of the joint kernel of the coframe at a point.
 
@@ -185,25 +192,8 @@ def pointwise_kernel(coframe, point):
         values = evaluate_at_point(form, point)
         rows.append([values.get((j,), Fraction(0)) for j in range(1, chart.n + 1)])
     if rank(rows) != len(coframe):
-        raise DegeneratePresentationError(
-            "coframe drops rank at point (%s)" % ", ".join(str(x) for x in point),
-            point=point,
-        )
+        raise _rank_drop("coframe", point)
     return kernel_basis(rows, chart.n)
-
-
-def _adjugate(matrix):
-    size = len(matrix)
-    chart = matrix[0][0].chart
-    if size == 1:
-        return [[Polynomial.constant(chart, 1)]]
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [row[:j] + row[j + 1:] for r, row in enumerate(matrix) if r != i]
-            cof = _poly_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
 
 
 def frame_from_coframe(coframe, max_minors: int = 20000):
@@ -215,39 +205,16 @@ def frame_from_coframe(coframe, max_minors: int = 20000):
     a subset get None: the caller must supply a frame.
     """
     coframe, chart = _check_coframe(coframe)
-    q = len(coframe)
-    n = chart.n
     zero = Polynomial.zero(chart)
-    grid = [[form.terms.get((j,), zero) for j in range(1, n + 1)] for form in coframe]
-    tried = 0
-    for subset in combinations(range(n), q):
-        tried += 1
-        if tried > max_minors:
-            return None
-        sub = [[grid[r][c] for c in subset] for r in range(q)]
-        det = _poly_det(sub) if q else Polynomial.constant(chart, 1)
-        if not det.is_constant() or det.is_zero():
-            continue
-        det_value = det.constant_value()
-        adj = _adjugate(sub) if q else []
-        fields = []
-        for j in range(n):
-            if j in subset:
-                continue
-            comps = [zero] * n
-            comps[j] = Polynomial.constant(chart, 1)
-            for pos, col in enumerate(subset):
-                total = zero
-                for t in range(q):
-                    total = total + adj[pos][t] * grid[t][j]
-                comps[col] = total * Fraction(-1, det_value)
-            fields.append(VectorField(chart, comps))
-        for form in coframe:
-            for f in fields:
-                if not _pairing(form, f).is_zero():
-                    raise ConsistencyError("complement field fails to annihilate the coframe")
-        return fields
-    return None
+    grid = [[form.terms.get((j,), zero) for j in range(1, chart.n + 1)] for form in coframe]
+    fields = kernel_frame(grid, max_minors)
+    if fields is None:
+        return None
+    for form in coframe:
+        for f in fields:
+            if not _pairing(form, f).is_zero():
+                raise ConsistencyError("complement field fails to annihilate the coframe")
+    return fields
 
 
 class _SpanningSets:
@@ -322,10 +289,7 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     for point in points:
         flag = derived_flag_at(dist, point)
         if flag.ranks[0] < dist.rank:
-            raise DegeneratePresentationError(
-                "frame drops rank at point (%s)" % ", ".join(str(x) for x in point),
-                point=point,
-            )
+            raise _rank_drop("frame", point)
         if not flag.stabilized:
             indeterminate = True
         elif flag.ranks != expected:
@@ -343,61 +307,52 @@ def _independence_verdict(forms, points) -> Verdict:
     return Verdict(not witnesses, len(points), tuple(witnesses), certificate)
 
 
-def _guard_coframe_rank(coframe, points):
+def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
+    """Sample, guard the coframe rank, then test the forms
+    a_1^...^a_q^(omega_i)^k for pointwise independence."""
+    if points is None:
+        points = sample_points(coframe[0].chart, seed)
     for point in points:
         if not independent_at_point(coframe, point):
-            raise DegeneratePresentationError(
-                "coframe drops rank at point (%s)" % ", ".join(str(x) for x in point),
-                point=tuple(point),
-            )
+            raise _rank_drop("coframe", point)
+    base = wedge_all(coframe)
+    forms = [wedge(base, wedge_power(w, k)) for w in omegas]
+    return _independence_verdict(forms, points)
 
 
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:
     """Pointwise independence of the q forms a_1^...^a_q^da_i (degree q+2)."""
-    coframe, chart = _check_coframe(coframe)
-    if points is None:
-        points = sample_points(chart, seed)
-    _guard_coframe_rank(coframe, points)
-    base = wedge_all(coframe)
-    forms = [wedge(base, exterior_derivative(a)) for a in coframe]
-    return _independence_verdict(forms, points)
+    coframe, _ = _check_coframe(coframe)
+    return _wedge_verdict(coframe, [exterior_derivative(a) for a in coframe], 1, points, seed)
 
 
-def mni_dimension_bounds(r: int):
-    """(lower, upper) ambient-dimension bounds for an odd rank r = 2k+1."""
-    if r < 3 or r % 2 == 0:
-        raise InputError("dimension bounds apply to odd rank >= 3, got %d" % r)
-    k = (r - 1) // 2
-    return 2 * k + 2, 4 * k + 2
+def dimension_bounds(k: int, n=None, count=None):
+    """The ambient dimensions (2k+2, 4k+2) admissible for rank 2k+1.
 
-
-def _validate_mni_shape(chart, count, k):
+    Raises InputError unless k is an integer >= 1; given n, also unless a
+    given coframe size count equals n - 2k - 1 and 2k+2 <= n <= 4k+2,
+    checked in that order.
+    """
     if not isinstance(k, int) or k < 1:
         raise InputError("k must be an integer >= 1")
-    n = chart.n
-    if count != n - 2 * k - 1:
+    if count is not None and count != n - 2 * k - 1:
         raise InputError(
             "coframe size %d does not match n - 2k - 1 = %d" % (count, n - 2 * k - 1)
         )
     lo, hi = 2 * k + 2, 4 * k + 2
-    if not lo <= n <= hi:
+    if n is not None and not lo <= n <= hi:
         raise InputError(
             "rank 2k+1 = %d needs ambient dimension %d <= n <= %d, got n = %d"
             % (2 * k + 1, lo, hi, n)
         )
+    return lo, hi
 
 
 def check_mni(coframe, k: int, points=None, seed: int = 0) -> Verdict:
     """Maximal non-integrability: the n-2k-1 forms a_1^...^a_m^(da_i)^k,
     each of degree n-1, are pointwise linearly independent."""
-    coframe, chart = _check_coframe(coframe)
-    _validate_mni_shape(chart, len(coframe), k)
-    if points is None:
-        points = sample_points(chart, seed)
-    _guard_coframe_rank(coframe, points)
-    base = wedge_all(coframe)
-    forms = [wedge(base, wedge_power(exterior_derivative(a), k)) for a in coframe]
-    return _independence_verdict(forms, points)
+    coframe, _ = _check_coframe(coframe)
+    return check_almost_mni(coframe, [exterior_derivative(a) for a in coframe], k, points, seed)
 
 
 def check_almost_mni(coframe, omegas, k: int, points=None, seed: int = 0) -> Verdict:
@@ -412,18 +367,8 @@ def check_almost_mni(coframe, omegas, k: int, points=None, seed: int = 0) -> Ver
     for w in omegas:
         if not isinstance(w, DiffForm) or w.degree != 2 or w.chart != chart:
             raise InputError("omega entries must be 2-forms on the coframe's chart")
-    _validate_mni_shape(chart, len(coframe), k)
-    if points is None:
-        points = sample_points(chart, seed)
-    _guard_coframe_rank(coframe, points)
-    base = wedge_all(coframe)
-    forms = []
-    for w in omegas:
-        if w.is_zero():
-            forms.append(DiffForm.zero(chart, chart.n - 1))
-        else:
-            forms.append(wedge(base, wedge_power(w, k)))
-    return _independence_verdict(forms, points)
+    dimension_bounds(k, chart.n, len(coframe))
+    return _wedge_verdict(coframe, omegas, k, points, seed)
 
 
 @dataclass(frozen=True)
@@ -447,6 +392,7 @@ def type_of(dist: Distribution, points=None, seed: int = 0) -> TypeReport:
         )
     r, n = dist.rank, dist.chart.n
     if r % 2 == 1 and r >= 3:
-        lo, hi = mni_dimension_bounds(r)
-        return TypeReport(r, n, (r - 1) // 2, (lo, hi), lo <= n <= hi)
+        k = (r - 1) // 2
+        lo, hi = dimension_bounds(k)
+        return TypeReport(r, n, k, (lo, hi), lo <= n <= hi)
     return TypeReport(r, n)

@@ -410,8 +410,8 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 def evaluate_at_point(a: DiffForm, point):
-    """Numeric coefficients at a point: a map from index tuples to Scalars,
-    zero values dropped."""
+    """Numeric coefficients at a point: a map from index tuples to
+    Fractions, zero values dropped."""
     out = {}
     for key, coeff in a.terms.items():
         value = poly_eval(coeff, point)
@@ -420,17 +420,23 @@ def evaluate_at_point(a: DiffForm, point):
     return out
 
 
+def _columns(forms, what):
+    """The sorted index tuples used by any of these forms, which must share
+    one degree and one chart: the columns of their coefficient matrix."""
+    chart = forms[0].chart
+    degree = forms[0].degree
+    for form in forms:
+        if form.chart != chart or form.degree != degree:
+            raise InputError("%s needs forms of one degree on one chart" % what)
+    return sorted(set().union(*(f.terms.keys() for f in forms)))
+
+
 def independent_at_point(forms, point) -> bool:
     """Are these same-degree forms linearly independent at the point?"""
     forms = list(forms)
     if not forms:
         return True
-    chart = forms[0].chart
-    degree = forms[0].degree
-    for form in forms:
-        if form.chart != chart or form.degree != degree:
-            raise InputError("independence check needs forms of one degree on one chart")
-    columns = sorted(set().union(*(f.terms.keys() for f in forms)))
+    columns = _columns(forms, "independence check")
     if not columns:
         return False
     rows = []
@@ -457,6 +463,35 @@ def _poly_det(matrix) -> Polynomial:
     return total
 
 
+def _adjugate(matrix):
+    """Adjugate of a square polynomial matrix, by Laplace cofactors."""
+    size = len(matrix)
+    if size == 1:
+        return [[Polynomial.constant(matrix[0][0].chart, 1)]]
+    adj = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            minor = [row[:j] + row[j + 1:] for r, row in enumerate(matrix) if r != i]
+            cof = _poly_det(minor)
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return adj
+
+
+def _constant_minor(grid, max_minors: int):
+    """The first column subset, in lexicographic order, whose maximal minor
+    of the polynomial grid is a nonzero constant, with that constant.
+
+    None when no such subset is found within max_minors determinants.
+    """
+    for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
+        if tried > max_minors:
+            return None
+        det = _poly_det([[row[c] for c in subset] for row in grid])
+        if det.is_constant() and not det.is_zero():
+            return subset, det.constant_value()
+    return None
+
+
 def constant_minor_certificate(forms, max_minors: int = 20000) -> bool:
     """Look for a maximal minor of the symbolic coefficient matrix that is a
     nonzero constant.
@@ -470,23 +505,38 @@ def constant_minor_certificate(forms, max_minors: int = 20000) -> bool:
     forms = list(forms)
     if not forms:
         return True
-    chart = forms[0].chart
-    degree = forms[0].degree
-    for form in forms:
-        if form.chart != chart or form.degree != degree:
-            raise InputError("certificate needs forms of one degree on one chart")
-    columns = sorted(set().union(*(f.terms.keys() for f in forms)))
-    f = len(forms)
-    if len(columns) < f:
-        return False
-    zero = Polynomial.zero(chart)
+    columns = _columns(forms, "certificate")
+    zero = Polynomial.zero(forms[0].chart)
     grid = [[form.terms.get(c, zero) for c in columns] for form in forms]
-    tried = 0
-    for subset in combinations(range(len(columns)), f):
-        tried += 1
-        if tried > max_minors:
-            return False
-        det = _poly_det([[row[c] for c in subset] for row in grid])
-        if det.is_constant() and not det.is_zero():
-            return True
-    return False
+    return _constant_minor(grid, max_minors) is not None
+
+
+def kernel_frame(grid, max_minors: int):
+    """Vector fields spanning the kernel of a q x n polynomial grid at every
+    point, or None.
+
+    Built from the first constant maximal minor (see _constant_minor): each
+    column j outside its subset gets the field with 1 in slot j and the
+    subset slots solved by the adjugate, so the fields have constant rank.
+    """
+    found = _constant_minor(grid, max_minors)
+    if found is None:
+        return None
+    subset, det_value = found
+    chart = grid[0][0].chart
+    n = len(grid[0])
+    zero = Polynomial.zero(chart)
+    adj = _adjugate([[row[c] for c in subset] for row in grid])
+    fields = []
+    for j in range(n):
+        if j in subset:
+            continue
+        comps = [zero] * n
+        comps[j] = Polynomial.constant(chart, 1)
+        for pos, col in enumerate(subset):
+            total = zero
+            for t, row in enumerate(grid):
+                total = total + adj[pos][t] * row[j]
+            comps[col] = total * Fraction(-1, det_value)
+        fields.append(VectorField(chart, comps))
+    return fields

@@ -106,26 +106,6 @@ def kernel_basis(rows, n_cols: int):
     return basis
 
 
-def solve(rows, rhs):
-    """One solution of A x = b, or None when inconsistent.
-
-    Deterministic: free variables are set to zero.
-    """
-    rows = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if len(rows) != len(rhs):
-        raise InputError("rhs length does not match row count")
-    if not rows:
-        return ()
-    n_cols = len(rows[0]) - 1
-    M, pivots = rref(rows)
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r_idx, p in enumerate(pivots):
-        x[p] = M[r_idx][n_cols]
-    return tuple(x)
-
-
 def normalize_primitive(vec):
     """Scale a rational vector to integers with gcd 1 and first nonzero entry
     positive. The zero vector comes back as integer zeros."""

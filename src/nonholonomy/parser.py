@@ -1,11 +1,10 @@
-"""Input language for charts, forms, fields, and task declarations.
+"""Input language for charts, forms, and fields.
 
 Statements end with ';':
 
     coords x y z;
     form  a = d(z) - y * d(x);
     field X = @x + y * @z;
-    task  check_mni k=1;
 
 Expressions support '+' and '-' on matching degrees, '*' with a scalar
 (degree-0) factor, '^' for the exterior product, 'd(...)' for the exterior
@@ -147,16 +146,9 @@ class Binding:
 
 
 @dataclass(frozen=True)
-class TaskStmt:
-    name: str
-    options: tuple  # ordered (key, value-string) pairs
-
-
-@dataclass(frozen=True)
 class InputDocument:
     coords: tuple
     bindings: tuple
-    tasks: tuple
     chart: Chart = field(default=None, compare=False)
 
     def binding(self, name: str):
@@ -216,7 +208,6 @@ class _Parser:
     def document(self):
         coords = None
         bindings = []
-        tasks = []
         while self.peek().kind != "EOF":
             tok = self.expect("IDENT", what="a statement keyword")
             if tok.text == "coords":
@@ -237,32 +228,11 @@ class _Parser:
                 expr = self.expression()
                 self.expect("PUNCT", ";")
                 bindings.append(Binding(tok.text, name_tok.text, expr))
-            elif tok.text == "task":
-                name_tok = self.expect("IDENT", what="a task name")
-                options = []
-                while self.peek().kind == "IDENT":
-                    key = self.advance().text
-                    self.expect("PUNCT", "=")
-                    options.append((key, self.option_value()))
-                self.expect("PUNCT", ";")
-                tasks.append(TaskStmt(name_tok.text, tuple(options)))
             else:
-                self.fail("unknown statement %r (expected coords, form, field, or task)" % tok.text, tok)
+                self.fail("unknown statement %r (expected coords, form, or field)" % tok.text, tok)
         if coords is None:
             raise ParseError("document declares no coordinates", 1, 1)
-        return coords, tuple(bindings), tuple(tasks)
-
-    def option_value(self) -> str:
-        negative = self.accept("PUNCT", "-")
-        tok = self.peek()
-        if tok.kind not in ("NUMBER", "IDENT"):
-            self.fail("expected an option value")
-        self.advance()
-        text = tok.text
-        if tok.kind == "NUMBER" and self.accept("PUNCT", "/"):
-            denom = self.expect("NUMBER").text
-            text = "%s/%s" % (text, denom)
-        return "-" + text if negative else text
+        return coords, tuple(bindings)
 
     # expressions
 
@@ -407,7 +377,7 @@ def _evaluate(node, chart: Chart, env: dict):
 
 
 def parse_document(text: str) -> InputDocument:
-    coords, bindings, tasks = _Parser(tokenize(text)).document()
+    coords, bindings = _Parser(tokenize(text)).document()
     try:
         chart = Chart(coords)
     except Exception as exc:
@@ -424,7 +394,7 @@ def parse_document(text: str) -> InputDocument:
             raise ParseError("form %r evaluates to a vector field" % binding.name, 1, 1)
         env[binding.name] = value
         evaluated.append(Binding(binding.kind, binding.name, binding.expr, value))
-    return InputDocument(coords, tuple(evaluated), tasks, chart)
+    return InputDocument(coords, tuple(evaluated), chart)
 
 
 # -- pretty printing --------------------------------------------------------
@@ -461,7 +431,4 @@ def pretty_print(document: InputDocument) -> str:
     lines = ["coords %s;" % " ".join(document.coords)]
     for binding in document.bindings:
         lines.append("%s %s = %s;" % (binding.kind, binding.name, _render(binding.expr)))
-    for task in document.tasks:
-        options = "".join(" %s=%s" % (k, v) for k, v in task.options)
-        lines.append("task %s%s;" % (task.name, options))
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .algebra import Chart, Polynomial, random_rational
+from .distributions import dimension_bounds
 from .errors import ConsistencyError, InputError
 from .forms import DiffForm, wedge_all, wedge_power
 from .linalg import kernel_basis, normalize_primitive, rank
@@ -45,17 +46,6 @@ def extended_chart(n: int) -> Chart:
     return _extended_charts[n]
 
 
-def validate_dimensions(n: int, k: int):
-    if not isinstance(k, int) or k < 1:
-        raise InputError("k must be an integer >= 1")
-    lo, hi = 2 * k + 2, 4 * k + 2
-    if not lo <= n <= hi:
-        raise InputError(
-            "rank 2k+1 = %d needs ambient dimension %d <= n <= %d, got n = %d"
-            % (2 * k + 1, lo, hi, n)
-        )
-
-
 def _entry_value(value):
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
@@ -68,7 +58,7 @@ class FiberPoint:
     """Coefficients of m 1-forms and m 2-forms at one fiber of the 1-jet space.
 
     a maps (i, j) to a^i_j for i in 1..m, j in 1..n; z maps (i, j, l) with
-    j < l to z^i_{jl}. Missing entries are zero. Entries are Scalars for
+    j < l to z^i_{jl}. Missing entries are zero. Entries are Fractions for
     numeric fibers; formula-level work may store polynomial entries instead.
     check_bounds=False skips the classification bound (the coefficient
     formulas themselves are defined for any m >= 0).
@@ -77,13 +67,9 @@ class FiberPoint:
     __slots__ = ("n", "k", "a", "z")
 
     def __init__(self, n: int, k: int, a=None, z=None, check_bounds: bool = True):
-        if check_bounds:
-            validate_dimensions(n, k)
-        else:
-            if not isinstance(k, int) or k < 1:
-                raise InputError("k must be an integer >= 1")
-            if n < 2 * k + 2:
-                raise InputError("need n >= 2k + 2 so at least one form exists")
+        lo, _ = dimension_bounds(k, n if check_bounds else None)
+        if n < lo:
+            raise InputError("need n >= 2k + 2 so at least one form exists")
         self.n = n
         self.k = k
         m = self.m
@@ -136,28 +122,6 @@ class FiberPoint:
                     continue
                 z[(i, j, l)] = random_rational(rng)
         return cls(n, k, a, z, check_bounds=check_bounds)
-
-    def relabeled(self, perm) -> "FiberPoint":
-        """The same fiber in permuted coordinates x'_t = x_{perm[t-1]}.
-
-        Probing a different principal direction is this relabeling followed
-        by the usual x1-direction extraction.
-        """
-        perm = tuple(perm)
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise InputError("not a permutation of 1..%d: %r" % (self.n, perm))
-        a = {}
-        z = {}
-        for i in range(1, self.m + 1):
-            for t in range(1, self.n + 1):
-                value = self.a_entry(i, perm[t - 1])
-                if value != 0:
-                    a[(i, t)] = value
-            for t, u in combinations(range(1, self.n + 1), 2):
-                value = self.z_entry(i, perm[t - 1], perm[u - 1])
-                if value != 0:
-                    z[(i, t, u)] = value
-        return FiberPoint(self.n, self.k, a, z, check_bounds=False)
 
     def __repr__(self):
         return "FiberPoint(n=%d, k=%d, %d a-entries, %d z-entries)" % (
@@ -466,7 +430,7 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     (skipped, or rank 0 with an inconsistent right-hand side), the verdict
     is AMPLE-BY-EMPTINESS; otherwise PASS.
     """
-    validate_dimensions(n, k)
+    dimension_bounds(k, n)
     if sample_count < 0:
         raise InputError("sample count must be non-negative")
     rng = random.Random(seed)
@@ -477,13 +441,11 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     for _ in range(sample_count):
         fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
         extraction = extract_c_coefficients(fp)
-        first_row = [extraction.b_first[i] for i in range(1, m + 1)]
-        basis = kernel_basis([first_row], m)
-        if not basis:
+        c = dependence_multipliers([(extraction.b_first[i],) for i in range(1, m + 1)])
+        if c is None:
             empty += 1
             empty_like += 1
             continue
-        c = normalize_primitive(basis[0])
         system = assemble_principal_matrix(fp, c, extraction=extraction)
         r = principal_rank(system)
         histogram[r] = histogram.get(r, 0) + 1

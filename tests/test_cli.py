@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -65,6 +66,15 @@ def test_timings_flag_adds_fields_without_breaking_schema(capsys):
     stable = _run(capsys, ["check-dlo", "data/contact3.nh"])[1]
     assert json.loads(stable)["tasks"][0].keys() | {"elapsed_seconds"} == \
         report["tasks"][0].keys()
+
+
+def test_timings_are_per_task(capsys):
+    started = time.perf_counter()
+    code = cli.main(["example", "jet-canonical-2", "--check", "--timings"])
+    wall = time.perf_counter() - started
+    tasks = json.loads(capsys.readouterr().out)["tasks"]
+    assert code == 0 and len(tasks) == 5
+    assert sum(task["elapsed_seconds"] for task in tasks) <= wall
 
 
 def test_seed_env_and_flag_precedence(capsys, monkeypatch):

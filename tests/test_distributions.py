@@ -15,15 +15,21 @@ from nonholonomy.distributions import (
     check_dbasis_condition,
     check_mni,
     derived_flag_at,
+    dimension_bounds,
     frame_from_coframe,
     has_derived_length_one,
-    mni_dimension_bounds,
     pointwise_kernel,
     sample_points,
     type_of,
 )
 from nonholonomy.errors import DegeneratePresentationError, InputError
-from nonholonomy.forms import DiffForm, VectorField, exterior_derivative, wedge
+from nonholonomy.forms import (
+    DiffForm,
+    VectorField,
+    constant_minor_certificate,
+    exterior_derivative,
+    wedge,
+)
 from nonholonomy.linalg import rank
 
 from conftest import rnd_point
@@ -85,6 +91,32 @@ def test_frame_from_coframe_contact():
     chart, alpha = _contact3()
     frame = frame_from_coframe([alpha])
     assert [str(f) for f in frame] == ["@x + y*@z", "@y"]
+
+
+def test_frame_from_coframe_matches_corpus_frames():
+    """Multi-row (q >= 2) coframes go through the adjugate path."""
+    seen = 0
+    for bundle in builtin_corpus():
+        frame = bundle.distribution.frame
+        if frame is None:
+            continue
+        seen += 1
+        assert tuple(frame_from_coframe(bundle.coframe)) == frame, bundle.name
+    assert seen >= 9
+
+
+def test_minor_search_cap():
+    # the 2 x 2 minors over columns (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
+    # are -x2, 0, x1, x2, 1, x1: only the 5th subset is a nonzero constant
+    chart = Chart(("x1", "x2", "x3", "x4"))
+    x1, x2 = (Polynomial.coordinate(chart, i) for i in (1, 2))
+    dx = [DiffForm.basis(chart, i) for i in range(1, 5)]
+    coframe = [x1 * dx[0] + dx[1] + x1 * dx[2], x2 * dx[0] + x2 * dx[2] + dx[3]]
+    assert not constant_minor_certificate(coframe, max_minors=4)
+    assert frame_from_coframe(coframe, max_minors=4) is None
+    assert constant_minor_certificate(coframe, max_minors=5)
+    frame = frame_from_coframe(coframe, max_minors=5)
+    assert [str(f) for f in frame] == ["@x1 - x1*@x2 - x2*@x4", "-x1*@x2 + @x3 - x2*@x4"]
 
 
 def test_frame_from_coframe_without_constant_minor():
@@ -344,16 +376,22 @@ def test_type_of_examples():
 
 
 def test_type_of_bound_arithmetic():
-    assert mni_dimension_bounds(3) == (4, 6)
-    assert mni_dimension_bounds(5) == (6, 10)
-    lo, hi = mni_dimension_bounds(3)
-    assert not lo <= 7 <= hi  # rank 3 never fits in 7-space
-    for bad in (2, 4, 1):
+    assert dimension_bounds(1) == (4, 6)
+    assert dimension_bounds(2) == (6, 10)
+    assert dimension_bounds(1, 5, count=2) == (4, 6)
+    for k, n, count, fragment in (
+        (0, None, None, "k must be"),
+        (Fraction(1), None, None, "k must be"),
+        (1, 7, None, "ambient dimension"),  # rank 3 never fits in 7-space
+        (1, 7, 4, "ambient dimension"),
+        (1, 5, 1, "coframe size 1 does not match n - 2k - 1 = 2"),
+        (2, 3, 1, "coframe size 1"),  # the size is checked before the range
+    ):
         try:
-            mni_dimension_bounds(bad)
+            dimension_bounds(k, n, count)
             assert False
-        except InputError:
-            pass
+        except InputError as err:
+            assert fragment in str(err)
 
 
 def test_type_of_requires_derived_length_one():

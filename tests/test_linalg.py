@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nonholonomy.errors import InputError
-from nonholonomy.linalg import kernel_basis, normalize_primitive, rank, rref, solve
+from nonholonomy.linalg import kernel_basis, normalize_primitive, rank, rref
 
 from conftest import rnd_fraction
 
@@ -77,22 +77,6 @@ def test_rref_pivots():
     M, pivots = rref([[0, 1, 2], [0, 2, 4]])
     assert pivots == [1]
     assert M[0] == [Fraction(0), Fraction(1), Fraction(2)]
-
-
-def test_solve():
-    assert solve([[1, 0], [0, 2]], [3, 4]) == (Fraction(3), Fraction(2))
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None
-    assert solve([[1, 1]], [2]) == (Fraction(2), Fraction(0))
-    rng = random.Random(12)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        rows = [[rnd_fraction(rng) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        x = [rnd_fraction(rng) for _ in range(n)]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-        got = solve(rows, rhs)
-        assert got is not None
-        for row, b in zip(rows, rhs):
-            assert sum(a * v for a, v in zip(row, got)) == b
 
 
 def test_normalize_primitive():

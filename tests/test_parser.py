@@ -5,12 +5,7 @@ from fractions import Fraction
 from nonholonomy.algebra import Polynomial
 from nonholonomy.errors import ParseError
 from nonholonomy.forms import DiffForm, VectorField, exterior_derivative, wedge
-from nonholonomy.parser import (
-    TaskStmt,
-    parse_document,
-    pretty_print,
-    tokenize,
-)
+from nonholonomy.parser import parse_document, pretty_print, tokenize
 
 
 def _fails_at(text, line, col, fragment):
@@ -126,22 +121,8 @@ def test_parse_statement_errors():
     _fails_at("coords x; form a = @x;", 1, 1, "evaluates to a vector field")
 
 
-def test_parse_tasks():
-    text = (
-        "coords x y z;\n"
-        "form a = d(z) - y * d(x);\n"
-        "task check_dlo;\n"
-        "task check_mni k=1 seed=7;\n"
-        "task thinness n=5 k=1 samples=100;\n"
-        "task probe offset=-3 ratio=1/2;\n"
-    )
-    doc = parse_document(text)
-    assert doc.tasks == (
-        TaskStmt("check_dlo", ()),
-        TaskStmt("check_mni", (("k", "1"), ("seed", "7"))),
-        TaskStmt("thinness", (("n", "5"), ("k", "1"), ("samples", "100"))),
-        TaskStmt("probe", (("offset", "-3"), ("ratio", "1/2"))),
-    )
+def test_task_is_not_a_statement():
+    _fails_at("coords x; task check_dlo;", 1, 11, "unknown statement 'task'")
 
 
 def test_pretty_print_round_trip():
@@ -150,14 +131,12 @@ def test_pretty_print_round_trip():
         "coords x y; form a = (d(x) + d(y)) ^ d(x);",
         "coords x y; form a = -(x + y) * d(x);",
         "coords x1 x2 x3 x4 x5; form w = d(d(x1) - x2*d(x3)); form p = pow2(w, 2);",
-        "coords x y z; form a = d(z); task check_dbasis; task check_mni k=1 seed=-2;",
     ]
     for text in texts:
         doc = parse_document(text)
         printed = pretty_print(doc)
         again = parse_document(printed)
         assert again.coords == doc.coords
-        assert again.tasks == doc.tasks
         assert [ (b.kind, b.name, b.expr) for b in again.bindings ] == \
                [ (b.kind, b.name, b.expr) for b in doc.bindings ]
         assert [b.value for b in again.bindings] == [b.value for b in doc.bindings]

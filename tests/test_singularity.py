@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from nonholonomy.algebra import Chart, Polynomial
+from nonholonomy.distributions import dimension_bounds
 from nonholonomy.errors import InputError
 from nonholonomy.forms import wedge_power
 from nonholonomy.linalg import kernel_basis, normalize_primitive
@@ -25,7 +26,6 @@ from nonholonomy.singularity import (
     principal_rank,
     pseudo_symmetry_check,
     thinness_probe,
-    validate_dimensions,
 )
 
 
@@ -103,17 +103,17 @@ def _admissible_fiber(n, k, rng):
 
 
 def test_validate_dimensions():
-    validate_dimensions(4, 1)
-    validate_dimensions(6, 1)
-    validate_dimensions(10, 2)
+    dimension_bounds(1, 4)
+    dimension_bounds(1, 6)
+    dimension_bounds(2, 10)
     for n, k in ((3, 1), (7, 1), (5, 2), (11, 2)):
         try:
-            validate_dimensions(n, k)
+            dimension_bounds(k, n)
             assert False
         except InputError as err:
             assert "ambient dimension" in str(err)
     try:
-        validate_dimensions(4, 0)
+        dimension_bounds(0, 4)
         assert False
     except InputError:
         pass
@@ -285,34 +285,6 @@ def test_pseudo_symmetry_zero_and_violation():
     ok, signs = pseudo_symmetry_check(bad)
     assert not ok
     assert signs[(1, 2, 3)] is None
-
-
-def test_relabeled_fiber():
-    rng = random.Random(17)
-    fp = FiberPoint.random(5, 1, rng=rng)
-    n = fp.n
-    identity = tuple(range(1, n + 1))
-    same = fp.relabeled(identity)
-    assert same.a == fp.a and same.z == fp.z
-
-    perm = (3, 1, 5, 2, 4)
-    moved = fp.relabeled(perm)
-    for i in range(1, fp.m + 1):
-        for t in range(1, n + 1):
-            assert moved.a_entry(i, t) == fp.a_entry(i, perm[t - 1])
-        for t, u in combinations(range(1, n + 1), 2):
-            assert moved.z_entry(i, t, u) == fp.z_entry(i, perm[t - 1], perm[u - 1])
-    inverse = tuple(perm.index(t) + 1 for t in range(1, n + 1))
-    back = moved.relabeled(inverse)
-    assert back.a == fp.a and back.z == fp.z
-    # a different principal direction still extracts cleanly
-    ok, _ = pseudo_symmetry_check(extract_c_coefficients(moved).cmat)
-    assert ok
-    try:
-        fp.relabeled((1, 1, 2, 3, 4))
-        assert False
-    except InputError:
-        pass
 
 
 def test_assemble_rejects_bad_multipliers():
