@@ -2,11 +2,13 @@
 
 A fiber point carries the coefficients of a tuple of 1-forms (a^i_j) and
 2-forms (z^i_{jl}, j < l). From these we compute the wedge-power
-coefficients A, the dependence coefficients B, and — after promoting the
-principal-direction entries z^i_{1mu} to symbols — the constant parts C-bar
-and linear parts C(mu) of B over the principal subspace. The probe then
-measures the exact rank of the assembled linear system across seeded random
-fibers; the classification argument needs that rank to never be 1.
+coefficients A, the dependence coefficients B, and the split of B over the
+principal subspace into constant parts C-bar and linear parts C(mu) in the
+principal entries z^i_{1mu}. The split is read off numeric forms through
+the closed form of omega^k in those entries (see extract_c_coefficients).
+The probe then measures the exact rank of the assembled linear system
+across seeded random fibers; the classification argument needs that rank
+to never be 1.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from itertools import combinations, permutations
 
 from .algebra import Chart, Polynomial, random_rational
 from .distributions import dimension_bounds
-from .errors import ConsistencyError, InputError
-from .forms import DiffForm, wedge_all, wedge_power
+from .errors import InputError
+from .forms import DiffForm, sort_with_sign, wedge, wedge_all, wedge_power
 from .linalg import kernel_basis, normalize_primitive, rank
 
 _fiber_charts = {}
-_extended_charts = {}
 
 
 def fiber_chart(n: int) -> Chart:
@@ -31,19 +32,6 @@ def fiber_chart(n: int) -> Chart:
     if n not in _fiber_charts:
         _fiber_charts[n] = Chart(tuple("x%d" % j for j in range(1, n + 1)))
     return _fiber_charts[n]
-
-
-def extended_chart(n: int) -> Chart:
-    """x1..xn plus the principal symbols w2..wn.
-
-    The w's never appear as form indices, only inside coefficients; they
-    stand for the unknown z^i_{1mu} over the principal subspace.
-    """
-    if n not in _extended_charts:
-        names = ["x%d" % j for j in range(1, n + 1)]
-        names += ["w%d" % mu for mu in range(2, n + 1)]
-        _extended_charts[n] = Chart(tuple(names))
-    return _extended_charts[n]
 
 
 def _entry_value(value):
@@ -131,39 +119,14 @@ class FiberPoint:
 
 def alpha_form(fp: FiberPoint, i: int, chart: Chart = None) -> DiffForm:
     """The i-th 1-form sum_j a^i_j dx_j on the fiber chart."""
-    chart = chart or fiber_chart(fp.n)
-    terms = {}
-    for j in range(1, fp.n + 1):
-        value = fp.a_entry(i, j)
-        if value != 0:
-            terms[(j,)] = _coeff_poly(chart, value)
-    return DiffForm(chart, 1, terms)
+    terms = {(j,): fp.a_entry(i, j) for j in range(1, fp.n + 1)}
+    return DiffForm(chart or fiber_chart(fp.n), 1, terms)
 
 
-def omega_form(fp: FiberPoint, i: int, chart: Chart = None, principal_symbols=None) -> DiffForm:
-    """The i-th 2-form sum_{j<l} z^i_{jl} dx_j ^ dx_l.
-
-    principal_symbols, when given, maps mu -> coefficient polynomial and
-    replaces the (1, mu) entries wholesale (used for symbolic extraction).
-    """
-    chart = chart or fiber_chart(fp.n)
-    terms = {}
-    for j, l in combinations(range(1, fp.n + 1), 2):
-        if principal_symbols is not None and j == 1:
-            coeff = principal_symbols[l]
-        else:
-            coeff = _coeff_poly(chart, fp.z_entry(i, j, l))
-        if not (isinstance(coeff, Polynomial) and coeff.is_zero()):
-            terms[(j, l)] = coeff
-    return DiffForm(chart, 2, terms)
-
-
-def _coeff_poly(chart: Chart, value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        if value.chart != chart:
-            raise InputError("polynomial fiber entry lives on a different chart")
-        return value
-    return Polynomial.constant(chart, value)
+def omega_form(fp: FiberPoint, i: int, chart: Chart = None) -> DiffForm:
+    """The i-th 2-form sum_{j<l} z^i_{jl} dx_j ^ dx_l."""
+    terms = {(j, l): fp.z_entry(i, j, l) for j, l in combinations(range(1, fp.n + 1), 2)}
+    return DiffForm(chart or fiber_chart(fp.n), 2, terms)
 
 
 def _perm_sign(seq) -> int:
@@ -218,16 +181,14 @@ def dependence_form(fp: FiberPoint, i: int, chart: Chart = None) -> DiffForm:
 def b_coefficients(fp: FiberPoint, i: int):
     """B^i_r, r = 1..n: the coefficient of the monomial omitting dx_r in the
     dependence form. Computed by direct exterior expansion; the permutation
-    formula lives in the test suite as the independent cross-check."""
+    formula lives in the test suite as the independent cross-check. The
+    fiber must be numeric: a coefficient that is not a constant raises
+    InputError."""
     form = dependence_form(fp, i)
-    numeric = all(isinstance(v, Fraction) for v in fp.a.values()) and all(
-        isinstance(v, Fraction) for v in fp.z.values()
-    )
     out = []
     for r in range(1, fp.n + 1):
         key = tuple(j for j in range(1, fp.n + 1) if j != r)
-        coeff = form.coefficient(key)
-        out.append(coeff.constant_value() if numeric else coeff)
+        out.append(form.coefficient(key).constant_value())
     return out
 
 
@@ -262,56 +223,61 @@ class CExtraction:
 
 def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     """Compute the constant and linear parts of each B^i_r in the principal
-    symbols z^i_{1mu}.
+    entries z^i_{1mu}, mu = 2..n.
 
     The (1, mu) entries stored on the fiber are ignored: over the principal
-    subspace they are the free coordinates, so they enter symbolically. The
-    structural facts the argument leans on — affine dependence, constancy of
-    B^i_1, and the vanishing C^i_r(r) = 0 — are asserted on every run and
-    raise ConsistencyError if violated.
+    subspace they are the free coordinates. Write omega_i = omega0 +
+    dx1 ^ eta(w) with eta(w) = sum_mu w_mu dx_mu, where omega0 drops the
+    (1, mu) terms. Since (dx1 ^ eta)^2 = 0 and 2-forms commute,
+
+        omega_i^k = omega0^k + k * omega0^(k-1) ^ dx1 ^ eta(w),
+
+    so with A = alpha_1 ^ ... ^ alpha_m and L = A ^ omega0^(k-1) (L = A for
+    k = 1) the dependence form is L ^ omega0 + k * sum_mu w_mu L ^ dx1 ^ dx_mu.
+    B^i_1 and C-bar are read off L ^ omega0. Each coefficient of L ^ dx1
+    sits on a key that contains 1 and misses exactly one pair {r, mu} of
+    2..n; wedging on dx_mu (or dx_r) gives C^i_r(mu) (or C^i_mu(r)).
+
+    The structural facts the argument leans on hold by construction, with
+    nothing left to check at run time:
+    - B is affine in the principal entries: w enters only through eta, once;
+    - B^i_1 is constant: every w term carries dx1, so it never lands on the
+      monomial omitting dx1;
+    - C^i_r(r) = 0: every w_r term carries dx_r, so it never lands on the
+      monomial omitting dx_r;
+    - pseudo-symmetry C^i_r(mu) = +-C^i_mu(r): both come from the same
+      coefficient of L ^ dx1, up to the sign of sorting in mu or r;
+    - no base coordinate enters: every form is built from the fiber's
+      numbers, and a coefficient that is not a constant (a polynomial
+      fiber entry) raises InputError.
     """
     n, k, m = fp.n, fp.k, fp.m
     if m < 1:
         raise InputError("extraction needs at least one form (m >= 1)")
-    chart = extended_chart(n)
-    symbols = {mu: Polynomial.coordinate(chart, "w%d" % mu) for mu in range(2, n + 1)}
-    x_slots = n
+    chart = fiber_chart(n)
+    dx1 = DiffForm.basis(chart, 1)
+    indices = tuple(range(1, n + 1))
+    principal = range(2, n + 1)
     b_first = {}
     cbar = {}
     cmat = {}
-    alphas = [alpha_form(fp, j, chart) for j in range(1, m + 1)]
+    a_wedge = wedge_all([alpha_form(fp, j, chart) for j in range(1, m + 1)])
     for i in range(1, m + 1):
-        omega = omega_form(fp, i, chart, principal_symbols=symbols)
-        form = wedge_all(alphas + [wedge_power(omega, k)])
-        for r in range(1, n + 1):
-            key = tuple(j for j in range(1, n + 1) if j != r)
-            poly = form.coefficient(key)
-            const = Fraction(0)
-            linear = {}
-            for exps, coeff in poly.terms.items():
-                if any(exps[:x_slots]):
-                    raise ConsistencyError("dependence coefficient involves a base coordinate")
-                w_part = exps[x_slots:]
-                degree = sum(w_part)
-                if degree == 0:
-                    const = coeff
-                elif degree == 1:
-                    mu = 2 + w_part.index(1)
-                    linear[mu] = coeff
-                else:
-                    raise ConsistencyError(
-                        "dependence coefficient is not affine in the principal symbols"
-                    )
-            if r == 1:
-                if linear:
-                    raise ConsistencyError("B^%d_1 depends on a principal symbol" % i)
-                b_first[i] = const
-            else:
-                cbar[(i, r)] = const
-                for mu in range(2, n + 1):
-                    cmat[(i, r, mu)] = linear.get(mu, Fraction(0))
-                if cmat[(i, r, r)] != 0:
-                    raise ConsistencyError("C^%d_%d(%d) must vanish" % (i, r, r))
+        omega = omega_form(fp, i, chart)
+        omega0 = DiffForm(chart, 2, {key: c for key, c in omega.terms.items() if key[0] != 1})
+        l_wedge = a_wedge if k == 1 else wedge(a_wedge, wedge_power(omega0, k - 1))
+        constant = wedge(l_wedge, omega0)
+        b_first[i] = constant.coefficient(indices[1:]).constant_value()
+        for r in principal:
+            key = tuple(j for j in indices if j != r)
+            cbar[(i, r)] = constant.coefficient(key).constant_value()
+            for mu in principal:
+                cmat[(i, r, mu)] = Fraction(0)
+        for key, coeff in wedge(l_wedge, dx1).terms.items():
+            value = k * coeff.constant_value()
+            r, mu = (j for j in principal if j not in key)
+            cmat[(i, r, mu)] = sort_with_sign(key + (mu,))[1] * value
+            cmat[(i, mu, r)] = sort_with_sign(key + (r,))[1] * value
     return CExtraction(n, k, b_first, cbar, cmat)
 
 

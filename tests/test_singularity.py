@@ -20,7 +20,6 @@ from nonholonomy.singularity import (
     dependence_form,
     dependence_multipliers,
     extract_c_coefficients,
-    extended_chart,
     fiber_chart,
     omega_form,
     principal_rank,
@@ -227,10 +226,12 @@ def test_dependence_multipliers_examples():
 
 
 def test_extraction_reconstructs_b():
-    # cbar + cmat . principal-z reproduces the direct expansion exactly
+    # cbar + cmat . principal-z reproduces the direct expansion exactly; the
+    # k = 3 shapes tell the factor k in the linear part apart from k!
     rng = random.Random(8)
-    for n, k in ((4, 1), (5, 1), (6, 2)):
-        for _ in range(20):
+    shapes = ((4, 1, 20), (5, 1, 20), (6, 2, 20), (6, 1, 20), (7, 2, 20), (8, 3, 10), (9, 3, 5))
+    for n, k, count in shapes:
+        for _ in range(count):
             fp = FiberPoint.random(n, k, rng=rng)
             extraction = extract_c_coefficients(fp)
             for i in range(1, fp.m + 1):
@@ -411,6 +412,15 @@ def test_extraction_requires_numeric_layout():
     extraction = extract_c_coefficients(fp)
     assert isinstance(extraction, CExtraction)
     assert extraction.b_first[1] == 0
-    # extended chart carries the principal symbols after the coordinates
-    chart = extended_chart(4)
-    assert chart.names == ("x1", "x2", "x3", "x4", "w2", "w3", "w4")
+    # symbolic entries on their own chart, and non-constant entries on the
+    # fiber chart, are rejected by both the extraction and the direct B
+    symbolic, _ = _symbolic_fiber(4, 1)
+    x1 = Polynomial.coordinate(fiber_chart(4), "x1")
+    on_fiber_chart = FiberPoint(4, 1, a={(1, 4): 1}, z={(1, 2, 3): x1})
+    for fp in (symbolic, on_fiber_chart):
+        for call in (extract_c_coefficients, lambda fp: b_coefficients(fp, 1)):
+            try:
+                call(fp)
+                assert False
+            except InputError:
+                pass
