@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Rank uses fraction-free (Bareiss) elimination on denominator-cleared integer
-rows, so intermediate entries stay integers and never lose exactness. Kernel
-bases come from Gauss-Jordan over Fractions. Everything here is
-deterministic: pivots are chosen first-come in row order.
+Rank and determinant (det) share one fraction-free (Bareiss) elimination on
+denominator-cleared integer rows, so intermediate entries stay integers and
+never lose exactness. Kernel bases come from Gauss-Jordan over Fractions.
+Everything here is deterministic: pivots are chosen first-come in row order.
 """
 
 from __future__ import annotations
@@ -14,31 +14,41 @@ from math import gcd, lcm
 from .errors import InputError
 
 
-def _integer_rows(rows):
-    """Copy rows, clearing denominators row by row."""
+def integer_rows(rows):
+    """Copy rows of ints and Fractions with denominators cleared row by row.
+
+    Returns (integer_rows, scale), scale being the product of the row
+    scales, so any maximal minor of the integer rows is scale times the
+    same minor of the given rows.
+    """
     out = []
+    scale = 1
     for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+        row = list(row)
+        row_scale = lcm(*(x.denominator for x in row)) if row else 1
+        out.append([x.numerator * (row_scale // x.denominator) for x in row])
+        scale *= row_scale
+    return out, scale
 
 
-def rank(rows) -> int:
-    """Rank of a matrix given as an iterable of equal-length rows."""
-    M = _integer_rows(rows)
-    if not M or not M[0]:
-        return 0
+def _bareiss(M):
+    """Fraction-free elimination of integer rows, in place.
+
+    Returns (rank, last pivot times the sign of the row swaps). Each pivot
+    is a minor of the original rows, so for a square matrix of full rank the
+    signed last pivot is its determinant.
+    """
     n_rows, n_cols = len(M), len(M[0])
-    if any(len(row) != n_cols for row in M):
-        raise InputError("rows have unequal lengths")
     r = 0
     prev = 1
+    sign = 1
     for c in range(n_cols):
         piv = next((i for i in range(r, n_rows) if M[i][c]), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
         for i in range(r + 1, n_rows):
             row_i, row_r = M[i], M[r]
             head = row_i[c]
@@ -49,7 +59,28 @@ def rank(rows) -> int:
         r += 1
         if r == n_rows:
             break
-    return r
+    return r, sign * prev
+
+
+def rank(rows) -> int:
+    """Rank of a matrix given as an iterable of equal-length rows."""
+    M, _ = integer_rows(rows)
+    if not M or not M[0]:
+        return 0
+    if any(len(row) != len(M[0]) for row in M):
+        raise InputError("rows have unequal lengths")
+    return _bareiss(M)[0]
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix given as an iterable of rows."""
+    M, scale = integer_rows(rows)
+    if any(len(row) != len(M) for row in M):
+        raise InputError("determinant needs a square matrix")
+    if not M:
+        return Fraction(1)
+    r, pivot = _bareiss(M)
+    return Fraction(pivot, scale) if r == len(M) else Fraction(0)
 
 
 def rref(rows):

@@ -49,3 +49,20 @@ def rnd_point(rng, chart):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+def quadratic_coframe(n, k):
+    """The generic quadratic coframe of the benchmark's check-mni jobs: for
+    i = 0..m-1 with m = n - 2k - 1,
+    a_i = dx_{n-m+i+1} + sum_{j <= n-m} x_{(i+j mod n)+1} x_{(2i+j+1 mod n)+1} dx_j.
+    It has constant rank and a dependent MNI tuple."""
+    m = n - 2 * k - 1
+    chart = Chart(tuple("x%d" % j for j in range(1, n + 1)))
+    x = [Polynomial.coordinate(chart, j) for j in range(1, n + 1)]
+    coframe = []
+    for i in range(m):
+        form = DiffForm.basis(chart, n - m + i + 1)
+        for j in range(1, n - m + 1):
+            form = form + x[(i + j) % n] * x[(2 * i + j + 1) % n] * DiffForm.basis(chart, j)
+        coframe.append(form)
+    return coframe

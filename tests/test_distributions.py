@@ -32,7 +32,7 @@ from nonholonomy.forms import (
 )
 from nonholonomy.linalg import rank
 
-from conftest import rnd_point
+from conftest import quadratic_coframe, rnd_point
 
 
 def _chart3():
@@ -262,6 +262,18 @@ def test_check_mni_two_jet_like_constraints():
     verdict = check_mni(coframe, 1)
     assert verdict.value is True
     assert verdict.certificate
+
+
+def test_check_mni_quadratic_at_n9_and_n10():
+    # the full certificate search over 126 and 252 symbolic 4 x 4 and 5 x 5
+    # minors; the numeric prefilter rules every one of them out
+    for n in (9, 10):
+        coframe = quadratic_coframe(n, 2)
+        points = sample_points(coframe[0].chart, grid_cap=5, random_count=5)
+        verdict = check_mni(coframe, 2, points=points)
+        assert verdict.checked == 10
+        assert verdict.value is False
+        assert verdict.certificate is False
 
 
 def test_check_mni_shape_errors():

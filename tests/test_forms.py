@@ -1,13 +1,19 @@
 """Exterior calculus: operation examples and the algebraic axioms."""
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
+from nonholonomy import forms as forms_module
 from nonholonomy.algebra import Chart, Polynomial, poly_eval
+from nonholonomy.constructions import builtin_corpus
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
+    _constant_minor,
+    _poly_det,
+    _probe_points,
     constant_minor_certificate,
     evaluate_at_point,
     exterior_derivative,
@@ -20,7 +26,7 @@ from nonholonomy.forms import (
     wedge_power,
 )
 
-from conftest import rnd_chart, rnd_field, rnd_form, rnd_point, rnd_poly
+from conftest import quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_point, rnd_poly
 
 
 def _perm_sign(perm):
@@ -378,6 +384,113 @@ def test_constant_minor_certificate():
         assert False
     except InputError:
         pass
+
+
+def _reference_constant_minor(grid, max_minors):
+    # the search without the numeric prefilter: the symbolic determinant of
+    # every subset, in lexicographic order, under the same cap
+    for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
+        if tried > max_minors:
+            return None
+        value = _poly_det([[row[c] for c in subset] for row in grid])
+        if value.is_constant() and not value.is_zero():
+            return subset, value.constant_value()
+    return None
+
+
+def _grid(forms):
+    columns = sorted(set().union(*(f.terms.keys() for f in forms)))
+    zero = Polynomial.zero(forms[0].chart)
+    return [[f.terms.get(c, zero) for c in columns] for f in forms]
+
+
+def _mni_forms(coframe, omegas, k):
+    base = wedge_all(coframe)
+    return [wedge(base, wedge_power(w, k)) for w in omegas]
+
+
+def _jetlike_coframe(n, k, rng):
+    """a_i = dy_i - sum_p c_p h_s dh_t, where da_i is a constant Darboux form
+    on every h but one, a different h for each i: independent MNI forms
+    with a constant maximal minor."""
+    m = n - 2 * k - 1
+    chart = Chart(tuple("y%d" % i for i in range(1, m + 1))
+                  + tuple("h%d" % j for j in range(1, 2 * k + 2)))
+    coframe = []
+    for i, omitted in enumerate(rng.sample(range(2 * k + 1), m)):
+        rest = [j for j in range(2 * k + 1) if j != omitted]
+        rng.shuffle(rest)
+        form = DiffForm.basis(chart, i + 1)
+        for p in range(k):
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3)))
+            h = Polynomial.coordinate(chart, m + 1 + rest[2 * p])
+            form = form - c * h * DiffForm.basis(chart, m + 1 + rest[2 * p + 1])
+        coframe.append(form)
+    return coframe
+
+
+def _assert_matches_reference(grid, caps=(20000,)):
+    for cap in caps:
+        assert _constant_minor(grid, cap) == _reference_constant_minor(grid, cap)
+
+
+def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
+    found = 0
+    for bundle in builtin_corpus():
+        grid = [[a.coefficient((j,)) for j in range(1, a.chart.n + 1)] for a in bundle.coframe]
+        _assert_matches_reference(grid)
+        if bundle.k is not None:
+            omegas = bundle.omegas or [exterior_derivative(a) for a in bundle.coframe]
+            _assert_matches_reference(_grid(_mni_forms(bundle.coframe, omegas, bundle.k)))
+    rng = random.Random(4)
+    for n, k in ((4, 1), (5, 1), (6, 1), (6, 2)):
+        for coframe in (quadratic_coframe(n, k), _jetlike_coframe(n, k, rng)):
+            grid = _grid(_mni_forms(coframe, [exterior_derivative(a) for a in coframe], k))
+            expected = _reference_constant_minor(grid, 20000)
+            found += expected is not None
+            _assert_matches_reference(grid, caps=(20000, 1, 2, 3))
+    assert found == 4  # every jet-like tuple, no quadratic one
+
+
+def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
+    chart = Chart(("x1", "x2", "x3"))
+    x1, x2 = (Polynomial.coordinate(chart, i) for i in (1, 2))
+    (a1, a2, _), (b1, _, _) = _probe_points(chart.n)
+    zero, one = Polynomial.zero(chart), Polynomial.constant(chart, 1)
+    # a non-constant minor that vanishes at the first probe point
+    vanishing = [[x1 - a1, (x2 - a2) * x1, Polynomial.constant(chart, 7)]]
+    # a non-constant minor with one nonzero value at both probe points, then
+    # a constant one: the 2 x 2 minors are 3f, 0 and -3 with
+    # f = 5 + (x1 - a1)(x1 - b1), and the search must return the last
+    twin = [[5 + (x1 - a1) * (x1 - b1), zero, one], [zero, 3 * one, zero]]
+    # all-zero columns around and between the live ones; the first
+    # constant minor is the last, over columns 3 and 4
+    hollow = [[zero, x1, zero, one, zero], [zero, one, zero, x2, one]]
+    # a constant minor in a row whose values are [0, 1] at the first probe
+    # point and [1/2, 1] at the second: its integer minors 1 and 2 agree
+    # only after the row scales 1 and 2
+    scaled = [[(x1 - a1) * Fraction(1, 2 * (b1 - a1)), one]]
+    for grid in (vanishing, twin, hollow, scaled):
+        _assert_matches_reference(grid, caps=(20000, 1, 2, 3, 9, 10))
+    assert _constant_minor(vanishing, 20000) == ((2,), 7)
+    assert _constant_minor(hollow, 10) == ((3, 4), 1)
+    assert _constant_minor(hollow, 9) is None
+    assert _constant_minor(scaled, 20000) == ((1,), 1)
+    calls = []
+    poly_det = forms_module._poly_det
+
+    def top_level(matrix):
+        if len(matrix) == len(twin):
+            calls.append(matrix)
+        return poly_det(matrix)
+
+    monkeypatch.setattr(forms_module, "_poly_det", top_level)
+    assert _constant_minor(twin, 20000) == ((1, 2), -3)
+    # (0, 1) passed both probes and was rejected symbolically; (0, 2) is zero
+    # at the first probe point and never reached the symbolic determinant
+    assert len(calls) == 2
+    # no columns at all: the certificate search finds nothing
+    assert not constant_minor_certificate([DiffForm.zero(chart, 1)])
 
 
 def test_form_string_rendering():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from nonholonomy.errors import InputError
-from nonholonomy.linalg import kernel_basis, normalize_primitive, rank, rref
+from nonholonomy.linalg import det, integer_rows, kernel_basis, normalize_primitive, rank, rref
 
 from conftest import rnd_fraction
 
@@ -50,6 +51,67 @@ def test_rank_matches_naive_elimination():
             s = rnd_fraction(rng)
             rows[-1] = [s * x for x in rows[0]]
         assert rank(rows) == naive_rank(rows)
+
+
+def permutation_det(rows):
+    # the Leibniz sum over permutations, used as the oracle for Bareiss det
+    size = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(size)):
+        term = Fraction(1)
+        for i in range(size):
+            term *= rows[i][perm[i]]
+            for j in range(i + 1, size):
+                if perm[i] > perm[j]:
+                    term = -term
+        total += term
+    return total
+
+
+def test_det_known_cases():
+    assert det([]) == 1
+    assert det([[Fraction(3, 4)]]) == Fraction(3, 4)
+    assert det([[1, 2], [3, 4]]) == -2
+    # each needs row swaps, and the sign must follow them
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert det([[0, 2, 1], [0, 1, 3], [5, 1, 1]]) == 25
+    # singular: proportional rows, a zero row, a zero column
+    assert det([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]) == 0
+    assert det([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+    assert det([[1, 0, 3], [2, 0, 6], [4, 0, 5]]) == 0
+    with pytest.raises(InputError):
+        det([[1, 2]])
+    with pytest.raises(InputError):
+        det([[1, 2], [3]])
+
+
+def test_det_matches_permutation_expansion():
+    rng = random.Random(12)
+    for trial in range(400):
+        size = rng.randint(1, 5)
+        rows = [[rnd_fraction(rng) for _ in range(size)] for _ in range(size)]
+        if trial % 4 == 1:
+            # zeros on and below the diagonal force row swaps
+            for i in range(size):
+                for j in range(i + 1):
+                    if rng.random() < 0.6:
+                        rows[i][j] = Fraction(0)
+        elif trial % 4 == 2 and size >= 2:
+            s = rnd_fraction(rng)
+            rows[-1] = [s * x for x in rows[0]]
+        elif trial % 4 == 3:
+            rng.shuffle(rows)
+        value = det(rows)
+        assert value == permutation_det(rows)
+        assert (value != 0) == (rank(rows) == size)
+
+
+def test_integer_rows_scale():
+    rows, scale = integer_rows([[Fraction(1, 2), Fraction(1, 3)], [3, Fraction(-5, 4)]])
+    assert rows == [[3, 2], [12, -5]]
+    assert scale == 24
 
 
 def test_kernel_basis_properties():
