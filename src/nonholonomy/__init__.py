@@ -42,7 +42,6 @@ from .singularity import (
     b_coefficients,
     dependence_multipliers,
     extract_c_coefficients,
-    principal_rank,
     pseudo_symmetry_check,
     thinness_probe,
 )
@@ -52,7 +51,7 @@ from .constructions import (
     builtin_corpus,
     verify_prop_ori_identity,
 )
-from .parser import InputDocument, parse_document, pretty_print
+from .parser import InputDocument, parse_document
 
 __all__ = [
     "Chart",
@@ -89,7 +88,6 @@ __all__ = [
     "b_coefficients",
     "dependence_multipliers",
     "extract_c_coefficients",
-    "principal_rank",
     "pseudo_symmetry_check",
     "thinness_probe",
     "build_example",
@@ -98,5 +96,4 @@ __all__ = [
     "verify_prop_ori_identity",
     "InputDocument",
     "parse_document",
-    "pretty_print",
 ]

@@ -121,7 +121,7 @@ def _document_distribution(doc) -> Distribution:
 
 
 def _parse_point(chart, text: str):
-    values = {name: Fraction(0) for name in chart.names}
+    values = {}
     text = text.strip()
     if text:
         for part in text.split(","):
@@ -129,13 +129,15 @@ def _parse_point(chart, text: str):
                 raise InputError("bad point component %r (expected name=value)" % part)
             name, _, raw = part.partition("=")
             name = name.strip()
-            if name not in values:
+            if name not in chart:
                 raise InputError("unknown coordinate %r in --point" % name)
+            if name in values:
+                raise InputError("coordinate %r given twice in --point" % name)
             try:
                 values[name] = Fraction(raw.strip())
             except (ValueError, ZeroDivisionError):
                 raise InputError("bad rational %r in --point" % raw.strip()) from None
-    return tuple(values[name] for name in chart.names)
+    return tuple(values.get(name, Fraction(0)) for name in chart.names)
 
 
 def _point_strings(chart, point):

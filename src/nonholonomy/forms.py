@@ -463,20 +463,6 @@ def _poly_det(matrix) -> Polynomial:
     return total
 
 
-def _adjugate(matrix):
-    """Adjugate of a square polynomial matrix, by Laplace cofactors."""
-    size = len(matrix)
-    if size == 1:
-        return [[Polynomial.constant(matrix[0][0].chart, 1)]]
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [row[:j] + row[j + 1:] for r, row in enumerate(matrix) if r != i]
-            cof = _poly_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
 def _probe_points(n: int):
     """The two fixed integer points of an n-coordinate chart at which
     _constant_minor evaluates its grid: (2, 3, ..., n+1) and
@@ -554,9 +540,10 @@ def kernel_frame(grid, max_minors: int):
     """Vector fields spanning the kernel of a q x n polynomial grid at every
     point, or None.
 
-    Built from the first constant maximal minor (see _constant_minor): each
-    column j outside its subset gets the field with 1 in slot j and the
-    subset slots solved by the adjugate, so the fields have constant rank.
+    Built from the first constant maximal minor D = det G_S (see
+    _constant_minor): each column j outside S gets the field with 1 in slot
+    j and the slots of S solved by Cramer's rule, -det(G_S with that column
+    replaced by column j) / D, so the fields have constant rank.
     """
     found = _constant_minor(grid, max_minors)
     if found is None:
@@ -565,17 +552,15 @@ def kernel_frame(grid, max_minors: int):
     chart = grid[0][0].chart
     n = len(grid[0])
     zero = Polynomial.zero(chart)
-    adj = _adjugate([[row[c] for c in subset] for row in grid])
+    scale = Fraction(-1, det_value)
     fields = []
     for j in range(n):
         if j in subset:
             continue
         comps = [zero] * n
         comps[j] = Polynomial.constant(chart, 1)
-        for pos, col in enumerate(subset):
-            total = zero
-            for t, row in enumerate(grid):
-                total = total + adj[pos][t] * row[j]
-            comps[col] = total * Fraction(-1, det_value)
+        for col in subset:
+            replaced = [[row[j] if c == col else row[c] for c in subset] for row in grid]
+            comps[col] = _poly_det(replaced) * scale
         fields.append(VectorField(chart, comps))
     return fields

@@ -10,9 +10,15 @@ Expressions support '+' and '-' on matching degrees, '*' with a scalar
 (degree-0) factor, '^' for the exterior product, 'd(...)' for the exterior
 derivative, 'pow2(w, k)' for the k-th wedge power of a 2-form, '@name' for
 coordinate vector fields, and rationals written 'p/q'. '#' starts a line
-comment. Bindings are evaluated eagerly, so parse_document returns a
-document whose named values are ready to use; all lexical, syntactic, and
-type errors carry a 1-based line:column position.
+comment.
+
+A lexer feeds a one-pass recursive-descent evaluator: each grammar rule
+returns the polynomial, form or vector field it read, and no syntax tree is
+kept. parse_document therefore returns a document whose named values are
+ready to use. Lexical, syntactic and type errors carry a 1-based
+line:column position. The whole text is tokenized first, so a lexical
+error is reported before any other; past the lexer, the first error in
+reading order is the one reported.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Chart, Polynomial
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .forms import DiffForm, VectorField, exterior_derivative, wedge, wedge_power
 
 _PUNCT = set("=;(),+-*^@/")
@@ -64,9 +70,9 @@ def tokenize(text: str):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j].isdecimal():
                 j += 1
             tokens.append(Token("NUMBER", text[i:j], line, start_col))
             col += j - i
@@ -82,67 +88,11 @@ def tokenize(text: str):
     return tokens
 
 
-# -- AST --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Ref:
-    name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BasisField:
-    name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Dee:
-    operand: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Pow2:
-    operand: object
-    power: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
 @dataclass(frozen=True)
 class Binding:
     kind: str  # form | field
     name: str
-    expr: object
-    value: object = field(default=None, compare=False)
+    value: object
 
 
 @dataclass(frozen=True)
@@ -169,13 +119,23 @@ class InputDocument:
         return [b.value for b in self.bindings if b.kind == "field"]
 
 
-# -- parser -----------------------------------------------------------------
+def _degree_of(value) -> str:
+    if isinstance(value, Polynomial):
+        return "degree 0"
+    if isinstance(value, DiffForm):
+        return "degree %d" % value.degree
+    return "a vector field"
 
 
 class _Parser:
+    """Recursive descent over the token list. Each expression rule returns
+    the value it read, so the chart must exist before any binding."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.chart = None
+        self.env = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -203,15 +163,26 @@ class _Parser:
             self.fail("expected %s, got %r" % (want, got))
         return tok
 
+    def integer(self, tok) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            self.fail("number has too many digits", tok)
+
+    def accept_op(self, ops):
+        tok = self.peek()
+        if tok.kind == "PUNCT" and tok.text in ops:
+            return self.advance()
+        return None
+
     # statements
 
-    def document(self):
-        coords = None
+    def document(self) -> InputDocument:
         bindings = []
         while self.peek().kind != "EOF":
             tok = self.expect("IDENT", what="a statement keyword")
             if tok.text == "coords":
-                if coords is not None:
+                if self.chart is not None:
                     self.fail("duplicate coords statement", tok)
                 names = []
                 while self.peek().kind == "IDENT":
@@ -219,216 +190,119 @@ class _Parser:
                 if not names:
                     self.fail("coords needs at least one name")
                 self.expect("PUNCT", ";")
-                coords = tuple(names)
+                try:
+                    self.chart = Chart(names)
+                except InputError as exc:
+                    self.fail(str(exc), tok)
             elif tok.text in ("form", "field"):
-                if coords is None:
+                if self.chart is None:
                     self.fail("coords must be declared before bindings", tok)
                 name_tok = self.expect("IDENT", what="a binding name")
+                name = name_tok.text
+                if name in self.chart or name in self.env:
+                    self.fail("name %r is already defined" % name, name_tok)
                 self.expect("PUNCT", "=")
-                expr = self.expression()
+                value = self.expression()
                 self.expect("PUNCT", ";")
-                bindings.append(Binding(tok.text, name_tok.text, expr))
+                if tok.text == "field" and not isinstance(value, VectorField):
+                    self.fail("field %r is not a vector field" % name, name_tok)
+                if tok.text == "form" and isinstance(value, VectorField):
+                    self.fail("form %r evaluates to a vector field" % name, name_tok)
+                self.env[name] = value
+                bindings.append(Binding(tok.text, name, value))
             else:
                 self.fail("unknown statement %r (expected coords, form, or field)" % tok.text, tok)
-        if coords is None:
+        if self.chart is None:
             raise ParseError("document declares no coordinates", 1, 1)
-        return coords, tuple(bindings)
+        return InputDocument(self.chart.names, tuple(bindings), self.chart)
 
     # expressions
 
     def expression(self):
-        node = self.multiplicative()
+        value = self.multiplicative()
         while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in "+-":
-                self.advance()
-                right = self.multiplicative()
-                node = BinOp(tok.text, node, right, tok.line, tok.col)
-            else:
-                return node
+            tok = self.accept_op("+-")
+            if tok is None:
+                return value
+            right = self.multiplicative()
+            if type(value) is not type(right) or (
+                isinstance(value, DiffForm) and value.degree != right.degree
+            ):
+                self.fail(
+                    "cannot combine %s and %s under %r"
+                    % (_degree_of(value), _degree_of(right), tok.text),
+                    tok,
+                )
+            value = value + right if tok.text == "+" else value - right
 
     def multiplicative(self):
-        node = self.unary()
+        value = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in "*^":
-                self.advance()
-                right = self.unary()
-                node = BinOp(tok.text, node, right, tok.line, tok.col)
+            tok = self.accept_op("*^")
+            if tok is None:
+                return value
+            right = self.unary()
+            if tok.text == "^":
+                if isinstance(value, VectorField) or isinstance(right, VectorField):
+                    self.fail("'^' applies to forms", tok)
+                value = wedge(value, right)
+            elif isinstance(value, Polynomial):
+                value = right * value if isinstance(right, (DiffForm, VectorField)) else value * right
+            elif isinstance(right, Polynomial):
+                value = value * right
             else:
-                return node
+                self.fail("'*' needs a degree-0 factor (use '^' to multiply forms)", tok)
 
     def unary(self):
-        tok = self.accept("PUNCT", "-")
-        if tok:
-            return Neg(self.unary(), tok.line, tok.col)
+        if self.accept("PUNCT", "-"):
+            return -self.unary()
         return self.atom()
 
     def atom(self):
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "NUMBER":
-            self.advance()
-            value = Fraction(int(tok.text))
+            value = Fraction(self.integer(tok))
             if self.accept("PUNCT", "/"):
                 denom_tok = self.expect("NUMBER")
-                denom = int(denom_tok.text)
+                denom = self.integer(denom_tok)
                 if denom == 0:
                     self.fail("zero denominator", denom_tok)
-                value = Fraction(int(tok.text), denom)
-            return Num(value, tok.line, tok.col)
+                value /= denom
+            return Polynomial.constant(self.chart, value)
         if tok.kind == "PUNCT" and tok.text == "@":
-            self.advance()
             name_tok = self.expect("IDENT", what="a coordinate name after '@'")
-            return BasisField(name_tok.text, tok.line, tok.col)
+            if name_tok.text not in self.chart:
+                self.fail("unknown coordinate %r" % name_tok.text, tok)
+            return VectorField.basis(self.chart, name_tok.text)
         if tok.kind == "PUNCT" and tok.text == "(":
-            self.advance()
-            node = self.expression()
+            value = self.expression()
             self.expect("PUNCT", ")")
-            return node
+            return value
         if tok.kind == "IDENT":
-            self.advance()
             if tok.text == "d" and self.accept("PUNCT", "("):
-                node = self.expression()
+                value = self.expression()
                 self.expect("PUNCT", ")")
-                return Dee(node, tok.line, tok.col)
+                if isinstance(value, VectorField):
+                    self.fail("d applies to forms, not vector fields", tok)
+                return exterior_derivative(value)
             if tok.text == "pow2" and self.accept("PUNCT", "("):
-                node = self.expression()
+                value = self.expression()
                 self.expect("PUNCT", ",")
                 power_tok = self.expect("NUMBER", what="an integer power")
                 self.expect("PUNCT", ")")
-                return Pow2(node, int(power_tok.text), tok.line, tok.col)
-            return Ref(tok.text, tok.line, tok.col)
-        self.fail("expected an expression")
-
-
-# -- evaluation -------------------------------------------------------------
-
-
-def _degree_of(value) -> str:
-    if isinstance(value, Polynomial):
-        return "degree 0"
-    if isinstance(value, DiffForm):
-        return "degree %d" % value.degree
-    return "a vector field"
-
-
-def _evaluate(node, chart: Chart, env: dict):
-    if isinstance(node, Num):
-        return Polynomial.constant(chart, node.value)
-    if isinstance(node, Ref):
-        if node.name in chart:
-            return Polynomial.coordinate(chart, node.name)
-        if node.name in env:
-            return env[node.name]
-        raise ParseError("unknown identifier %r" % node.name, node.line, node.col)
-    if isinstance(node, BasisField):
-        if node.name not in chart:
-            raise ParseError("unknown coordinate %r" % node.name, node.line, node.col)
-        return VectorField.basis(chart, node.name)
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, chart, env)
-    if isinstance(node, Dee):
-        value = _evaluate(node.operand, chart, env)
-        if isinstance(value, VectorField):
-            raise ParseError("d applies to forms, not vector fields", node.line, node.col)
-        return exterior_derivative(value)
-    if isinstance(node, Pow2):
-        value = _evaluate(node.operand, chart, env)
-        if not isinstance(value, DiffForm) or value.degree != 2:
-            raise ParseError("pow2 expects a 2-form", node.line, node.col)
-        if node.power < 1:
-            raise ParseError("pow2 power must be >= 1", node.line, node.col)
-        return wedge_power(value, node.power)
-    if isinstance(node, BinOp):
-        left = _evaluate(node.left, chart, env)
-        right = _evaluate(node.right, chart, env)
-        if node.op in "+-":
-            if isinstance(left, VectorField) and isinstance(right, VectorField):
-                return left + right if node.op == "+" else left - right
-            if isinstance(left, Polynomial) and isinstance(right, Polynomial):
-                return left + right if node.op == "+" else left - right
-            if (
-                isinstance(left, DiffForm)
-                and isinstance(right, DiffForm)
-                and left.degree == right.degree
-            ):
-                return left + right if node.op == "+" else left - right
-            raise ParseError(
-                "cannot combine %s and %s under %r"
-                % (_degree_of(left), _degree_of(right), node.op),
-                node.line,
-                node.col,
-            )
-        if node.op == "*":
-            if isinstance(left, Polynomial):
-                return right * left if isinstance(right, (DiffForm, VectorField)) else left * right
-            if isinstance(right, Polynomial):
-                return left * right
-            raise ParseError(
-                "'*' needs a degree-0 factor (use '^' to multiply forms)",
-                node.line,
-                node.col,
-            )
-        if node.op == "^":
-            if isinstance(left, (Polynomial, DiffForm)) and isinstance(right, (Polynomial, DiffForm)):
-                return wedge(left, right)
-            raise ParseError("'^' applies to forms", node.line, node.col)
-    raise ParseError("unhandled expression", 0, 0)
+                if not isinstance(value, DiffForm) or value.degree != 2:
+                    self.fail("pow2 expects a 2-form", tok)
+                power = self.integer(power_tok)
+                if power < 1:
+                    self.fail("pow2 power must be >= 1", tok)
+                return wedge_power(value, power)
+            if tok.text in self.chart:
+                return Polynomial.coordinate(self.chart, tok.text)
+            if tok.text in self.env:
+                return self.env[tok.text]
+            self.fail("unknown identifier %r" % tok.text, tok)
+        self.fail("expected an expression", tok)
 
 
 def parse_document(text: str) -> InputDocument:
-    coords, bindings = _Parser(tokenize(text)).document()
-    try:
-        chart = Chart(coords)
-    except Exception as exc:
-        raise ParseError(str(exc), 1, 1) from None
-    env = {}
-    evaluated = []
-    for binding in bindings:
-        if binding.name in chart or binding.name in env:
-            raise ParseError("name %r is already defined" % binding.name, 1, 1)
-        value = _evaluate(binding.expr, chart, env)
-        if binding.kind == "field" and not isinstance(value, VectorField):
-            raise ParseError("field %r is not a vector field" % binding.name, 1, 1)
-        if binding.kind == "form" and isinstance(value, VectorField):
-            raise ParseError("form %r evaluates to a vector field" % binding.name, 1, 1)
-        env[binding.name] = value
-        evaluated.append(Binding(binding.kind, binding.name, binding.expr, value))
-    return InputDocument(coords, tuple(evaluated), chart)
-
-
-# -- pretty printing --------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "^": 2}
-
-
-def _render(node, context: int = 0) -> str:
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Ref):
-        return node.name
-    if isinstance(node, BasisField):
-        return "@" + node.name
-    if isinstance(node, Neg):
-        text = "-" + _render(node.operand, 3)
-        return "(%s)" % text if context >= 3 else text
-    if isinstance(node, Dee):
-        return "d(%s)" % _render(node.operand)
-    if isinstance(node, Pow2):
-        return "pow2(%s, %d)" % (_render(node.operand), node.power)
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        text = "%s %s %s" % (
-            _render(node.left, prec),
-            node.op,
-            _render(node.right, prec + 1),
-        )
-        return "(%s)" % text if context > prec else text
-    raise ValueError("unknown node %r" % (node,))
-
-
-def pretty_print(document: InputDocument) -> str:
-    lines = ["coords %s;" % " ".join(document.coords)]
-    for binding in document.bindings:
-        lines.append("%s %s = %s;" % (binding.kind, binding.name, _render(binding.expr)))
-    return "\n".join(lines) + "\n"
+    return _Parser(tokenize(text)).document()

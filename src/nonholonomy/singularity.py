@@ -357,10 +357,6 @@ def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction = None)
     return PrincipalSystem(n, fp.k, c, extraction, tuple(matrix), tuple(rhs))
 
 
-def principal_rank(system: PrincipalSystem) -> int:
-    return rank(system.matrix)
-
-
 @dataclass(frozen=True)
 class ProbeReport:
     n: int
@@ -413,7 +409,7 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
             empty_like += 1
             continue
         system = assemble_principal_matrix(fp, c, extraction=extraction)
-        r = principal_rank(system)
+        r = rank(system.matrix)
         histogram[r] = histogram.get(r, 0) + 1
         if r == 0 and any(system.rhs):
             empty_like += 1

@@ -108,6 +108,20 @@ def test_bad_point_is_an_input_error(capsys):
     assert code == 2
     assert "bad rational" in json.loads(out)["error"]["message"]
 
+    code, out = _run(capsys, ["flag", "data/contact3.nh", "--point", "x=1,x=2"])
+    assert code == 2
+    assert "coordinate 'x' given twice" in json.loads(out)["error"]["message"]
+
+
+def test_non_ascii_digit_is_a_parse_error(capsys, tmp_path):
+    doc = tmp_path / "superscript.nh"
+    doc.write_text("coords x y z;\nform a = \u00b2 * d(x);\n", encoding="utf-8")
+    code, out = _run(capsys, ["check-dlo", str(doc)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"] == "2:10: unexpected character '\u00b2'"
+
 
 def test_thinness_bounds_error(capsys):
     code, out = _run(capsys, ["thinness", "--n", "7", "--k", "1", "--samples", "5"])

@@ -1,11 +1,16 @@
-"""Input language: lexing, parsing, evaluation, and pretty-printing."""
+"""Input language: lexing, and values evaluated as they are parsed.
 
+Errors carry line:column positions; a seeded fuzz guard checks that no
+input makes parse_document raise anything but ParseError.
+"""
+
+import random
 from fractions import Fraction
 
 from nonholonomy.algebra import Polynomial
 from nonholonomy.errors import ParseError
 from nonholonomy.forms import DiffForm, VectorField, exterior_derivative, wedge
-from nonholonomy.parser import parse_document, pretty_print, tokenize
+from nonholonomy.parser import InputDocument, parse_document, tokenize
 
 
 def _fails_at(text, line, col, fragment):
@@ -77,6 +82,11 @@ def test_parse_rationals_and_negation():
     assert doc.binding("a").value == half * DiffForm.basis(chart, "x")
     assert doc.binding("b").value == (3 * half) * DiffForm.basis(chart, "x")
     _fails_at("coords x; form a = 1/0 * d(x);", 1, 22, "zero denominator")
+    # int() accepts exactly the str.isdecimal() digits: '٣' is three, '²' is not a digit
+    doc = parse_document("coords x; form a = \u0663 * d(x);")
+    assert doc.binding("a").value == 3 * DiffForm.basis(doc.chart, "x")
+    _fails_at("coords x; form a = \u00b2 * d(x);", 1, 20, "unexpected character '\u00b2'")
+    _fails_at("coords x; form a = 1/%s * d(x);" % ("7" * 5000), 1, 22, "too many digits")
 
 
 def test_parse_wedge_and_pow2():
@@ -115,40 +125,14 @@ def test_parse_statement_errors():
     _fails_at("coords x; widget a = 1;", 1, 11, "unknown statement 'widget'")
     _fails_at("", 1, 1, "no coordinates")
     _fails_at("coords x x;", 1, 1, "distinct")
-    _fails_at("coords x; form x = d(x);", 1, 1, "already defined")
-    _fails_at("coords x; form a = d(x); form a = d(x);", 1, 1, "already defined")
-    _fails_at("coords x; field F = d(x);", 1, 1, "not a vector field")
-    _fails_at("coords x; form a = @x;", 1, 1, "evaluates to a vector field")
+    _fails_at("coords x; form x = d(x);", 1, 16, "already defined")
+    _fails_at("coords x; form a = d(x); form a = d(x);", 1, 31, "already defined")
+    _fails_at("coords x; field F = d(x);", 1, 17, "not a vector field")
+    _fails_at("coords x; form a = @x;", 1, 16, "evaluates to a vector field")
 
 
 def test_task_is_not_a_statement():
     _fails_at("coords x; task check_dlo;", 1, 11, "unknown statement 'task'")
-
-
-def test_pretty_print_round_trip():
-    texts = [
-        "coords x y z; form a = d(z) - y*d(x); field X = @x + y*@z;",
-        "coords x y; form a = (d(x) + d(y)) ^ d(x);",
-        "coords x y; form a = -(x + y) * d(x);",
-        "coords x1 x2 x3 x4 x5; form w = d(d(x1) - x2*d(x3)); form p = pow2(w, 2);",
-    ]
-    for text in texts:
-        doc = parse_document(text)
-        printed = pretty_print(doc)
-        again = parse_document(printed)
-        assert again.coords == doc.coords
-        assert [ (b.kind, b.name, b.expr) for b in again.bindings ] == \
-               [ (b.kind, b.name, b.expr) for b in doc.bindings ]
-        assert [b.value for b in again.bindings] == [b.value for b in doc.bindings]
-        assert pretty_print(again) == printed
-        assert printed.endswith("\n")
-
-
-def test_pretty_print_precedence():
-    doc = parse_document("coords x y; form a = -(x + y) * d(x); form b = (d(x) + d(y)) ^ d(y);")
-    printed = pretty_print(doc)
-    assert "form a = -(x + y) * d(x);" in printed
-    assert "form b = (d(x) + d(y)) ^ d(y);" in printed
 
 
 def test_binding_lookup_missing():
@@ -158,3 +142,73 @@ def test_binding_lookup_missing():
         assert False
     except ParseError:
         pass
+
+
+def test_first_error_in_reading_order_wins():
+    _fails_at("coords x; form a = d(@x) + ;", 1, 20, "d applies to forms")
+    _fails_at("coords x x; form a = d(x)", 1, 1, "distinct")
+    _fails_at("coords x; form a = d(x) form b = d(x);", 1, 25, "expected ;")
+
+
+_NAMES = ("x", "y", "z", "w")
+_EDIT_CHARS = "xyzab d@()+-*^/,;=#\n0123\u00b2\u0663\u00e9\u00df\u216b$"
+
+
+def _random_expression(rng, coords, names, depth):
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice((
+            rng.choice(names),
+            str(rng.randint(0, 3)),
+            "%d/%d" % (rng.randint(-2, 3), rng.randint(0, 3)),
+            "@" + rng.choice(coords),
+            "d(%s)" % rng.choice(coords),
+        ))
+    sub = _random_expression(rng, coords, names, depth - 1)
+    pick = rng.randrange(5)
+    if pick == 0:
+        return "d(%s)" % sub
+    if pick == 1:
+        return "pow2(%s, %d)" % (sub, rng.randint(0, 2))
+    if pick == 2:
+        return "-(%s)" % sub
+    other = _random_expression(rng, coords, names, depth - 1)
+    return "(%s %s %s)" % (sub, rng.choice("+-*^"), other)
+
+
+def _random_document(rng):
+    coords = rng.sample(_NAMES, rng.randint(1, 4))
+    names = list(coords)
+    lines = ["coords %s;" % " ".join(coords)]
+    for index in range(rng.randint(0, 3)):
+        name = "b%d" % index
+        kind = rng.choice(("form", "form", "field"))
+        lines.append("%s %s = %s;" % (kind, name, _random_expression(rng, coords, names, 2)))
+        names.append(name)
+    text = "\n".join(lines)
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        char = rng.choice(_EDIT_CHARS)
+        if edit == 0:
+            text = text[:at] + char + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + char + text[at + 1:]
+    return text
+
+
+def test_fuzz_parse_returns_document_or_parse_error():
+    rng = random.Random(2024)
+    outcomes = {"accepted": 0, "rejected": 0}
+    for _ in range(2000):
+        text = _random_document(rng)
+        try:
+            result = parse_document(text)
+        except ParseError:
+            outcomes["rejected"] += 1
+            continue
+        assert isinstance(result, InputDocument), text
+        outcomes["accepted"] += 1
+    # the generator must exercise both paths to guard anything
+    assert min(outcomes.values()) > 200, outcomes
