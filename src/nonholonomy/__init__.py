@@ -37,12 +37,9 @@ from .distributions import (
 )
 from .singularity import (
     FiberPoint,
-    a_coefficients,
     assemble_principal_matrix,
-    b_coefficients,
     dependence_multipliers,
     extract_c_coefficients,
-    pseudo_symmetry_check,
     thinness_probe,
 )
 from .constructions import (
@@ -83,12 +80,9 @@ __all__ = [
     "sample_points",
     "type_of",
     "FiberPoint",
-    "a_coefficients",
     "assemble_principal_matrix",
-    "b_coefficients",
     "dependence_multipliers",
     "extract_c_coefficients",
-    "pseudo_symmetry_check",
     "thinness_probe",
     "build_example",
     "build_prop_ori_omegas",

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Rank and determinant (det) share one fraction-free (Bareiss) elimination on
-denominator-cleared integer rows, so intermediate entries stay integers and
-never lose exactness. Kernel bases come from Gauss-Jordan over Fractions.
-Everything here is deterministic: pivots are chosen first-come in row order.
+denominator-cleared integer rows, and pfaffian runs its skew analogue, so
+intermediate entries stay integers and never lose exactness. Kernel bases
+come from Gauss-Jordan over Fractions. Everything here is deterministic:
+pivots are chosen first-come in row order.
 """
 
 from __future__ import annotations
@@ -60,6 +61,44 @@ def _bareiss(M):
         if r == n_rows:
             break
     return r, sign * prev
+
+
+def pfaffian(rows) -> Fraction:
+    """Pfaffian of a skew-symmetric matrix given as an iterable of rows.
+
+    One denominator L is cleared over the whole matrix, as clearing row by
+    row would break skew symmetry; this scales the Pfaffian by L^(size/2).
+    Then, as in _bareiss but on 2x2 pivot blocks, each trailing entry is
+    the Pfaffian of a bordered minor, so the division by the previous pivot
+    is exact. Odd sizes give 0.
+    """
+    rows = [list(row) for row in rows]
+    size = len(rows)
+    if any(len(row) != size for row in rows):
+        raise InputError("Pfaffian needs a square matrix")
+    if size % 2:
+        return Fraction(0)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    M = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    prev = 1
+    sign = 1
+    while M:
+        piv = next((c for c in range(1, len(M)) if M[0][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != 1:
+            M[1], M[piv] = M[piv], M[1]
+            for row in M:
+                row[1], row[piv] = row[piv], row[1]
+            sign = -sign
+        row0, row1 = M[0], M[1]
+        p = row0[1]
+        M = [
+            [(p * row[l] + row1[j] * row0[l] - row0[j] * row1[l]) // prev for l in range(2, len(row))]
+            for j, row in enumerate(M[2:], start=2)
+        ]
+        prev = p
+    return Fraction(sign * prev, scale ** (size // 2))
 
 
 def rank(rows) -> int:

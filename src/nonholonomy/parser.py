@@ -31,6 +31,7 @@ from .errors import InputError, ParseError
 from .forms import DiffForm, VectorField, exterior_derivative, wedge, wedge_power
 
 _PUNCT = set("=;(),+-*^@/")
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,7 @@ class _Parser:
         self.pos = 0
         self.chart = None
         self.env = {}
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -254,9 +256,14 @@ class _Parser:
                 self.fail("'*' needs a degree-0 factor (use '^' to multiply forms)", tok)
 
     def unary(self):
-        if self.accept("PUNCT", "-"):
-            return -self.unary()
-        return self.atom()
+        # every nesting ('(', '-', 'd(', 'pow2(') passes through here, so
+        # one depth bound keeps the recursion far from Python's limit
+        if self.depth == _MAX_DEPTH:
+            self.fail("expression nested too deeply")
+        self.depth += 1
+        value = -self.unary() if self.accept("PUNCT", "-") else self.atom()
+        self.depth -= 1
+        return value
 
     def atom(self):
         tok = self.advance()

@@ -1,14 +1,13 @@
 """Jet-fiber coefficient machinery behind the thinness argument.
 
-A fiber point carries the coefficients of a tuple of 1-forms (a^i_j) and
-2-forms (z^i_{jl}, j < l). From these we compute the wedge-power
-coefficients A, the dependence coefficients B, and the split of B over the
-principal subspace into constant parts C-bar and linear parts C(mu) in the
-principal entries z^i_{1mu}. The split is read off numeric forms through
-the closed form of omega^k in those entries (see extract_c_coefficients).
-The probe then measures the exact rank of the assembled linear system
-across seeded random fibers; the classification argument needs that rank
-to never be 1.
+A fiber point carries the coefficients of m 1-forms (a^i_j) and m 2-forms
+(z^i_{jl}, j < l). The dependence coefficients B^i of
+alpha_1 ^ ... ^ alpha_m ^ omega_i^k split over the principal subspace into
+constant parts C-bar and linear parts C(mu) in the principal entries
+z^i_{1mu}; every one of them is a Pfaffian of one skew matrix per form (see
+extract_c_coefficients). The probe measures the exact rank of the assembled
+linear system across seeded random fibers; the classification argument
+needs that rank never to be 1.
 """
 
 from __future__ import annotations
@@ -16,22 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import factorial
 
-from .algebra import Chart, Polynomial, random_rational
+from .algebra import Polynomial, random_rational
 from .distributions import dimension_bounds
 from .errors import InputError
-from .forms import DiffForm, sort_with_sign, wedge, wedge_all, wedge_power
-from .linalg import kernel_basis, normalize_primitive, rank
-
-_fiber_charts = {}
-
-
-def fiber_chart(n: int) -> Chart:
-    """The base chart x1..xn the fiber forms live on."""
-    if n not in _fiber_charts:
-        _fiber_charts[n] = Chart(tuple("x%d" % j for j in range(1, n + 1)))
-    return _fiber_charts[n]
+from .linalg import kernel_basis, normalize_primitive, pfaffian, rank
 
 
 def _entry_value(value):
@@ -117,81 +107,6 @@ class FiberPoint:
         )
 
 
-def alpha_form(fp: FiberPoint, i: int, chart: Chart = None) -> DiffForm:
-    """The i-th 1-form sum_j a^i_j dx_j on the fiber chart."""
-    terms = {(j,): fp.a_entry(i, j) for j in range(1, fp.n + 1)}
-    return DiffForm(chart or fiber_chart(fp.n), 1, terms)
-
-
-def omega_form(fp: FiberPoint, i: int, chart: Chart = None) -> DiffForm:
-    """The i-th 2-form sum_{j<l} z^i_{jl} dx_j ^ dx_l."""
-    terms = {(j, l): fp.z_entry(i, j, l) for j, l in combinations(range(1, fp.n + 1), 2)}
-    return DiffForm(chart or fiber_chart(fp.n), 2, terms)
-
-
-def _perm_sign(seq) -> int:
-    inversions = 0
-    for s, t in combinations(range(len(seq)), 2):
-        if seq[s] > seq[t]:
-            inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-def a_coefficients(fp: FiberPoint, i: int):
-    """Wedge-power coefficients A^i over increasing 2k-tuples.
-
-    A^i_J sums sign(L) * z^i_{l1 l2} ... z^i_{l(2k-1) l(2k)} over all
-    arrangements L of J whose consecutive pairs ascend (l1 < l2, l3 < l4,
-    ...). This equals the coefficient of dx_J in wedge_power(omega_i, k),
-    multiplicity k! included; the equality is pinned in the test suite.
-    Zero coefficients are dropped.
-    """
-    if not 1 <= i <= fp.m:
-        raise InputError("form index %d out of range 1..%d" % (i, fp.m))
-    out = {}
-    width = 2 * fp.k
-    for subset in combinations(range(1, fp.n + 1), width):
-        total = Fraction(0)
-        for arrangement in permutations(subset):
-            if any(arrangement[t] > arrangement[t + 1] for t in range(0, width, 2)):
-                continue
-            value = _perm_sign(arrangement)
-            for t in range(0, width, 2):
-                entry = fp.z_entry(i, arrangement[t], arrangement[t + 1])
-                if entry == 0:
-                    value = 0
-                    break
-                value = value * entry
-            if value == 0:
-                continue
-            total = total + value
-        if total != 0:
-            out[subset] = total
-    return out
-
-
-def dependence_form(fp: FiberPoint, i: int, chart: Chart = None) -> DiffForm:
-    """alpha_1 ^ ... ^ alpha_m ^ (omega_i)^k as an (n-1)-form."""
-    chart = chart or fiber_chart(fp.n)
-    factors = [alpha_form(fp, j, chart) for j in range(1, fp.m + 1)]
-    factors.append(wedge_power(omega_form(fp, i, chart), fp.k))
-    return wedge_all(factors)
-
-
-def b_coefficients(fp: FiberPoint, i: int):
-    """B^i_r, r = 1..n: the coefficient of the monomial omitting dx_r in the
-    dependence form. Computed by direct exterior expansion; the permutation
-    formula lives in the test suite as the independent cross-check. The
-    fiber must be numeric: a coefficient that is not a constant raises
-    InputError."""
-    form = dependence_form(fp, i)
-    out = []
-    for r in range(1, fp.n + 1):
-        key = tuple(j for j in range(1, fp.n + 1) if j != r)
-        out.append(form.coefficient(key).constant_value())
-    return out
-
-
 def dependence_multipliers(betas):
     """A nonzero normalized kernel vector c with sum c_i beta_i = 0, or None
     when the beta vectors are independent."""
@@ -223,87 +138,51 @@ class CExtraction:
 
 def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     """Compute the constant and linear parts of each B^i_r in the principal
-    entries z^i_{1mu}, mu = 2..n.
+    entries z^i_{1mu}, mu = 2..n, as Pfaffians of one skew matrix per form.
 
     The (1, mu) entries stored on the fiber are ignored: over the principal
-    subspace they are the free coordinates. Write omega_i = omega0 +
-    dx1 ^ eta(w) with eta(w) = sum_mu w_mu dx_mu, where omega0 drops the
-    (1, mu) terms. Since (dx1 ^ eta)^2 = 0 and 2-forms commute,
-
-        omega_i^k = omega0^k + k * omega0^(k-1) ^ dx1 ^ eta(w),
-
-    so with A = alpha_1 ^ ... ^ alpha_m and L = A ^ omega0^(k-1) (L = A for
-    k = 1) the dependence form is L ^ omega0 + k * sum_mu w_mu L ^ dx1 ^ dx_mu.
-    B^i_1 and C-bar are read off L ^ omega0. Each coefficient of L ^ dx1
-    sits on a key that contains 1 and misses exactly one pair {r, mu} of
-    2..n; wedging on dx_mu (or dx_r) gives C^i_r(mu) (or C^i_mu(r)).
-
-    The structural facts the argument leans on hold by construction, with
-    nothing left to check at run time:
-    - B is affine in the principal entries: w enters only through eta, once;
-    - B^i_1 is constant: every w term carries dx1, so it never lands on the
-      monomial omitting dx1;
-    - C^i_r(r) = 0: every w_r term carries dx_r, so it never lands on the
-      monomial omitting dx_r;
-    - pseudo-symmetry C^i_r(mu) = +-C^i_mu(r): both come from the same
-      coefficient of L ^ dx1, up to the sign of sorting in mu or r;
-    - no base coordinate enters: every form is built from the fiber's
-      numbers, and a coefficient that is not a constant (a polynomial
-      fiber entry) raises InputError.
+    subspace they are the free coordinates w_mu. With one extra coordinate
+    e_t per 1-form, M = [[Z, A^T], [-A, 0]] is the matrix of the 2-form
+    omega_i + sum_t alpha_t ^ e_t, Z having w = 0. Expanding its (k+m)-th
+    power, Pf(M without r) is B^i_r / s with s = (-1)^(m(m-1)/2) k!, and
+    since w enters only row 1, expanding along that row splits B^i_r
+    exactly (coordinates of M are 1-based):
+    - B^i_1 = s Pf(M without 1) and C-bar_r = s Pf(M without r);
+    - for 2 <= r < mu, with P = Pf(M without 1, r, mu), C^i_r(mu) =
+      (-1)^(mu+1) s P and C^i_mu(r) = (-1)^r s P (pseudo-symmetry), while
+      C^i_r(r) = 0. A polynomial fiber entry raises InputError.
     """
     n, k, m = fp.n, fp.k, fp.m
     if m < 1:
         raise InputError("extraction needs at least one form (m >= 1)")
-    chart = fiber_chart(n)
-    dx1 = DiffForm.basis(chart, 1)
-    indices = tuple(range(1, n + 1))
+    if not all(isinstance(v, Fraction) for v in (*fp.a.values(), *fp.z.values())):
+        raise InputError("extraction needs numeric fiber entries")
+    scale = (-1) ** (m * (m - 1) // 2) * factorial(k)
     principal = range(2, n + 1)
     b_first = {}
     cbar = {}
     cmat = {}
-    a_wedge = wedge_all([alpha_form(fp, j, chart) for j in range(1, m + 1)])
     for i in range(1, m + 1):
-        omega = omega_form(fp, i, chart)
-        omega0 = DiffForm(chart, 2, {key: c for key, c in omega.terms.items() if key[0] != 1})
-        l_wedge = a_wedge if k == 1 else wedge(a_wedge, wedge_power(omega0, k - 1))
-        constant = wedge(l_wedge, omega0)
-        b_first[i] = constant.coefficient(indices[1:]).constant_value()
+        M = [[Fraction(0)] * (n + m) for _ in range(n + m)]
+        for (f, j, l), value in fp.z.items():
+            if f == i and j != 1:
+                M[j - 1][l - 1], M[l - 1][j - 1] = value, -value
+        for (t, j), value in fp.a.items():
+            M[j - 1][n + t - 1], M[n + t - 1][j - 1] = value, -value
+
+        def pf(*omit):
+            keep = [c for c in range(n + m) if c + 1 not in omit]
+            return scale * pfaffian([[M[a][b] for b in keep] for a in keep])
+
+        b_first[i] = pf(1)
         for r in principal:
-            key = tuple(j for j in indices if j != r)
-            cbar[(i, r)] = constant.coefficient(key).constant_value()
-            for mu in principal:
-                cmat[(i, r, mu)] = Fraction(0)
-        for key, coeff in wedge(l_wedge, dx1).terms.items():
-            value = k * coeff.constant_value()
-            r, mu = (j for j in principal if j not in key)
-            cmat[(i, r, mu)] = sort_with_sign(key + (mu,))[1] * value
-            cmat[(i, mu, r)] = sort_with_sign(key + (r,))[1] * value
+            cbar[(i, r)] = pf(r)
+            cmat[(i, r, r)] = Fraction(0)
+        for r, mu in combinations(principal, 2):
+            value = pf(1, r, mu)
+            cmat[(i, r, mu)] = -value if mu % 2 == 0 else value
+            cmat[(i, mu, r)] = -value if r % 2 else value
     return CExtraction(n, k, b_first, cbar, cmat)
-
-
-def pseudo_symmetry_check(cmat):
-    """True iff C^i_r(mu) = ±C^i_mu(r) exactly for every i and r != mu; the
-    realized sign table maps (i, r, mu) with r < mu to +1, -1, or 0 for a
-    zero pair."""
-    indices = sorted(cmat)
-    ok = True
-    signs = {}
-    seen_i = sorted({i for (i, _, _) in indices})
-    rs = sorted({r for (_, r, _) in indices})
-    for i in seen_i:
-        for r, mu in combinations(rs, 2):
-            left = cmat.get((i, r, mu), Fraction(0))
-            right = cmat.get((i, mu, r), Fraction(0))
-            if left == right == 0:
-                signs[(i, r, mu)] = 0
-            elif left == right:
-                signs[(i, r, mu)] = 1
-            elif left == -right:
-                signs[(i, r, mu)] = -1
-            else:
-                signs[(i, r, mu)] = None
-                ok = False
-    return ok, signs
 
 
 @dataclass(frozen=True)
@@ -317,10 +196,6 @@ class PrincipalSystem:
     extraction: CExtraction
     matrix: tuple
     rhs: tuple
-
-    @property
-    def m(self) -> int:
-        return self.n - 2 * self.k - 1
 
 
 def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction = None) -> PrincipalSystem:

@@ -44,18 +44,11 @@ from nonholonomy.forms import (
     wedge,
     wedge_power,
 )
-from nonholonomy.singularity import (
-    FiberPoint,
-    a_coefficients,
-    b_coefficients,
-    extract_c_coefficients,
-    omega_form,
-    pseudo_symmetry_check,
-    thinness_probe,
-)
+from nonholonomy.singularity import FiberPoint, extract_c_coefficients, thinness_probe
 
 from conftest import rnd_chart, rnd_field, rnd_form, rnd_fraction
 from golden_cases import CASES, INTERNAL_ERROR_CASE
+from oracles import a_coefficients, b_coefficients, omega_form, pseudo_symmetry_check
 from test_singularity import _b_by_permutation_sum, _symbolic_fiber
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -240,20 +233,26 @@ def test_criterion_5_extraction_structure():
 
 
 def test_criterion_6_thinness_probe_rank_never_one():
+    # 1000 fibers per small shape, and every admissible k = 3 shape
+    # (8 <= n <= 14) with fewer, costlier fibers
+    shapes = [(4, 1, 1000), (5, 1, 1000), (6, 1, 1000), (6, 2, 1000), (7, 2, 1000)]
+    shapes += [(n, 3, 20 if n <= 10 else 5) for n in range(8, 15)]
     worst = 0.0
     total_admissible = 0
-    for n, k in ((4, 1), (5, 1), (6, 1), (6, 2), (7, 2)):
+    for n, k, samples in shapes:
         started = time.perf_counter()
-        report = thinness_probe(n, k, 1000, seed=11)
+        report = thinness_probe(n, k, samples, seed=11)
         elapsed = time.perf_counter() - started
         assert elapsed < 300.0
         worst = max(worst, elapsed)
-        assert report.samples == 1000
+        assert report.samples == samples
         assert 1 not in report.rank_histogram
         assert report.verdict != "FAIL"
         total_admissible += sum(report.rank_histogram.values())
     assert total_admissible > 0
-    _verdict(6, "5000 probed fibers, no rank-1 system (slowest pair %.1fs)" % worst)
+    fibers = sum(samples for _, _, samples in shapes)
+    _verdict(6, "%d probed fibers over %d shapes, no rank-1 system (slowest %.1fs)"
+             % (fibers, len(shapes), worst))
 
 
 def test_criterion_7_oriented_pairing():

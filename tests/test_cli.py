@@ -123,6 +123,16 @@ def test_non_ascii_digit_is_a_parse_error(capsys, tmp_path):
     assert error["message"] == "2:10: unexpected character '\u00b2'"
 
 
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
+    doc = tmp_path / "deep.nh"
+    doc.write_text("coords x y z;\nform a = %sd(x)%s;\n" % ("(" * 300, ")" * 300), encoding="utf-8")
+    code, out = _run(capsys, ["check-dlo", str(doc)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"] == "2:110: expression nested too deeply"
+
+
 def test_thinness_bounds_error(capsys):
     code, out = _run(capsys, ["thinness", "--n", "7", "--k", "1", "--samples", "5"])
     assert code == 2

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from nonholonomy.errors import InputError
-from nonholonomy.linalg import det, integer_rows, kernel_basis, normalize_primitive, rank, rref
+from nonholonomy.linalg import (
+    det, integer_rows, kernel_basis, normalize_primitive, pfaffian, rank, rref,
+)
 
 from conftest import rnd_fraction
 
@@ -106,6 +108,66 @@ def test_det_matches_permutation_expansion():
         value = det(rows)
         assert value == permutation_det(rows)
         assert (value != 0) == (rank(rows) == size)
+
+
+def matching_pfaffian(rows, free=None):
+    # the perfect-matching expansion: pair the first free index with each
+    # later one in turn, the sign alternating with the partner's position
+    free = list(range(len(rows))) if free is None else free
+    if not free:
+        return Fraction(1)
+    first, rest = free[0], free[1:]
+    total = Fraction(0)
+    for pos, partner in enumerate(rest):
+        if rows[first][partner]:
+            others = rest[:pos] + rest[pos + 1:]
+            term = rows[first][partner] * matching_pfaffian(rows, others)
+            total += -term if pos % 2 else term
+    return total
+
+
+def sparse_skew(rng, size):
+    # at least half of the entries above the diagonal are zero
+    pairs = list(combinations(range(size), 2))
+    nonzero = rng.sample(pairs, rng.randint(len(pairs) // 4, len(pairs) // 2))
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i, j in nonzero:
+        value = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 12))
+        rows[i][j], rows[j][i] = value, -value
+    return rows
+
+
+def test_pfaffian_known_cases():
+    assert pfaffian([]) == 1
+    assert pfaffian([[0, Fraction(2, 3)], [Fraction(-2, 3), 0]]) == Fraction(2, 3)
+    # the pivot sits in column 2, so indices 1 and 2 swap and the sign flips
+    rows = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    assert pfaffian(rows) == -1
+    assert pfaffian([[0, 0], [0, 0]]) == 0
+    assert pfaffian([[0]]) == 0
+    assert pfaffian([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]) == 0
+    with pytest.raises(InputError):
+        pfaffian([[0, 1]])
+    with pytest.raises(InputError):
+        pfaffian([[0, 1], [-1]])
+
+
+def test_pfaffian_matches_matching_expansion():
+    rng = random.Random(31)
+    swaps = zeros = 0
+    for size in range(0, 9, 2):
+        for _ in range(60):
+            rows = sparse_skew(rng, size)
+            value = pfaffian(rows)
+            assert value == matching_pfaffian(rows)
+            assert value ** 2 == det(rows)
+            zeros += value == 0
+            swaps += size >= 4 and rows[0][1] == 0 and value != 0
+    for size in range(1, 9, 2):
+        for _ in range(10):
+            assert pfaffian(sparse_skew(rng, size)) == 0
+    # both the pivot swap and a vanishing Pfaffian are exercised
+    assert swaps > 0 and zeros > 0
 
 
 def test_integer_rows_scale():

@@ -150,6 +150,20 @@ def test_first_error_in_reading_order_wins():
     _fails_at("coords x; form a = d(x) form b = d(x);", 1, 25, "expected ;")
 
 
+def test_deep_nesting_is_a_parse_error():
+    # the 101st nesting level is the offending token; the document's own
+    # prefix takes columns 1..19
+    head = "coords x; form a = "
+    _fails_at(head + "(" * 1000 + "d(x)" + ")" * 1000 + ";", 1, 120, "nested too deeply")
+    _fails_at(head + "-" * 1000 + "d(x);", 1, 120, "nested too deeply")
+    _fails_at(head + "d(" * 1000 + "x" + ")" * 1000 + ";", 1, 220, "nested too deeply")
+    # 100 levels stay within the bound: 98 parentheses, then d( and x
+    doc = parse_document(head + "(" * 98 + "d(x)" + ")" * 98 + ";")
+    assert str(doc.binding("a").value) == "dx"
+    doc = parse_document(head + "-" * 99 + "x * d(x);")
+    assert str(doc.binding("a").value) == "-x*dx"
+
+
 _NAMES = ("x", "y", "z", "w")
 _EDIT_CHARS = "xyzab d@()+-*^/,;=#\n0123\u00b2\u0663\u00e9\u00df\u216b$"
 
@@ -198,17 +212,36 @@ def _random_document(rng):
     return text
 
 
+def _deep_document(rng):
+    # one atom nested in one kind of opener, from shallow to far past the
+    # nesting bound, sometimes with an edit
+    opener, closer = rng.choice((("(", ")"), ("-", ""), ("d(", ")"), ("pow2(", ", 1)")))
+    depth = rng.choice((rng.randint(1, 90), rng.randint(90, 1500)))
+    atom = rng.choice(("x", "d(x)", "@x", "d(x) ^ d(y)"))
+    text = "coords x y;\nform a = %s%s%s;" % (opener * depth, atom, closer * depth)
+    if rng.random() < 0.3:
+        at = rng.randrange(len(text))
+        text = text[:at] + rng.choice(_EDIT_CHARS) + text[at + 1:]
+    return text
+
+
+def _parse_outcome(text):
+    try:
+        result = parse_document(text)
+    except ParseError:
+        return "rejected"
+    assert isinstance(result, InputDocument), text
+    return "accepted"
+
+
 def test_fuzz_parse_returns_document_or_parse_error():
     rng = random.Random(2024)
     outcomes = {"accepted": 0, "rejected": 0}
     for _ in range(2000):
-        text = _random_document(rng)
-        try:
-            result = parse_document(text)
-        except ParseError:
-            outcomes["rejected"] += 1
-            continue
-        assert isinstance(result, InputDocument), text
-        outcomes["accepted"] += 1
+        outcomes[_parse_outcome(_random_document(rng))] += 1
     # the generator must exercise both paths to guard anything
     assert min(outcomes.values()) > 200, outcomes
+    deep = {"accepted": 0, "rejected": 0}
+    for _ in range(300):
+        deep[_parse_outcome(_deep_document(rng))] += 1
+    assert min(deep.values()) > 30, deep

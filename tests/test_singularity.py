@@ -1,5 +1,6 @@
 """Fiber coefficient machinery: A, B, C coefficients and the rank probe."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -8,31 +9,29 @@ from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.distributions import dimension_bounds
 from nonholonomy.errors import InputError
 from nonholonomy.forms import wedge_power
+from nonholonomy import singularity
 from nonholonomy.linalg import kernel_basis, normalize_primitive, rank
 from nonholonomy.singularity import (
     CExtraction,
     FiberPoint,
     PrincipalSystem,
-    a_coefficients,
-    alpha_form,
     assemble_principal_matrix,
-    b_coefficients,
-    dependence_form,
     dependence_multipliers,
     extract_c_coefficients,
-    fiber_chart,
-    omega_form,
-    pseudo_symmetry_check,
     thinness_probe,
 )
 
-
-def _perm_sign(seq):
-    sign = 1
-    for s, t in combinations(range(len(seq)), 2):
-        if seq[s] > seq[t]:
-            sign = -sign
-    return sign
+from conftest import rnd_fraction
+from oracles import (
+    _perm_sign,
+    a_coefficients,
+    alpha_form,
+    b_coefficients,
+    dependence_form,
+    fiber_chart,
+    omega_form,
+    pseudo_symmetry_check,
+)
 
 
 def _b_by_permutation_sum(fp, i):
@@ -224,6 +223,26 @@ def test_dependence_multipliers_examples():
         pass
 
 
+def _assert_reconstructs_b(fp, extraction, rng):
+    # B^i_1 is the constant b_first and B^i_r the affine model, both at the
+    # fiber's own principal entries and at freshly drawn ones
+    n, k = fp.n, fp.k
+    resampled = dict(fp.z)
+    for i in range(1, fp.m + 1):
+        for mu in range(2, n + 1):
+            resampled[(i, 1, mu)] = rnd_fraction(rng)
+    for probe in (fp, FiberPoint(n, k, a=fp.a, z=resampled)):
+        for i in range(1, fp.m + 1):
+            direct = b_coefficients(probe, i)
+            assert direct[0] == extraction.b_first[i]
+            for r in range(2, n + 1):
+                model = extraction.cbar[(i, r)] + sum(
+                    extraction.cmat[(i, r, mu)] * probe.z_entry(i, 1, mu)
+                    for mu in range(2, n + 1)
+                )
+                assert direct[r - 1] == model
+
+
 def test_extraction_reconstructs_b():
     # cbar + cmat . principal-z reproduces the direct expansion exactly; the
     # k = 3 shapes tell the factor k in the linear part apart from k!
@@ -232,16 +251,40 @@ def test_extraction_reconstructs_b():
     for n, k, count in shapes:
         for _ in range(count):
             fp = FiberPoint.random(n, k, rng=rng)
-            extraction = extract_c_coefficients(fp)
-            for i in range(1, fp.m + 1):
-                direct = b_coefficients(fp, i)
-                assert direct[0] == extraction.b_first[i]
-                for r in range(2, n + 1):
-                    rebuilt = extraction.cbar[(i, r)] + sum(
-                        extraction.cmat[(i, r, mu)] * fp.z_entry(i, 1, mu)
-                        for mu in range(2, n + 1)
-                    )
-                    assert direct[r - 1] == rebuilt
+            _assert_reconstructs_b(fp, extract_c_coefficients(fp), rng)
+
+
+def test_extraction_with_singular_reduced_matrix():
+    # b_first = 0 means the matrix without coordinate 1 has Pfaffian 0; the
+    # slopes C^i still come out exactly. At n = 4 the only alpha is dx4 and
+    # z23 = 0; at n = 6 the only alpha is dx6 and only z23 is off-principal.
+    rng = random.Random(84)
+    fibers = (
+        FiberPoint(4, 1, a={(1, 4): 1}, z={(1, 2, 4): 1, (1, 1, 2): 3, (1, 1, 3): -1}),
+        FiberPoint(6, 2, a={(1, 6): 1}, z={(1, 2, 3): 2, (1, 1, 4): 5, (1, 1, 6): -2}),
+    )
+    for fp in fibers:
+        extraction = extract_c_coefficients(fp)
+        assert extraction.b_first[1] == 0
+        assert any(extraction.cmat.values())
+        _assert_reconstructs_b(fp, extraction, rng)
+
+
+def test_singularity_does_not_import_forms():
+    # the extraction works on numbers only; an import of the exterior
+    # algebra would bring back the exponential wedge expansion
+    with open(singularity.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add("." * node.level + node.module)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not imported & {".forms", "nonholonomy.forms"}
 
 
 def test_extraction_frozen_n4_closed_form():
