@@ -15,7 +15,6 @@ from .forms import (
     DiffForm,
     VectorField,
     exterior_derivative,
-    interior_product,
     lie_bracket,
     wedge,
     wedge_all,
@@ -31,9 +30,7 @@ from .distributions import (
     derived_flag_at,
     frame_from_coframe,
     has_derived_length_one,
-    pointwise_kernel,
     sample_points,
-    type_of,
 )
 from .singularity import (
     FiberPoint,
@@ -62,7 +59,6 @@ __all__ = [
     "DiffForm",
     "VectorField",
     "exterior_derivative",
-    "interior_product",
     "lie_bracket",
     "wedge",
     "wedge_all",
@@ -76,9 +72,7 @@ __all__ = [
     "derived_flag_at",
     "frame_from_coframe",
     "has_derived_length_one",
-    "pointwise_kernel",
     "sample_points",
-    "type_of",
     "FiberPoint",
     "assemble_principal_matrix",
     "dependence_multipliers",

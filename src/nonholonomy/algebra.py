@@ -20,6 +20,17 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
 
 
+def signed_sum(parts) -> str:
+    """Join rendered terms with " + ", turning a term's leading "-" into
+    " - "; "0" when there are no terms."""
+    if not parts:
+        return "0"
+    text = parts[0]
+    for part in parts[1:]:
+        text += " - " + part[1:] if part.startswith("-") else " + " + part
+    return text
+
+
 class Chart:
     """An ordered tuple of distinct coordinate names.
 
@@ -231,8 +242,6 @@ class Polynomial:
     # -- display ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             coeff = self.terms[exps]
@@ -251,10 +260,7 @@ class Polynomial:
             else:
                 body = str(coeff) + "*" + "*".join(factors)
             parts.append(body)
-        text = parts[0]
-        for part in parts[1:]:
-            text += " - " + part[1:] if part.startswith("-") else " + " + part
-        return text
+        return signed_sum(parts)
 
     def __repr__(self):
         return "Polynomial(%s)" % self

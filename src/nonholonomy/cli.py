@@ -172,7 +172,7 @@ def _flag_task(dist, point, depth_cap=None, expected=None):
 
 
 def _ori_task(coframe, k):
-    ok, signs = verify_prop_ori_identity(coframe, k)
+    ok, signs = verify_prop_ori_identity(coframe)
     return {
         "task": "verify-ori",
         "k": k,

@@ -165,16 +165,14 @@ def build_prop_ori_omegas(coframe):
     return omegas
 
 
-def verify_prop_ori_identity(coframe, k=None):
+def verify_prop_ori_identity(coframe):
     """Check (omega_i)^k == ±k! * (wedge of the coframe with entry i omitted)
-    for every i; returns (all_hold, signs) with one sign per i."""
+    for every i, where the coframe has 2k+1 entries; returns
+    (all_hold, signs) with one sign per i."""
     coframe = list(coframe)
-    q = len(coframe)
-    if k is None:
-        k = (q - 1) // 2
-    if q != 2 * k + 1:
-        raise InputError("expected 2k+1 = %d forms, got %d" % (2 * k + 1, q))
     omegas = build_prop_ori_omegas(coframe)
+    q = len(coframe)
+    k = (q - 1) // 2
     fact = Fraction(factorial(k))
     signs = []
     ok = True
@@ -191,7 +189,7 @@ def verify_prop_ori_identity(coframe, k=None):
     return ok, signs
 
 
-def oriented_pairing(n: int, k: int, coframe=None) -> ExampleBundle:
+def oriented_pairing(n: int, k: int) -> ExampleBundle:
     """A trivial rank-(2k+1) subbundle of R^n with the paired-omission
     omega-tuple: the constructive configuration for almost maximal
     non-integrability in ambient dimension n in {4k+1, 4k+2}.
@@ -204,15 +202,7 @@ def oriented_pairing(n: int, k: int, coframe=None) -> ExampleBundle:
     if n not in (4 * k + 1, 4 * k + 2):
         raise InputError("ambient dimension must be 4k+1 or 4k+2, got n = %d" % n)
     chart = Chart(tuple("x%d" % j for j in range(1, n + 1)))
-    if coframe is None:
-        coframe = [DiffForm.basis(chart, j) for j in range(1, 2 * k + 2)]
-    else:
-        coframe = list(coframe)
-        if len(coframe) != 2 * k + 1:
-            raise InputError("expected 2k+1 = %d one-forms" % (2 * k + 1))
-        for form in coframe:
-            if form.chart != chart:
-                raise InputError("coframe forms must live on the R^%d chart" % n)
+    coframe = [DiffForm.basis(chart, j) for j in range(1, 2 * k + 2)]
     defining = [DiffForm.basis(chart, j) for j in range(2 * k + 2, n + 1)]
     dist = Distribution(chart, coframe=defining)
     m = n - 2 * k - 1

@@ -20,7 +20,6 @@ from .forms import (
     DiffForm,
     VectorField,
     constant_minor_certificate,
-    evaluate_at_point,
     exterior_derivative,
     independent_at_point,
     kernel_frame,
@@ -29,7 +28,7 @@ from .forms import (
     wedge_all,
     wedge_power,
 )
-from .linalg import kernel_basis, rank
+from .linalg import rank
 
 GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
 
@@ -95,11 +94,11 @@ class DerivedFlag:
 class Distribution:
     """A constant-rank distribution presented by a frame, a coframe, or both.
 
-    The declared rank is validated lazily at queried points; a violation
-    raises rather than silently recording garbage.
+    The rank is validated lazily at queried points; a violation raises
+    rather than silently recording garbage.
     """
 
-    def __init__(self, chart: Chart, frame=None, coframe=None, rank=None):
+    def __init__(self, chart: Chart, frame=None, coframe=None):
         if frame is None and coframe is None:
             raise InputError("a distribution needs a frame or a coframe")
         self.chart = chart
@@ -118,10 +117,8 @@ class Distribution:
             counts.add(len(self.frame))
         if self.coframe is not None:
             counts.add(chart.n - len(self.coframe))
-        if rank is not None:
-            counts.add(rank)
         if len(counts) != 1:
-            raise InputError("frame size, coframe corank, and declared rank disagree: %s" % sorted(counts))
+            raise InputError("frame size and coframe corank disagree: %s" % sorted(counts))
         self.rank = counts.pop()
         if not 1 <= self.rank <= chart.n:
             raise InputError("rank %d out of range 1..%d" % (self.rank, chart.n))
@@ -175,28 +172,7 @@ def _rank_drop(what, point):
     )
 
 
-def pointwise_kernel(coframe, point):
-    """Exact basis of the joint kernel of the coframe at a point.
-
-    An empty coframe means no constraints: the full coordinate basis.
-    """
-    coframe = list(coframe)
-    if not coframe:
-        chart_n = len(tuple(point))
-        return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(chart_n))
-                for i in range(chart_n)]
-    coframe, chart = _check_coframe(coframe)
-    point = tuple(point)
-    rows = []
-    for form in coframe:
-        values = evaluate_at_point(form, point)
-        rows.append([values.get((j,), Fraction(0)) for j in range(1, chart.n + 1)])
-    if rank(rows) != len(coframe):
-        raise _rank_drop("coframe", point)
-    return kernel_basis(rows, chart.n)
-
-
-def frame_from_coframe(coframe, max_minors: int = 20000):
+def frame_from_coframe(coframe):
     """Complete a coframe to a polynomial frame of its kernel, or None.
 
     Searches (in lexicographic order) for a column subset whose minor is a
@@ -207,7 +183,7 @@ def frame_from_coframe(coframe, max_minors: int = 20000):
     coframe, chart = _check_coframe(coframe)
     zero = Polynomial.zero(chart)
     grid = [[form.terms.get((j,), zero) for j in range(1, chart.n + 1)] for form in coframe]
-    fields = kernel_frame(grid, max_minors)
+    fields = kernel_frame(grid)
     if fields is None:
         return None
     for form in coframe:
@@ -277,7 +253,7 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
 def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Verdict:
     """True iff the flag is [r, n] at every sample point.
 
-    A first-level rank below the declared one is a presentation failure,
+    A first-level rank below the distribution's rank is a presentation failure,
     not integrability information, and raises.
     """
     if points is None:
@@ -369,30 +345,3 @@ def check_almost_mni(coframe, omegas, k: int, points=None, seed: int = 0) -> Ver
             raise InputError("omega entries must be 2-forms on the coframe's chart")
     dimension_bounds(k, chart.n, len(coframe))
     return _wedge_verdict(coframe, omegas, k, points, seed)
-
-
-@dataclass(frozen=True)
-class TypeReport:
-    """Type (r, n) of a derived-length-one distribution, with the odd-rank
-    ambient-dimension bound when it applies."""
-
-    rank: int
-    dim: int
-    k: object = None
-    bounds: object = None
-    bounds_ok: object = None
-
-
-def type_of(dist: Distribution, points=None, seed: int = 0) -> TypeReport:
-    verdict = has_derived_length_one(dist, points, seed)
-    if verdict.value is not True:
-        raise InputError(
-            "type is defined only for derived length one; flag mismatch at %d of %d sample points"
-            % (len(verdict.witnesses), verdict.checked)
-        )
-    r, n = dist.rank, dist.chart.n
-    if r % 2 == 1 and r >= 3:
-        k = (r - 1) // 2
-        lo, hi = dimension_bounds(k)
-        return TypeReport(r, n, k, (lo, hi), lo <= n <= hi)
-    return TypeReport(r, n)

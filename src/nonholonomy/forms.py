@@ -12,9 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Chart, Polynomial, poly_diff, poly_eval
+from .algebra import Chart, Polynomial, poly_diff, poly_eval, signed_sum
 from .errors import InputError
 from .linalg import det, integer_rows, rank
+
+# Column subsets a constant-minor search enumerates before giving up.
+MAX_MINORS = 20000
 
 
 def sort_with_sign(indices):
@@ -164,8 +167,6 @@ class DiffForm:
         return hash((self.chart, self.degree, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for key in sorted(self.terms):
             coeff = self.terms[key]
@@ -180,10 +181,7 @@ class DiffForm:
                 parts.append("(%s)*%s" % (coeff, basis))
             else:
                 parts.append("%s*%s" % (coeff, basis))
-        text = parts[0]
-        for part in parts[1:]:
-            text += " - " + part[1:] if part.startswith("-") else " + " + part
-        return text
+        return signed_sum(parts)
 
     def __repr__(self):
         return "DiffForm(%s)" % self
@@ -268,12 +266,7 @@ class VectorField:
                 parts.append("(%s)*@%s" % (comp, name))
             else:
                 parts.append("%s*@%s" % (comp, name))
-        if not parts:
-            return "0"
-        text = parts[0]
-        for part in parts[1:]:
-            text += " - " + part[1:] if part.startswith("-") else " + " + part
-        return text
+        return signed_sum(parts)
 
     def __repr__(self):
         return "VectorField(%s)" % self
@@ -361,31 +354,6 @@ def exterior_derivative(a) -> DiffForm:
                 continue
             new_key, sign = packed
             contrib = partial if sign > 0 else -partial
-            total = out.terms.get(new_key)
-            total = contrib if total is None else total + contrib
-            if total.is_zero():
-                out.terms.pop(new_key, None)
-            else:
-                out.terms[new_key] = total
-    return out
-
-
-def interior_product(field: VectorField, a: DiffForm) -> DiffForm:
-    """Contraction of a form with a vector field in the first slot."""
-    if isinstance(a, Polynomial) or a.degree == 0:
-        raise InputError("interior product needs a form of degree >= 1")
-    if field.chart != a.chart:
-        raise InputError("field and form live on different charts")
-    out = DiffForm.zero(a.chart, a.degree - 1)
-    for key, coeff in a.terms.items():
-        for slot, idx in enumerate(key):
-            comp = field.components[idx - 1]
-            if comp.is_zero():
-                continue
-            contrib = coeff * comp
-            if slot % 2:
-                contrib = -contrib
-            new_key = key[:slot] + key[slot + 1:]
             total = out.terms.get(new_key)
             total = contrib if total is None else total + contrib
             if total.is_zero():
@@ -514,14 +482,14 @@ def _constant_minor(grid, max_minors: int):
     return None
 
 
-def constant_minor_certificate(forms, max_minors: int = 20000) -> bool:
+def constant_minor_certificate(forms) -> bool:
     """Look for a maximal minor of the symbolic coefficient matrix that is a
     nonzero constant.
 
     Such a minor certifies pointwise independence at every point of the
     chart, upgrading a sampled verdict to a proof. Column subsets are tried
     in lexicographic order; the search gives up (returns False) after
-    max_minors subsets, so False means "no certificate found", not
+    MAX_MINORS subsets, so False means "no certificate found", not
     "dependent". Most subsets are ruled out by their exact integer minors at
     two fixed probe points: a nonzero constant minor takes one nonzero value
     at both, so this prefilter never rules out a certificate, and only the
@@ -533,10 +501,10 @@ def constant_minor_certificate(forms, max_minors: int = 20000) -> bool:
     columns = _columns(forms, "certificate")
     zero = Polynomial.zero(forms[0].chart)
     grid = [[form.terms.get(c, zero) for c in columns] for form in forms]
-    return _constant_minor(grid, max_minors) is not None
+    return _constant_minor(grid, MAX_MINORS) is not None
 
 
-def kernel_frame(grid, max_minors: int):
+def kernel_frame(grid):
     """Vector fields spanning the kernel of a q x n polynomial grid at every
     point, or None.
 
@@ -545,7 +513,7 @@ def kernel_frame(grid, max_minors: int):
     j and the slots of S solved by Cramer's rule, -det(G_S with that column
     replaced by column j) / D, so the fields have constant rank.
     """
-    found = _constant_minor(grid, max_minors)
+    found = _constant_minor(grid, MAX_MINORS)
     if found is None:
         return None
     subset, det_value = found

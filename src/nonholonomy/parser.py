@@ -106,7 +106,7 @@ class InputDocument:
         for b in self.bindings:
             if b.name == name:
                 return b
-        raise ParseError("no binding named %r" % name, 0, 0)
+        raise InputError("no binding named %r" % name)
 
     def one_forms(self):
         """Degree-1 form values in declaration order."""

@@ -38,14 +38,16 @@ class FiberPoint:
     a maps (i, j) to a^i_j for i in 1..m, j in 1..n; z maps (i, j, l) with
     j < l to z^i_{jl}. Missing entries are zero. Entries are Fractions for
     numeric fibers; formula-level work may store polynomial entries instead.
-    check_bounds=False skips the classification bound (the coefficient
-    formulas themselves are defined for any m >= 0).
+    k must be an integer >= 1 and n >= 2k+2, so that there is at least one
+    form (m >= 1). The upper bound n <= 4k+2 of the classification is not
+    imposed here: the coefficient formulas hold for any such n, and
+    thinness_probe checks the full range.
     """
 
     __slots__ = ("n", "k", "a", "z")
 
-    def __init__(self, n: int, k: int, a=None, z=None, check_bounds: bool = True):
-        lo, _ = dimension_bounds(k, n if check_bounds else None)
+    def __init__(self, n: int, k: int, a=None, z=None):
+        lo, _ = dimension_bounds(k)
         if n < lo:
             raise InputError("need n >= 2k + 2 so at least one form exists")
         self.n = n
@@ -83,14 +85,12 @@ class FiberPoint:
         return -value
 
     @classmethod
-    def random(cls, n, k, rng=None, seed=None, include_principal=True, check_bounds=True):
-        """A fiber with every entry drawn from the small-rational sampler.
+    def random(cls, n, k, rng, include_principal=True):
+        """A fiber with every entry drawn by the small-rational sampler from rng.
 
         include_principal=False leaves the z^i_{1mu} slots empty, matching
         the probe's setup where those are the unknowns.
         """
-        if rng is None:
-            rng = random.Random(seed)
         m = n - 2 * k - 1
         a = {(i, j): random_rational(rng) for i in range(1, m + 1) for j in range(1, n + 1)}
         z = {}
@@ -99,7 +99,7 @@ class FiberPoint:
                 if j == 1 and not include_principal:
                     continue
                 z[(i, j, l)] = random_rational(rng)
-        return cls(n, k, a, z, check_bounds=check_bounds)
+        return cls(n, k, a, z)
 
     def __repr__(self):
         return "FiberPoint(n=%d, k=%d, %d a-entries, %d z-entries)" % (
@@ -151,10 +151,10 @@ def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     - for 2 <= r < mu, with P = Pf(M without 1, r, mu), C^i_r(mu) =
       (-1)^(mu+1) s P and C^i_mu(r) = (-1)^r s P (pseudo-symmetry), while
       C^i_r(r) = 0. A polynomial fiber entry raises InputError.
+
+    FiberPoint guarantees m >= 1, so every form has a matrix to expand.
     """
     n, k, m = fp.n, fp.k, fp.m
-    if m < 1:
-        raise InputError("extraction needs at least one form (m >= 1)")
     if not all(isinstance(v, Fraction) for v in (*fp.a.values(), *fp.z.values())):
         raise InputError("extraction needs numeric fiber entries")
     scale = (-1) ** (m * (m - 1) // 2) * factorial(k)
@@ -198,12 +198,13 @@ class PrincipalSystem:
     rhs: tuple
 
 
-def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction = None) -> PrincipalSystem:
+def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction) -> PrincipalSystem:
     """Assemble the (n-1) x ((n-1) m) system c_i C^i_r(mu) * z^i_{1mu} = rhs_r.
 
-    c must be nonzero and satisfy the constant first equation
-    sum_i c_i B^i_1 = 0; otherwise the singular set misses this principal
-    subspace entirely and there is nothing to assemble.
+    extraction is extract_c_coefficients(fp). c must be nonzero and satisfy
+    the constant first equation sum_i c_i B^i_1 = 0; otherwise the singular
+    set misses this principal subspace entirely and there is nothing to
+    assemble.
     """
     n, m = fp.n, fp.m
     c = tuple(Fraction(x) for x in c)
@@ -211,8 +212,6 @@ def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction = None)
         raise InputError("expected %d multipliers, got %d" % (m, len(c)))
     if not any(c):
         raise InputError("dependence multipliers must not all vanish")
-    if extraction is None:
-        extraction = extract_c_coefficients(fp)
     first = sum((c[i - 1] * extraction.b_first[i] for i in range(1, m + 1)), Fraction(0))
     if first != 0:
         raise InputError(
@@ -283,7 +282,7 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
             empty += 1
             empty_like += 1
             continue
-        system = assemble_principal_matrix(fp, c, extraction=extraction)
+        system = assemble_principal_matrix(fp, c, extraction)
         r = rank(system.matrix)
         histogram[r] = histogram.get(r, 0) + 1
         if r == 0 and any(system.rhs):

@@ -1,18 +1,72 @@
-"""Slow reference formulas for the jet-fiber coefficients.
+"""Reference formulas and operations that only the tests use.
 
-These expand the dependence forms alpha_1 ^ ... ^ alpha_m ^ omega_i^k
-through the exterior algebra (wedge, wedge_power) and by arrangement sums,
-independently of the Pfaffian extraction in nonholonomy.singularity. The
-tests and the acceptance criteria check the fast path against them.
+The jet-fiber formulas expand the dependence forms
+alpha_1 ^ ... ^ alpha_m ^ omega_i^k through the exterior algebra (wedge,
+wedge_power) and by arrangement sums, independently of the Pfaffian
+extraction in nonholonomy.singularity; the tests and the acceptance
+criteria check the fast path against them. interior_product is the
+contraction behind the Leibniz-rule axiom of criterion 1, and
+pointwise_kernel the exact pointwise kernel that symbolic frames are
+cross-checked against.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from nonholonomy.algebra import Chart
+from nonholonomy.algebra import Chart, Polynomial
+from nonholonomy.distributions import _check_coframe, _rank_drop
 from nonholonomy.errors import InputError
-from nonholonomy.forms import DiffForm, wedge_all, wedge_power
+from nonholonomy.forms import DiffForm, VectorField, evaluate_at_point, wedge_all, wedge_power
+from nonholonomy.linalg import kernel_basis, rank
 from nonholonomy.singularity import FiberPoint
+
+
+def interior_product(field: VectorField, a: DiffForm) -> DiffForm:
+    """Contraction of a form with a vector field in the first slot."""
+    if isinstance(a, Polynomial) or a.degree == 0:
+        raise InputError("interior product needs a form of degree >= 1")
+    if field.chart != a.chart:
+        raise InputError("field and form live on different charts")
+    out = DiffForm.zero(a.chart, a.degree - 1)
+    for key, coeff in a.terms.items():
+        for slot, idx in enumerate(key):
+            comp = field.components[idx - 1]
+            if comp.is_zero():
+                continue
+            contrib = coeff * comp
+            if slot % 2:
+                contrib = -contrib
+            new_key = key[:slot] + key[slot + 1:]
+            total = out.terms.get(new_key)
+            total = contrib if total is None else total + contrib
+            if total.is_zero():
+                out.terms.pop(new_key, None)
+            else:
+                out.terms[new_key] = total
+    return out
+
+
+def pointwise_kernel(coframe, point):
+    """Exact basis of the joint kernel of the coframe at a point.
+
+    An empty coframe means no constraints: the full coordinate basis. A
+    coframe that drops rank at the point raises
+    DegeneratePresentationError.
+    """
+    coframe = list(coframe)
+    if not coframe:
+        chart_n = len(tuple(point))
+        return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(chart_n))
+                for i in range(chart_n)]
+    coframe, chart = _check_coframe(coframe)
+    point = tuple(point)
+    rows = []
+    for form in coframe:
+        values = evaluate_at_point(form, point)
+        rows.append([values.get((j,), Fraction(0)) for j in range(1, chart.n + 1)])
+    if rank(rows) != len(coframe):
+        raise _rank_drop("coframe", point)
+    return kernel_basis(rows, chart.n)
 
 _fiber_charts = {}
 

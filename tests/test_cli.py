@@ -165,6 +165,16 @@ def test_amni_rejects_non_two_form_binding(capsys):
     assert "not a 2-form" in json.loads(out)["error"]["message"]
 
 
+def test_amni_unknown_binding_is_an_input_error(capsys):
+    code, out = _run(capsys, ["check-amni", "data/amni5.nh", "--k", "1",
+                              "--omegas", "nope"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == "no binding named 'nope'"
+    assert "0:0" not in error["message"]
+
+
 def test_report_digest_tracks_file_content(capsys, tmp_path):
     source = os.path.join(HERE, "data", "contact3.nh")
     with open(source, "r", encoding="utf-8") as handle:

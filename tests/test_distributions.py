@@ -18,11 +18,10 @@ from nonholonomy.distributions import (
     dimension_bounds,
     frame_from_coframe,
     has_derived_length_one,
-    pointwise_kernel,
     sample_points,
-    type_of,
 )
 from nonholonomy.errors import DegeneratePresentationError, InputError
+from nonholonomy import forms
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
@@ -33,6 +32,7 @@ from nonholonomy.forms import (
 from nonholonomy.linalg import rank
 
 from conftest import quadratic_coframe, rnd_point
+from oracles import pointwise_kernel
 
 
 def _chart3():
@@ -105,17 +105,19 @@ def test_frame_from_coframe_matches_corpus_frames():
     assert seen >= 9
 
 
-def test_minor_search_cap():
+def test_minor_search_cap(monkeypatch):
     # the 2 x 2 minors over columns (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
     # are -x2, 0, x1, x2, 1, x1: only the 5th subset is a nonzero constant
     chart = Chart(("x1", "x2", "x3", "x4"))
     x1, x2 = (Polynomial.coordinate(chart, i) for i in (1, 2))
     dx = [DiffForm.basis(chart, i) for i in range(1, 5)]
     coframe = [x1 * dx[0] + dx[1] + x1 * dx[2], x2 * dx[0] + x2 * dx[2] + dx[3]]
-    assert not constant_minor_certificate(coframe, max_minors=4)
-    assert frame_from_coframe(coframe, max_minors=4) is None
-    assert constant_minor_certificate(coframe, max_minors=5)
-    frame = frame_from_coframe(coframe, max_minors=5)
+    monkeypatch.setattr(forms, "MAX_MINORS", 4)
+    assert not constant_minor_certificate(coframe)
+    assert frame_from_coframe(coframe) is None
+    monkeypatch.setattr(forms, "MAX_MINORS", 5)
+    assert constant_minor_certificate(coframe)
+    frame = frame_from_coframe(coframe)
     assert [str(f) for f in frame] == ["@x1 - x1*@x2 - x2*@x4", "-x1*@x2 + @x3 - x2*@x4"]
 
 
@@ -371,23 +373,7 @@ def test_rank3_equivalence_over_corpus():
     assert seen >= 2
 
 
-def test_type_of_examples():
-    report = type_of(jet_canonical(1).distribution)
-    assert (report.rank, report.dim) == (2, 3)
-    assert report.bounds is None
-
-    report = type_of(jet_canonical(2).distribution)
-    assert (report.rank, report.dim) == (3, 5)
-    assert report.k == 1
-    assert report.bounds == (4, 6)
-    assert report.bounds_ok is True
-
-    report = type_of(even_contact_structure(4).distribution)
-    assert (report.rank, report.dim) == (3, 4)
-    assert report.bounds_ok is True
-
-
-def test_type_of_bound_arithmetic():
+def test_dimension_bounds_arithmetic():
     assert dimension_bounds(1) == (4, 6)
     assert dimension_bounds(2) == (6, 10)
     assert dimension_bounds(1, 5, count=2) == (4, 6)
@@ -404,18 +390,6 @@ def test_type_of_bound_arithmetic():
             assert False
         except InputError as err:
             assert fragment in str(err)
-
-
-def test_type_of_requires_derived_length_one():
-    chart = _chart3()
-    integrable = Distribution.from_frame(
-        [VectorField.basis(chart, 1), VectorField.basis(chart, 2)]
-    )
-    try:
-        type_of(integrable)
-        assert False
-    except InputError as err:
-        assert "derived length one" in str(err)
 
 
 def test_distribution_validation():
@@ -441,11 +415,6 @@ def test_distribution_validation():
         assert False
     except InputError as err:
         assert "annihilate" in str(err)
-    try:
-        Distribution(chart, frame=frame, rank=1)
-        assert False
-    except InputError:
-        pass
     try:
         Distribution(chart)
         assert False

@@ -18,7 +18,6 @@ from nonholonomy.forms import (
     evaluate_at_point,
     exterior_derivative,
     independent_at_point,
-    interior_product,
     lie_bracket,
     sort_with_sign,
     wedge,
@@ -27,6 +26,7 @@ from nonholonomy.forms import (
 )
 
 from conftest import quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_point, rnd_poly
+from oracles import interior_product
 
 
 def _perm_sign(perm):

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from nonholonomy.algebra import Polynomial
-from nonholonomy.errors import ParseError
+from nonholonomy.errors import InputError, ParseError
 from nonholonomy.forms import DiffForm, VectorField, exterior_derivative, wedge
 from nonholonomy.parser import InputDocument, parse_document, tokenize
 
@@ -140,8 +140,10 @@ def test_binding_lookup_missing():
     try:
         doc.binding("missing")
         assert False
-    except ParseError:
-        pass
+    except InputError as err:
+        # a lookup after parsing has no source position to report
+        assert not isinstance(err, ParseError)
+        assert str(err) == "no binding named 'missing'"
 
 
 def test_first_error_in_reading_order_wins():

@@ -58,7 +58,7 @@ def _b_by_permutation_sum(fp, i):
     return out
 
 
-def _symbolic_fiber(n, k, check_bounds=True):
+def _symbolic_fiber(n, k):
     """One symbolic 2-form: every z entry of form 1 is a fresh coordinate."""
     pairs = list(combinations(range(1, n + 1), 2))
     chart = Chart(tuple("z%d%d" % (j, l) for j, l in pairs))
@@ -66,7 +66,7 @@ def _symbolic_fiber(n, k, check_bounds=True):
         (1, j, l): Polynomial.coordinate(chart, "z%d%d" % (j, l))
         for j, l in pairs
     }
-    return FiberPoint(n, k, z=z, check_bounds=check_bounds), chart
+    return FiberPoint(n, k, z=z), chart
 
 
 def _admissible_fiber(n, k, rng):
@@ -80,7 +80,7 @@ def _admissible_fiber(n, k, rng):
         z = {key: Polynomial.constant(helper, value) for key, value in fp.z.items()}
         z[(1, 2, 3)] = Polynomial.coordinate(helper, "s")
         a = {key: Polynomial.constant(helper, value) for key, value in fp.a.items()}
-        probe = FiberPoint(n, k, a, z, check_bounds=False)
+        probe = FiberPoint(n, k, a, z)
         poly = dependence_form(probe, 1, chart=helper).coefficient(
             tuple(range(2, n + 1))
         )
@@ -96,7 +96,7 @@ def _admissible_fiber(n, k, rng):
             continue
         solved = dict(fp.z)
         solved[(1, 2, 3)] = -const / slope
-        return FiberPoint(n, k, dict(fp.a), solved, check_bounds=False)
+        return FiberPoint(n, k, dict(fp.a), solved)
 
 
 def test_validate_dimensions():
@@ -138,10 +138,10 @@ def test_fiber_point_entries():
 
 
 def test_fiber_point_random_is_seeded():
-    one = FiberPoint.random(5, 1, seed=9)
-    two = FiberPoint.random(5, 1, seed=9)
+    one = FiberPoint.random(5, 1, random.Random(9))
+    two = FiberPoint.random(5, 1, random.Random(9))
     assert one.a == two.a and one.z == two.z
-    bare = FiberPoint.random(5, 1, seed=9, include_principal=False)
+    bare = FiberPoint.random(5, 1, random.Random(9), include_principal=False)
     assert all(j != 1 for (_, j, _) in bare.z)
 
 
@@ -182,7 +182,7 @@ def test_a_coefficients_zero_fiber():
 
 def test_a_coefficients_match_wedge_power_symbolically():
     for n, k in ((4, 1), (5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (7, 2), (8, 2)):
-        fp, chart = _symbolic_fiber(n, k, check_bounds=(2 * k + 2 <= n <= 4 * k + 2))
+        fp, chart = _symbolic_fiber(n, k)
         power = wedge_power(omega_form(fp, 1, chart=chart), k)
         assert a_coefficients(fp, 1) == dict(power.terms)
 
@@ -332,18 +332,19 @@ def test_pseudo_symmetry_zero_and_violation():
 
 def test_assemble_rejects_bad_multipliers():
     fp = FiberPoint(4, 1, a={(1, 2): 1}, z={(1, 3, 4): 1})  # B_1 = 1
+    extraction = extract_c_coefficients(fp)
     try:
-        assemble_principal_matrix(fp, (0,))
+        assemble_principal_matrix(fp, (0,), extraction)
         assert False
     except InputError as err:
         assert "vanish" in str(err)
     try:
-        assemble_principal_matrix(fp, (1,))
+        assemble_principal_matrix(fp, (1,), extraction)
         assert False
     except InputError as err:
         assert "principal subspace" in str(err)
     try:
-        assemble_principal_matrix(fp, (1, 2))
+        assemble_principal_matrix(fp, (1, 2), extraction)
         assert False
     except InputError:
         pass
@@ -378,7 +379,7 @@ def test_assemble_n4_matrix_shape():
         a={(1, 2): 1, (1, 3): 1, (1, 4): 1},
         z={(1, 2, 4): 1, (1, 3, 4): 1},
     )
-    system = assemble_principal_matrix(fp, (1,))
+    system = assemble_principal_matrix(fp, (1,), extract_c_coefficients(fp))
     assert system.matrix == ((0, 1, -1), (1, 0, -1), (1, -1, 0))
     assert system.rhs == (0, 0, 0)
     assert rank(system.matrix) == 2
@@ -386,7 +387,7 @@ def test_assemble_n4_matrix_shape():
 
 def test_principal_rank_basics():
     zero_fiber = FiberPoint(4, 1)
-    system = assemble_principal_matrix(zero_fiber, (1,))
+    system = assemble_principal_matrix(zero_fiber, (1,), extract_c_coefficients(zero_fiber))
     assert rank(system.matrix) == 0
     assert system.rhs == (0, 0, 0)
 

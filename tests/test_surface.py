@@ -1,0 +1,77 @@
+"""The package's public surface: the exported names, the parameters that
+were folded into constants, and the README's library tour."""
+
+import contextlib
+import inspect
+import io
+import re
+from pathlib import Path
+
+import nonholonomy
+from nonholonomy import constructions, distributions, forms, singularity
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+EXPORTED = [
+    "Chart", "ConsistencyError", "DegeneratePresentationError", "DerivedFlag",
+    "DiffForm", "Distribution", "FiberPoint", "InputDocument", "InputError",
+    "ParseError", "Polynomial", "VectorField", "Verdict",
+    "assemble_principal_matrix", "build_example", "build_prop_ori_omegas",
+    "builtin_corpus", "check_almost_mni", "check_dbasis_condition",
+    "check_mni", "dependence_multipliers", "derived_flag_at",
+    "exterior_derivative", "extract_c_coefficients", "frame_from_coframe",
+    "has_derived_length_one", "lie_bracket", "parse_document", "poly_diff",
+    "poly_eval", "sample_points", "thinness_probe", "verify_prop_ori_identity",
+    "wedge", "wedge_all", "wedge_power",
+]
+
+# (function, parameter): options that every production caller set to one
+# value; the value is now fixed inside the function.
+REMOVED_PARAMETERS = [
+    (forms.constant_minor_certificate, "max_minors"),
+    (forms.kernel_frame, "max_minors"),
+    (distributions.frame_from_coframe, "max_minors"),
+    (distributions.Distribution, "rank"),
+    (singularity.FiberPoint, "check_bounds"),
+    (singularity.FiberPoint.random, "check_bounds"),
+    (singularity.FiberPoint.random, "seed"),
+    (constructions.oriented_pairing, "coframe"),
+    (constructions.verify_prop_ori_identity, "k"),
+]
+
+
+def test_exported_names_are_pinned():
+    assert sorted(nonholonomy.__all__) == EXPORTED
+    for name in EXPORTED:
+        assert hasattr(nonholonomy, name)
+
+
+def test_test_only_entry_points_stay_out_of_the_package():
+    # the slow references live in tests/oracles.py
+    assert not hasattr(forms, "interior_product")
+    assert not hasattr(distributions, "pointwise_kernel")
+    for module in (nonholonomy, distributions):
+        assert not hasattr(module, "type_of")
+        assert not hasattr(module, "TypeReport")
+
+
+def test_removed_parameters_stay_removed():
+    for function, parameter in REMOVED_PARAMETERS:
+        assert parameter not in inspect.signature(function).parameters, function
+    extraction = inspect.signature(singularity.assemble_principal_matrix).parameters["extraction"]
+    assert extraction.default is inspect.Parameter.empty
+    assert forms.MAX_MINORS == 20000
+
+
+def test_readme_library_tour_runs():
+    # every print in the README's python block shows its output in a
+    # trailing comment
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    expected = [line.rsplit("# ", 1)[1].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    assert expected == ["(2, 3)", "True", "['@x + y*@z', '@y']"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
