@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -104,6 +105,8 @@ def _read_document(path: str):
             text = handle.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+    except UnicodeDecodeError:
+        raise InputError("cannot read %s: not UTF-8 text" % path) from None
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return parse_document(text), digest
 
@@ -111,13 +114,13 @@ def _read_document(path: str):
 def _document_distribution(doc) -> Distribution:
     coframe = doc.one_forms()
     fields = doc.vector_fields()
-    if fields and coframe:
-        return Distribution(doc.chart, frame=fields, coframe=coframe)
-    if fields:
-        return Distribution.from_frame(fields)
-    if coframe:
-        return Distribution.from_coframe(coframe)
-    raise InputError("document defines neither 1-forms nor fields")
+    if not (fields or coframe):
+        raise InputError("document defines neither 1-forms nor fields")
+    return Distribution(doc.chart, frame=fields or None, coframe=coframe or None)
+
+
+# the input language's number rule; int() enforces its digit limit per part
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_point(chart, text: str):
@@ -133,10 +136,14 @@ def _parse_point(chart, text: str):
                 raise InputError("unknown coordinate %r in --point" % name)
             if name in values:
                 raise InputError("coordinate %r given twice in --point" % name)
+            raw = raw.strip()
+            match = _RATIONAL.fullmatch(raw)
             try:
-                values[name] = Fraction(raw.strip())
+                if match is None:
+                    raise ValueError(raw)
+                values[name] = Fraction(int(match[1]), int(match[2] or 1))
             except (ValueError, ZeroDivisionError):
-                raise InputError("bad rational %r in --point" % raw.strip()) from None
+                raise InputError("bad rational %r in --point" % raw) from None
     return tuple(values.get(name, Fraction(0)) for name in chart.names)
 
 
@@ -147,7 +154,7 @@ def _point_strings(chart, point):
 def _verdict_task(name, verdict, chart, **extra):
     task = {
         "task": name,
-        "verdict": "indeterminate" if verdict.value is None else verdict.value,
+        "verdict": verdict.value,
         "points_checked": verdict.checked,
         "certificate": verdict.certificate,
         "failure_count": len(verdict.witnesses),
@@ -184,13 +191,7 @@ def _ori_task(coframe, k):
 
 def _task_failed(task) -> bool:
     verdict = task.get("verdict")
-    if verdict is None:
-        return False
-    if verdict is True:
-        return False
-    if isinstance(task.get("task"), str) and task["task"] == "thinness":
-        return verdict == "FAIL"
-    return True
+    return verdict is False or verdict == "FAIL"
 
 
 # -- subcommands ------------------------------------------------------------

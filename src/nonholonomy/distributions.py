@@ -51,11 +51,11 @@ def _pairing(form: DiffForm, vector_field: VectorField) -> Polynomial:
     return total
 
 
-def _check_coframe(coframe, chart=None):
+def _check_coframe(coframe):
     coframe = list(coframe)
     if not coframe:
         raise InputError("expected at least one coframe form")
-    chart = chart or coframe[0].chart
+    chart = coframe[0].chart
     for form in coframe:
         if not isinstance(form, DiffForm) or form.degree != 1:
             raise InputError("coframe entries must be 1-forms")
@@ -68,18 +68,17 @@ def _check_coframe(coframe, chart=None):
 class Verdict:
     """Outcome of a sampled pointwise check.
 
-    value True/False is decided by the samples; None means indeterminate
-    (a depth cap cut a flag short). certificate=True marks a True that a
+    value is decided by the samples. certificate=True marks a True that a
     constant-minor certificate extends to every chart point.
     """
 
-    value: object
+    value: bool
     checked: int
     witnesses: tuple = ()
     certificate: bool = False
 
     def __bool__(self):
-        return self.value is True
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -129,18 +128,6 @@ class Distribution:
                         raise InputError("coframe does not annihilate the frame")
         self._derived_frame = None
         self._spans = None
-
-    @classmethod
-    def from_frame(cls, fields) -> "Distribution":
-        fields = list(fields)
-        if not fields:
-            raise InputError("empty frame")
-        return cls(fields[0].chart, frame=fields)
-
-    @classmethod
-    def from_coframe(cls, forms) -> "Distribution":
-        forms, chart = _check_coframe(forms)
-        return cls(chart, coframe=forms)
 
     def spanning_frame(self):
         """A polynomial frame: the given one, or a symbolic complement of the
@@ -220,6 +207,10 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
 
     Stops when the rank hits n, repeats, or the depth cap is reached; the
     default cap n guarantees termination with a stabilized flag.
+    "Stabilized" means the pointwise rank repeated, which can stop early
+    where a bracket vanishes at the point although a deeper one does not:
+    for X = @x, Y = @z + x*x*@y at x = 0 the flag reads [2, 2], yet
+    [X, [X, Y]] = 2*@y has rank 3 there.
     """
     point = tuple(point)
     if len(point) != dist.chart.n:
@@ -253,34 +244,23 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
 def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Verdict:
     """True iff the flag is [r, n] at every sample point.
 
-    A first-level rank below the distribution's rank is a presentation failure,
-    not integrability information, and raises.
+    Only the first two levels are built: a full flag differs from [r, n]
+    exactly when its first two levels do. A first-level rank below the
+    distribution's rank is a presentation failure, not integrability
+    information, and raises.
     """
     if points is None:
         points = sample_points(dist.chart, seed)
     n = dist.chart.n
     expected = (n,) if dist.rank == n else (dist.rank, n)
     witnesses = []
-    indeterminate = False
     for point in points:
-        flag = derived_flag_at(dist, point)
-        if flag.ranks[0] < dist.rank:
+        ranks = derived_flag_at(dist, point, 2).ranks
+        if ranks[0] < dist.rank:
             raise _rank_drop("frame", point)
-        if not flag.stabilized:
-            indeterminate = True
-        elif flag.ranks != expected:
+        if ranks != expected:
             witnesses.append(tuple(point))
-    if indeterminate and not witnesses:
-        return Verdict(None, len(points), ())
     return Verdict(not witnesses, len(points), tuple(witnesses))
-
-
-def _independence_verdict(forms, points) -> Verdict:
-    certificate = constant_minor_certificate(forms)
-    witnesses = [tuple(p) for p in points if not independent_at_point(forms, p)]
-    if certificate and witnesses:
-        raise ConsistencyError("constant-minor certificate contradicts a sampled dependence")
-    return Verdict(not witnesses, len(points), tuple(witnesses), certificate)
 
 
 def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
@@ -293,7 +273,11 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
             raise _rank_drop("coframe", point)
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
-    return _independence_verdict(forms, points)
+    certificate = constant_minor_certificate(forms)
+    witnesses = [tuple(p) for p in points if not independent_at_point(forms, p)]
+    if certificate and witnesses:
+        raise ConsistencyError("constant-minor certificate contradicts a sampled dependence")
+    return Verdict(not witnesses, len(points), tuple(witnesses), certificate)
 
 
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:

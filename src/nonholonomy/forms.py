@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .algebra import Chart, Polynomial, poly_diff, poly_eval, signed_sum
 from .errors import InputError
-from .linalg import det, integer_rows, rank
+from .linalg import det, rank
 
 # Column subsets a constant-minor search enumerates before giving up.
 MAX_MINORS = 20000
@@ -439,12 +439,6 @@ def _probe_points(n: int):
             tuple((-1) ** j * (2 * j + 1) for j in range(1, n + 1)))
 
 
-def _probe_rows(grid, point):
-    """The grid's values at a point as integer rows, with the product of
-    the row scales (see linalg.integer_rows)."""
-    return integer_rows([[poly_eval(entry, point) for entry in row] for row in grid])
-
-
 def _constant_minor(grid, max_minors: int):
     """The first column subset, in lexicographic order, whose maximal minor
     of the polynomial grid is a nonzero constant, with that constant.
@@ -453,28 +447,22 @@ def _constant_minor(grid, max_minors: int):
 
     An exact numeric prefilter keeps most subsets away from the symbolic
     _poly_det. A nonzero constant minor has the same nonzero value at every
-    point, so a subset is skipped when its integer (Bareiss) minor vanishes
-    at the first probe point or differs from its value at the second; the
-    second point is evaluated only once a subset passes the first test.
-    Only the survivors are expanded symbolically, and _poly_det still
-    decides, so no certificate is ever skipped and the answer is the one an
-    expansion of every subset would give. max_minors counts every subset
-    enumerated, skipped or not.
+    point, so a subset is skipped unless its exact minor at the first probe
+    point is nonzero and equal to its exact minor at the second. Only the
+    survivors are expanded symbolically, and _poly_det still decides, so no
+    certificate is ever skipped and the answer is the one an expansion of
+    every subset would give. max_minors counts every subset enumerated,
+    skipped or not.
     """
     if len(grid) > len(grid[0]):
         return None
-    first, second = _probe_points(grid[0][0].chart.n)
-    rows0, s0 = _probe_rows(grid, first)
-    rows1 = None
+    values0, values1 = ([[poly_eval(entry, point) for entry in row] for row in grid]
+                        for point in _probe_points(grid[0][0].chart.n))
     for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
         if tried > max_minors:
             return None
-        d0 = det([[row[c] for c in subset] for row in rows0])
-        if not d0:
-            continue
-        if rows1 is None:
-            rows1, s1 = _probe_rows(grid, second)
-        if d0 * s1 != det([[row[c] for c in subset] for row in rows1]) * s0:
+        d0 = det([[row[c] for c in subset] for row in values0])
+        if not d0 or d0 != det([[row[c] for c in subset] for row in values1]):
             continue
         value = _poly_det([[row[c] for c in subset] for row in grid])
         if value.is_constant():
@@ -490,9 +478,9 @@ def constant_minor_certificate(forms) -> bool:
     chart, upgrading a sampled verdict to a proof. Column subsets are tried
     in lexicographic order; the search gives up (returns False) after
     MAX_MINORS subsets, so False means "no certificate found", not
-    "dependent". Most subsets are ruled out by their exact integer minors at
-    two fixed probe points: a nonzero constant minor takes one nonzero value
-    at both, so this prefilter never rules out a certificate, and only the
+    "dependent". Most subsets are ruled out by their exact minors at two
+    fixed probe points: a nonzero constant minor takes one nonzero value at
+    both, so this prefilter never rules out a certificate, and only the
     subsets it keeps are expanded symbolically (see _constant_minor).
     """
     forms = list(forms)

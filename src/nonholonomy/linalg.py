@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Rank and determinant (det) share one fraction-free (Bareiss) elimination on
-denominator-cleared integer rows, and pfaffian runs its skew analogue, so
-intermediate entries stay integers and never lose exactness. Kernel bases
-come from Gauss-Jordan over Fractions. Everything here is deterministic:
-pivots are chosen first-come in row order.
+Rank and determinant (det) clear the denominators of their rows themselves
+and share one fraction-free (Bareiss) elimination, and pfaffian runs its
+skew analogue, so intermediate entries stay integers and never lose
+exactness. Kernel bases come from Gauss-Jordan over Fractions. Everything
+here is deterministic: pivots are chosen first-come in row order.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from math import gcd, lcm
 from .errors import InputError
 
 
-def integer_rows(rows):
+def _integer_rows(rows):
     """Copy rows of ints and Fractions with denominators cleared row by row.
 
-    Returns (integer_rows, scale), scale being the product of the row
+    Returns (integer rows, scale), scale being the product of the row
     scales, so any maximal minor of the integer rows is scale times the
     same minor of the given rows.
     """
@@ -103,7 +103,7 @@ def pfaffian(rows) -> Fraction:
 
 def rank(rows) -> int:
     """Rank of a matrix given as an iterable of equal-length rows."""
-    M, _ = integer_rows(rows)
+    M, _ = _integer_rows(rows)
     if not M or not M[0]:
         return 0
     if any(len(row) != len(M[0]) for row in M):
@@ -113,7 +113,7 @@ def rank(rows) -> int:
 
 def det(rows) -> Fraction:
     """Determinant of a square matrix given as an iterable of rows."""
-    M, scale = integer_rows(rows)
+    M, scale = _integer_rows(rows)
     if any(len(row) != len(M) for row in M):
         raise InputError("determinant needs a square matrix")
     if not M:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import time
 
 import pytest
@@ -111,6 +112,57 @@ def test_bad_point_is_an_input_error(capsys):
     code, out = _run(capsys, ["flag", "data/contact3.nh", "--point", "x=1,x=2"])
     assert code == 2
     assert "coordinate 'x' given twice" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("value", [
+    "1e5000", "1e-5000", "1e999999999", "4" * 4000 + "." + "2" * 4000,
+    "7" * 5000, "1/" + "3" * 5000, "0.5", "+1", "1/0", "", "\u0663",
+])
+def test_point_values_follow_the_number_rule(capsys, value):
+    # an optional '-', decimal digits, optionally '/' and digits, each part
+    # within int's digit limit; anything else is an input error
+    code, out = _run(capsys, ["flag", "data/contact3.nh", "--point", "x=" + value])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == "bad rational %r in --point" % value
+
+
+def test_point_fuzz_exits_cleanly(capsys):
+    # seeded guard: every --point value either reads or is an input error.
+    # Values are runs of up to 4 digits (or 5000 nines) joined by marks, so
+    # shapes like 12/34, 5.6 and 7e8999 all occur.
+    rng = random.Random(8)
+    marks = list("/-+.eE ") + ["\u0663", "\u00b2"]
+
+    def digits():
+        return "9" * 5000 if rng.random() < 0.1 else str(rng.randrange(1, 10 ** rng.randint(1, 4)))
+
+    for _ in range(500):
+        value = rng.choice(["", "-", "+", " "]) + digits()
+        for _ in range(rng.randint(0, 2)):
+            value += rng.choice(marks) + digits()
+        code, out = _run(capsys, ["flag", "data/contact3.nh", "--point", "x=" + value])
+        assert code in (0, 2), value
+        json.loads(out)
+
+
+def test_flag_depth_cap_through_the_cli(capsys):
+    code, out = _run(capsys, ["flag", "data/contact3.nh", "--depth", "1"])
+    assert code == 0
+    task = json.loads(out)["tasks"][0]
+    assert task["ranks"] == [2]
+    assert task["stabilized"] is False
+
+
+def test_non_utf8_document_is_an_input_error(capsys, tmp_path):
+    doc = tmp_path / "latin1.nh"
+    doc.write_bytes(b"coords x y z;\nform a = d(z) - y*d(x); # \xff\n")
+    code, out = _run(capsys, ["check-dlo", str(doc)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == "cannot read %s: not UTF-8 text" % doc
 
 
 def test_non_ascii_digit_is_a_parse_error(capsys, tmp_path):

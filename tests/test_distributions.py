@@ -21,7 +21,7 @@ from nonholonomy.distributions import (
     sample_points,
 )
 from nonholonomy.errors import DegeneratePresentationError, InputError
-from nonholonomy import forms
+from nonholonomy import distributions, forms
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
@@ -126,7 +126,7 @@ def test_frame_from_coframe_without_constant_minor():
     x = Polynomial.coordinate(chart, "x")
     stretched = (x * x + 1) * DiffForm.basis(chart, "x")
     assert frame_from_coframe([stretched]) is None
-    dist = Distribution.from_coframe([stretched])
+    dist = Distribution(chart, coframe=[stretched])
     try:
         dist.spanning_frame()
         assert False
@@ -136,7 +136,7 @@ def test_frame_from_coframe_without_constant_minor():
 
 def test_derived_flag_integrable_plane_field():
     chart = _chart3()
-    dist = Distribution.from_frame([VectorField.basis(chart, 1), VectorField.basis(chart, 2)])
+    dist = Distribution(chart, frame=[VectorField.basis(chart, 1), VectorField.basis(chart, 2)])
     for pt in ((0, 0, 0), (1, Fraction(-1, 2), 3)):
         flag = derived_flag_at(dist, pt)
         assert flag.ranks == (2, 2)
@@ -165,7 +165,7 @@ def test_derived_flag_depth_cap():
         + x1 * VectorField.basis(chart, "x3")
         + x3 * VectorField.basis(chart, "x4")
     )
-    dist = Distribution.from_frame([VectorField.basis(chart, "x1"), second])
+    dist = Distribution(chart, frame=[VectorField.basis(chart, "x1"), second])
     full = derived_flag_at(dist, (0, 0, 0, 0))
     assert full.ranks == (2, 3, 4)
     cut = derived_flag_at(dist, (0, 0, 0, 0), depth_cap=2)
@@ -173,6 +173,33 @@ def test_derived_flag_depth_cap():
     assert not cut.stabilized
     verdict = has_derived_length_one(dist, [(0, 0, 0, 0)])
     assert verdict.value is False
+
+
+def test_has_derived_length_one_builds_two_levels(monkeypatch):
+    # the [2, 3, 4] frame of test_derived_flag_depth_cap: the verdict needs
+    # the 4 brackets of level 1, not the 4 more that level 2 would add
+    chart = Chart(("x1", "x2", "x3", "x4"))
+    x1 = Polynomial.coordinate(chart, "x1")
+    x3 = Polynomial.coordinate(chart, "x3")
+    frame = [
+        VectorField.basis(chart, "x1"),
+        VectorField.basis(chart, "x2") + x1 * VectorField.basis(chart, "x3")
+        + x3 * VectorField.basis(chart, "x4"),
+    ]
+    points = sample_points(chart, seed=4, grid_cap=10, random_count=10)
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return forms.lie_bracket(x, y)
+
+    monkeypatch.setattr(distributions, "lie_bracket", counted)
+    verdict = has_derived_length_one(Distribution(chart, frame=frame), points)
+    assert len(calls) == 4
+    full = Distribution(chart, frame=frame)
+    expected = tuple(tuple(p) for p in points if derived_flag_at(full, p).ranks != (2, 4))
+    assert verdict.value is False
+    assert verdict.witnesses == expected and len(expected) == len(points)
 
 
 def test_flags_monotone_over_corpus():
@@ -189,11 +216,11 @@ def test_flags_monotone_over_corpus():
 
 def test_has_derived_length_one_examples():
     chart, alpha = _contact3()
-    contact = Distribution.from_coframe([alpha])
+    contact = Distribution(chart, coframe=[alpha])
     assert has_derived_length_one(contact).value is True
 
-    integrable = Distribution.from_frame(
-        [VectorField.basis(chart, 1), VectorField.basis(chart, 2)]
+    integrable = Distribution(
+        chart, frame=[VectorField.basis(chart, 1), VectorField.basis(chart, 2)]
     )
     verdict = has_derived_length_one(integrable)
     assert verdict.value is False
@@ -205,7 +232,7 @@ def test_has_derived_length_one_examples():
 def test_has_derived_length_one_rejects_rank_drop():
     chart = Chart(("x", "y"))
     x = Polynomial.coordinate(chart, "x")
-    dist = Distribution.from_frame([x * VectorField.basis(chart, "y")])
+    dist = Distribution(chart, frame=[x * VectorField.basis(chart, "y")])
     try:
         has_derived_length_one(dist, [(0, 0)])
         assert False

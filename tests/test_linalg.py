@@ -6,7 +6,7 @@ import pytest
 
 from nonholonomy.errors import InputError
 from nonholonomy.linalg import (
-    det, integer_rows, kernel_basis, normalize_primitive, pfaffian, rank, rref,
+    _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank, rref,
 )
 
 from conftest import rnd_fraction
@@ -171,7 +171,7 @@ def test_pfaffian_matches_matching_expansion():
 
 
 def test_integer_rows_scale():
-    rows, scale = integer_rows([[Fraction(1, 2), Fraction(1, 3)], [3, Fraction(-5, 4)]])
+    rows, scale = _integer_rows([[Fraction(1, 2), Fraction(1, 3)], [3, Fraction(-5, 4)]])
     assert rows == [[3, 2], [12, -5]]
     assert scale == 24
 

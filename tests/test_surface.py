@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import nonholonomy
-from nonholonomy import constructions, distributions, forms, singularity
+from nonholonomy import constructions, distributions, forms, linalg, singularity
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,6 +61,17 @@ def test_removed_parameters_stay_removed():
     extraction = inspect.signature(singularity.assemble_principal_matrix).parameters["extraction"]
     assert extraction.default is inspect.Parameter.empty
     assert forms.MAX_MINORS == 20000
+
+
+def test_single_caller_helpers_stay_folded():
+    assert list(inspect.signature(distributions._check_coframe).parameters) == ["coframe"]
+    assert not hasattr(distributions, "_independence_verdict")
+    assert not hasattr(distributions.Distribution, "from_frame")
+    assert not hasattr(distributions.Distribution, "from_coframe")
+    # the minor prefilter compares exact minors; row scaling is private to linalg
+    assert not hasattr(forms, "_probe_rows")
+    assert not hasattr(forms, "integer_rows")
+    assert not hasattr(linalg, "integer_rows")
 
 
 def test_readme_library_tour_runs():
