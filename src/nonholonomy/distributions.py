@@ -205,12 +205,13 @@ class _SpanningSets:
 def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     """Pointwise derived flag: ranks of evaluated iterated-bracket spans.
 
-    Stops when the rank hits n, repeats, or the depth cap is reached; the
-    default cap n guarantees termination with a stabilized flag.
-    "Stabilized" means the pointwise rank repeated, which can stop early
-    where a bracket vanishes at the point although a deeper one does not:
-    for X = @x, Y = @z + x*x*@y at x = 0 the flag reads [2, 2], yet
-    [X, [X, Y]] = 2*@y has rank 3 there.
+    Stops when the rank hits n, repeats, or the depth cap is reached, so at
+    most n levels are built. "Stabilized" means every deeper level has the
+    same rank: the rank is n, or it repeated at a level that added no
+    nonzero bracket. A repeat where a level did add brackets stops the flag
+    unstabilized, as a bracket that vanishes at the point can have a deeper
+    one that does not: for X = @x, Y = @z + x*x*@y at x = 0 the flag reads
+    [2, 2], yet [X, [X, Y]] = 2*@y has rank 3 there.
     """
     point = tuple(point)
     if len(point) != dist.chart.n:
@@ -227,15 +228,17 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     level = 0
     while True:
         fields = spans.level(level)
-        for f in fields[seen:]:
-            rows.append(f.evaluate(point))
+        added = fields[seen:]
+        rows.extend(f.evaluate(point) for f in added)
         seen = len(fields)
         r = rank(rows)
         ranks.append(r)
         if len(ranks) > 1 and ranks[-1] < ranks[-2]:
             raise ConsistencyError("derived flag decreased")
-        if r == n or (len(ranks) > 1 and ranks[-1] == ranks[-2]):
+        if r == n:
             return DerivedFlag(point, tuple(ranks), True)
+        if len(ranks) > 1 and ranks[-1] == ranks[-2]:
+            return DerivedFlag(point, tuple(ranks), not added)
         if len(ranks) >= depth_cap:
             return DerivedFlag(point, tuple(ranks), False)
         level += 1

@@ -316,26 +316,17 @@ def wedge_all(forms) -> DiffForm:
 
 
 def wedge_power(form: DiffForm, k: int) -> DiffForm:
-    """k-th wedge power of a 2-form, by repeated squaring.
+    """k-th wedge power of a 2-form, as the left fold form ^ form ^ ... ^ form.
 
-    Powers of an even-degree form commute, so binary exponentiation is
-    legitimate; the straightforward left fold is kept in the test suite as
-    the independent cross-check.
+    Each step multiplies by the 2-form itself, never a large power by a
+    large power; binary exponentiation is kept in the test suite as the
+    independent cross-check.
     """
     if not isinstance(form, DiffForm) or form.degree != 2:
         raise InputError("wedge_power expects a 2-form")
     if not isinstance(k, int) or k < 1:
         raise InputError("wedge power expects an integer k >= 1")
-    result = None
-    base = form
-    e = k
-    while e:
-        if e & 1:
-            result = base if result is None else wedge(result, base)
-        e >>= 1
-        if e:
-            base = wedge(base, base)
-    return result
+    return wedge_all([form] * k)
 
 
 def exterior_derivative(a) -> DiffForm:
@@ -439,11 +430,11 @@ def _probe_points(n: int):
             tuple((-1) ** j * (2 * j + 1) for j in range(1, n + 1)))
 
 
-def _constant_minor(grid, max_minors: int):
+def _constant_minor(grid):
     """The first column subset, in lexicographic order, whose maximal minor
     of the polynomial grid is a nonzero constant, with that constant.
 
-    None when no such subset is found within max_minors subsets.
+    None when no such subset is found within MAX_MINORS subsets.
 
     An exact numeric prefilter keeps most subsets away from the symbolic
     _poly_det. A nonzero constant minor has the same nonzero value at every
@@ -451,7 +442,7 @@ def _constant_minor(grid, max_minors: int):
     point is nonzero and equal to its exact minor at the second. Only the
     survivors are expanded symbolically, and _poly_det still decides, so no
     certificate is ever skipped and the answer is the one an expansion of
-    every subset would give. max_minors counts every subset enumerated,
+    every subset would give. MAX_MINORS counts every subset enumerated,
     skipped or not.
     """
     if len(grid) > len(grid[0]):
@@ -459,7 +450,7 @@ def _constant_minor(grid, max_minors: int):
     values0, values1 = ([[poly_eval(entry, point) for entry in row] for row in grid]
                         for point in _probe_points(grid[0][0].chart.n))
     for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
-        if tried > max_minors:
+        if tried > MAX_MINORS:
             return None
         d0 = det([[row[c] for c in subset] for row in values0])
         if not d0 or d0 != det([[row[c] for c in subset] for row in values1]):
@@ -489,7 +480,7 @@ def constant_minor_certificate(forms) -> bool:
     columns = _columns(forms, "certificate")
     zero = Polynomial.zero(forms[0].chart)
     grid = [[form.terms.get(c, zero) for c in columns] for form in forms]
-    return _constant_minor(grid, MAX_MINORS) is not None
+    return _constant_minor(grid) is not None
 
 
 def kernel_frame(grid):
@@ -501,7 +492,7 @@ def kernel_frame(grid):
     j and the slots of S solved by Cramer's rule, -det(G_S with that column
     replaced by column j) / D, so the fields have constant rank.
     """
-    found = _constant_minor(grid, MAX_MINORS)
+    found = _constant_minor(grid)
     if found is None:
         return None
     subset, det_value = found

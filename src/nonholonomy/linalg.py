@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Rank and determinant (det) clear the denominators of their rows themselves
-and share one fraction-free (Bareiss) elimination, and pfaffian runs its
-skew analogue, so intermediate entries stay integers and never lose
-exactness. Kernel bases come from Gauss-Jordan over Fractions. Everything
-here is deterministic: pivots are chosen first-come in row order.
+One fraction-free (Bareiss) elimination serves rank, det and kernel_basis:
+each clears the denominators of its rows itself, so intermediate entries
+stay integers and never lose exactness, and kernel_basis back-substitutes
+through the echelon rows it leaves. pfaffian runs its skew analogue.
+Everything here is deterministic: pivots are chosen first-come in row order.
 """
 
 from __future__ import annotations
@@ -33,17 +33,18 @@ def _integer_rows(rows):
 
 
 def _bareiss(M):
-    """Fraction-free elimination of integer rows, in place.
+    """Fraction-free elimination of integer rows, in place, to echelon form.
 
-    Returns (rank, last pivot times the sign of the row swaps). Each pivot
-    is a minor of the original rows, so for a square matrix of full rank the
-    signed last pivot is its determinant.
+    Returns (pivot columns, last pivot times the sign of the row swaps).
+    Each pivot is a minor of the original rows, so for a square matrix of
+    full rank the signed last pivot is its determinant.
     """
     n_rows, n_cols = len(M), len(M[0])
-    r = 0
+    pivots = []
     prev = 1
     sign = 1
     for c in range(n_cols):
+        r = len(pivots)
         piv = next((i for i in range(r, n_rows) if M[i][c]), None)
         if piv is None:
             continue
@@ -57,10 +58,10 @@ def _bareiss(M):
                 row_i[j] = (row_i[j] * row_r[c] - head * row_r[j]) // prev
             row_i[c] = 0
         prev = M[r][c]
-        r += 1
-        if r == n_rows:
+        pivots.append(c)
+        if len(pivots) == n_rows:
             break
-    return r, sign * prev
+    return pivots, sign * prev
 
 
 def pfaffian(rows) -> Fraction:
@@ -108,7 +109,7 @@ def rank(rows) -> int:
         return 0
     if any(len(row) != len(M[0]) for row in M):
         raise InputError("rows have unequal lengths")
-    return _bareiss(M)[0]
+    return len(_bareiss(M)[0])
 
 
 def det(rows) -> Fraction:
@@ -118,37 +119,8 @@ def det(rows) -> Fraction:
         raise InputError("determinant needs a square matrix")
     if not M:
         return Fraction(1)
-    r, pivot = _bareiss(M)
-    return Fraction(pivot, scale) if r == len(M) else Fraction(0)
-
-
-def rref(rows):
-    """Reduced row echelon form over Fractions.
-
-    Returns (matrix, pivot_columns) with 0-based pivot column indices.
-    """
-    M = [[Fraction(x) for x in row] for row in rows]
-    if not M or not M[0]:
-        return M, []
-    n_rows, n_cols = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n_rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return M, pivots
+    pivots, pivot = _bareiss(M)
+    return Fraction(pivot, scale) if len(pivots) == len(M) else Fraction(0)
 
 
 def kernel_basis(rows, n_cols: int):
@@ -156,23 +128,29 @@ def kernel_basis(rows, n_cols: int):
 
     An empty row list means the zero map, whose kernel is all of Q^n_cols.
     Basis vectors are tuples of Fractions, one per free column, in column
-    order; this makes the result deterministic.
+    order: the one for a free column has 1 there and 0 in the other free
+    columns, and its pivot entries are back-substituted bottom-up through
+    the echelon rows, in integers over one common denominator. The pivot
+    columns, and so the basis, depend only on the matrix, which makes the
+    result deterministic.
     """
-    rows = [list(row) for row in rows]
-    for row in rows:
+    M, _ = _integer_rows(rows)
+    for row in M:
         if len(row) != n_cols:
             raise InputError("row of length %d does not match %d columns" % (len(row), n_cols))
-    M, pivots = rref(rows)
-    pivot_set = set(pivots)
+    pivots = _bareiss(M)[0] if M and n_cols else []
     basis = []
     for free in range(n_cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
-        for r_idx, p in enumerate(pivots):
-            v[p] = -M[r_idx][free]
-        basis.append(tuple(v))
+        v = [0] * n_cols
+        v[free] = denom = 1
+        for row, p in reversed(list(zip(M, pivots))):
+            total = sum(row[j] * v[j] for j in range(p + 1, n_cols))
+            v = [x * row[p] for x in v]
+            v[p] = -total
+            denom *= row[p]
+        basis.append(tuple(Fraction(x, denom) for x in v))
     return basis
 
 

@@ -155,6 +155,16 @@ def test_flag_depth_cap_through_the_cli(capsys):
     assert task["stabilized"] is False
 
 
+def test_flag_repeat_with_a_deeper_bracket_is_not_stabilized(capsys, tmp_path):
+    doc = tmp_path / "vanishing_bracket.nh"
+    doc.write_text("coords x y z;\nfield X = @x;\nfield Y = @z + x*x*@y;\n", encoding="utf-8")
+    code, out = _run(capsys, ["flag", str(doc), "--point", "x=0"])
+    assert code == 0
+    task = json.loads(out)["tasks"][0]
+    assert task["ranks"] == [2, 2]
+    assert task["stabilized"] is False
+
+
 def test_non_utf8_document_is_an_input_error(capsys, tmp_path):
     doc = tmp_path / "latin1.nh"
     doc.write_bytes(b"coords x y z;\nform a = d(z) - y*d(x); # \xff\n")

@@ -143,6 +143,21 @@ def test_derived_flag_integrable_plane_field():
         assert flag.stabilized
 
 
+def test_repeated_rank_with_new_brackets_is_not_stabilized():
+    # [X, Y] = 2x @y vanishes at x = 0, but [X, [X, Y]] = 2 @y does not, so
+    # the repeat [2, 2] there must not claim that deeper levels agree
+    chart = _chart3()
+    x = Polynomial.coordinate(chart, "x")
+    second = VectorField.basis(chart, "z") + x * x * VectorField.basis(chart, "y")
+    dist = Distribution(chart, frame=[VectorField.basis(chart, "x"), second])
+    flag = derived_flag_at(dist, (0, 0, 0))
+    assert flag.ranks == (2, 2)
+    assert not flag.stabilized
+    flag = derived_flag_at(dist, (1, 0, 0))
+    assert flag.ranks == (2, 3)
+    assert flag.stabilized
+
+
 def test_derived_flag_jet_rank3():
     bundle = jet_canonical(2)
     flag = derived_flag_at(bundle.distribution, (0,) * 5)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
+
 from nonholonomy import forms as forms_module
 from nonholonomy.algebra import Chart, Polynomial, poly_eval
 from nonholonomy.constructions import builtin_corpus
@@ -175,17 +177,25 @@ def test_wedge_power_of_paired_constant_coframe():
 
 
 def test_wedge_power_matches_fold(rng):
-    def fold_power(w, k):
-        out = w
-        for _ in range(k - 1):
-            out = wedge(out, w)
-        return out
+    # wedge_power is the left fold; binary exponentiation multiplies in a
+    # different order (powers of a 2-form commute), so it is an
+    # independent oracle
+    def squaring_power(w, k):
+        result = None
+        base = w
+        while k:
+            if k & 1:
+                result = base if result is None else wedge(result, base)
+            k >>= 1
+            if k:
+                base = wedge(base, base)
+        return result
 
     for _ in range(60):
         chart = rnd_chart(rng, max_n=8, min_n=2)
         w = rnd_form(rng, chart, 2, max_terms=4)
-        for k in range(1, 5):
-            assert wedge_power(w, k) == fold_power(w, k)
+        for k in range(1, 6):
+            assert wedge_power(w, k) == squaring_power(w, k)
 
 
 def test_wedge_power_rejects_bad_arguments():
@@ -431,7 +441,9 @@ def _jetlike_coframe(n, k, rng):
 
 def _assert_matches_reference(grid, caps=(20000,)):
     for cap in caps:
-        assert _constant_minor(grid, cap) == _reference_constant_minor(grid, cap)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(forms_module, "MAX_MINORS", cap)
+            assert _constant_minor(grid) == _reference_constant_minor(grid, cap)
 
 
 def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
@@ -472,10 +484,13 @@ def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
     scaled = [[(x1 - a1) * Fraction(1, 2 * (b1 - a1)), one]]
     for grid in (vanishing, twin, hollow, scaled):
         _assert_matches_reference(grid, caps=(20000, 1, 2, 3, 9, 10))
-    assert _constant_minor(vanishing, 20000) == ((2,), 7)
-    assert _constant_minor(hollow, 10) == ((3, 4), 1)
-    assert _constant_minor(hollow, 9) is None
-    assert _constant_minor(scaled, 20000) == ((1,), 1)
+    assert _constant_minor(vanishing) == ((2,), 7)
+    assert _constant_minor(scaled) == ((1,), 1)
+    with pytest.MonkeyPatch.context() as capped:
+        capped.setattr(forms_module, "MAX_MINORS", 10)
+        assert _constant_minor(hollow) == ((3, 4), 1)
+        capped.setattr(forms_module, "MAX_MINORS", 9)
+        assert _constant_minor(hollow) is None
     calls = []
     poly_det = forms_module._poly_det
 
@@ -485,7 +500,7 @@ def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
         return poly_det(matrix)
 
     monkeypatch.setattr(forms_module, "_poly_det", top_level)
-    assert _constant_minor(twin, 20000) == ((1, 2), -3)
+    assert _constant_minor(twin) == ((1, 2), -3)
     # (0, 1) passed both probes and was rejected symbolically; (0, 2) is zero
     # at the first probe point and never reached the symbolic determinant
     assert len(calls) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from nonholonomy.errors import InputError
 from nonholonomy.linalg import (
-    _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank, rref,
+    _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank,
 )
 
 from conftest import rnd_fraction
@@ -197,10 +197,58 @@ def test_kernel_of_empty_matrix_is_everything():
     assert rank(basis) == 3
 
 
-def test_rref_pivots():
-    M, pivots = rref([[0, 1, 2], [0, 2, 4]])
-    assert pivots == [1]
-    assert M[0] == [Fraction(0), Fraction(1), Fraction(2)]
+def reference_kernel_basis(rows, n_cols):
+    # Gauss-Jordan to reduced row echelon form over Fractions, then one
+    # vector per free column read off the reduced rows: the oracle for
+    # back-substitution on the Bareiss echelon rows
+    M = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * n_cols
+        v[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -M[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def test_kernel_basis_matches_reduced_echelon_reference():
+    # a zero first column and a proportional second row: one pivot, in
+    # column 1, and free columns 0 and 2
+    assert kernel_basis([[0, 1, 2], [0, 2, 4]], 3) == [
+        (Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(-2), Fraction(1)),
+    ]
+    rng = random.Random(13)
+    deficient = empty = 0
+    for _ in range(3000):
+        n_rows = rng.randint(0, 6)
+        n_cols = rng.randint(1, 7)
+        # about 40% zero entries, so zero columns and dependent rows occur
+        rows = [[Fraction(0) if rng.random() < 0.4 else rnd_fraction(rng) for _ in range(n_cols)]
+                for _ in range(n_rows)]
+        basis = kernel_basis(rows, n_cols)
+        assert basis == reference_kernel_basis(rows, n_cols)
+        assert all(type(x) is Fraction for v in basis for x in v)
+        deficient += len(basis) > max(n_cols - n_rows, 0)
+        empty += not rows
+    assert deficient > 0 and empty > 0
 
 
 def test_normalize_primitive():

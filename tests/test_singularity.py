@@ -385,6 +385,32 @@ def test_assemble_n4_matrix_shape():
     assert rank(system.matrix) == 2
 
 
+def test_probe_multipliers_touch_at_most_two_forms():
+    # c is the first kernel vector of the single equation sum_i c_i B^i_1 = 0:
+    # 1 in its first free column, 0 in the other free ones, so at most two
+    # entries are nonzero. Only the forms in c's support enter the principal
+    # system, and its rank is the rank of their C columns alone.
+    rng = random.Random(23)
+    supports = {}
+    for n, k in ((6, 1), (8, 2), (10, 2)):
+        m = n - 2 * k - 1
+        for _ in range(8):
+            fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
+            extraction = extract_c_coefficients(fp)
+            c = dependence_multipliers([(extraction.b_first[i],) for i in range(1, m + 1)])
+            support = tuple(i for i in range(1, m + 1) if c[i - 1])
+            assert 1 <= len(support) <= 2
+            supports[support] = supports.get(support, 0) + 1
+            system = assemble_principal_matrix(fp, c, extraction)
+            columns = [
+                [extraction.cmat[(i, r, mu)] for i in support for mu in range(2, n + 1)]
+                for r in range(2, n + 1)
+            ]
+            assert rank(system.matrix) == rank(columns)
+    # on generic fibers the support is forms 1 and 2
+    assert supports == {(1, 2): 24}
+
+
 def test_principal_rank_basics():
     zero_fiber = FiberPoint(4, 1)
     system = assemble_principal_matrix(zero_fiber, (1,), extract_c_coefficients(zero_fiber))

@@ -29,6 +29,7 @@ EXPORTED = [
 # value; the value is now fixed inside the function.
 REMOVED_PARAMETERS = [
     (forms.constant_minor_certificate, "max_minors"),
+    (forms._constant_minor, "max_minors"),
     (forms.kernel_frame, "max_minors"),
     (distributions.frame_from_coframe, "max_minors"),
     (distributions.Distribution, "rank"),
@@ -72,6 +73,9 @@ def test_single_caller_helpers_stay_folded():
     assert not hasattr(forms, "_probe_rows")
     assert not hasattr(forms, "integer_rows")
     assert not hasattr(linalg, "integer_rows")
+    # kernel_basis back-substitutes on the Bareiss echelon rows; the
+    # Gauss-Jordan reference lives in tests/test_linalg.py
+    assert not hasattr(linalg, "rref")
 
 
 def test_readme_library_tour_runs():
