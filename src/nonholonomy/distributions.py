@@ -208,16 +208,17 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     Stops when the rank hits n, repeats, or the depth cap is reached, so at
     most n levels are built. "Stabilized" means every deeper level has the
     same rank: the rank is n, or it repeated at a level that added no
-    nonzero bracket. A repeat where a level did add brackets stops the flag
-    unstabilized, as a bracket that vanishes at the point can have a deeper
-    one that does not: for X = @x, Y = @z + x*x*@y at x = 0 the flag reads
-    [2, 2], yet [X, [X, Y]] = 2*@y has rank 3 there.
+    nonzero bracket. After any other repeat it is False, which means only
+    "not shown": a bracket that vanishes at the point can have a deeper one
+    that does not (X = @x, Y = @z + x*x*@y at x = 0 reads [2, 2], yet
+    [X, [X, Y]] = 2*@y has rank 3 there), but the involutive frame X = @x,
+    Y = @y + x*@x, whose bracket @x is nonzero and in its span, reads
+    [2, 2] unstabilized at every point too.
     """
     point = tuple(point)
     if len(point) != dist.chart.n:
         raise InputError("point has wrong dimension")
-    if depth_cap is None:
-        depth_cap = dist.chart.n
+    depth_cap = dist.chart.n if depth_cap is None else depth_cap
     if depth_cap < 1:
         raise InputError("depth cap must be at least 1")
     spans = dist._spanning_sets()
@@ -225,9 +226,8 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     rows = []
     seen = 0
     ranks = []
-    level = 0
     while True:
-        fields = spans.level(level)
+        fields = spans.level(len(ranks))
         added = fields[seen:]
         rows.extend(f.evaluate(point) for f in added)
         seen = len(fields)
@@ -241,7 +241,6 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
             return DerivedFlag(point, tuple(ranks), not added)
         if len(ranks) >= depth_cap:
             return DerivedFlag(point, tuple(ranks), False)
-        level += 1
 
 
 def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Verdict:

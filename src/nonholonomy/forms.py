@@ -319,13 +319,15 @@ def wedge_power(form: DiffForm, k: int) -> DiffForm:
     """k-th wedge power of a 2-form, as the left fold form ^ form ^ ... ^ form.
 
     Each step multiplies by the 2-form itself, never a large power by a
-    large power; binary exponentiation is kept in the test suite as the
-    independent cross-check.
+    large power (squaring is the test suite's cross-check). A power of
+    degree 2k > n is zero and built directly, so any k returns at once.
     """
     if not isinstance(form, DiffForm) or form.degree != 2:
         raise InputError("wedge_power expects a 2-form")
     if not isinstance(k, int) or k < 1:
         raise InputError("wedge power expects an integer k >= 1")
+    if 2 * k > form.chart.n:
+        return DiffForm.zero(form.chart, 2 * k)
     return wedge_all([form] * k)
 
 

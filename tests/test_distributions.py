@@ -156,6 +156,16 @@ def test_repeated_rank_with_new_brackets_is_not_stabilized():
     flag = derived_flag_at(dist, (1, 0, 0))
     assert flag.ranks == (2, 3)
     assert flag.stabilized
+    # the rule is conservative on purpose: this involutive frame's bracket
+    # [X, Y] = @x is nonzero but lies in its span, so every level has rank 2,
+    # yet the repeat is reported as not shown to stabilize
+    second = VectorField.basis(chart, "y") + x * VectorField.basis(chart, "x")
+    dist = Distribution(chart, frame=[VectorField.basis(chart, "x"), second])
+    for point in ((0, 0, 0), (1, 2, 3)):
+        flag = derived_flag_at(dist, point)
+        assert flag.ranks == (2, 2)
+        assert not flag.stabilized
+        assert derived_flag_at(dist, point, 3).ranks == (2, 2)
 
 
 def test_derived_flag_jet_rank3():

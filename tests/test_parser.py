@@ -107,6 +107,14 @@ def test_parse_wedge_and_pow2():
     assert not doc.binding("top").value.is_zero()
 
 
+def test_pow2_power_past_the_dimension_is_zero_at_once():
+    # w^k vanishes once 2k > n, so a huge power is the zero 2k-form,
+    # built without k wedges (or a k-item list, which overflows past 2**63)
+    text = "coords x y; form w = d(x) ^ d(y); form z = pow2(w, %d);" % 10**30
+    value = parse_document(text).binding("z").value
+    assert value == DiffForm.zero(value.chart, 2 * 10**30)
+
+
 def test_parse_type_errors():
     _fails_at("coords x y; form a = d(@x);", 1, 22, "d applies to forms")
     _fails_at("coords x y; form a = pow2(d(x), 2);", 1, 22, "pow2 expects a 2-form")
