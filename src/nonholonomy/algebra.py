@@ -4,13 +4,16 @@ Every scalar is an arbitrary-precision rational (``fractions.Fraction``), so
 every rank decision and independence verdict downstream is exact: equality
 to zero is equality, not a tolerance. Polynomials are sparse maps from
 exponent tuples to nonzero Fractions; the zero polynomial has an empty term
-map.
+map. IntegerGrid compiles rows of polynomials once and evaluates them at
+many points in ints, for the rank decisions that sample points.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 
 from .errors import InputError
 
@@ -282,6 +285,74 @@ def poly_eval(p: Polynomial, point) -> Fraction:
                 value *= x ** e
         total += value
     return total
+
+
+class IntegerGrid:
+    """Rows of polynomials on one chart, compiled once for exact evaluation
+    in integers at many points.
+
+    Every distinct exponent tuple of the grid gets one slot, and each row's
+    coefficients become integers over that row's own denominator lcm L_row.
+    At a point p = q/D (D the lcm of p's denominators, q integer), each slot's
+    monomial is computed once, as prod_j q_j^e_j * D^(dmax - deg) with dmax
+    the grid's top degree. Calling the grid returns integer rows, row i being
+    L_i * D^dmax times the exact values of row i at p: a positive multiple,
+    so ranks and zero tests are those of the exact rows, and at two points
+    of one denominator D the rows carry the same factors.
+    """
+
+    __slots__ = ("n", "_rows", "_slots", "_tops")
+
+    def __init__(self, chart: Chart, rows):
+        slot_of = {}
+        self._rows = []
+        for row in rows:
+            row = list(row)
+            if any(p.chart != chart for p in row):
+                raise InputError("grid polynomials live on different charts")
+            scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
+            # an entry is its integer coefficients and their slots
+            self._rows.append([
+                (tuple(c.numerator * (scale // c.denominator) for c in p.terms.values()),
+                 tuple(slot_of.setdefault(e, len(slot_of)) for e in p.terms))
+                for p in row
+            ])
+        self.n = chart.n
+        top = max(map(sum, slot_of), default=0)
+        # the powers x_j^1..x_j^top_j of every coordinate the grid uses, and
+        # then of D, laid end to end; a slot lists the positions of its factors
+        tops = [max((e[j] for e in slot_of), default=0) for j in range(self.n)] + [top]
+        self._tops = [(j, t) for j, t in enumerate(tops) if t]
+        starts = [0]
+        for t in tops:
+            starts.append(starts[-1] + t)
+        self._slots = [tuple(at + x - 1 for at, x in zip(starts, e + (top - sum(e),)) if x)
+                       for e in slot_of]
+
+    def __call__(self, point):
+        """Integer rows at a point given as ints and Fractions in chart order."""
+        point = tuple(point)
+        if len(point) != self.n:
+            raise InputError(
+                "point of length %d does not match chart of dimension %d"
+                % (len(point), self.n)
+            )
+        try:
+            denom = lcm(*[x.denominator for x in point])
+            bases = [x.numerator * (denom // x.denominator) for x in point]
+        except AttributeError:
+            raise InputError("expected integers or Fractions, got %r" % (point,)) from None
+        bases.append(denom)
+        powers = []
+        for j, top in self._tops:
+            base = power = bases[j]
+            powers.append(power)
+            for _ in range(top - 1):
+                power *= base
+                powers.append(power)
+        value = [prod(map(powers.__getitem__, slot)) for slot in self._slots].__getitem__
+        return [[sum(map(mul, coeffs, map(value, slots))) for coeffs, slots in row]
+                for row in self._rows]
 
 
 def poly_diff(p: Polynomial, index: int) -> Polynomial:

@@ -14,9 +14,17 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Chart, Polynomial
-from .distributions import Distribution, sample_points, independent_at_point
+from .distributions import Distribution, sample_points
 from .errors import InputError
-from .forms import DiffForm, VectorField, constant_minor_certificate, wedge, wedge_all, wedge_power
+from .forms import (
+    DiffForm,
+    VectorField,
+    constant_minor_certificate,
+    dependent_points,
+    wedge,
+    wedge_all,
+    wedge_power,
+)
 
 
 @dataclass(frozen=True)
@@ -151,9 +159,9 @@ def build_prop_ori_omegas(coframe):
         if not isinstance(form, DiffForm) or form.degree != 1 or form.chart != chart:
             raise InputError("expected 1-forms on a single chart")
     if not constant_minor_certificate(coframe):
-        for point in sample_points(chart, seed=0, grid_cap=50, random_count=20):
-            if not independent_at_point(coframe, point):
-                raise InputError("the 1-forms are dependent at a sample point")
+        points = sample_points(chart, seed=0, grid_cap=50, random_count=20)
+        if dependent_points(coframe, points):
+            raise InputError("the 1-forms are dependent at a sample point")
     k = (q - 1) // 2
     omegas = []
     for i in range(1, q + 1):

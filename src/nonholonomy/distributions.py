@@ -5,6 +5,11 @@ pointwise non-integrability checks.
 random rational points, together with a constant-minor certificate that,
 when it fires, upgrades the sampled verdict to one valid at every chart
 point. Exact sampling refutes; the certificate proves.
+
+Points are evaluated in integers: the forms of a check, and each level of
+a derived flag's bracket fields, are compiled once into an
+algebra.IntegerGrid, whose rows at a point are positive multiples of the
+exact values and go straight to the fraction-free rank.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 
-from .algebra import Chart, Polynomial, random_rational
+from .algebra import Chart, IntegerGrid, Polynomial, random_rational
 from .errors import ConsistencyError, DegeneratePresentationError, InputError
 from .forms import (
     DiffForm,
     VectorField,
     constant_minor_certificate,
+    dependent_points,
     exterior_derivative,
-    independent_at_point,
     kernel_frame,
     lie_bracket,
     wedge,
@@ -181,29 +186,38 @@ def frame_from_coframe(coframe):
 
 
 class _SpanningSets:
-    """Cumulative bracket-generated spanning families, built lazily and
-    shared across sample points. Level l spans the (l+1)-st derived space."""
+    """Bracket-generated spanning families, built lazily and shared across
+    sample points. Level 0 is the frame and level l adds the nonzero brackets
+    of the frame with the fields level l-1 added; levels 0..l span the
+    (l+1)-st derived space. The fields each level adds are compiled into one
+    IntegerGrid when the level is built."""
 
     def __init__(self, frame):
         self.frame = list(frame)
-        self.levels = [list(frame)]
-        self._frontier = list(frame)
+        self._frontier = self.frame
+        self.grids = [self._compile(self.frame)]
 
-    def level(self, l: int):
-        while len(self.levels) <= l:
+    def _compile(self, fields):
+        return IntegerGrid(self.frame[0].chart, (f.components for f in fields))
+
+    def level(self, l: int) -> IntegerGrid:
+        """The compiled components of the fields level l adds."""
+        while len(self.grids) <= l:
             new = []
             for g in self.frame:
                 for f in self._frontier:
                     b = lie_bracket(g, f)
                     if not b.is_zero():
                         new.append(b)
-            self.levels.append(self.levels[-1] + new)
+            self.grids.append(self._compile(new))
             self._frontier = new
-        return self.levels[l]
+        return self.grids[l]
 
 
 def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
-    """Pointwise derived flag: ranks of evaluated iterated-bracket spans.
+    """Pointwise derived flag: ranks of the iterated-bracket spans at the
+    point, extended level by level with the integer rows of each level's
+    IntegerGrid.
 
     Stops when the rank hits n, repeats, or the depth cap is reached, so at
     most n levels are built. "Stabilized" means every deeper level has the
@@ -224,13 +238,10 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     spans = dist._spanning_sets()
     n = dist.chart.n
     rows = []
-    seen = 0
     ranks = []
     while True:
-        fields = spans.level(len(ranks))
-        added = fields[seen:]
-        rows.extend(f.evaluate(point) for f in added)
-        seen = len(fields)
+        added = spans.level(len(ranks))(point)
+        rows.extend(added)
         r = rank(rows)
         ranks.append(r)
         if len(ranks) > 1 and ranks[-1] < ranks[-2]:
@@ -270,13 +281,13 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     a_1^...^a_q^(omega_i)^k for pointwise independence."""
     if points is None:
         points = sample_points(coframe[0].chart, seed)
-    for point in points:
-        if not independent_at_point(coframe, point):
-            raise _rank_drop("coframe", point)
+    dropped = dependent_points(coframe, points)
+    if dropped:
+        raise _rank_drop("coframe", dropped[0])
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
     certificate = constant_minor_certificate(forms)
-    witnesses = [tuple(p) for p in points if not independent_at_point(forms, p)]
+    witnesses = dependent_points(forms, points)
     if certificate and witnesses:
         raise ConsistencyError("constant-minor certificate contradicts a sampled dependence")
     return Verdict(not witnesses, len(points), tuple(witnesses), certificate)

@@ -5,6 +5,10 @@ A differential form of degree p stores a map from strictly increasing
 (i1, ..., ip) stands for dx_{i1} ^ ... ^ dx_{ip}. Vector fields store one
 polynomial component per coordinate. All coefficients are exact rationals,
 so independence checks below are decisions, not estimates.
+
+Pointwise checks compile a form's coefficient grid once into an
+algebra.IntegerGrid and take the fraction-free rank of its integer rows
+at each point; evaluate_at_point is the plain Fraction evaluation.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Chart, Polynomial, poly_diff, poly_eval, signed_sum
+from .algebra import Chart, IntegerGrid, Polynomial, poly_diff, poly_eval, signed_sum
 from .errors import InputError
 from .linalg import det, rank
 
@@ -221,9 +225,6 @@ class VectorField:
                 total = total + comp * poly_diff(p, i)
         return total
 
-    def evaluate(self, point):
-        return tuple(poly_eval(c, point) for c in self.components)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
@@ -392,19 +393,30 @@ def _columns(forms, what):
     return sorted(set().union(*(f.terms.keys() for f in forms)))
 
 
-def independent_at_point(forms, point) -> bool:
-    """Are these same-degree forms linearly independent at the point?"""
+def dependent_points(forms, points):
+    """The points, in order and as tuples, at which these same-degree forms
+    are linearly dependent.
+
+    The coefficient grid is compiled once into an IntegerGrid, and its
+    integer rows at each point, positive multiples of the exact ones, go
+    to the fraction-free rank.
+    """
     forms = list(forms)
+    points = [tuple(p) for p in points]
     if not forms:
-        return True
+        return []
     columns = _columns(forms, "independence check")
     if not columns:
-        return False
-    rows = []
-    for form in forms:
-        values = evaluate_at_point(form, point)
-        rows.append([values.get(c, Fraction(0)) for c in columns])
-    return rank(rows) == len(forms)
+        return points
+    chart = forms[0].chart
+    zero = Polynomial.zero(chart)
+    grid = IntegerGrid(chart, ([form.terms.get(c, zero) for c in columns] for form in forms))
+    return [p for p in points if rank(grid(p)) < len(forms)]
+
+
+def independent_at_point(forms, point) -> bool:
+    """Are these same-degree forms linearly independent at the point?"""
+    return not dependent_points(forms, [point])
 
 
 def _poly_det(matrix) -> Polynomial:
@@ -441,16 +453,19 @@ def _constant_minor(grid):
     An exact numeric prefilter keeps most subsets away from the symbolic
     _poly_det. A nonzero constant minor has the same nonzero value at every
     point, so a subset is skipped unless its exact minor at the first probe
-    point is nonzero and equal to its exact minor at the second. Only the
-    survivors are expanded symbolically, and _poly_det still decides, so no
-    certificate is ever skipped and the answer is the one an expansion of
-    every subset would give. MAX_MINORS counts every subset enumerated,
-    skipped or not.
+    point is nonzero and equal to its exact minor at the second. Both probe
+    points are integer, so the IntegerGrid rows there are the exact rows
+    times one factor per row, the same at both points: the integer minors
+    are the exact ones times one positive constant, and decide the same way.
+    Only the survivors are expanded symbolically, and _poly_det still
+    decides, so no certificate is ever skipped and the answer is the one an
+    expansion of every subset would give. MAX_MINORS counts every subset
+    enumerated, skipped or not.
     """
     if len(grid) > len(grid[0]):
         return None
-    values0, values1 = ([[poly_eval(entry, point) for entry in row] for row in grid]
-                        for point in _probe_points(grid[0][0].chart.n))
+    chart = grid[0][0].chart
+    values0, values1 = map(IntegerGrid(chart, grid), _probe_points(chart.n))
     for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
         if tried > MAX_MINORS:
             return None

@@ -20,12 +20,16 @@ def _integer_rows(rows):
 
     Returns (integer rows, scale), scale being the product of the row
     scales, so any maximal minor of the integer rows is scale times the
-    same minor of the given rows.
+    same minor of the given rows. A row of ints, such as an IntegerGrid
+    row, is copied as it is.
     """
     out = []
     scale = 1
     for row in rows:
         row = list(row)
+        if all(type(x) is int for x in row):
+            out.append(row)
+            continue
         row_scale = lcm(*(x.denominator for x in row)) if row else 1
         out.append([x.numerator * (row_scale // x.denominator) for x in row])
         scale *= row_scale

@@ -7,16 +7,25 @@ extraction in nonholonomy.singularity; the tests and the acceptance
 criteria check the fast path against them. interior_product is the
 contraction behind the Leibniz-rule axiom of criterion 1, and
 pointwise_kernel the exact pointwise kernel that symbolic frames are
-cross-checked against.
+cross-checked against. evaluate_field, independent_by_fractions and
+derived_flag_by_fractions evaluate one point at a time in Fractions, the
+path that the compiled integer evaluation replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from nonholonomy.algebra import Chart, Polynomial
+from nonholonomy.algebra import Chart, Polynomial, poly_eval
 from nonholonomy.distributions import _check_coframe, _rank_drop
 from nonholonomy.errors import InputError
-from nonholonomy.forms import DiffForm, VectorField, evaluate_at_point, wedge_all, wedge_power
+from nonholonomy.forms import (
+    DiffForm,
+    VectorField,
+    evaluate_at_point,
+    lie_bracket,
+    wedge_all,
+    wedge_power,
+)
 from nonholonomy.linalg import kernel_basis, rank
 from nonholonomy.singularity import FiberPoint
 
@@ -67,6 +76,49 @@ def pointwise_kernel(coframe, point):
     if rank(rows) != len(coframe):
         raise _rank_drop("coframe", point)
     return kernel_basis(rows, chart.n)
+
+
+def evaluate_field(field: VectorField, point):
+    """The components of a field at a point, as Fractions."""
+    return tuple(poly_eval(c, point) for c in field.components)
+
+
+def independent_by_fractions(forms, point) -> bool:
+    """Same-degree forms independent at the point, by evaluate_at_point
+    and the rank of the Fraction rows."""
+    forms = list(forms)
+    if not forms:
+        return True
+    columns = sorted(set().union(*(f.terms.keys() for f in forms)))
+    if not columns:
+        return False
+    rows = []
+    for form in forms:
+        values = evaluate_at_point(form, point)
+        rows.append([values.get(c, Fraction(0)) for c in columns])
+    return rank(rows) == len(forms)
+
+
+def derived_flag_by_fractions(dist, point, depth_cap=None):
+    """(ranks, stabilized) of the derived flag at a point, with the rule of
+    derived_flag_at: each level's new brackets are evaluated in Fractions
+    and the rows ranked, until the rank is n, repeats (stabilized only if
+    the level added no bracket) or the cap is reached."""
+    n = dist.chart.n
+    depth_cap = n if depth_cap is None else depth_cap
+    frame = list(dist.spanning_frame())
+    added, rows, ranks = frame, [], []
+    while True:
+        rows += [evaluate_field(f, point) for f in added]
+        ranks.append(rank(rows))
+        if ranks[-1] == n:
+            return tuple(ranks), True
+        if len(ranks) > 1 and ranks[-1] == ranks[-2]:
+            return tuple(ranks), not added
+        if len(ranks) >= depth_cap:
+            return tuple(ranks), False
+        added = [b for g in frame for f in added if not (b := lie_bracket(g, f)).is_zero()]
+
 
 _fiber_charts = {}
 

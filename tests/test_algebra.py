@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from nonholonomy.algebra import Chart, Polynomial, poly_diff, poly_eval
+from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, poly_diff, poly_eval
 from nonholonomy.errors import InputError
 
 from conftest import rnd_chart, rnd_poly, rnd_point
@@ -71,6 +72,81 @@ def test_eval_is_a_homomorphism():
         assert poly_eval(p * q, pt) == poly_eval(p, pt) * poly_eval(q, pt)
     with pytest.raises(InputError):
         poly_eval(Polynomial.zero(Chart(("x", "y"))), (Fraction(1),))
+
+
+def _random_grid(rng, chart):
+    """Rows of random polynomials with zero and constant entries mixed in;
+    a row may be empty."""
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        row = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.2:
+                row.append(Polynomial.zero(chart))
+            elif kind < 0.35:
+                row.append(Polynomial.constant(chart, Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+            else:
+                row.append(rnd_poly(rng, chart, max_terms=4, max_degree=3))
+        rows.append(row)
+    return rows
+
+
+def _random_grid_point(rng, chart):
+    # zeros, negatives, plain ints and Fractions with denominators 1-3
+    return tuple(rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 3))))
+                 for _ in range(chart.n))
+
+
+def test_integer_grid_rows_are_positive_multiples_of_exact_rows():
+    rng = random.Random(5)
+    rows_seen = 0
+    for _ in range(400):
+        chart = rnd_chart(rng, max_n=4)
+        grid = _random_grid(rng, chart)
+        compiled = IntegerGrid(chart, grid)
+        top = max((sum(e) for row in grid for p in row for e in p.terms), default=0)
+        for _ in range(3):
+            point = _random_grid_point(rng, chart)
+            values = compiled(point)
+            assert len(values) == len(grid)
+            denom = lcm(*(Fraction(x).denominator for x in point))
+            for row, got in zip(grid, values):
+                exact = [poly_eval(p, point) for p in row]
+                assert len(got) == len(exact)
+                assert all(type(x) is int for x in got)
+                # cross-multiplied against the first nonzero exact value,
+                # with a positive ratio there; all zero when the row is
+                ref = next((j for j, x in enumerate(exact) if x), None)
+                if ref is None:
+                    assert not any(got)
+                    continue
+                assert all(g * exact[ref] == x * got[ref] for g, x in zip(got, exact))
+                assert (got[ref] > 0) == (exact[ref] > 0)
+                # the documented factor: the row's coefficient lcm times D^dmax
+                scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
+                assert got[ref] == exact[ref] * scale * denom ** top
+                rows_seen += 1
+    assert rows_seen > 1000
+
+
+def test_integer_grid_rejects_bad_points_and_charts():
+    chart = Chart(("x", "y"))
+    x = Polynomial.coordinate(chart, "x")
+    compiled = IntegerGrid(chart, [[x, x * x + Fraction(1, 2)]])
+    assert compiled((Fraction(1, 2), 7)) == [[4, 6]]
+    for bad in ((Fraction(1),), (1, 2, 3), ()):
+        with pytest.raises(InputError):
+            compiled(bad)
+    with pytest.raises(InputError):
+        compiled((0.5, 1))
+    with pytest.raises(InputError):
+        IntegerGrid(chart, [[Polynomial.coordinate(Chart(("x",)), "x")]])
+    # no rows, or no entries: nothing to evaluate, but the length still counts
+    assert IntegerGrid(chart, [])((1, 2)) == []
+    assert IntegerGrid(chart, [[], []])((1, 2)) == [[], []]
+    with pytest.raises(InputError):
+        IntegerGrid(chart, [])((1,))
 
 
 def test_diff_example():

@@ -1,5 +1,6 @@
 """Distributions: kernels, derived flags, and the non-integrability checks."""
 
+import hashlib
 from fractions import Fraction
 
 from nonholonomy.algebra import Chart, Polynomial
@@ -32,7 +33,7 @@ from nonholonomy.forms import (
 from nonholonomy.linalg import rank
 
 from conftest import quadratic_coframe, rnd_point
-from oracles import pointwise_kernel
+from oracles import derived_flag_by_fractions, evaluate_field, pointwise_kernel
 
 
 def _chart3():
@@ -166,6 +167,30 @@ def test_repeated_rank_with_new_brackets_is_not_stabilized():
         assert flag.ranks == (2, 2)
         assert not flag.stabilized
         assert derived_flag_at(dist, point, 3).ranks == (2, 2)
+
+
+def _unstabilized_repros():
+    # the two frames of test_repeated_rank_with_new_brackets_is_not_stabilized
+    chart = _chart3()
+    x = Polynomial.coordinate(chart, "x")
+    dx, dy, dz = (VectorField.basis(chart, name) for name in ("x", "y", "z"))
+    return [Distribution(chart, frame=[dx, dz + x * x * dy]),
+            Distribution(chart, frame=[dx, dy + x * dx])]
+
+
+def test_derived_flag_matches_fraction_oracle(rng):
+    dists = [bundle.distribution for bundle in builtin_corpus()] + _unstabilized_repros()
+    unstabilized = 0
+    for dist in dists:
+        chart = dist.chart
+        points = sample_points(chart, seed=3, grid_cap=8, random_count=8)
+        points += [(0,) * chart.n, (1,) + (0,) * (chart.n - 1), rnd_point(rng, chart)]
+        for point in points:
+            for cap in (None, 1, 2, 3):
+                flag = derived_flag_at(dist, point, cap)
+                assert (flag.ranks, flag.stabilized) == derived_flag_by_fractions(dist, point, cap)
+                unstabilized += not flag.stabilized
+    assert unstabilized > 0
 
 
 def test_derived_flag_jet_rank3():
@@ -330,6 +355,17 @@ def test_check_mni_quadratic_at_n9_and_n10():
         assert verdict.certificate is False
 
 
+def test_check_mni_quadratic_full_sampling_witnesses():
+    # default sampling, 300 points at seed 0; each witness list is pinned by
+    # a digest recorded on the one-point-at-a-time Fraction evaluation
+    for n, count, digest in ((9, 201, "f1b1ed1351596dc7"), (10, 200, "7c3683e83b4b7562")):
+        verdict = check_mni(quadratic_coframe(n, 2), 2)
+        assert verdict.checked == 300
+        assert len(verdict.witnesses) == count
+        text = ";".join(",".join(str(x) for x in p) for p in verdict.witnesses)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 def test_check_mni_shape_errors():
     five = Chart(("x", "y", "z", "w", "t"))
     dz = DiffForm.basis(five, "z")
@@ -387,7 +423,7 @@ def test_frame_coframe_span_agreement(rng):
         for _ in range(50):
             pt = rnd_point(rng, dist.chart)
             kernel = pointwise_kernel(dist.coframe, pt)
-            rows = [list(f.evaluate(pt)) for f in dist.frame]
+            rows = [list(evaluate_field(f, pt)) for f in dist.frame]
             rows += [list(v) for v in kernel]
             assert rank(rows) == dist.rank
 

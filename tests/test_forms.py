@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from nonholonomy import forms as forms_module
 from nonholonomy.algebra import Chart, Polynomial, poly_eval
 from nonholonomy.constructions import builtin_corpus
+from nonholonomy.distributions import sample_points
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
@@ -17,6 +19,7 @@ from nonholonomy.forms import (
     _poly_det,
     _probe_points,
     constant_minor_certificate,
+    dependent_points,
     evaluate_at_point,
     exterior_derivative,
     independent_at_point,
@@ -26,9 +29,13 @@ from nonholonomy.forms import (
     wedge_all,
     wedge_power,
 )
+from nonholonomy.linalg import det
+from nonholonomy.parser import parse_document
 
 from conftest import quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_point, rnd_poly
-from oracles import interior_product
+from oracles import evaluate_field, independent_by_fractions, interior_product
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _perm_sign(perm):
@@ -46,7 +53,7 @@ def _pair(form, fields, point):
 
     Independent of the wedge implementation, so it serves as an oracle.
     """
-    vectors = [f.evaluate(point) for f in fields]
+    vectors = [evaluate_field(f, point) for f in fields]
     total = Fraction(0)
     for key, coeff in form.terms.items():
         det = Fraction(0)
@@ -374,6 +381,46 @@ def test_independent_at_point_jet_four_forms():
     assert evaluate_at_point(four_forms[1], origin) == {(1, 2, 3, 5): 1}
 
 
+def _corpus_form_tuples():
+    """(name, forms) pairs: the coframes and MNI forms of the built-in
+    corpus and the test documents, quadratic and jet-like coframes, and the
+    paired-omission forms of amni5."""
+    rng = random.Random(6)
+    for bundle in builtin_corpus():
+        yield bundle.name, bundle.coframe
+        if bundle.k is not None:
+            omegas = bundle.omegas or [exterior_derivative(a) for a in bundle.coframe]
+            yield bundle.name, _mni_forms(bundle.coframe, omegas, bundle.k)
+    for path in sorted(DATA.glob("*.nh")):
+        if path.name == "badsyntax.nh":
+            continue
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        coframe = doc.one_forms()
+        if not coframe:
+            continue
+        yield path.name, coframe
+        yield path.name, [wedge_all(coframe + [exterior_derivative(a)]) for a in coframe]
+        if path.name == "amni5.nh":
+            omegas = [doc.binding(name).value for name in ("w1", "w2")]
+            yield path.name, _mni_forms(coframe, omegas, 1)
+    for n, k in ((4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 2)):
+        for coframe in (quadratic_coframe(n, k), _jetlike_coframe(n, k, rng)):
+            yield (n, k), coframe
+            yield (n, k), _mni_forms(coframe, [exterior_derivative(a) for a in coframe], k)
+
+
+def test_dependent_points_matches_fraction_oracle():
+    dependent = 0
+    for seed, (name, forms) in enumerate(_corpus_form_tuples()):
+        points = sample_points(forms[0].chart, seed, grid_cap=12, random_count=12)
+        expected = [p for p in points if not independent_by_fractions(forms, p)]
+        assert dependent_points(forms, points) == expected, name
+        for p in points[::6]:
+            assert independent_at_point(forms, p) == independent_by_fractions(forms, p), name
+        dependent += len(expected)
+    assert dependent > 100
+
+
 def test_constant_minor_certificate():
     chart = Chart(("x", "y", "z"))
     x = Polynomial.coordinate(chart, "x")
@@ -439,11 +486,44 @@ def _jetlike_coframe(n, k, rng):
     return coframe
 
 
+def _fraction_prefilter_survivors(grid, max_minors):
+    # the subsets the prefilter passed on before integer evaluation: exact
+    # Fraction minors at both probe points, nonzero and equal, in order up
+    # to the first constant symbolic minor, under the same cap
+    values0, values1 = ([[poly_eval(entry, point) for entry in row] for row in grid]
+                        for point in _probe_points(grid[0][0].chart.n))
+    survivors = []
+    for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
+        if tried > max_minors:
+            break
+        d0 = det([[row[c] for c in subset] for row in values0])
+        if not d0 or d0 != det([[row[c] for c in subset] for row in values1]):
+            continue
+        survivors.append(subset)
+        if _poly_det([[row[c] for c in subset] for row in grid]).is_constant():
+            break
+    return survivors
+
+
 def _assert_matches_reference(grid, caps=(20000,)):
+    poly_det = forms_module._poly_det
     for cap in caps:
+        expanded = []
+
+        def recorded(matrix):
+            if len(matrix) == len(grid):
+                expanded.append(matrix)
+            return poly_det(matrix)
+
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(forms_module, "MAX_MINORS", cap)
+            monkeypatch.setattr(forms_module, "_poly_det", recorded)
             assert _constant_minor(grid) == _reference_constant_minor(grid, cap)
+        if len(grid) <= len(grid[0]):
+            # the integer prefilter passes on exactly the subsets the
+            # Fraction one did, so the same subset comes back
+            survivors = _fraction_prefilter_survivors(grid, cap)
+            assert expanded == [[[row[c] for c in s] for row in grid] for s in survivors]
 
 
 def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
