@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Chart, Polynomial
-from .distributions import Distribution, sample_points
+from .distributions import Distribution, _check_coframe, sample_points
 from .errors import InputError
 from .forms import (
     DiffForm,
@@ -150,18 +150,12 @@ def build_prop_ori_omegas(coframe):
     omega_i = sum_j X*_{p_{2j-1}} ^ X*_{p_{2j}} with (p_1, ..., p_{2k}) the
     increasing arrangement of {1, ..., 2k+1} minus {i}.
     """
-    coframe = list(coframe)
+    coframe, chart = _check_coframe(coframe)
     q = len(coframe)
     if q < 3 or q % 2 == 0:
         raise InputError("expected an odd number 2k+1 >= 3 of 1-forms, got %d" % q)
-    chart = coframe[0].chart
-    for form in coframe:
-        if not isinstance(form, DiffForm) or form.degree != 1 or form.chart != chart:
-            raise InputError("expected 1-forms on a single chart")
-    if not constant_minor_certificate(coframe):
-        points = sample_points(chart, seed=0, grid_cap=50, random_count=20)
-        if dependent_points(coframe, points):
-            raise InputError("the 1-forms are dependent at a sample point")
+    if not constant_minor_certificate(coframe) and dependent_points(coframe, sample_points(chart)):
+        raise InputError("the 1-forms are dependent at a sample point")
     k = (q - 1) // 2
     omegas = []
     for i in range(1, q + 1):

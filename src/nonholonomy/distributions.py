@@ -2,9 +2,9 @@
 pointwise non-integrability checks.
 
 "Pointwise at every point" is realized as a deterministic grid plus seeded
-random rational points, together with a constant-minor certificate that,
-when it fires, upgrades the sampled verdict to one valid at every chart
-point. Exact sampling refutes; the certificate proves.
+random rational points, together with a constant-minor certificate, sought
+when no point refutes, that upgrades the sampled verdict to one valid at
+every chart point. Exact sampling refutes; the certificate proves.
 
 Points are evaluated in integers: the forms of a check, and each level of
 a derived flag's bracket fields, are compiled once into an
@@ -38,12 +38,13 @@ from .linalg import rank
 GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
 
 
-def sample_points(chart: Chart, seed: int = 0, grid_cap: int = 200, random_count: int = 100):
-    """Deterministic sample set: a truncated grid over {0, ±1, ±1/2} plus
-    seeded random rational points."""
-    points = [p for p in islice(product(GRID_VALUES, repeat=chart.n), grid_cap)]
+def sample_points(chart: Chart, seed: int = 0):
+    """Deterministic sample set, as a list of tuples: the first 200 points
+    of the grid over {0, ±1, ±1/2} in lexicographic order (all 5^n of them
+    when n <= 3), then 100 random rational points seeded by seed."""
+    points = list(islice(product(GRID_VALUES, repeat=chart.n), 200))
     rng = random.Random(seed)
-    for _ in range(random_count):
+    for _ in range(100):
         points.append(tuple(random_rational(rng) for _ in range(chart.n)))
     return points
 
@@ -74,7 +75,9 @@ class Verdict:
     """Outcome of a sampled pointwise check.
 
     value is decided by the samples. certificate=True marks a True that a
-    constant-minor certificate extends to every chart point.
+    constant-minor certificate extends to every chart point; the wedge
+    checks seek a certificate only when the samples hold no witness, so a
+    False value always comes with certificate=False.
     """
 
     value: bool
@@ -262,8 +265,7 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     distribution's rank is a presentation failure, not integrability
     information, and raises.
     """
-    if points is None:
-        points = sample_points(dist.chart, seed)
+    points = sample_points(dist.chart, seed) if points is None else [tuple(p) for p in points]
     n = dist.chart.n
     expected = (n,) if dist.rank == n else (dist.rank, n)
     witnesses = []
@@ -272,24 +274,27 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
         if ranks[0] < dist.rank:
             raise _rank_drop("frame", point)
         if ranks != expected:
-            witnesses.append(tuple(point))
+            witnesses.append(point)
     return Verdict(not witnesses, len(points), tuple(witnesses))
 
 
 def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     """Sample, guard the coframe rank, then test the forms
-    a_1^...^a_q^(omega_i)^k for pointwise independence."""
-    if points is None:
-        points = sample_points(coframe[0].chart, seed)
+    a_1^...^a_q^(omega_i)^k for pointwise independence.
+
+    The constant-minor certificate is sought only when no sample point is a
+    witness. At a witness the forms are dependent, so every maximal minor of
+    their coefficient matrix vanishes there and none is a nonzero constant:
+    a witness proves certificate=False, and the search could only agree.
+    """
+    points = sample_points(coframe[0].chart, seed) if points is None else [tuple(p) for p in points]
     dropped = dependent_points(coframe, points)
     if dropped:
         raise _rank_drop("coframe", dropped[0])
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
-    certificate = constant_minor_certificate(forms)
     witnesses = dependent_points(forms, points)
-    if certificate and witnesses:
-        raise ConsistencyError("constant-minor certificate contradicts a sampled dependence")
+    certificate = not witnesses and constant_minor_certificate(forms)
     return Verdict(not witnesses, len(points), tuple(witnesses), certificate)
 
 

@@ -382,15 +382,18 @@ def evaluate_at_point(a: DiffForm, point):
     return out
 
 
-def _columns(forms, what):
-    """The sorted index tuples used by any of these forms, which must share
-    one degree and one chart: the columns of their coefficient matrix."""
+def _grid(forms, what):
+    """The coefficient grid of these forms, which must share one degree and
+    one chart: a row per form, a column per index tuple any of them uses,
+    in sorted order."""
     chart = forms[0].chart
     degree = forms[0].degree
     for form in forms:
         if form.chart != chart or form.degree != degree:
             raise InputError("%s needs forms of one degree on one chart" % what)
-    return sorted(set().union(*(f.terms.keys() for f in forms)))
+    columns = sorted(set().union(*(f.terms.keys() for f in forms)))
+    zero = Polynomial.zero(chart)
+    return [[form.terms.get(c, zero) for c in columns] for form in forms]
 
 
 def dependent_points(forms, points):
@@ -405,12 +408,7 @@ def dependent_points(forms, points):
     points = [tuple(p) for p in points]
     if not forms:
         return []
-    columns = _columns(forms, "independence check")
-    if not columns:
-        return points
-    chart = forms[0].chart
-    zero = Polynomial.zero(chart)
-    grid = IntegerGrid(chart, ([form.terms.get(c, zero) for c in columns] for form in forms))
+    grid = IntegerGrid(forms[0].chart, _grid(forms, "independence check"))
     return [p for p in points if rank(grid(p)) < len(forms)]
 
 
@@ -483,21 +481,21 @@ def constant_minor_certificate(forms) -> bool:
     nonzero constant.
 
     Such a minor certifies pointwise independence at every point of the
-    chart, upgrading a sampled verdict to a proof. Column subsets are tried
-    in lexicographic order; the search gives up (returns False) after
-    MAX_MINORS subsets, so False means "no certificate found", not
-    "dependent". Most subsets are ruled out by their exact minors at two
-    fixed probe points: a nonzero constant minor takes one nonzero value at
-    both, so this prefilter never rules out a certificate, and only the
-    subsets it keeps are expanded symbolically (see _constant_minor).
+    chart, upgrading a sampled verdict to a proof. The sampled checks ask
+    for it only when sampling finds no witness: at a dependent point every
+    maximal minor vanishes, so a witness already rules out a certificate.
+    Column subsets are tried in lexicographic order; the search gives up
+    (returns False) after MAX_MINORS subsets, so False means "no
+    certificate found", not "dependent". Most subsets are ruled out by
+    their exact minors at two fixed probe points: a nonzero constant minor
+    takes one nonzero value at both, so this prefilter never rules out a
+    certificate, and only the subsets it keeps are expanded symbolically
+    (see _constant_minor).
     """
     forms = list(forms)
     if not forms:
         return True
-    columns = _columns(forms, "certificate")
-    zero = Polynomial.zero(forms[0].chart)
-    grid = [[form.terms.get(c, zero) for c in columns] for form in forms]
-    return _constant_minor(grid) is not None
+    return _constant_minor(_grid(forms, "certificate")) is not None
 
 
 def kernel_frame(grid):

@@ -129,8 +129,6 @@ class CExtraction:
     subspace: B^i_r = cbar[(i,r)] + sum_mu cmat[(i,r,mu)] * z^i_{1mu} for
     r >= 2, while b_first[i] = B^i_1 carries no symbol at all."""
 
-    n: int
-    k: int
     b_first: dict
     cbar: dict
     cmat: dict
@@ -182,7 +180,7 @@ def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
             value = pf(1, r, mu)
             cmat[(i, r, mu)] = -value if mu % 2 == 0 else value
             cmat[(i, mu, r)] = -value if r % 2 else value
-    return CExtraction(n, k, b_first, cbar, cmat)
+    return CExtraction(b_first, cbar, cmat)
 
 
 @dataclass(frozen=True)
@@ -190,10 +188,6 @@ class PrincipalSystem:
     """The linear system cutting Sigma out of one principal subspace: rows
     indexed by r = 2..n, columns by (form index i, symbol index mu)."""
 
-    n: int
-    k: int
-    c: tuple
-    extraction: CExtraction
     matrix: tuple
     rhs: tuple
 
@@ -228,7 +222,7 @@ def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction) -> Pri
                 row.append(ci * extraction.cmat[(i, r, mu)])
         matrix.append(tuple(row))
         rhs.append(-sum((c[i - 1] * extraction.cbar[(i, r)] for i in range(1, m + 1)), Fraction(0)))
-    return PrincipalSystem(n, fp.k, c, extraction, tuple(matrix), tuple(rhs))
+    return PrincipalSystem(tuple(matrix), tuple(rhs))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from nonholonomy.algebra import Chart, Polynomial
+from nonholonomy.distributions import sample_points
 from nonholonomy.forms import DiffForm, VectorField
 
 
@@ -44,6 +45,14 @@ def rnd_field(rng, chart):
 
 def rnd_point(rng, chart):
     return tuple(rnd_fraction(rng) for _ in range(chart.n))
+
+
+def sample_slice(chart, seed=0, *, grid, randoms):
+    """A smaller sample set for fast tests: the first `grid` grid points and
+    the first `randoms` random points of sample_points(chart, seed), which
+    ends in its 100 random points."""
+    points = sample_points(chart, seed)
+    return points[:-100][:grid] + points[-100:][:randoms]
 
 
 @pytest.fixture

@@ -5,6 +5,11 @@ directory, expected exit code). Regenerate the goldens with
 `python3 tests/make_goldens.py` after an intentional output change.
 """
 
+import contextlib
+
+import nonholonomy.cli as cli
+from nonholonomy.errors import ConsistencyError
+
 CASES = [
     ("flag_contact3.json",
      ["flag", "data/contact3.nh", "--point", "x=0,y=1/2,z=-1"], 0),
@@ -36,9 +41,25 @@ CASES = [
      ["check-mni", "data/contact3.nh", "--k", "1"], 2),
 ]
 
+# Run under forced_internal_error(), which makes the probe raise.
 INTERNAL_ERROR_CASE = (
     "internal_error.json",
     ["thinness", "--n", "5", "--k", "1", "--samples", "1"],
     3,
-    "forced failure for the golden test",
 )
+
+
+@contextlib.contextmanager
+def forced_internal_error():
+    """Replace the CLI's thinness probe by one that raises ConsistencyError,
+    so that INTERNAL_ERROR_CASE exits 3; the probe is restored on exit."""
+    original = cli.thinness_probe
+
+    def forced(*args, **kwargs):
+        raise ConsistencyError("forced failure for the golden test")
+
+    cli.thinness_probe = forced
+    try:
+        yield
+    finally:
+        cli.thinness_probe = original

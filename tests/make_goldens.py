@@ -13,10 +13,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
-from golden_cases import CASES, INTERNAL_ERROR_CASE
+from golden_cases import CASES, INTERNAL_ERROR_CASE, forced_internal_error
 
 import nonholonomy.cli
-from nonholonomy.errors import ConsistencyError
 
 
 def run_case(argv):
@@ -40,17 +39,9 @@ def main():
             handle.write(text)
         print("wrote %s (exit %d)" % (name, code))
 
-    name, argv, expected, message = INTERNAL_ERROR_CASE
-    original = nonholonomy.cli.thinness_probe
-
-    def forced(*args, **kwargs):
-        raise ConsistencyError(message)
-
-    nonholonomy.cli.thinness_probe = forced
-    try:
+    name, argv, expected = INTERNAL_ERROR_CASE
+    with forced_internal_error():
         code, text = run_case(argv)
-    finally:
-        nonholonomy.cli.thinness_probe = original
     if code != expected:
         raise SystemExit("%s: exit %d, expected %d" % (name, code, expected))
     with open(os.path.join(golden_dir, name), "w", encoding="utf-8") as handle:

@@ -33,9 +33,7 @@ from nonholonomy.distributions import (
     check_mni,
     derived_flag_at,
     has_derived_length_one,
-    sample_points,
 )
-from nonholonomy.errors import ConsistencyError
 from nonholonomy.forms import (
     DiffForm,
     exterior_derivative,
@@ -45,8 +43,8 @@ from nonholonomy.forms import (
 )
 from nonholonomy.singularity import FiberPoint, extract_c_coefficients, thinness_probe
 
-from conftest import rnd_chart, rnd_field, rnd_form, rnd_fraction
-from golden_cases import CASES, INTERNAL_ERROR_CASE
+from conftest import rnd_chart, rnd_field, rnd_form, rnd_fraction, sample_slice
+from golden_cases import CASES, INTERNAL_ERROR_CASE, forced_internal_error
 from oracles import (
     a_coefficients,
     b_coefficients,
@@ -161,7 +159,7 @@ def test_criterion_3_mni_criteria():
         dist = bundle.distribution
         if len(bundle.coframe) != dist.chart.n - 2 * bundle.k - 1:
             continue
-        pts = sample_points(dist.chart, seed=5, grid_cap=20, random_count=10)
+        pts = sample_slice(dist.chart, seed=5, grid=20, randoms=10)
         if check_mni(bundle.coframe, bundle.k, pts).value is True:
             implications += 1
             assert has_derived_length_one(dist, pts).value is True
@@ -175,7 +173,7 @@ def test_criterion_3_mni_criteria():
         if len(bundle.coframe) != dist.chart.n - 2 * bundle.k - 1:
             continue
         rank3 += 1
-        pts = sample_points(dist.chart, seed=11, grid_cap=20, random_count=10)
+        pts = sample_slice(dist.chart, seed=11, grid=20, randoms=10)
         assert check_mni(bundle.coframe, bundle.k, pts).value == \
             has_derived_length_one(dist, pts).value
     assert rank3 >= 2
@@ -297,17 +295,9 @@ def test_criterion_8_cli_goldens():
             assert out == handle.read(), name
         covered.add(code)
 
-    name, argv, expected_code, message = INTERNAL_ERROR_CASE
-
-    def forced(*args, **kwargs):
-        raise ConsistencyError(message)
-
-    original = cli.thinness_probe
-    cli.thinness_probe = forced
-    try:
+    name, argv, expected_code = INTERNAL_ERROR_CASE
+    with forced_internal_error():
         code, out = _run_cli(argv)
-    finally:
-        cli.thinness_probe = original
     assert code == expected_code
     with open(os.path.join(HERE, "golden", name), encoding="utf-8") as handle:
         assert out == handle.read()

@@ -8,9 +8,8 @@ import time
 import pytest
 
 import nonholonomy.cli as cli
-from nonholonomy.errors import ConsistencyError
 
-from golden_cases import CASES, INTERNAL_ERROR_CASE
+from golden_cases import CASES, INTERNAL_ERROR_CASE, forced_internal_error
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -36,14 +35,10 @@ def test_golden_reports(capsys, name, argv, expected_code):
     assert out == _golden_text(name)
 
 
-def test_golden_internal_error(capsys, monkeypatch):
-    name, argv, expected_code, message = INTERNAL_ERROR_CASE
-
-    def forced(*args, **kwargs):
-        raise ConsistencyError(message)
-
-    monkeypatch.setattr(cli, "thinness_probe", forced)
-    code, out = _run(capsys, argv)
+def test_golden_internal_error(capsys):
+    name, argv, expected_code = INTERNAL_ERROR_CASE
+    with forced_internal_error():
+        code, out = _run(capsys, argv)
     assert code == expected_code == 3
     assert out == _golden_text(name)
 

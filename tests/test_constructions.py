@@ -20,10 +20,11 @@ from nonholonomy.distributions import (
     check_mni,
     derived_flag_at,
     has_derived_length_one,
-    sample_points,
 )
 from nonholonomy.errors import InputError
 from nonholonomy.forms import DiffForm, wedge, wedge_all, wedge_power
+
+from conftest import sample_slice
 
 
 def test_contact_structure_printed_data():
@@ -188,7 +189,7 @@ def test_oriented_pairing_distribution_is_integrable():
 def test_jet4_fails_mni():
     bundle = jet_canonical(4)
     assert bundle.k == 2 and "check-mni" not in bundle.claims
-    pts = sample_points(bundle.distribution.chart, grid_cap=10, random_count=5)
+    pts = sample_slice(bundle.distribution.chart, grid=10, randoms=5)
     verdict = check_mni(bundle.coframe, 2, pts)
     assert verdict.value is False
     assert len(verdict.witnesses) == verdict.checked
@@ -213,7 +214,7 @@ def test_builtin_corpus_claims_hold():
     for bundle in corpus:
         dist = bundle.distribution
         origin = (0,) * dist.chart.n
-        pts = sample_points(dist.chart, seed=1, grid_cap=30, random_count=10)
+        pts = sample_slice(dist.chart, seed=1, grid=30, randoms=10)
         for claim in bundle.claims:
             if claim == "flag":
                 assert derived_flag_at(dist, origin).ranks == bundle.expected_flag

@@ -29,10 +29,12 @@ from nonholonomy.forms import (
     constant_minor_certificate,
     exterior_derivative,
     wedge,
+    wedge_all,
+    wedge_power,
 )
 from nonholonomy.linalg import rank
 
-from conftest import quadratic_coframe, rnd_point
+from conftest import quadratic_coframe, rnd_point, sample_slice
 from oracles import derived_flag_by_fractions, evaluate_field, pointwise_kernel
 
 
@@ -183,7 +185,7 @@ def test_derived_flag_matches_fraction_oracle(rng):
     unstabilized = 0
     for dist in dists:
         chart = dist.chart
-        points = sample_points(chart, seed=3, grid_cap=8, random_count=8)
+        points = sample_slice(chart, seed=3, grid=8, randoms=8)
         points += [(0,) * chart.n, (1,) + (0,) * (chart.n - 1), rnd_point(rng, chart)]
         for point in points:
             for cap in (None, 1, 2, 3):
@@ -236,7 +238,7 @@ def test_has_derived_length_one_builds_two_levels(monkeypatch):
         VectorField.basis(chart, "x2") + x1 * VectorField.basis(chart, "x3")
         + x3 * VectorField.basis(chart, "x4"),
     ]
-    points = sample_points(chart, seed=4, grid_cap=10, random_count=10)
+    points = sample_slice(chart, seed=4, grid=10, randoms=10)
     calls = []
 
     def counted(x, y):
@@ -255,7 +257,7 @@ def test_has_derived_length_one_builds_two_levels(monkeypatch):
 def test_flags_monotone_over_corpus():
     for bundle in builtin_corpus():
         dist = bundle.distribution
-        pts = sample_points(dist.chart, seed=3, grid_cap=10, random_count=5)
+        pts = sample_slice(dist.chart, seed=3, grid=10, randoms=5)
         for pt in pts:
             flag = derived_flag_at(dist, pt)
             assert all(a <= b for a, b in zip(flag.ranks, flag.ranks[1:]))
@@ -301,7 +303,7 @@ def test_check_dbasis_condition_examples():
         DiffForm.basis(five, "y%d" % i) - Polynomial.coordinate(five, "z%d" % i) * dx
         for i in (1, 2)
     ]
-    verdict = check_dbasis_condition(coframe, sample_points(five, grid_cap=5, random_count=5))
+    verdict = check_dbasis_condition(coframe, sample_slice(five, grid=5, randoms=5))
     assert verdict.value is True
     assert verdict.certificate
 
@@ -344,15 +346,19 @@ def test_check_mni_two_jet_like_constraints():
 
 
 def test_check_mni_quadratic_at_n9_and_n10():
-    # the full certificate search over 126 and 252 symbolic 4 x 4 and 5 x 5
-    # minors; the numeric prefilter rules every one of them out
+    # the witnesses settle certificate=False without a search; the full
+    # search over 126 and 252 symbolic 4 x 4 and 5 x 5 minors agrees, its
+    # numeric prefilter ruling every one of them out
     for n in (9, 10):
         coframe = quadratic_coframe(n, 2)
-        points = sample_points(coframe[0].chart, grid_cap=5, random_count=5)
+        points = sample_slice(coframe[0].chart, grid=5, randoms=5)
         verdict = check_mni(coframe, 2, points=points)
         assert verdict.checked == 10
         assert verdict.value is False
         assert verdict.certificate is False
+        base = wedge_all(coframe)
+        forms = [wedge(base, wedge_power(exterior_derivative(a), 2)) for a in coframe]
+        assert constant_minor_certificate(forms) is False
 
 
 def test_check_mni_quadratic_full_sampling_witnesses():
@@ -364,6 +370,27 @@ def test_check_mni_quadratic_full_sampling_witnesses():
         assert len(verdict.witnesses) == count
         text = ";".join(",".join(str(x) for x in p) for p in verdict.witnesses)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_sampled_checks_accept_an_iterator_of_points():
+    # each check reads its points more than once: the coframe guard, then
+    # the witnesses and the count
+    bundle = even_contact_structure(4)
+    coframe, chart = bundle.coframe, bundle.distribution.chart
+    points = [list(p) for p in sample_slice(chart, grid=10, randoms=10)]
+    zeros = [DiffForm.zero(chart, 2) for _ in coframe]
+    integrable = Distribution(chart, frame=[VectorField.basis(chart, j) for j in (1, 2, 3)])
+    checks = [
+        lambda pts: check_mni(coframe, 1, pts),
+        lambda pts: check_almost_mni(coframe, zeros, 1, pts),
+        lambda pts: check_dbasis_condition(coframe, pts),
+        lambda pts: has_derived_length_one(bundle.distribution, pts),
+        lambda pts: has_derived_length_one(integrable, pts),
+    ]
+    for check in checks:
+        verdict = check(points)
+        assert check(iter(points)) == verdict and verdict.checked == 20
+    assert [check(points).value for check in checks] == [True, False, True, True, False]
 
 
 def test_check_mni_shape_errors():
@@ -436,7 +463,7 @@ def test_mni_implies_dlo_and_almost_mni():
         m = dist.chart.n - 2 * bundle.k - 1
         if len(bundle.coframe) != m:
             continue
-        pts = sample_points(dist.chart, seed=5, grid_cap=20, random_count=10)
+        pts = sample_slice(dist.chart, seed=5, grid=20, randoms=10)
         mni = check_mni(bundle.coframe, bundle.k, pts)
         if mni.value is True:
             assert has_derived_length_one(dist, pts).value is True
@@ -454,7 +481,7 @@ def test_rank3_equivalence_over_corpus():
         if len(bundle.coframe) != m:
             continue
         seen += 1
-        pts = sample_points(dist.chart, seed=11, grid_cap=20, random_count=10)
+        pts = sample_slice(dist.chart, seed=11, grid=20, randoms=10)
         mni = check_mni(bundle.coframe, bundle.k, pts)
         dlo = has_derived_length_one(dist, pts)
         assert mni.value == dlo.value

@@ -9,13 +9,14 @@ import pytest
 
 from nonholonomy import forms as forms_module
 from nonholonomy.algebra import Chart, Polynomial, poly_eval
-from nonholonomy.constructions import builtin_corpus
-from nonholonomy.distributions import sample_points
+from nonholonomy.constructions import builtin_corpus, jet_canonical
+from nonholonomy.distributions import check_almost_mni, check_dbasis_condition, sample_points
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
     _constant_minor,
+    _grid,
     _poly_det,
     _probe_points,
     constant_minor_certificate,
@@ -32,7 +33,9 @@ from nonholonomy.forms import (
 from nonholonomy.linalg import det
 from nonholonomy.parser import parse_document
 
-from conftest import quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_point, rnd_poly
+from conftest import (
+    quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_point, rnd_poly, sample_slice,
+)
 from oracles import evaluate_field, independent_by_fractions, interior_product
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -412,7 +415,7 @@ def _corpus_form_tuples():
 def test_dependent_points_matches_fraction_oracle():
     dependent = 0
     for seed, (name, forms) in enumerate(_corpus_form_tuples()):
-        points = sample_points(forms[0].chart, seed, grid_cap=12, random_count=12)
+        points = sample_slice(forms[0].chart, seed, grid=12, randoms=12)
         expected = [p for p in points if not independent_by_fractions(forms, p)]
         assert dependent_points(forms, points) == expected, name
         for p in points[::6]:
@@ -443,6 +446,36 @@ def test_constant_minor_certificate():
         pass
 
 
+def test_dependent_mni_tuples_have_no_certificate():
+    # the sampled checks skip the certificate search once they find a
+    # witness, as a dependent point rules out a nonzero constant minor; the
+    # search agrees on the dependent MNI tuples, and every failing sampled
+    # verdict over the corpus and the test documents reports no certificate
+    dependent = [(quadratic_coframe(n, k), k)
+                 for n, k in ((4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 2))]
+    dependent += [(_document_coframe("integrable5.nh"), 1), (jet_canonical(4).coframe, 2)]
+    for coframe, k in dependent:
+        forms = _mni_forms(coframe, [exterior_derivative(a) for a in coframe], k)
+        assert dependent_points(forms, sample_points(coframe[0].chart))
+        assert constant_minor_certificate(forms) is False
+    inputs = [(b.coframe, b.omegas or [exterior_derivative(a) for a in b.coframe], b.k)
+              for b in builtin_corpus()]
+    for name in ("integrable5.nh", "jetlike5.nh"):
+        coframe = _document_coframe(name)
+        inputs.append((coframe, [exterior_derivative(a) for a in coframe], 1))
+    doc = parse_document((DATA / "amni5.nh").read_text(encoding="utf-8"))
+    inputs.append((doc.one_forms(), [doc.binding(w).value for w in ("w1", "w2")], 1))
+    failing = 0
+    for coframe, omegas, k in inputs:
+        verdicts = [check_dbasis_condition(coframe)]
+        if k is not None:
+            verdicts.append(check_almost_mni(coframe, omegas, k))
+        for verdict in verdicts:
+            failing += not verdict.value
+            assert verdict.value or verdict.certificate is False
+    assert failing == 6
+
+
 def _reference_constant_minor(grid, max_minors):
     # the search without the numeric prefilter: the symbolic determinant of
     # every subset, in lexicographic order, under the same cap
@@ -455,10 +488,8 @@ def _reference_constant_minor(grid, max_minors):
     return None
 
 
-def _grid(forms):
-    columns = sorted(set().union(*(f.terms.keys() for f in forms)))
-    zero = Polynomial.zero(forms[0].chart)
-    return [[f.terms.get(c, zero) for c in columns] for f in forms]
+def _document_coframe(name):
+    return parse_document((DATA / name).read_text(encoding="utf-8")).one_forms()
 
 
 def _mni_forms(coframe, omegas, k):
@@ -533,11 +564,11 @@ def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
         _assert_matches_reference(grid)
         if bundle.k is not None:
             omegas = bundle.omegas or [exterior_derivative(a) for a in bundle.coframe]
-            _assert_matches_reference(_grid(_mni_forms(bundle.coframe, omegas, bundle.k)))
+            _assert_matches_reference(_grid(_mni_forms(bundle.coframe, omegas, bundle.k), "test"))
     rng = random.Random(4)
     for n, k in ((4, 1), (5, 1), (6, 1), (6, 2)):
         for coframe in (quadratic_coframe(n, k), _jetlike_coframe(n, k, rng)):
-            grid = _grid(_mni_forms(coframe, [exterior_derivative(a) for a in coframe], k))
+            grid = _grid(_mni_forms(coframe, [exterior_derivative(a) for a in coframe], k), "test")
             expected = _reference_constant_minor(grid, 20000)
             found += expected is not None
             _assert_matches_reference(grid, caps=(20000, 1, 2, 3))

@@ -411,17 +411,44 @@ def test_probe_multipliers_touch_at_most_two_forms():
     assert supports == {(1, 2): 24}
 
 
+def test_skew_structure_and_probe_rank_2k():
+    # ROADMAP item 2's identities. S^i = C^i diag((-1)^(mu+1)) over
+    # r, mu = 2..n is skew; the sign-twisted alpha rows ((-1)^r a^t_r)
+    # annihilate every S^i on the left; so when c has two nonzero entries
+    # the probe's system has rank exactly 2k = n - 1 - m.
+    rng = random.Random(31)
+    shapes = [(n, k) for k in (1, 2) for n in range(2 * k + 2, 4 * k + 3)] + [(8, 3), (9, 3)]
+    forms = two_form_systems = 0
+    for n, k in shapes:
+        m = n - 2 * k - 1
+        principal = range(2, n + 1)
+        for _ in range(6):
+            fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
+            extraction = extract_c_coefficients(fp)
+            for i in range(1, m + 1):
+                S = {(r, mu): extraction.cmat[(i, r, mu)] * (-1) ** (mu + 1)
+                     for r in principal for mu in principal}
+                assert all(S[r, mu] == -S[mu, r] for r in principal for mu in principal)
+                for t in range(1, m + 1):
+                    for mu in principal:
+                        assert sum((-1) ** r * fp.a_entry(t, r) * S[r, mu] for r in principal) == 0
+                forms += 1
+            c = dependence_multipliers([(extraction.b_first[i],) for i in range(1, m + 1)])
+            if c is not None and sum(1 for x in c if x) == 2:
+                system = assemble_principal_matrix(fp, c, extraction)
+                assert rank(system.matrix) == 2 * k, (n, k)
+                two_form_systems += 1
+    assert forms == 144
+    assert two_form_systems == 6 * sum(1 for n, k in shapes if n - 2 * k - 1 >= 2)
+
+
 def test_principal_rank_basics():
     zero_fiber = FiberPoint(4, 1)
     system = assemble_principal_matrix(zero_fiber, (1,), extract_c_coefficients(zero_fiber))
     assert rank(system.matrix) == 0
     assert system.rhs == (0, 0, 0)
 
-    fake = PrincipalSystem(
-        n=4, k=1, c=(1,), extraction=None,
-        matrix=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        rhs=(0, 0, 0),
-    )
+    fake = PrincipalSystem(matrix=((1, 0, 0), (0, 1, 0), (0, 0, 1)), rhs=(0, 0, 0))
     assert rank(fake.matrix) == 3
 
 

@@ -38,6 +38,8 @@ REMOVED_PARAMETERS = [
     (singularity.FiberPoint.random, "seed"),
     (constructions.oriented_pairing, "coframe"),
     (constructions.verify_prop_ori_identity, "k"),
+    (distributions.sample_points, "grid_cap"),
+    (distributions.sample_points, "random_count"),
 ]
 
 
