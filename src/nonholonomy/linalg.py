@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-One fraction-free (Bareiss) elimination serves rank, det and kernel_basis:
-each clears the denominators of its rows itself, so intermediate entries
-stay integers and never lose exactness, and kernel_basis back-substitutes
-through the echelon rows it leaves. pfaffian runs its skew analogue.
-Everything here is deterministic: pivots are chosen first-come in row order.
+One fraction-free (Bareiss) elimination serves rank, det, kernel_basis and
+solve: each clears the denominators of its rows itself, so intermediate
+entries stay integers and never lose exactness. kernel_basis and solve
+share one back-substitution through the echelon rows it leaves, which
+divides exactly by each pivot. pfaffian runs the skew analogue of the
+elimination. Everything here is deterministic: pivots are chosen
+first-come in row order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 
 def _integer_rows(rows):
@@ -127,35 +129,69 @@ def det(rows) -> Fraction:
     return Fraction(pivot, scale) if len(pivots) == len(M) else Fraction(0)
 
 
+def _back_substitute(M, pivots, n_cols, free, scale):
+    """The vector v with A v = 0 that has scale in column free and 0 in the
+    other non-pivot columns, A being the n_cols-column rows that _bareiss
+    left in M.
+
+    Its pivot entries are solved bottom-up through the echelon rows, each
+    by one division by its pivot. The division is exact whenever the whole
+    vector is integral, which the caller ensures by its choice of scale;
+    a remainder raises ConsistencyError.
+    """
+    v = [0] * n_cols
+    v[free] = scale
+    known = [free]
+    for row, p in reversed(list(zip(M, pivots))):
+        value, remainder = divmod(-sum(row[j] * v[j] for j in known), row[p])
+        if remainder:
+            raise ConsistencyError("back-substitution scale leaves a fraction")
+        v[p] = value
+        known.append(p)
+    return v
+
+
 def kernel_basis(rows, n_cols: int):
     """Basis of {v : A v = 0} for the matrix with the given rows.
 
     An empty row list means the zero map, whose kernel is all of Q^n_cols.
     Basis vectors are tuples of Fractions, one per free column, in column
     order: the one for a free column has 1 there and 0 in the other free
-    columns, and its pivot entries are back-substituted bottom-up through
-    the echelon rows, in integers over one common denominator. The pivot
-    columns, and so the basis, depend only on the matrix, which makes the
-    result deterministic.
+    columns. Its pivot entries are back-substituted in integers with the
+    last pivot D in the free column, which makes them minors by Cramer's
+    rule, and then divided by D. The pivot columns, and so the basis,
+    depend only on the matrix, which makes the result deterministic.
     """
     M, _ = _integer_rows(rows)
     for row in M:
         if len(row) != n_cols:
             raise InputError("row of length %d does not match %d columns" % (len(row), n_cols))
-    pivots = _bareiss(M)[0] if M and n_cols else []
-    basis = []
-    for free in range(n_cols):
-        if free in pivots:
-            continue
-        v = [0] * n_cols
-        v[free] = denom = 1
-        for row, p in reversed(list(zip(M, pivots))):
-            total = sum(row[j] * v[j] for j in range(p + 1, n_cols))
-            v = [x * row[p] for x in v]
-            v[p] = -total
-            denom *= row[p]
-        basis.append(tuple(Fraction(x, denom) for x in v))
-    return basis
+    pivots, last = _bareiss(M) if M and n_cols else ([], 1)
+    return [
+        tuple(Fraction(x, last) for x in _back_substitute(M, pivots, n_cols, free, last))
+        for free in range(n_cols)
+        if free not in pivots
+    ]
+
+
+def solve(rows, columns, scale: int):
+    """The columns of scale * A^-1 * B, in integers.
+
+    rows is a nonsingular square integer matrix A and columns the integer
+    columns of B. One elimination of [A | B] serves every column. scale
+    must make scale * A^-1 * B integral; det(A) always does, and a skew
+    A's Pfaffian does for an integral B, as Pf(A) * A^-1 is the skew
+    matrix of signed Pfaffian minors of A. A singular A raises InputError.
+    """
+    size = len(rows)
+    if any(len(row) != size for row in rows) or any(len(col) != size for col in columns):
+        raise InputError("solve needs a square matrix and columns of its size")
+    M = [list(row) + [col[a] for col in columns] for a, row in enumerate(rows)]
+    pivots = _bareiss(M)[0] if M else []
+    if pivots != list(range(size)):
+        raise InputError("solve needs a nonsingular matrix")
+    n_cols = size + len(columns)
+    return [_back_substitute(M, pivots, n_cols, size + j, -scale)[:size] for j in range(len(columns))]
 
 
 def normalize_primitive(vec):

@@ -29,6 +29,8 @@ CASES = [
      ["thinness", "--n", "5", "--k", "1", "--samples", "25", "--seed", "7"], 0),
     ("thinness_12_3.json",
      ["thinness", "--n", "12", "--k", "3", "--samples", "2", "--seed", "7"], 0),
+    ("thinness_14_4.json",
+     ["thinness", "--n", "14", "--k", "4", "--samples", "2", "--seed", "7"], 0),
     ("example_jet2.json",
      ["example", "jet-canonical-2", "--check"], 0),
     ("example_prop_ori.json",

@@ -4,7 +4,9 @@ The jet-fiber formulas expand the dependence forms
 alpha_1 ^ ... ^ alpha_m ^ omega_i^k through the exterior algebra (wedge,
 wedge_power) and by arrangement sums, independently of the Pfaffian
 extraction in nonholonomy.singularity; the tests and the acceptance
-criteria check the fast path against them. interior_product is the
+criteria check the fast path against them. direct_extraction takes every
+Pfaffian minor of that extraction one by one, the path that the single
+skew solve per form replaced. interior_product is the
 contraction behind the Leibniz-rule axiom of criterion 1, and
 pointwise_kernel the exact pointwise kernel that symbolic frames are
 cross-checked against. evaluate_field, independent_by_fractions and
@@ -14,6 +16,7 @@ path that the compiled integer evaluation replaced.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from nonholonomy.algebra import Chart, Polynomial, poly_eval
 from nonholonomy.distributions import _check_coframe, _rank_drop
@@ -26,8 +29,8 @@ from nonholonomy.forms import (
     wedge_all,
     wedge_power,
 )
-from nonholonomy.linalg import kernel_basis, rank
-from nonholonomy.singularity import FiberPoint
+from nonholonomy.linalg import kernel_basis, pfaffian, rank
+from nonholonomy.singularity import CExtraction, FiberPoint
 
 
 def interior_product(field: VectorField, a: DiffForm) -> DiffForm:
@@ -203,6 +206,41 @@ def b_coefficients(fp: FiberPoint, i: int):
         key = tuple(j for j in range(1, fp.n + 1) if j != r)
         out.append(form.coefficient(key).constant_value())
     return out
+
+
+def direct_extraction(fp: FiberPoint) -> CExtraction:
+    """extract_c_coefficients(fp) with every Pfaffian minor of each form's
+    M = [[Z, A^T], [-A, 0]] (principal entries w = 0) taken directly, in
+    Fractions: b_first = s Pf(M without 1), C-bar_r = s Pf(M without r),
+    and for 2 <= r < mu, with P = Pf(M without 1, r, mu), C_r(mu) =
+    (-1)^(mu+1) s P and C_mu(r) = (-1)^r s P."""
+    n, k, m = fp.n, fp.k, fp.m
+    scale = (-1) ** (m * (m - 1) // 2) * factorial(k)
+    principal = range(2, n + 1)
+    b_first = {}
+    cbar = {}
+    cmat = {}
+    for i in range(1, m + 1):
+        M = [[Fraction(0)] * (n + m) for _ in range(n + m)]
+        for (f, j, l), value in fp.z.items():
+            if f == i and j != 1:
+                M[j - 1][l - 1], M[l - 1][j - 1] = value, -value
+        for (t, j), value in fp.a.items():
+            M[j - 1][n + t - 1], M[n + t - 1][j - 1] = value, -value
+
+        def pf(*omit):
+            keep = [c for c in range(n + m) if c + 1 not in omit]
+            return scale * pfaffian([[M[a][b] for b in keep] for a in keep])
+
+        b_first[i] = pf(1)
+        for r in principal:
+            cbar[(i, r)] = pf(r)
+            cmat[(i, r, r)] = Fraction(0)
+        for r, mu in combinations(principal, 2):
+            value = pf(1, r, mu)
+            cmat[(i, r, mu)] = -value if mu % 2 == 0 else value
+            cmat[(i, mu, r)] = -value if r % 2 else value
+    return CExtraction(b_first, cbar, cmat)
 
 
 def pseudo_symmetry_check(cmat):

@@ -4,9 +4,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from nonholonomy.errors import InputError
+from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.linalg import (
-    _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank,
+    _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank, solve,
 )
 
 from conftest import rnd_fraction
@@ -168,6 +168,57 @@ def test_pfaffian_matches_matching_expansion():
             assert pfaffian(sparse_skew(rng, size)) == 0
     # both the pivot swap and a vanishing Pfaffian are exercised
     assert swaps > 0 and zeros > 0
+
+
+def test_solve_scales_the_inverse():
+    # scale det(A) makes every solution integral: A x = det(A) b exactly
+    rng = random.Random(47)
+    solved = 0
+    for size in range(1, 7):
+        for _ in range(20):
+            A = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+            D = det(A)
+            if D == 0:
+                continue
+            columns = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(2)]
+            for x, b in zip(solve(A, columns, int(D)), columns):
+                assert all(type(v) is int for v in x)
+                assert [sum(p * q for p, q in zip(row, x)) for row in A] == [D * v for v in b]
+            solved += 1
+    assert solved > 80
+
+
+def test_solve_with_pfaffian_scale_gives_pfaffian_minors():
+    # for a skew A and 0-based a < b, (Pf(A) A^-1)_ab = (-1)^(a+b) Pf(A
+    # without a, b): the identity behind the thinness extraction
+    rng = random.Random(53)
+    checked = 0
+    for size in (2, 4, 6, 8):
+        for _ in range(15):
+            rows = sparse_skew(rng, size)
+            A, _ = _integer_rows([[x * 27720 for x in row] for row in rows])
+            pf = pfaffian(A)
+            if pf == 0:
+                continue
+            identity = [[int(a == b) for a in range(size)] for b in range(size)]
+            X = solve(A, identity, pf.numerator)
+            for a, b in combinations(range(size), 2):
+                keep = [c for c in range(size) if c not in (a, b)]
+                minor = pfaffian([[A[p][q] for q in keep] for p in keep])
+                assert X[b][a] == (-1) ** (a + b) * minor
+                assert X[a][b] == -X[b][a]
+            checked += 1
+    assert checked > 10
+
+
+def test_solve_rejects_bad_input():
+    with pytest.raises(InputError):
+        solve([[1, 2], [2, 4]], [[1, 0]], 1)
+    with pytest.raises(InputError):
+        solve([[1, 2], [3, 4]], [[1]], 1)
+    with pytest.raises(ConsistencyError):
+        solve([[2]], [[1]], 1)  # 1/2 is not an integer
+    assert solve([], [], 1) == []
 
 
 def test_integer_rows_scale():

@@ -28,6 +28,7 @@ from oracles import (
     alpha_form,
     b_coefficients,
     dependence_form,
+    direct_extraction,
     fiber_chart,
     omega_form,
     pseudo_symmetry_check,
@@ -223,16 +224,17 @@ def test_dependence_multipliers_examples():
         pass
 
 
-def _assert_reconstructs_b(fp, extraction, rng):
+def _assert_reconstructs_b(fp, extraction, rng, forms=None):
     # B^i_1 is the constant b_first and B^i_r the affine model, both at the
     # fiber's own principal entries and at freshly drawn ones
     n, k = fp.n, fp.k
+    forms = range(1, fp.m + 1) if forms is None else forms
     resampled = dict(fp.z)
     for i in range(1, fp.m + 1):
         for mu in range(2, n + 1):
             resampled[(i, 1, mu)] = rnd_fraction(rng)
     for probe in (fp, FiberPoint(n, k, a=fp.a, z=resampled)):
-        for i in range(1, fp.m + 1):
+        for i in forms:
             direct = b_coefficients(probe, i)
             assert direct[0] == extraction.b_first[i]
             for r in range(2, n + 1):
@@ -268,6 +270,95 @@ def test_extraction_with_singular_reduced_matrix():
         assert extraction.b_first[1] == 0
         assert any(extraction.cmat.values())
         _assert_reconstructs_b(fp, extraction, rng)
+
+
+ORACLE_SHAPES = ((4, 1), (5, 1), (6, 1), (7, 2), (8, 2), (9, 3), (10, 2), (11, 3), (14, 4))
+
+
+def test_extraction_matches_direct_minors():
+    # the one solve per form gives exactly the Pfaffian minors taken one by
+    # one; a support-first extraction agrees with it on its forms, with the
+    # same b_first for every form, whether b_first is computed or reused
+    rng = random.Random(61)
+    for n, k in ORACLE_SHAPES:
+        m = n - 2 * k - 1
+        for include_principal in (False, True, False):
+            fp = FiberPoint.random(n, k, rng=rng, include_principal=include_principal)
+            reference = direct_extraction(fp)
+            assert all(reference.b_first.values())  # the solve branch runs
+            assert extract_c_coefficients(fp) == reference
+            for forms in ((), (1,), (m,), tuple(range(1, min(m, 2) + 1))):
+                for b_first in (None, reference.b_first):
+                    part = extract_c_coefficients(fp, forms, b_first)
+                    assert part.b_first == reference.b_first
+                    assert {key[0] for key in (*part.cbar, *part.cmat)} == set(forms)
+                    assert all(part.cbar[key] == reference.cbar[key] for key in part.cbar)
+                    assert all(part.cmat[key] == reference.cmat[key] for key in part.cmat)
+                    assert len(part.cmat) == len(forms) * (n - 1) ** 2
+    try:
+        extract_c_coefficients(FiberPoint(5, 1), forms=(3,))
+        assert False
+    except InputError as err:
+        assert "1..2" in str(err)
+    # a reused b_first that no fiber entry scale can produce is refused
+    fp = FiberPoint.random(5, 1, rng=rng)
+    try:
+        extract_c_coefficients(fp, (1,), {1: Fraction(1, 7), 2: Fraction(1)})
+        assert False
+    except InputError as err:
+        assert "b_first" in str(err)
+
+
+def _singular_first_fiber(n, k, rng):
+    """A random probe fiber with b_first^1 = 0: Pf(M') is affine in the one
+    entry z^1_{23}, which is solved for exactly."""
+    while True:
+        fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
+        values = []
+        for t in (0, 1):
+            z = dict(fp.z)
+            z[(1, 2, 3)] = Fraction(t)
+            values.append(direct_extraction(FiberPoint(n, k, fp.a, z)).b_first[1])
+        slope = values[1] - values[0]
+        if slope:
+            z = dict(fp.z)
+            z[(1, 2, 3)] = -values[0] / slope
+            return FiberPoint(n, k, fp.a, z)
+
+
+def test_singular_first_coefficient_in_the_probe_path():
+    # random fibers never reach b_first = 0, where the extraction takes the
+    # direct minors instead of the solve; force it on form 1 and run the
+    # probe's steps: b_first, then c = e_1, then the support-first
+    # extraction and the system
+    rng = random.Random(67)
+    for n, k in ((7, 2), (8, 2)):
+        m = n - 2 * k - 1
+        for _ in range(3):
+            fp = _singular_first_fiber(n, k, rng)
+            b_first = extract_c_coefficients(fp, forms=()).b_first
+            assert b_first[1] == 0 and b_first[2] != 0
+            c = dependence_multipliers([(b_first[i],) for i in range(1, m + 1)])
+            assert c == (1,) + (0,) * (m - 1)
+            extraction = extract_c_coefficients(fp, [1], b_first)
+            system = assemble_principal_matrix(fp, c, extraction)
+            assert system == assemble_principal_matrix(fp, c, direct_extraction(fp))
+            assert rank(system.matrix) % 2 == 0 and any(system.matrix)
+            _assert_reconstructs_b(fp, extraction, rng, forms=[1])
+
+
+def test_assemble_reads_only_the_support():
+    # a form with c_i = 0 contributes exact zero columns, and its C entries
+    # are never looked up
+    rng = random.Random(71)
+    fp = FiberPoint.random(8, 2, rng=rng, include_principal=False)
+    b_first = extract_c_coefficients(fp, forms=()).b_first
+    c = dependence_multipliers([(b_first[i],) for i in range(1, 4)])
+    assert c[2] == 0
+    part = extract_c_coefficients(fp, [1, 2], b_first)
+    system = assemble_principal_matrix(fp, c, part)
+    assert system == assemble_principal_matrix(fp, c, extract_c_coefficients(fp))
+    assert all(x == 0 and isinstance(x, Fraction) for row in system.matrix for x in row[14:])
 
 
 def test_singularity_does_not_import_forms():
@@ -417,7 +508,7 @@ def test_skew_structure_and_probe_rank_2k():
     # annihilate every S^i on the left; so when c has two nonzero entries
     # the probe's system has rank exactly 2k = n - 1 - m.
     rng = random.Random(31)
-    shapes = [(n, k) for k in (1, 2) for n in range(2 * k + 2, 4 * k + 3)] + [(8, 3), (9, 3)]
+    shapes = [(n, k) for k in (1, 2, 3) for n in range(2 * k + 2, 4 * k + 3)]
     forms = two_form_systems = 0
     for n, k in shapes:
         m = n - 2 * k - 1
@@ -438,8 +529,8 @@ def test_skew_structure_and_probe_rank_2k():
                 system = assemble_principal_matrix(fp, c, extraction)
                 assert rank(system.matrix) == 2 * k, (n, k)
                 two_form_systems += 1
-    assert forms == 144
-    assert two_form_systems == 6 * sum(1 for n, k in shapes if n - 2 * k - 1 >= 2)
+    assert forms == 294
+    assert two_form_systems == 72
 
 
 def test_principal_rank_basics():
