@@ -10,6 +10,7 @@ flag adds wall-clock fields that are explicitly outside that guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -46,7 +47,11 @@ def _default_seed() -> int:
         raise InputError("NONHOLONOMY_SEED must be an integer, got %r" % raw) from None
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused: parsing
+    leaves it unchanged, so calls of main in one process share it, while a
+    one-shot run builds it once as before."""
     top = argparse.ArgumentParser(
         prog="nonholonomy",
         description="Derived flags, non-integrability checks, and the jet-fiber rank probe.",

@@ -33,7 +33,7 @@ from .forms import (
     wedge_all,
     wedge_power,
 )
-from .linalg import rank
+from .linalg import Echelon
 
 GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
 
@@ -190,10 +190,11 @@ def frame_from_coframe(coframe):
 
 class _SpanningSets:
     """Bracket-generated spanning families, built lazily and shared across
-    sample points. Level 0 is the frame and level l adds the nonzero brackets
-    of the frame with the fields level l-1 added; levels 0..l span the
-    (l+1)-st derived space. The fields each level adds are compiled into one
-    IntegerGrid when the level is built."""
+    sample points. Level 0 is the frame, level 1 the nonzero brackets
+    [f_i, f_j] of frame fields with i < j, and level l > 1 adds the nonzero
+    brackets of the frame with the fields level l-1 added; levels 0..l span
+    the (l+1)-st derived space. The fields each level adds are compiled into
+    one IntegerGrid when the level is built."""
 
     def __init__(self, frame):
         self.frame = list(frame)
@@ -206,12 +207,11 @@ class _SpanningSets:
     def level(self, l: int) -> IntegerGrid:
         """The compiled components of the fields level l adds."""
         while len(self.grids) <= l:
-            new = []
-            for g in self.frame:
-                for f in self._frontier:
-                    b = lie_bracket(g, f)
-                    if not b.is_zero():
-                        new.append(b)
+            if len(self.grids) == 1:  # [f_j, f_i] = -[f_i, f_j] and [f_i, f_i] = 0
+                pairs = [(g, f) for i, g in enumerate(self.frame) for f in self.frame[i + 1:]]
+            else:
+                pairs = [(g, f) for g in self.frame for f in self._frontier]
+            new = [b for g, f in pairs if not (b := lie_bracket(g, f)).is_zero()]
             self.grids.append(self._compile(new))
             self._frontier = new
         return self.grids[l]
@@ -219,8 +219,10 @@ class _SpanningSets:
 
 def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     """Pointwise derived flag: ranks of the iterated-bracket spans at the
-    point, extended level by level with the integer rows of each level's
-    IntegerGrid.
+    point. One linalg.Echelon is extended level by level with the integer
+    rows of each level's IntegerGrid, and takes no more rows once the rank
+    is n, so no row is eliminated twice. As the echelon only grows, the
+    ranks never decrease.
 
     Stops when the rank hits n, repeats, or the depth cap is reached, so at
     most n levels are built. "Stabilized" means every deeper level has the
@@ -240,18 +242,19 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
         raise InputError("depth cap must be at least 1")
     spans = dist._spanning_sets()
     n = dist.chart.n
-    rows = []
+    echelon = Echelon(n)
     ranks = []
     while True:
         added = spans.level(len(ranks))(point)
-        rows.extend(added)
-        r = rank(rows)
+        for row in added:
+            if len(echelon.pivots) == n:
+                break
+            echelon.add(row)
+        r = len(echelon.pivots)
         ranks.append(r)
-        if len(ranks) > 1 and ranks[-1] < ranks[-2]:
-            raise ConsistencyError("derived flag decreased")
         if r == n:
             return DerivedFlag(point, tuple(ranks), True)
-        if len(ranks) > 1 and ranks[-1] == ranks[-2]:
+        if len(ranks) > 1 and r == ranks[-2]:
             return DerivedFlag(point, tuple(ranks), not added)
         if len(ranks) >= depth_cap:
             return DerivedFlag(point, tuple(ranks), False)

@@ -1,12 +1,19 @@
 """Exact linear algebra over the rationals.
 
-One fraction-free (Bareiss) elimination serves rank, det, kernel_basis and
-solve: each clears the denominators of its rows itself, so intermediate
-entries stay integers and never lose exactness. kernel_basis and solve
-share one back-substitution through the echelon rows it leaves, which
-divides exactly by each pivot. pfaffian runs the skew analogue of the
-elimination. Everything here is deterministic: pivots are chosen
-first-come in row order.
+One fraction-free (Bareiss) reduction, Echelon, serves rank, det,
+kernel_basis and solve. It takes integer rows one at a time, each reduced
+against the rows held so far, so a caller whose rows come in batches, as
+the derived flag's levels do, extends one elimination instead of starting
+again. Each function clears the denominators of its rows itself, so
+intermediate entries stay integers and never lose exactness. kernel_basis
+and solve share one back-substitution through the held rows, which divides
+exactly by each pivot. pfaffian runs the skew analogue of the elimination.
+
+Everything here is deterministic, and the pivot columns do not depend on
+the order of the rows: a held row is zero before its pivot, its first
+nonzero column, so sorted by pivot the held rows form an echelon form of
+the rows given, and every echelon form of a matrix has the same pivot
+columns, the lexicographically first column basis.
 """
 
 from __future__ import annotations
@@ -38,36 +45,82 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _bareiss(M):
-    """Fraction-free elimination of integer rows, in place, to echelon form.
+class Echelon:
+    """Integer rows of n_cols columns in fraction-free echelon form, grown
+    one row at a time.
 
-    Returns (pivot columns, last pivot times the sign of the row swaps).
-    Each pivot is a minor of the original rows, so for a square matrix of
-    full rank the signed last pivot is its determinant.
+    add reduces a new row against the held rows in the order they were
+    added, row <- (row * p_k - row[c_k] * held_k) / p_(k-1), with c_k the
+    pivot column of held row k, p_k its entry there and p_(-1) = 1, and
+    holds it if anything is left. This is Bareiss's step on one row: every
+    entry left is the minor of the held rows' originals and this row on the
+    columns c_0, ..., c_(k-1) and its own, so by Sylvester's identity each
+    division is exact. Each step clears column c_k of the row, and a held
+    row is zero at the pivots of the rows held before it, so a held row is
+    stored without those columns and without its own pivot entry.
+
+    pivots lists the held rows' pivot columns in the order they were added;
+    its length is the rank of the rows added.
     """
-    n_rows, n_cols = len(M), len(M[0])
-    pivots = []
-    prev = 1
-    sign = 1
-    for c in range(n_cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, n_rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            sign = -sign
-        for i in range(r + 1, n_rows):
-            row_i, row_r = M[i], M[r]
-            head = row_i[c]
-            for j in range(c + 1, n_cols):
-                row_i[j] = (row_i[j] * row_r[c] - head * row_r[j]) // prev
-            row_i[c] = 0
-        prev = M[r][c]
-        pivots.append(c)
-        if len(pivots) == n_rows:
-            break
-    return pivots, sign * prev
+
+    __slots__ = ("pivots", "_rows", "_local", "_heads", "_free")
+
+    def __init__(self, n_cols: int):
+        self.pivots = []
+        self._rows = []  # held row k on the columns not in pivots[:k + 1]
+        self._local = []  # the index of pivots[k] among the columns not in pivots[:k]
+        self._heads = []  # held row k's pivot entry p_k
+        self._free = list(range(n_cols))  # the columns not in pivots
+
+    def add(self, row) -> bool:
+        """Reduce an integer row and hold what is left, its pivot being its
+        first nonzero column; returns False, holding nothing, when the row
+        lies in the span of the held rows."""
+        row = list(row)
+        prev = 1
+        for held, l, p in zip(self._rows, self._local, self._heads):
+            head = row.pop(l)
+            if head:
+                row = [(x * p - head * y) // prev for x, y in zip(row, held)]
+            else:
+                row = [x * p // prev for x in row]
+            prev = p
+        for l, x in enumerate(row):
+            if x:
+                del row[l]
+                self._rows.append(row)
+                self._local.append(l)
+                self._heads.append(x)
+                self.pivots.append(self._free.pop(l))
+                return True
+        return False
+
+    def last_pivot(self) -> int:
+        """The minor of the held rows' originals on the pivot columns, taken
+        in the order pivots lists them; 1 when nothing is held."""
+        return self._heads[-1] if self._heads else 1
+
+    def kernel_vector(self, free: int, scale: int):
+        """The vector v with A v = 0 that has scale in the non-pivot column
+        free and 0 in the others, A being the rows added.
+
+        Its pivot entries are solved through the held rows in reverse order
+        of addition, each by one division by its pivot: off c_k, held row k
+        lives on the free columns and the pivots of the rows held after it,
+        where v is known by then. The division is exact whenever the whole
+        vector is integral, which the caller ensures by its choice of scale;
+        a remainder raises ConsistencyError.
+        """
+        v = [0] * (len(self._free) + len(self.pivots))
+        v[free] = scale
+        columns = list(self._free)
+        for held, l, p, c in zip(*map(reversed, (self._rows, self._local, self._heads, self.pivots))):
+            value, remainder = divmod(-sum(x * v[j] for x, j in zip(held, columns)), p)
+            if remainder:
+                raise ConsistencyError("back-substitution scale leaves a fraction")
+            v[c] = value
+            columns.insert(l, c)
+        return v
 
 
 def pfaffian(rows) -> Fraction:
@@ -75,7 +128,7 @@ def pfaffian(rows) -> Fraction:
 
     One denominator L is cleared over the whole matrix, as clearing row by
     row would break skew symmetry; this scales the Pfaffian by L^(size/2).
-    Then, as in _bareiss but on 2x2 pivot blocks, each trailing entry is
+    Then, as in Echelon but on 2x2 pivot blocks, each trailing entry is
     the Pfaffian of a bordered minor, so the division by the previous pivot
     is exact. Odd sizes give 0.
     """
@@ -113,42 +166,34 @@ def rank(rows) -> int:
     M, _ = _integer_rows(rows)
     if not M or not M[0]:
         return 0
-    if any(len(row) != len(M[0]) for row in M):
+    n_cols = len(M[0])
+    if any(len(row) != n_cols for row in M):
         raise InputError("rows have unequal lengths")
-    return len(_bareiss(M)[0])
+    echelon = Echelon(n_cols)
+    for row in M:
+        echelon.add(row)
+        if len(echelon.pivots) == n_cols:
+            break
+    return len(echelon.pivots)
 
 
 def det(rows) -> Fraction:
-    """Determinant of a square matrix given as an iterable of rows."""
+    """Determinant of a square matrix given as an iterable of rows.
+
+    With every row held, the last pivot is the determinant of the columns
+    taken in pivot order, so it is signed by that order's parity.
+    """
     M, scale = _integer_rows(rows)
     if any(len(row) != len(M) for row in M):
         raise InputError("determinant needs a square matrix")
-    if not M:
-        return Fraction(1)
-    pivots, pivot = _bareiss(M)
-    return Fraction(pivot, scale) if len(pivots) == len(M) else Fraction(0)
-
-
-def _back_substitute(M, pivots, n_cols, free, scale):
-    """The vector v with A v = 0 that has scale in column free and 0 in the
-    other non-pivot columns, A being the n_cols-column rows that _bareiss
-    left in M.
-
-    Its pivot entries are solved bottom-up through the echelon rows, each
-    by one division by its pivot. The division is exact whenever the whole
-    vector is integral, which the caller ensures by its choice of scale;
-    a remainder raises ConsistencyError.
-    """
-    v = [0] * n_cols
-    v[free] = scale
-    known = [free]
-    for row, p in reversed(list(zip(M, pivots))):
-        value, remainder = divmod(-sum(row[j] * v[j] for j in known), row[p])
-        if remainder:
-            raise ConsistencyError("back-substitution scale leaves a fraction")
-        v[p] = value
-        known.append(p)
-    return v
+    echelon = Echelon(len(M))
+    for row in M:
+        if not echelon.add(row):
+            return Fraction(0)
+    pivots = echelon.pivots
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    last = echelon.last_pivot()
+    return Fraction(-last if inversions % 2 else last, scale)
 
 
 def kernel_basis(rows, n_cols: int):
@@ -159,18 +204,21 @@ def kernel_basis(rows, n_cols: int):
     order: the one for a free column has 1 there and 0 in the other free
     columns. Its pivot entries are back-substituted in integers with the
     last pivot D in the free column, which makes them minors by Cramer's
-    rule, and then divided by D. The pivot columns, and so the basis,
-    depend only on the matrix, which makes the result deterministic.
+    rule, and then divided by D. The pivot columns are the first column
+    basis in lexicographic order, whatever order the rows come in, so the
+    basis depends only on the matrix.
     """
     M, _ = _integer_rows(rows)
+    echelon = Echelon(n_cols)
     for row in M:
         if len(row) != n_cols:
             raise InputError("row of length %d does not match %d columns" % (len(row), n_cols))
-    pivots, last = _bareiss(M) if M and n_cols else ([], 1)
+        echelon.add(row)
+    last = echelon.last_pivot()
     return [
-        tuple(Fraction(x, last) for x in _back_substitute(M, pivots, n_cols, free, last))
+        tuple(Fraction(x, last) for x in echelon.kernel_vector(free, last))
         for free in range(n_cols)
-        if free not in pivots
+        if free not in echelon.pivots
     ]
 
 
@@ -178,20 +226,22 @@ def solve(rows, columns, scale: int):
     """The columns of scale * A^-1 * B, in integers.
 
     rows is a nonsingular square integer matrix A and columns the integer
-    columns of B. One elimination of [A | B] serves every column. scale
-    must make scale * A^-1 * B integral; det(A) always does, and a skew
-    A's Pfaffian does for an integral B, as Pf(A) * A^-1 is the skew
-    matrix of signed Pfaffian minors of A. A singular A raises InputError.
+    columns of B. One elimination of [A | B] serves every column: A is
+    nonsingular exactly when the pivots of [A | B] are A's columns in some
+    order. scale must make scale * A^-1 * B integral; det(A) always does,
+    and a skew A's Pfaffian does for an integral B, as Pf(A) * A^-1 is the
+    skew matrix of signed Pfaffian minors of A. A singular A raises
+    InputError.
     """
     size = len(rows)
     if any(len(row) != size for row in rows) or any(len(col) != size for col in columns):
         raise InputError("solve needs a square matrix and columns of its size")
-    M = [list(row) + [col[a] for col in columns] for a, row in enumerate(rows)]
-    pivots = _bareiss(M)[0] if M else []
-    if pivots != list(range(size)):
+    echelon = Echelon(size + len(columns))
+    for a, row in enumerate(rows):
+        echelon.add(list(row) + [col[a] for col in columns])
+    if sorted(echelon.pivots) != list(range(size)):
         raise InputError("solve needs a nonsingular matrix")
-    n_cols = size + len(columns)
-    return [_back_substitute(M, pivots, n_cols, size + j, -scale)[:size] for j in range(len(columns))]
+    return [echelon.kernel_vector(size + j, -scale)[:size] for j in range(len(columns))]
 
 
 def normalize_primitive(vec):

@@ -11,7 +11,10 @@ contraction behind the Leibniz-rule axiom of criterion 1, and
 pointwise_kernel the exact pointwise kernel that symbolic frames are
 cross-checked against. evaluate_field, independent_by_fractions and
 derived_flag_by_fractions evaluate one point at a time in Fractions, the
-path that the compiled integer evaluation replaced.
+path that the compiled integer evaluation replaced. column_scan_bareiss is
+the whole-matrix elimination that linalg.Echelon's row-at-a-time reduction
+replaced, with the rank, det, kernel_basis and solve built on it; the
+derived-flag oracle ranks with it.
 """
 
 from fractions import Fraction
@@ -29,7 +32,7 @@ from nonholonomy.forms import (
     wedge_all,
     wedge_power,
 )
-from nonholonomy.linalg import kernel_basis, pfaffian, rank
+from nonholonomy.linalg import _integer_rows, kernel_basis, pfaffian, rank
 from nonholonomy.singularity import CExtraction, FiberPoint
 
 
@@ -81,6 +84,85 @@ def pointwise_kernel(coframe, point):
     return kernel_basis(rows, chart.n)
 
 
+def column_scan_bareiss(M):
+    """Fraction-free elimination of integer rows, in place, to echelon form,
+    one pivot column at a time with row swaps.
+
+    Returns (pivot columns, last pivot times the sign of the row swaps).
+    Each pivot is a minor of the original rows, so for a square matrix of
+    full rank the signed last pivot is its determinant.
+    """
+    n_rows, n_cols = len(M), len(M[0])
+    pivots = []
+    prev = 1
+    sign = 1
+    for c in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, n_rows) if M[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        for i in range(r + 1, n_rows):
+            row_i, row_r = M[i], M[r]
+            head = row_i[c]
+            for j in range(c + 1, n_cols):
+                row_i[j] = (row_i[j] * row_r[c] - head * row_r[j]) // prev
+            row_i[c] = 0
+        prev = M[r][c]
+        pivots.append(c)
+        if len(pivots) == n_rows:
+            break
+    return pivots, sign * prev
+
+
+def column_scan_rank(rows) -> int:
+    M, _ = _integer_rows(rows)
+    return len(column_scan_bareiss(M)[0]) if M and M[0] else 0
+
+
+def column_scan_det(rows) -> Fraction:
+    M, scale = _integer_rows(rows)
+    if not M:
+        return Fraction(1)
+    pivots, pivot = column_scan_bareiss(M)
+    return Fraction(pivot, scale) if len(pivots) == len(M) else Fraction(0)
+
+
+def _column_scan_back_substitute(M, pivots, n_cols, free, scale):
+    # bottom-up through the echelon rows; the caller's scale makes it exact
+    v = [0] * n_cols
+    v[free] = scale
+    for row, p in reversed(list(zip(M, pivots))):
+        value, remainder = divmod(-sum(row[j] * v[j] for j in range(p + 1, n_cols)), row[p])
+        assert not remainder
+        v[p] = value
+    return v
+
+
+def column_scan_kernel_basis(rows, n_cols: int):
+    M, _ = _integer_rows(rows)
+    pivots, last = column_scan_bareiss(M) if M and n_cols else ([], 1)
+    return [
+        tuple(Fraction(x, last) for x in _column_scan_back_substitute(M, pivots, n_cols, free, last))
+        for free in range(n_cols)
+        if free not in pivots
+    ]
+
+
+def column_scan_solve(rows, columns, scale: int):
+    """The columns of scale * A^-1 * B, or None for a singular A."""
+    size = len(rows)
+    M = [list(row) + [col[a] for col in columns] for a, row in enumerate(rows)]
+    pivots = column_scan_bareiss(M)[0] if M else []
+    if pivots != list(range(size)):
+        return None
+    n_cols = size + len(columns)
+    return [_column_scan_back_substitute(M, pivots, n_cols, size + j, -scale)[:size]
+            for j in range(len(columns))]
+
+
 def evaluate_field(field: VectorField, point):
     """The components of a field at a point, as Fractions."""
     return tuple(poly_eval(c, point) for c in field.components)
@@ -104,16 +186,17 @@ def independent_by_fractions(forms, point) -> bool:
 
 def derived_flag_by_fractions(dist, point, depth_cap=None):
     """(ranks, stabilized) of the derived flag at a point, with the rule of
-    derived_flag_at: each level's new brackets are evaluated in Fractions
-    and the rows ranked, until the rank is n, repeats (stabilized only if
-    the level added no bracket) or the cap is reached."""
+    derived_flag_at: each level's new brackets, over ordered pairs, are
+    evaluated in Fractions and all rows ranked by the column scan, until the
+    rank is n, repeats (stabilized only if the level added no bracket) or
+    the cap is reached."""
     n = dist.chart.n
     depth_cap = n if depth_cap is None else depth_cap
     frame = list(dist.spanning_frame())
     added, rows, ranks = frame, [], []
     while True:
         rows += [evaluate_field(f, point) for f in added]
-        ranks.append(rank(rows))
+        ranks.append(column_scan_rank(rows))
         if ranks[-1] == n:
             return tuple(ranks), True
         if len(ranks) > 1 and ranks[-1] == ranks[-2]:

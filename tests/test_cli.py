@@ -54,6 +54,20 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
+def test_parser_is_built_once_per_process(capsys):
+    # two subcommands through one parser report what fresh parsers report
+    runs = (["check-dlo", "data/contact3.nh"], ["thinness", "--n", "5", "--k", "1", "--samples", "2"])
+    cli._build_argparser.cache_clear()
+    shared = [_run(capsys, argv) for argv in runs]
+    assert cli._build_argparser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli._build_argparser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0]
+
+
 def test_timings_flag_adds_fields_without_breaking_schema(capsys):
     code, out = _run(capsys, ["check-dlo", "data/contact3.nh", "--timings"])
     assert code == 0

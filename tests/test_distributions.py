@@ -6,6 +6,7 @@ from fractions import Fraction
 from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.constructions import (
     builtin_corpus,
+    contact_structure,
     even_contact_structure,
     jet_canonical,
     single_constraint_r5,
@@ -181,6 +182,9 @@ def _unstabilized_repros():
 
 
 def test_derived_flag_matches_fraction_oracle(rng):
+    # the oracle brackets ordered pairs and ranks by the column-scan
+    # elimination; derived_flag_at brackets unordered pairs at level 1 and
+    # grows one echelon across levels
     dists = [bundle.distribution for bundle in builtin_corpus()] + _unstabilized_repros()
     unstabilized = 0
     for dist in dists:
@@ -193,6 +197,13 @@ def test_derived_flag_matches_fraction_oracle(rng):
                 assert (flag.ranks, flag.stabilized) == derived_flag_by_fractions(dist, point, cap)
                 unstabilized += not flag.stabilized
     assert unstabilized > 0
+    for dist in (contact_structure(4).distribution, jet_canonical(5).distribution):
+        chart = dist.chart
+        points = sample_slice(chart, seed=5, grid=3, randoms=3) + [rnd_point(rng, chart)]
+        for point in points:
+            for cap in (None, 1, 2):
+                flag = derived_flag_at(dist, point, cap)
+                assert (flag.ranks, flag.stabilized) == derived_flag_by_fractions(dist, point, cap)
 
 
 def test_derived_flag_jet_rank3():
@@ -229,7 +240,7 @@ def test_derived_flag_depth_cap():
 
 def test_has_derived_length_one_builds_two_levels(monkeypatch):
     # the [2, 3, 4] frame of test_derived_flag_depth_cap: the verdict needs
-    # the 4 brackets of level 1, not the 4 more that level 2 would add
+    # level 1, the one bracket [f_1, f_2], not the brackets level 2 would add
     chart = Chart(("x1", "x2", "x3", "x4"))
     x1 = Polynomial.coordinate(chart, "x1")
     x3 = Polynomial.coordinate(chart, "x3")
@@ -247,11 +258,16 @@ def test_has_derived_length_one_builds_two_levels(monkeypatch):
 
     monkeypatch.setattr(distributions, "lie_bracket", counted)
     verdict = has_derived_length_one(Distribution(chart, frame=frame), points)
-    assert len(calls) == 4
+    assert len(calls) == 1
     full = Distribution(chart, frame=frame)
     expected = tuple(tuple(p) for p in points if derived_flag_at(full, p).ranks != (2, 4))
     assert verdict.value is False
     assert verdict.witnesses == expected and len(expected) == len(points)
+    # level 1 brackets each unordered pair of frame fields once
+    for bundle in builtin_corpus():
+        dist = bundle.distribution
+        r = len(dist.spanning_frame())
+        assert len(dist._spanning_sets().level(1)((0,) * dist.chart.n)) <= r * (r - 1) // 2
 
 
 def test_flags_monotone_over_corpus():

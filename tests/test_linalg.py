@@ -6,10 +6,17 @@ import pytest
 
 from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.linalg import (
-    _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank, solve,
+    Echelon, _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank, solve,
 )
 
 from conftest import rnd_fraction
+from oracles import (
+    column_scan_bareiss,
+    column_scan_det,
+    column_scan_kernel_basis,
+    column_scan_rank,
+    column_scan_solve,
+)
 
 
 def naive_rank(rows):
@@ -300,6 +307,93 @@ def test_kernel_basis_matches_reduced_echelon_reference():
         deficient += len(basis) > max(n_cols - n_rows, 0)
         empty += not rows
     assert deficient > 0 and empty > 0
+
+
+def _oracle_matrix(rng, kind):
+    """A seeded matrix of the given kind, as Fraction rows."""
+    def entry():
+        return Fraction(0) if rng.random() < 0.3 else rnd_fraction(rng)
+
+    n_cols = rng.randint(1, 6)
+    if kind == "square":
+        n_rows = n_cols
+    elif kind == "tall":
+        n_rows = n_cols + rng.randint(1, 3)
+    else:
+        n_rows = rng.randint(0, 6)
+    rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    if kind == "zero rows" and rows:
+        for i in rng.sample(range(n_rows), rng.randint(1, n_rows)):
+            rows[i] = [Fraction(0)] * n_cols
+    elif kind == "deficient" and n_rows >= 2:
+        # the last row is a combination of two earlier ones
+        a, b = rnd_fraction(rng), rnd_fraction(rng)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[rng.randrange(n_rows - 1)])]
+    elif kind == "out of order":
+        # the rows start at distinct columns in random order, so the pivots
+        # come out of column order and det's sign depends on it
+        starts = rng.sample(range(n_cols), min(n_rows, n_cols))
+        starts += [0] * (n_rows - len(starts))
+        rows = [[Fraction(0)] * c + [rnd_fraction(rng) or Fraction(1)]
+                + [entry() for _ in range(n_cols - c - 1)] for c in starts]
+    return rows
+
+
+def test_elimination_matches_column_scan_oracle():
+    # the row-at-a-time reduction against the whole-matrix column scan it
+    # replaced: equal ranks, determinants, kernel bases and solutions, and
+    # the same pivot columns whatever order the rows come in
+    rng = random.Random(61)
+    kinds = ("zero rows", "deficient", "tall", "square", "out of order", "integer")
+    seen = dict.fromkeys(("deficient", "unordered pivots", "negative sign", "singular solve"), 0)
+    for trial in range(3000):
+        kind = kinds[trial % len(kinds)]
+        rows = _oracle_matrix(rng, kind)
+        if kind == "integer":
+            rows = _integer_rows(rows)[0]
+        n_cols = len(rows[0]) if rows else rng.randint(1, 4)
+        assert rank(rows) == column_scan_rank(rows)
+        assert kernel_basis(rows, n_cols) == column_scan_kernel_basis(rows, n_cols)
+        seen["deficient"] += rank(rows) < min(len(rows), n_cols)
+        M, _ = _integer_rows(rows)
+        echelon = Echelon(n_cols)
+        for row in M:
+            echelon.add(row)
+        expected = column_scan_bareiss([list(row) for row in M])[0] if M else []
+        assert sorted(echelon.pivots) == expected
+        seen["unordered pivots"] += echelon.pivots != expected
+        if len(rows) != n_cols:
+            continue
+        value = det(rows)
+        assert value == column_scan_det(rows)
+        seen["negative sign"] += value != 0 and echelon.pivots != sorted(echelon.pivots)
+        D = int(column_scan_det(M))
+        columns = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(rng.randint(1, 2))]
+        expected = column_scan_solve(M, columns, D)
+        if expected is None:
+            with pytest.raises(InputError):
+                solve(M, columns, 1)
+            seen["singular solve"] += 1
+        else:
+            assert solve(M, columns, D) == expected
+    assert all(count > 20 for count in seen.values()), seen
+
+
+def test_echelon_grows_by_rows():
+    # a row in the span of the held rows is not held, and the pivots are
+    # each row's first column left nonzero
+    echelon = Echelon(3)
+    assert echelon.add([0, 2, 4])
+    assert not echelon.add([0, 1, 2])
+    assert not echelon.add([0, 0, 0])
+    assert echelon.add([3, 1, 0])
+    assert echelon.pivots == [1, 0]
+    assert echelon.add([1, 1, 1])
+    assert not echelon.add([5, -7, 11])
+    assert echelon.pivots == [1, 0, 2]
+    # the last pivot is the determinant with the columns in pivot order
+    assert echelon.last_pivot() == -det([[0, 2, 4], [3, 1, 0], [1, 1, 1]])
+    assert Echelon(2).last_pivot() == 1
 
 
 def test_normalize_primitive():

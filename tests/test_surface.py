@@ -80,6 +80,18 @@ def test_single_caller_helpers_stay_folded():
     assert not hasattr(linalg, "rref")
 
 
+def test_linalg_has_one_elimination_and_its_skew_analogue():
+    # the column-scan elimination lives in tests/oracles.py; every exact
+    # division by a previous pivot is in Echelon.add or pfaffian
+    assert not hasattr(linalg, "_bareiss")
+    own = {name: obj for name, obj in vars(linalg).items()
+           if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == linalg.__name__}
+    assert sorted(name for name, obj in own.items() if "// prev" in inspect.getsource(obj)) == [
+        "Echelon", "pfaffian"]
+    for name in ("rank", "det", "kernel_basis", "solve"):
+        assert "Echelon(" in inspect.getsource(own[name]), name
+
+
 def test_readme_library_tour_runs():
     # every print in the README's python block shows its output in a
     # trailing comment
