@@ -4,7 +4,10 @@ pointwise non-integrability checks.
 "Pointwise at every point" is realized as a deterministic grid plus seeded
 random rational points, together with a constant-minor certificate, sought
 when no point refutes, that upgrades the sampled verdict to one valid at
-every chart point. Exact sampling refutes; the certificate proves.
+every chart point. Exact sampling refutes; the certificate proves. The
+wedge checks' coframe rank guard is proved the same way when it can be: one
+pivot-guided constant minor (forms._pivot_minor) shows full rank at every
+point at once, and the sample points are ranked only when it fails.
 
 Points are evaluated in integers: the forms of a check, and each level of
 a derived flag's bracket fields, are compiled once into an
@@ -18,12 +21,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
+from math import comb
 
+from . import forms as _forms
 from .algebra import Chart, IntegerGrid, Polynomial, random_rational
 from .errors import ConsistencyError, DegeneratePresentationError, InputError
 from .forms import (
     DiffForm,
     VectorField,
+    _grid,
+    _pivot_minor,
     constant_minor_certificate,
     dependent_points,
     exterior_derivative,
@@ -145,6 +152,11 @@ class Distribution:
         if self._derived_frame is None:
             built = frame_from_coframe(self.coframe)
             if built is None:
+                if comb(self.chart.n, len(self.coframe)) > _forms.MAX_MINORS:
+                    raise InputError(
+                        "constant-minor search stopped at its cap of %d column subsets "
+                        "without a complement; supply an explicit frame" % _forms.MAX_MINORS
+                    )
                 raise InputError(
                     "coframe admits no constant-minor complement; supply an explicit frame"
                 )
@@ -167,13 +179,29 @@ def _rank_drop(what, point):
     )
 
 
+def _first_drop(forms, points):
+    """The first of the points at which these same-degree forms are
+    linearly dependent, or None.
+
+    A nonzero constant maximal minor proves them independent at every point
+    at once, so the one pivot-guided candidate (forms._pivot_minor) is
+    tried first, and the points are ranked only when it fails. Where it
+    succeeds, ranking the points could find no drop either.
+    """
+    if _pivot_minor(_grid(forms, "rank guard")) is not None:
+        return None
+    dropped = dependent_points(forms, points)
+    return dropped[0] if dropped else None
+
+
 def frame_from_coframe(coframe):
     """Complete a coframe to a polynomial frame of its kernel, or None.
 
-    Searches (in lexicographic order) for a column subset whose minor is a
-    nonzero constant; the complementary columns then carry an identity
-    block, so the frame has constant rank everywhere. Coframes without such
-    a subset get None: the caller must supply a frame.
+    Searches (in lexicographic order, then past forms.MAX_MINORS subsets by
+    the pivot candidate) for a column subset whose minor is a nonzero
+    constant; the complementary columns then carry an identity block, so
+    the frame has constant rank everywhere. Coframes without such a subset
+    get None: the caller must supply a frame.
     """
     coframe, chart = _check_coframe(coframe)
     zero = Polynomial.zero(chart)
@@ -282,18 +310,22 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
 
 
 def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
-    """Sample, guard the coframe rank, then test the forms
-    a_1^...^a_q^(omega_i)^k for pointwise independence.
+    """Guard the coframe rank, then test the forms a_1^...^a_q^(omega_i)^k
+    for pointwise independence at the sample points.
 
-    The constant-minor certificate is sought only when no sample point is a
-    witness. At a witness the forms are dependent, so every maximal minor of
-    their coefficient matrix vanishes there and none is a nonzero constant:
-    a witness proves certificate=False, and the search could only agree.
+    The guard proves full rank everywhere by one pivot-guided constant
+    minor of the coframe when it can, and ranks the coframe at the sample
+    points, raising at the first drop, only when it cannot (_first_drop).
+    The constant-minor certificate of the forms is sought only when no
+    sample point is a witness. At a witness the forms are dependent, so
+    every maximal minor of their coefficient matrix vanishes there and none
+    is a nonzero constant: a witness proves certificate=False, and the
+    search could only agree.
     """
     points = sample_points(coframe[0].chart, seed) if points is None else [tuple(p) for p in points]
-    dropped = dependent_points(coframe, points)
-    if dropped:
-        raise _rank_drop("coframe", dropped[0])
+    dropped = _first_drop(coframe, points)
+    if dropped is not None:
+        raise _rank_drop("coframe", dropped)
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
     witnesses = dependent_points(forms, points)

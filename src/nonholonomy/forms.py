@@ -8,7 +8,10 @@ so independence checks below are decisions, not estimates.
 
 Pointwise checks compile a form's coefficient grid once into an
 algebra.IntegerGrid and take the fraction-free rank of its integer rows
-at each point; evaluate_at_point is the plain Fraction evaluation.
+at each point; evaluate_at_point is the plain Fraction evaluation. A
+nonzero constant maximal minor of the grid proves independence at every
+point at once; _pivot_minor proposes one such minor from one elimination,
+and _constant_minor searches the column subsets in order.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from itertools import combinations
 
 from .algebra import Chart, IntegerGrid, Polynomial, poly_diff, poly_eval, signed_sum
 from .errors import InputError
-from .linalg import det, rank
+from .linalg import Echelon, det, rank
 
-# Column subsets a constant-minor search enumerates before giving up.
+# Column subsets a constant-minor search enumerates before it leaves the
+# answer to the pivot candidate (see _constant_minor).
 MAX_MINORS = 20000
 
 
@@ -435,44 +439,91 @@ def _poly_det(matrix) -> Polynomial:
 
 
 def _probe_points(n: int):
-    """The two fixed integer points of an n-coordinate chart at which
-    _constant_minor evaluates its grid: (2, 3, ..., n+1) and
+    """The two fixed integer points of an n-coordinate chart at which the
+    constant-minor code evaluates its grid: (2, 3, ..., n+1) and
     (-3, 5, -7, 9, ...)."""
     return (tuple(range(2, n + 2)),
             tuple((-1) ** j * (2 * j + 1) for j in range(1, n + 1)))
+
+
+def _probe_values(grid):
+    """The IntegerGrid rows of the polynomial grid at the two probe points.
+
+    Both probe points are integer, so these rows are the exact rows times one
+    factor per row, the same at both points: the integer minors are the
+    exact ones times one positive constant, and decide the same way.
+    """
+    chart = grid[0][0].chart
+    return list(map(IntegerGrid(chart, grid), _probe_points(chart.n)))
+
+
+def _confirmed(grid, values, subset):
+    """(subset, constant) when the grid's maximal minor on the column subset
+    is a nonzero constant, else None.
+
+    A nonzero constant minor has the same nonzero value at every point, so
+    the symbolic _poly_det is taken only if the subset's integer minors at
+    the two probe points (values, from _probe_values) are nonzero and equal.
+    """
+    d0 = det([[row[c] for c in subset] for row in values[0]])
+    if not d0 or d0 != det([[row[c] for c in subset] for row in values[1]]):
+        return None
+    value = _poly_det([[row[c] for c in subset] for row in grid])
+    return (subset, value.constant_value()) if value.is_constant() else None
+
+
+def _pivot_minor(grid):
+    """One candidate for a nonzero constant maximal minor of the polynomial
+    grid, confirmed, as (subset, constant); None when the candidate fails.
+
+    The columns are ordered by the top total degree of their entries,
+    constants first and ties by index, and the candidate is the first column
+    basis of the integer rows at the first probe point in that order, from
+    one linalg.Echelon. So a constant block of full rank, such as a
+    coframe's identity block, is found whatever its place among the
+    columns, with one elimination and one symbolic determinant. None does
+    not mean that no constant minor exists; _constant_minor searches them
+    all.
+    """
+    if len(grid) > len(grid[0]):
+        return None
+
+    def degree(c):  # -1 for a column of zeros
+        return max((sum(e) for row in grid for e in row[c].terms), default=-1)
+
+    order = sorted(range(len(grid[0])), key=lambda c: (degree(c), c))
+    values = _probe_values(grid)
+    echelon = Echelon(len(order))
+    for row in values[0]:
+        echelon.add([row[c] for c in order])
+    if len(echelon.pivots) < len(grid):
+        return None
+    return _confirmed(grid, values, tuple(sorted(order[p] for p in echelon.pivots)))
 
 
 def _constant_minor(grid):
     """The first column subset, in lexicographic order, whose maximal minor
     of the polynomial grid is a nonzero constant, with that constant.
 
-    None when no such subset is found within MAX_MINORS subsets.
-
     An exact numeric prefilter keeps most subsets away from the symbolic
-    _poly_det. A nonzero constant minor has the same nonzero value at every
-    point, so a subset is skipped unless its exact minor at the first probe
-    point is nonzero and equal to its exact minor at the second. Both probe
-    points are integer, so the IntegerGrid rows there are the exact rows
-    times one factor per row, the same at both points: the integer minors
-    are the exact ones times one positive constant, and decide the same way.
-    Only the survivors are expanded symbolically, and _poly_det still
-    decides, so no certificate is ever skipped and the answer is the one an
-    expansion of every subset would give. MAX_MINORS counts every subset
-    enumerated, skipped or not.
+    _poly_det (see _confirmed): a subset is expanded only if its integer
+    minors at the two probe points are nonzero and equal, and _poly_det
+    still decides, so no certificate is ever skipped and the answer is the
+    one an expansion of every subset would give. MAX_MINORS counts every
+    subset enumerated, skipped or not. When the enumeration passes it, the
+    pivot candidate (_pivot_minor) has the last word, so None means that
+    neither found a constant minor; the search stopped at the cap exactly
+    when the grid has more than MAX_MINORS column subsets.
     """
     if len(grid) > len(grid[0]):
         return None
-    chart = grid[0][0].chart
-    values0, values1 = map(IntegerGrid(chart, grid), _probe_points(chart.n))
+    values = _probe_values(grid)
     for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
         if tried > MAX_MINORS:
-            return None
-        d0 = det([[row[c] for c in subset] for row in values0])
-        if not d0 or d0 != det([[row[c] for c in subset] for row in values1]):
-            continue
-        value = _poly_det([[row[c] for c in subset] for row in grid])
-        if value.is_constant():
-            return subset, value.constant_value()
+            return _pivot_minor(grid)
+        found = _confirmed(grid, values, subset)
+        if found:
+            return found
     return None
 
 
@@ -484,13 +535,13 @@ def constant_minor_certificate(forms) -> bool:
     chart, upgrading a sampled verdict to a proof. The sampled checks ask
     for it only when sampling finds no witness: at a dependent point every
     maximal minor vanishes, so a witness already rules out a certificate.
-    Column subsets are tried in lexicographic order; the search gives up
-    (returns False) after MAX_MINORS subsets, so False means "no
-    certificate found", not "dependent". Most subsets are ruled out by
-    their exact minors at two fixed probe points: a nonzero constant minor
-    takes one nonzero value at both, so this prefilter never rules out a
-    certificate, and only the subsets it keeps are expanded symbolically
-    (see _constant_minor).
+    Column subsets are tried in lexicographic order, and past MAX_MINORS
+    subsets the one pivot-guided candidate is tried instead (see
+    _constant_minor and _pivot_minor), so False means "no certificate
+    found", not "dependent". Most subsets are ruled out by their exact
+    minors at two fixed probe points: a nonzero constant minor takes one
+    nonzero value at both, so this prefilter never rules out a
+    certificate, and only the subsets it keeps are expanded symbolically.
     """
     forms = list(forms)
     if not forms:
@@ -502,10 +553,10 @@ def kernel_frame(grid):
     """Vector fields spanning the kernel of a q x n polynomial grid at every
     point, or None.
 
-    Built from the first constant maximal minor D = det G_S (see
-    _constant_minor): each column j outside S gets the field with 1 in slot
-    j and the slots of S solved by Cramer's rule, -det(G_S with that column
-    replaced by column j) / D, so the fields have constant rank.
+    Built from the constant maximal minor D = det G_S that _constant_minor
+    finds: each column j outside S gets the field with 1 in slot j and the
+    slots of S solved by Cramer's rule, -det(G_S with that column replaced
+    by column j) / D, so the fields have constant rank.
     """
     found = _constant_minor(grid)
     if found is None:

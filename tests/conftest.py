@@ -75,3 +75,23 @@ def quadratic_coframe(n, k):
             form = form + x[(i + j) % n] * x[(2 * i + j + 1) % n] * DiffForm.basis(chart, j)
         coframe.append(form)
     return coframe
+
+
+def jetlike_coframe(n, k, rng):
+    """a_i = dy_i - sum_p c_p h_s dh_t, where da_i is a constant Darboux form
+    on every h but one, a different h for each i: independent MNI forms
+    with a constant maximal minor."""
+    m = n - 2 * k - 1
+    chart = Chart(tuple("y%d" % i for i in range(1, m + 1))
+                  + tuple("h%d" % j for j in range(1, 2 * k + 2)))
+    coframe = []
+    for i, omitted in enumerate(rng.sample(range(2 * k + 1), m)):
+        rest = [j for j in range(2 * k + 1) if j != omitted]
+        rng.shuffle(rest)
+        form = DiffForm.basis(chart, i + 1)
+        for p in range(k):
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3)))
+            h = Polynomial.coordinate(chart, m + 1 + rest[2 * p])
+            form = form - c * h * DiffForm.basis(chart, m + 1 + rest[2 * p + 1])
+        coframe.append(form)
+    return coframe

@@ -11,7 +11,10 @@ contraction behind the Leibniz-rule axiom of criterion 1, and
 pointwise_kernel the exact pointwise kernel that symbolic frames are
 cross-checked against. evaluate_field, independent_by_fractions and
 derived_flag_by_fractions evaluate one point at a time in Fractions, the
-path that the compiled integer evaluation replaced. column_scan_bareiss is
+path that the compiled integer evaluation replaced, and
+first_rank_drop_by_fractions is the point-by-point rank guard that the
+pivot-guided constant minor now settles first; pivot_subset_by_fractions
+proposes that minor's columns by Fraction ranks. column_scan_bareiss is
 the whole-matrix elimination that linalg.Echelon's row-at-a-time reduction
 replaced, with the rank, det, kernel_basis and solve built on it; the
 derived-flag oracle ranks with it.
@@ -27,6 +30,7 @@ from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
+    _probe_points,
     evaluate_at_point,
     lie_bracket,
     wedge_all,
@@ -182,6 +186,32 @@ def independent_by_fractions(forms, point) -> bool:
         values = evaluate_at_point(form, point)
         rows.append([values.get(c, Fraction(0)) for c in columns])
     return rank(rows) == len(forms)
+
+
+def first_rank_drop_by_fractions(forms, points):
+    """The first point, as a tuple, at which same-degree forms are
+    dependent, testing one point at a time by independent_by_fractions;
+    None when there is none."""
+    return next((tuple(p) for p in points if not independent_by_fractions(forms, p)), None)
+
+
+def pivot_subset_by_fractions(grid):
+    """The column subset, sorted, that the pivot-guided constant-minor
+    candidate proposes for a polynomial grid: the columns in order of the
+    top total degree of their entries (constants first, ties by index), each
+    kept when it raises the column-scan rank of the kept Fraction columns at
+    the first probe point. None when fewer than len(grid) columns are kept."""
+    point = _probe_points(grid[0][0].chart.n)[0]
+    values = [[poly_eval(p, point) for p in row] for row in grid]
+
+    def degree(c):
+        return max((sum(e) for row in grid for e in row[c].terms), default=-1)
+
+    kept = []
+    for c in sorted(range(len(grid[0])), key=lambda c: (degree(c), c)):
+        if column_scan_rank([[row[j] for j in kept + [c]] for row in values]) > len(kept):
+            kept.append(c)
+    return tuple(sorted(kept)) if len(kept) == len(grid) else None
 
 
 def derived_flag_by_fractions(dist, point, depth_cap=None):

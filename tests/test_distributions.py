@@ -1,7 +1,9 @@
 """Distributions: kernels, derived flags, and the non-integrability checks."""
 
 import hashlib
+import random
 from fractions import Fraction
+from math import comb
 
 from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.constructions import (
@@ -28,6 +30,7 @@ from nonholonomy.forms import (
     DiffForm,
     VectorField,
     constant_minor_certificate,
+    dependent_points,
     exterior_derivative,
     wedge,
     wedge_all,
@@ -35,8 +38,12 @@ from nonholonomy.forms import (
 )
 from nonholonomy.linalg import rank
 
-from conftest import quadratic_coframe, rnd_point, sample_slice
-from oracles import derived_flag_by_fractions, evaluate_field, pointwise_kernel
+from conftest import (
+    jetlike_coframe, quadratic_coframe, rnd_form, rnd_point, rnd_poly, sample_slice,
+)
+from oracles import (
+    derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions, pointwise_kernel,
+)
 
 
 def _chart3():
@@ -111,18 +118,51 @@ def test_frame_from_coframe_matches_corpus_frames():
 
 def test_minor_search_cap(monkeypatch):
     # the 2 x 2 minors over columns (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
-    # are -x2, 0, x1, x2, 1, x1: only the 5th subset is a nonzero constant
+    # are -x2, 0, x1, x2, 1, x1: only the 5th subset is a nonzero constant.
+    # Past a cap of 4 subsets the pivot candidate, the constant columns 2
+    # and 4, is that same subset, so the frame does not depend on the cap
     chart = Chart(("x1", "x2", "x3", "x4"))
     x1, x2 = (Polynomial.coordinate(chart, i) for i in (1, 2))
     dx = [DiffForm.basis(chart, i) for i in range(1, 5)]
     coframe = [x1 * dx[0] + dx[1] + x1 * dx[2], x2 * dx[0] + x2 * dx[2] + dx[3]]
-    monkeypatch.setattr(forms, "MAX_MINORS", 4)
+    for cap in (4, 5):
+        monkeypatch.setattr(forms, "MAX_MINORS", cap)
+        assert constant_minor_certificate(coframe)
+        frame = frame_from_coframe(coframe)
+        assert [str(f) for f in frame] == ["@x1 - x1*@x2 - x2*@x4", "-x1*@x2 + @x3 - x2*@x4"]
+    # the minors over (1,2), (1,3), (2,3) are x1, 1, -x1*x3^2; the pivot
+    # candidate takes the lower-degree columns 1 and 2, whose minor is not
+    # constant, so only the search finds the second subset
+    chart = Chart(("x1", "x2", "x3"))
+    x1, x3 = (Polynomial.coordinate(chart, i) for i in (1, 3))
+    dx = [DiffForm.basis(chart, i) for i in range(1, 4)]
+    coframe = [dx[0] + x3 * x3 * dx[2], x1 * dx[1] + dx[2]]
+    monkeypatch.setattr(forms, "MAX_MINORS", 1)
     assert not constant_minor_certificate(coframe)
     assert frame_from_coframe(coframe) is None
-    monkeypatch.setattr(forms, "MAX_MINORS", 5)
+    try:
+        Distribution(chart, coframe=coframe).spanning_frame()
+        assert False
+    except InputError as err:
+        assert "stopped at its cap of 1 column subsets" in str(err)
+        assert "explicit frame" in str(err)
+    monkeypatch.setattr(forms, "MAX_MINORS", 2)
     assert constant_minor_certificate(coframe)
-    frame = frame_from_coframe(coframe)
-    assert [str(f) for f in frame] == ["@x1 - x1*@x2 - x2*@x4", "-x1*@x2 + @x3 - x2*@x4"]
+    assert [str(f) for f in frame_from_coframe(coframe)] == ["x1*x3^2*@x1 + @x2 - x1*@x3"]
+
+
+def test_capped_search_falls_back_to_the_pivot_candidate(monkeypatch):
+    # quadratic (8,2) has 56 column subsets of 3 and its identity block,
+    # columns 6 to 8, is the last of them; below that cap the pivot
+    # candidate finds the same block, so the frame is the uncapped one
+    coframe = quadratic_coframe(8, 2)
+    uncapped = frame_from_coframe(coframe)
+    for cap in (1, 10, 55):
+        monkeypatch.setattr(forms, "MAX_MINORS", cap)
+        assert constant_minor_certificate(coframe)
+        frame = frame_from_coframe(coframe)
+        assert frame == uncapped and len(frame) == 5
+        assert all(distributions._pairing(a, f).is_zero() for a in coframe for f in frame)
 
 
 def test_frame_from_coframe_without_constant_minor():
@@ -389,8 +429,9 @@ def test_check_mni_quadratic_full_sampling_witnesses():
 
 
 def test_sampled_checks_accept_an_iterator_of_points():
-    # each check reads its points more than once: the coframe guard, then
-    # the witnesses and the count
+    # each check reads its points more than once: the witnesses and the
+    # count, and first the coframe guard when the pivot candidate does not
+    # prove the coframe's rank (this one it proves)
     bundle = even_contact_structure(4)
     coframe, chart = bundle.coframe, bundle.distribution.chart
     points = [list(p) for p in sample_slice(chart, grid=10, randoms=10)]
@@ -407,6 +448,94 @@ def test_sampled_checks_accept_an_iterator_of_points():
         verdict = check(points)
         assert check(iter(points)) == verdict and verdict.checked == 20
     assert [check(points).value for check in checks] == [True, False, True, True, False]
+
+
+def _random_coframe(rng, n):
+    """q random 1-forms on n coordinates. The shapes: a block on random
+    columns with 1 (full rank everywhere, a constant minor) or 1 + x^2
+    (full rank everywhere, that minor not constant) on its diagonal and 0
+    off it; a form scaled by a coordinate (a drop on its zero set); a
+    multiple of another form (dependent everywhere); or none of these."""
+    chart = Chart(tuple("x%d" % i for i in range(1, n + 1)))
+    q = rng.randint(1, 3)
+    coframe = [rnd_form(rng, chart, 1) for _ in range(q)]
+    shape = rng.choice(("identity", "stretched", "scaled", "multiple", "random"))
+    if shape in ("identity", "stretched"):
+        block = rng.sample(range(1, n + 1), q)
+        x = Polynomial.coordinate(chart, rng.randint(1, n))
+        diagonal = 1 if shape == "identity" else 1 + x * x
+        coframe = [DiffForm(chart, 1, {**{key: c for key, c in a.terms.items() if key[0] not in block},
+                                       (j,): diagonal})
+                   for a, j in zip(coframe, block)]
+    elif shape == "scaled":
+        coframe[-1] = Polynomial.coordinate(chart, rng.randint(1, n)) * coframe[-1]
+    elif shape == "multiple" and q > 1:
+        coframe[-1] = rnd_poly(rng, chart) * coframe[0]
+    return coframe
+
+
+def test_rank_guard_matches_point_by_point_oracle():
+    # the guard of the wedge checks raises at the first point where a
+    # point-by-point Fraction guard finds the coframe dependent, and only
+    # then, whether the pivot candidate proves full rank or the points are
+    # ranked
+    rng = random.Random(15)
+    outcomes = {"proved": 0, "sampled": 0, "dropped": 0}
+    for trial in range(150):
+        coframe = _random_coframe(rng, 4 + trial % 5)
+        chart = coframe[0].chart
+        points = sample_points(chart, trial)
+        points = rng.sample(points[:200], 6) + points[200:206]
+        expected = first_rank_drop_by_fractions(coframe, points)
+        assert distributions._first_drop(coframe, points) == expected, trial
+        if expected is not None:
+            outcomes["dropped"] += 1
+        elif distributions._pivot_minor(distributions._grid(coframe, "test")) is not None:
+            outcomes["proved"] += 1
+        else:
+            outcomes["sampled"] += 1
+        if trial % 4 == 0:
+            try:
+                check_dbasis_condition(coframe, points)
+                assert expected is None, trial
+            except DegeneratePresentationError as err:
+                assert err.point == expected, trial
+    assert min(outcomes.values()) > 15, outcomes
+
+
+def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
+    # the coframe guard of check_mni is proved by the pivot candidate on the
+    # benchmark's coframes, so the points are ranked only for the MNI forms
+    degrees = []
+
+    def counted(forms, points):
+        degrees.append(forms[0].degree)
+        return dependent_points(forms, points)
+
+    monkeypatch.setattr(distributions, "dependent_points", counted)
+    rng = random.Random(15)
+    for n, k in ((5, 1), (6, 2), (7, 2), (8, 2)):
+        for coframe in (quadratic_coframe(n, k), jetlike_coframe(n, k, rng)):
+            degrees.clear()
+            check_mni(coframe, k, points=sample_slice(coframe[0].chart, grid=5, randoms=5))
+            assert degrees == [n - 1], (n, k)
+
+
+def test_pivot_candidate_proves_the_benchmark_coframes():
+    # the candidate is the identity block of quadratic_coframe (the last m
+    # columns) and of a jet-like coframe (the first m) at every admissible
+    # shape with k <= 4, including those whose subsets outnumber MAX_MINORS
+    rng = random.Random(15)
+    capped = []
+    for k in range(1, 5):
+        for n in range(2 * k + 2, 4 * k + 3):
+            m = n - 2 * k - 1
+            for coframe, block in ((quadratic_coframe(n, k), tuple(range(n - m, n))),
+                                   (jetlike_coframe(n, k, rng), tuple(range(m)))):
+                assert distributions._pivot_minor(distributions._grid(coframe, "test")) == (block, 1)
+            if comb(n, m) > forms.MAX_MINORS:
+                capped.append((n, k))
+    assert capped == [(17, 4), (18, 4)]
 
 
 def test_check_mni_shape_errors():

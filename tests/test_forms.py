@@ -17,6 +17,7 @@ from nonholonomy.forms import (
     VectorField,
     _constant_minor,
     _grid,
+    _pivot_minor,
     _poly_det,
     _probe_points,
     constant_minor_certificate,
@@ -34,9 +35,12 @@ from nonholonomy.linalg import det
 from nonholonomy.parser import parse_document
 
 from conftest import (
-    quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_point, rnd_poly, sample_slice,
+    jetlike_coframe, quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_fraction, rnd_point,
+    rnd_poly, sample_slice,
 )
-from oracles import evaluate_field, independent_by_fractions, interior_product
+from oracles import (
+    evaluate_field, independent_by_fractions, interior_product, pivot_subset_by_fractions,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -407,7 +411,7 @@ def _corpus_form_tuples():
             omegas = [doc.binding(name).value for name in ("w1", "w2")]
             yield path.name, _mni_forms(coframe, omegas, 1)
     for n, k in ((4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 2)):
-        for coframe in (quadratic_coframe(n, k), _jetlike_coframe(n, k, rng)):
+        for coframe in (quadratic_coframe(n, k), jetlike_coframe(n, k, rng)):
             yield (n, k), coframe
             yield (n, k), _mni_forms(coframe, [exterior_derivative(a) for a in coframe], k)
 
@@ -476,15 +480,24 @@ def test_dependent_mni_tuples_have_no_certificate():
     assert failing == 6
 
 
+def _symbolic_constant(grid, subset):
+    value = _poly_det([[row[c] for c in subset] for row in grid])
+    if value.is_constant() and not value.is_zero():
+        return subset, value.constant_value()
+    return None
+
+
 def _reference_constant_minor(grid, max_minors):
     # the search without the numeric prefilter: the symbolic determinant of
-    # every subset, in lexicographic order, under the same cap
+    # every subset, in lexicographic order, under the same cap; past the cap,
+    # that of the subset the Fraction pivot oracle proposes
     for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
         if tried > max_minors:
-            return None
-        value = _poly_det([[row[c] for c in subset] for row in grid])
-        if value.is_constant() and not value.is_zero():
-            return subset, value.constant_value()
+            subset = pivot_subset_by_fractions(grid)
+            return None if subset is None else _symbolic_constant(grid, subset)
+        found = _symbolic_constant(grid, subset)
+        if found:
+            return found
     return None
 
 
@@ -497,38 +510,26 @@ def _mni_forms(coframe, omegas, k):
     return [wedge(base, wedge_power(w, k)) for w in omegas]
 
 
-def _jetlike_coframe(n, k, rng):
-    """a_i = dy_i - sum_p c_p h_s dh_t, where da_i is a constant Darboux form
-    on every h but one, a different h for each i: independent MNI forms
-    with a constant maximal minor."""
-    m = n - 2 * k - 1
-    chart = Chart(tuple("y%d" % i for i in range(1, m + 1))
-                  + tuple("h%d" % j for j in range(1, 2 * k + 2)))
-    coframe = []
-    for i, omitted in enumerate(rng.sample(range(2 * k + 1), m)):
-        rest = [j for j in range(2 * k + 1) if j != omitted]
-        rng.shuffle(rest)
-        form = DiffForm.basis(chart, i + 1)
-        for p in range(k):
-            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3)))
-            h = Polynomial.coordinate(chart, m + 1 + rest[2 * p])
-            form = form - c * h * DiffForm.basis(chart, m + 1 + rest[2 * p + 1])
-        coframe.append(form)
-    return coframe
-
-
 def _fraction_prefilter_survivors(grid, max_minors):
     # the subsets the prefilter passed on before integer evaluation: exact
     # Fraction minors at both probe points, nonzero and equal, in order up
-    # to the first constant symbolic minor, under the same cap
+    # to the first constant symbolic minor, under the same cap, and past the
+    # cap the pivot subset if it passes
     values0, values1 = ([[poly_eval(entry, point) for entry in row] for row in grid]
                         for point in _probe_points(grid[0][0].chart.n))
+
+    def passes(subset):
+        d0 = det([[row[c] for c in subset] for row in values0])
+        return d0 and d0 == det([[row[c] for c in subset] for row in values1])
+
     survivors = []
     for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
         if tried > max_minors:
+            subset = pivot_subset_by_fractions(grid)
+            if subset is not None and passes(subset):
+                survivors.append(subset)
             break
-        d0 = det([[row[c] for c in subset] for row in values0])
-        if not d0 or d0 != det([[row[c] for c in subset] for row in values1]):
+        if not passes(subset):
             continue
         survivors.append(subset)
         if _poly_det([[row[c] for c in subset] for row in grid]).is_constant():
@@ -567,7 +568,7 @@ def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
             _assert_matches_reference(_grid(_mni_forms(bundle.coframe, omegas, bundle.k), "test"))
     rng = random.Random(4)
     for n, k in ((4, 1), (5, 1), (6, 1), (6, 2)):
-        for coframe in (quadratic_coframe(n, k), _jetlike_coframe(n, k, rng)):
+        for coframe in (quadratic_coframe(n, k), jetlike_coframe(n, k, rng)):
             grid = _grid(_mni_forms(coframe, [exterior_derivative(a) for a in coframe], k), "test")
             expected = _reference_constant_minor(grid, 20000)
             found += expected is not None
@@ -617,6 +618,54 @@ def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
     assert len(calls) == 2
     # no columns at all: the certificate search finds nothing
     assert not constant_minor_certificate([DiffForm.zero(chart, 1)])
+
+
+def _random_grid(rng, n):
+    """A q x n polynomial grid mixing zeros, constants and polynomials of
+    degree up to 2; some rows are a polynomial multiple of another row or
+    vanish on a coordinate hyperplane, so the grid can drop rank."""
+    chart = Chart(tuple("x%d" % i for i in range(1, n + 1)))
+    kinds = ("zero", "constant", "constant", "poly", "poly")
+    rows = []
+    for _ in range(rng.randint(1, min(4, n))):
+        row = []
+        for _ in range(n):
+            kind = rng.choice(kinds)
+            if kind == "zero":
+                row.append(Polynomial.zero(chart))
+            elif kind == "constant":
+                row.append(Polynomial.constant(chart, rnd_fraction(rng)))
+            else:
+                row.append(rnd_poly(rng, chart))
+        rows.append(row)
+    if len(rows) > 1 and rng.random() < 0.25:
+        factor = rnd_poly(rng, chart)
+        rows[-1] = [factor * p for p in rows[0]]
+    elif rng.random() < 0.25:
+        x = Polynomial.coordinate(chart, rng.randint(1, n))
+        rows[-1] = [x * p for p in rows[-1]]
+    return rows
+
+
+def test_pivot_minor_matches_fraction_oracle_on_random_grids():
+    # the candidate is the Fraction oracle's pivot subset whenever that
+    # subset's symbolic minor is a nonzero constant, and None otherwise; it
+    # finds nothing where the uncapped lexicographic search finds nothing
+    rng = random.Random(15)
+    found = searched_in_vain = 0
+    for trial in range(240):
+        grid = _random_grid(rng, 4 + trial % 5)
+        candidate = _pivot_minor(grid)
+        subset = pivot_subset_by_fractions(grid)
+        assert candidate == (None if subset is None else _symbolic_constant(grid, subset)), trial
+        if candidate is not None:
+            found += 1
+            value = _poly_det([[row[c] for c in candidate[0]] for row in grid])
+            assert value.is_constant() and value.constant_value() == candidate[1] != 0
+        if _reference_constant_minor(grid, 10 ** 9) is None:
+            searched_in_vain += 1
+            assert candidate is None, trial
+    assert found > 40 and searched_in_vain > 40
 
 
 def test_form_string_rendering():

@@ -44,6 +44,7 @@ REMOVED_PARAMETERS = [
 
 
 def test_exported_names_are_pinned():
+    assert len(EXPORTED) == 36
     assert sorted(nonholonomy.__all__) == EXPORTED
     for name in EXPORTED:
         assert hasattr(nonholonomy, name)
@@ -78,6 +79,14 @@ def test_single_caller_helpers_stay_folded():
     # kernel_basis back-substitutes on the Bareiss echelon rows; the
     # Gauss-Jordan reference lives in tests/test_linalg.py
     assert not hasattr(linalg, "rref")
+
+
+def test_rank_guard_has_one_idiom():
+    # the wedge checks and the paired-omission construction guard their
+    # 1-forms' rank through one helper: the pivot candidate, then the points
+    assert "constant_minor_certificate" not in inspect.getsource(constructions)
+    assert "_first_drop(" in inspect.getsource(constructions.build_prop_ori_omegas)
+    assert "_first_drop(" in inspect.getsource(distributions._wedge_verdict)
 
 
 def test_linalg_has_one_elimination_and_its_skew_analogue():
