@@ -197,9 +197,9 @@ def _first_drop(forms, points):
 def frame_from_coframe(coframe):
     """Complete a coframe to a polynomial frame of its kernel, or None.
 
-    Searches (in lexicographic order, then past forms.MAX_MINORS subsets by
-    the pivot candidate) for a column subset whose minor is a nonzero
-    constant; the complementary columns then carry an identity block, so
+    Searches (the pivot candidate first, then at most forms.MAX_MINORS
+    subsets in lexicographic order) for a column subset whose minor is a
+    nonzero constant; the complementary columns then carry an identity block, so
     the frame has constant rank everywhere. Coframes without such a subset
     get None: the caller must supply a frame.
     """

@@ -10,21 +10,22 @@ Pointwise checks compile a form's coefficient grid once into an
 algebra.IntegerGrid and take the fraction-free rank of its integer rows
 at each point; evaluate_at_point is the plain Fraction evaluation. A
 nonzero constant maximal minor of the grid proves independence at every
-point at once; _pivot_minor proposes one such minor from one elimination,
-and _constant_minor searches the column subsets in order.
+point at once. One search looks for it (_minor_search): the pivot
+candidate, proposed by one elimination, then at most MAX_MINORS column
+subsets in lexicographic order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .algebra import Chart, IntegerGrid, Polynomial, poly_diff, poly_eval, signed_sum
 from .errors import InputError
 from .linalg import Echelon, det, rank
 
-# Column subsets a constant-minor search enumerates before it leaves the
-# answer to the pivot candidate (see _constant_minor).
+# Column subsets a constant-minor search enumerates, in lexicographic order,
+# after the pivot candidate (see _minor_search).
 MAX_MINORS = 20000
 
 
@@ -267,6 +268,8 @@ class VectorField:
                 continue
             if comp == 1:
                 parts.append("@" + name)
+            elif comp == -1:
+                parts.append("-@" + name)
             elif len(comp.terms) > 1:
                 parts.append("(%s)*@%s" % (comp, name))
             else:
@@ -472,21 +475,19 @@ def _confirmed(grid, values, subset):
     return (subset, value.constant_value()) if value.is_constant() else None
 
 
-def _pivot_minor(grid):
-    """One candidate for a nonzero constant maximal minor of the polynomial
-    grid, confirmed, as (subset, constant); None when the candidate fails.
+def _minor_search(grid):
+    """The constant-minor search, one column subset at a time: yields what
+    _confirmed returns for each, with the probe grid compiled once.
 
-    The columns are ordered by the top total degree of their entries,
-    constants first and ties by index, and the candidate is the first column
-    basis of the integer rows at the first probe point in that order, from
-    one linalg.Echelon. So a constant block of full rank, such as a
-    coframe's identity block, is found whatever its place among the
-    columns, with one elimination and one symbolic determinant. None does
-    not mean that no constant minor exists; _constant_minor searches them
-    all.
+    The pivot candidate comes first: the columns ordered by the top total
+    degree of their entries, constants first and ties by index, and the
+    first column basis of the integer rows at the first probe point in that
+    order, from one linalg.Echelon. So a constant block of full rank, such
+    as a coframe's identity block, is tried first wherever it lies. At most
+    MAX_MINORS column subsets follow in lexicographic order.
     """
     if len(grid) > len(grid[0]):
-        return None
+        return
 
     def degree(c):  # -1 for a column of zeros
         return max((sum(e) for row in grid for e in row[c].terms), default=-1)
@@ -496,35 +497,29 @@ def _pivot_minor(grid):
     echelon = Echelon(len(order))
     for row in values[0]:
         echelon.add([row[c] for c in order])
-    if len(echelon.pivots) < len(grid):
-        return None
-    return _confirmed(grid, values, tuple(sorted(order[p] for p in echelon.pivots)))
+    pivot = tuple(sorted(order[p] for p in echelon.pivots))
+    yield _confirmed(grid, values, pivot) if len(pivot) == len(grid) else None
+    for subset in islice(combinations(range(len(grid[0])), len(grid)), MAX_MINORS):
+        yield _confirmed(grid, values, subset)
+
+
+def _pivot_minor(grid):
+    """The first step of _minor_search, the pivot candidate, confirmed as
+    (subset, constant); None does not mean that no constant minor exists."""
+    return next(_minor_search(grid), None)
 
 
 def _constant_minor(grid):
-    """The first column subset, in lexicographic order, whose maximal minor
-    of the polynomial grid is a nonzero constant, with that constant.
+    """The first (subset, constant) that _minor_search confirms, or None.
 
     An exact numeric prefilter keeps most subsets away from the symbolic
     _poly_det (see _confirmed): a subset is expanded only if its integer
     minors at the two probe points are nonzero and equal, and _poly_det
-    still decides, so no certificate is ever skipped and the answer is the
-    one an expansion of every subset would give. MAX_MINORS counts every
-    subset enumerated, skipped or not. When the enumeration passes it, the
-    pivot candidate (_pivot_minor) has the last word, so None means that
-    neither found a constant minor; the search stopped at the cap exactly
-    when the grid has more than MAX_MINORS column subsets.
+    still decides, so no certificate is ever skipped. A pivot candidate that
+    fails is tried again in its lexicographic place. The enumeration stops
+    at the cap exactly when the grid has more than MAX_MINORS subsets.
     """
-    if len(grid) > len(grid[0]):
-        return None
-    values = _probe_values(grid)
-    for tried, subset in enumerate(combinations(range(len(grid[0])), len(grid)), 1):
-        if tried > MAX_MINORS:
-            return _pivot_minor(grid)
-        found = _confirmed(grid, values, subset)
-        if found:
-            return found
-    return None
+    return next(filter(None, _minor_search(grid)), None)
 
 
 def constant_minor_certificate(forms) -> bool:
@@ -535,13 +530,13 @@ def constant_minor_certificate(forms) -> bool:
     chart, upgrading a sampled verdict to a proof. The sampled checks ask
     for it only when sampling finds no witness: at a dependent point every
     maximal minor vanishes, so a witness already rules out a certificate.
-    Column subsets are tried in lexicographic order, and past MAX_MINORS
-    subsets the one pivot-guided candidate is tried instead (see
-    _constant_minor and _pivot_minor), so False means "no certificate
-    found", not "dependent". Most subsets are ruled out by their exact
-    minors at two fixed probe points: a nonzero constant minor takes one
-    nonzero value at both, so this prefilter never rules out a
-    certificate, and only the subsets it keeps are expanded symbolically.
+    The pivot-guided candidate is tried first, then at most MAX_MINORS
+    column subsets in lexicographic order (see _minor_search), so False
+    means "no certificate found", not "dependent". Most subsets are ruled
+    out by their exact minors at two fixed probe points: a nonzero constant
+    minor takes one nonzero value at both, so this prefilter never rules
+    out a certificate, and only the subsets it keeps are expanded
+    symbolically.
     """
     forms = list(forms)
     if not forms:

@@ -119,8 +119,8 @@ def test_frame_from_coframe_matches_corpus_frames():
 def test_minor_search_cap(monkeypatch):
     # the 2 x 2 minors over columns (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
     # are -x2, 0, x1, x2, 1, x1: only the 5th subset is a nonzero constant.
-    # Past a cap of 4 subsets the pivot candidate, the constant columns 2
-    # and 4, is that same subset, so the frame does not depend on the cap
+    # The pivot candidate, the constant columns 2 and 4, is that subset and
+    # comes first, so the frame does not depend on the cap
     chart = Chart(("x1", "x2", "x3", "x4"))
     x1, x2 = (Polynomial.coordinate(chart, i) for i in (1, 2))
     dx = [DiffForm.basis(chart, i) for i in range(1, 5)]
@@ -151,18 +151,49 @@ def test_minor_search_cap(monkeypatch):
     assert [str(f) for f in frame_from_coframe(coframe)] == ["x1*x3^2*@x1 + @x2 - x1*@x3"]
 
 
-def test_capped_search_falls_back_to_the_pivot_candidate(monkeypatch):
-    # quadratic (8,2) has 56 column subsets of 3 and its identity block,
-    # columns 6 to 8, is the last of them; below that cap the pivot
-    # candidate finds the same block, so the frame is the uncapped one
+def test_the_pivot_candidate_leads_the_minor_search(monkeypatch):
+    # quadratic (8,2) has 56 column subsets of 3, and its identity block,
+    # columns 6 to 8, is the last of them; the pivot candidate comes first
+    # and is confirmed at once, whatever the cap. So is the candidate of a
+    # jet-like (8,2) MNI grid, which settles its certificate
+    confirmed = []
+    original = forms._confirmed
+
+    def counted(grid, values, subset):
+        confirmed.append(subset)
+        return original(grid, values, subset)
+
+    monkeypatch.setattr(forms, "_confirmed", counted)
     coframe = quadratic_coframe(8, 2)
-    uncapped = frame_from_coframe(coframe)
-    for cap in (1, 10, 55):
+    frames = []
+    for cap in (20000, 55, 1):
         monkeypatch.setattr(forms, "MAX_MINORS", cap)
-        assert constant_minor_certificate(coframe)
-        frame = frame_from_coframe(coframe)
-        assert frame == uncapped and len(frame) == 5
-        assert all(distributions._pairing(a, f).is_zero() for a in coframe for f in frame)
+        confirmed.clear()
+        frames.append(frame_from_coframe(coframe))
+        assert confirmed == [(5, 6, 7)], cap
+    assert frames[0] == frames[1] == frames[2] and len(frames[0]) == 5
+    assert all(distributions._pairing(a, f).is_zero() for a in coframe for f in frames[0])
+    coframe = jetlike_coframe(8, 2, random.Random(15))
+    base = wedge_all(coframe)
+    mni = [wedge(base, wedge_power(exterior_derivative(a), 2)) for a in coframe]
+    confirmed.clear()
+    assert constant_minor_certificate(mni)
+    assert len(confirmed) == 1
+
+
+def test_pivot_frame_differs_from_the_first_lexicographic_one():
+    # the minors of a1 = dx + x*dy, a2 = dy + dz over the columns (x, y),
+    # (x, z), (y, z) are 1, 1, x; the lexicographic search would take (x, y)
+    # and the field x*@x - @y + @z, while the pivot candidate, the constant
+    # columns x and z, gives the same line with the opposite sign
+    chart = _chart3()
+    x = Polynomial.coordinate(chart, "x")
+    dx, dy, dz = (DiffForm.basis(chart, name) for name in ("x", "y", "z"))
+    coframe = [dx + x * dy, dy + dz]
+    frame = frame_from_coframe(coframe)
+    assert [str(f) for f in frame] == ["-x*@x + @y - @z"]
+    assert frame == [-VectorField(chart, [x, -1, 1])]
+    assert all(distributions._pairing(a, f).is_zero() for a in coframe for f in frame)
 
 
 def test_frame_from_coframe_without_constant_minor():
