@@ -58,11 +58,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True, with_seed=True):
+    def common(p, with_file=True):
         if with_file:
             p.add_argument("file", help="input document (coords/form/field statements)")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None, help="sampling seed (default: NONHOLONOMY_SEED or 0)")
+        p.add_argument("--seed", type=int, default=None, help="sampling seed (default: NONHOLONOMY_SEED or 0)")
         p.add_argument("--timings", action="store_true", help="add wall-clock fields (not byte-stable)")
 
     p = sub.add_parser("flag", help="derived flag at a point")

@@ -14,11 +14,13 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Chart, Polynomial
-from .distributions import Distribution, _check_coframe, _first_drop, sample_points
+from .distributions import Distribution, _check_coframe, sample_points
 from .errors import InputError
 from .forms import (
     DiffForm,
     VectorField,
+    constant_minor_certificate,
+    dependent_points,
     wedge,
     wedge_all,
     wedge_power,
@@ -152,7 +154,7 @@ def build_prop_ori_omegas(coframe):
     q = len(coframe)
     if q < 3 or q % 2 == 0:
         raise InputError("expected an odd number 2k+1 >= 3 of 1-forms, got %d" % q)
-    if _first_drop(coframe, sample_points(chart)) is not None:
+    if not constant_minor_certificate(coframe) and dependent_points(coframe, sample_points(chart)):
         raise InputError("the 1-forms are dependent at a sample point")
     k = (q - 1) // 2
     omegas = []

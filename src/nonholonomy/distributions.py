@@ -5,9 +5,9 @@ pointwise non-integrability checks.
 random rational points, together with a constant-minor certificate, sought
 when no point refutes, that upgrades the sampled verdict to one valid at
 every chart point. Exact sampling refutes; the certificate proves. The
-wedge checks' coframe rank guard is proved the same way when it can be: one
-pivot-guided constant minor (forms._pivot_minor) shows full rank at every
-point at once, and the sample points are ranked only when it fails.
+wedge checks guard their coframe's rank with the same samples: where the
+coframe drops rank, a_1^...^a_q and so every wedge form vanishes, so the
+coframe is ranked only at the points where the forms' grid has rank 0.
 
 Points are evaluated in integers: the forms of a check, and each level of
 a derived flag's bracket fields, are compiled once into an
@@ -30,7 +30,6 @@ from .forms import (
     DiffForm,
     VectorField,
     _grid,
-    _pivot_minor,
     constant_minor_certificate,
     dependent_points,
     exterior_derivative,
@@ -40,7 +39,7 @@ from .forms import (
     wedge_all,
     wedge_power,
 )
-from .linalg import Echelon
+from .linalg import Echelon, rank
 
 GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
 
@@ -179,21 +178,6 @@ def _rank_drop(what, point):
     )
 
 
-def _first_drop(forms, points):
-    """The first of the points at which these same-degree forms are
-    linearly dependent, or None.
-
-    A nonzero constant maximal minor proves them independent at every point
-    at once, so the one pivot-guided candidate (forms._pivot_minor) is
-    tried first, and the points are ranked only when it fails. Where it
-    succeeds, ranking the points could find no drop either.
-    """
-    if _pivot_minor(_grid(forms, "rank guard")) is not None:
-        return None
-    dropped = dependent_points(forms, points)
-    return dropped[0] if dropped else None
-
-
 def frame_from_coframe(coframe):
     """Complete a coframe to a polynomial frame of its kernel, or None.
 
@@ -310,27 +294,29 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
 
 
 def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
-    """Guard the coframe rank, then test the forms a_1^...^a_q^(omega_i)^k
-    for pointwise independence at the sample points.
+    """Test the forms a_1^...^a_q^(omega_i)^k for pointwise independence at
+    the sample points, guarding the coframe's rank on the way.
 
-    The guard proves full rank everywhere by one pivot-guided constant
-    minor of the coframe when it can, and ranks the coframe at the sample
-    points, raising at the first drop, only when it cannot (_first_drop).
-    The constant-minor certificate of the forms is sought only when no
-    sample point is a witness. At a witness the forms are dependent, so
-    every maximal minor of their coefficient matrix vanishes there and none
-    is a nonzero constant: a witness proves certificate=False, and the
-    search could only agree.
+    The forms' grid is compiled once and ranked once per point; rank below
+    the number of forms makes a witness. Where the coframe drops rank,
+    a_1^...^a_q vanishes and with it every form, so the coframe is ranked
+    only at the rank-0 points, and the first drop among them, the first
+    among all points, raises. The certificate is sought only without a
+    witness: at a witness every maximal minor vanishes, so none is a
+    nonzero constant, and certificate=False is proved.
     """
-    points = sample_points(coframe[0].chart, seed) if points is None else [tuple(p) for p in points]
-    dropped = _first_drop(coframe, points)
-    if dropped is not None:
-        raise _rank_drop("coframe", dropped)
+    chart = coframe[0].chart
+    points = sample_points(chart, seed) if points is None else [tuple(p) for p in points]
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
-    witnesses = dependent_points(forms, points)
+    grid = IntegerGrid(chart, _grid(forms, "independence check"))
+    ranks = [rank(grid(p)) for p in points]
+    dropped = dependent_points(coframe, [p for p, r in zip(points, ranks) if not r])
+    if dropped:
+        raise _rank_drop("coframe", dropped[0])
+    witnesses = tuple(p for p, r in zip(points, ranks) if r < len(forms))
     certificate = not witnesses and constant_minor_certificate(forms)
-    return Verdict(not witnesses, len(points), tuple(witnesses), certificate)
+    return Verdict(not witnesses, len(points), witnesses, certificate)
 
 
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:

@@ -10,7 +10,7 @@ Pointwise checks compile a form's coefficient grid once into an
 algebra.IntegerGrid and take the fraction-free rank of its integer rows
 at each point; evaluate_at_point is the plain Fraction evaluation. A
 nonzero constant maximal minor of the grid proves independence at every
-point at once. One search looks for it (_minor_search): the pivot
+point at once. One search looks for it (_constant_minor): the pivot
 candidate, proposed by one elimination, then at most MAX_MINORS column
 subsets in lexicographic order.
 """
@@ -18,14 +18,14 @@ subsets in lexicographic order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 from .algebra import Chart, IntegerGrid, Polynomial, poly_diff, poly_eval, signed_sum
 from .errors import InputError
 from .linalg import Echelon, det, rank
 
 # Column subsets a constant-minor search enumerates, in lexicographic order,
-# after the pivot candidate (see _minor_search).
+# after the pivot candidate (see _constant_minor).
 MAX_MINORS = 20000
 
 
@@ -475,19 +475,21 @@ def _confirmed(grid, values, subset):
     return (subset, value.constant_value()) if value.is_constant() else None
 
 
-def _minor_search(grid):
-    """The constant-minor search, one column subset at a time: yields what
-    _confirmed returns for each, with the probe grid compiled once.
+def _constant_minor(grid):
+    """The first column subset whose maximal minor _confirmed finds to be a
+    nonzero constant, as (subset, constant), or None.
 
     The pivot candidate comes first: the columns ordered by the top total
     degree of their entries, constants first and ties by index, and the
     first column basis of the integer rows at the first probe point in that
-    order, from one linalg.Echelon. So a constant block of full rank, such
-    as a coframe's identity block, is tried first wherever it lies. At most
-    MAX_MINORS column subsets follow in lexicographic order.
+    order, from one linalg.Echelon, so a constant full-rank block such as a
+    coframe's identity block is tried first wherever it lies. At most
+    MAX_MINORS subsets follow in lexicographic order, a failed candidate
+    again in its place. Rows dependent at that probe point have no nonzero
+    maximal minor there, and then nothing is tried.
     """
     if len(grid) > len(grid[0]):
-        return
+        return None
 
     def degree(c):  # -1 for a column of zeros
         return max((sum(e) for row in grid for e in row[c].terms), default=-1)
@@ -497,29 +499,11 @@ def _minor_search(grid):
     echelon = Echelon(len(order))
     for row in values[0]:
         echelon.add([row[c] for c in order])
+    if len(echelon.pivots) < len(grid):  # every maximal minor vanishes there
+        return None
     pivot = tuple(sorted(order[p] for p in echelon.pivots))
-    yield _confirmed(grid, values, pivot) if len(pivot) == len(grid) else None
-    for subset in islice(combinations(range(len(grid[0])), len(grid)), MAX_MINORS):
-        yield _confirmed(grid, values, subset)
-
-
-def _pivot_minor(grid):
-    """The first step of _minor_search, the pivot candidate, confirmed as
-    (subset, constant); None does not mean that no constant minor exists."""
-    return next(_minor_search(grid), None)
-
-
-def _constant_minor(grid):
-    """The first (subset, constant) that _minor_search confirms, or None.
-
-    An exact numeric prefilter keeps most subsets away from the symbolic
-    _poly_det (see _confirmed): a subset is expanded only if its integer
-    minors at the two probe points are nonzero and equal, and _poly_det
-    still decides, so no certificate is ever skipped. A pivot candidate that
-    fails is tried again in its lexicographic place. The enumeration stops
-    at the cap exactly when the grid has more than MAX_MINORS subsets.
-    """
-    return next(filter(None, _minor_search(grid)), None)
+    subsets = chain([pivot], islice(combinations(range(len(grid[0])), len(grid)), MAX_MINORS))
+    return next(filter(None, (_confirmed(grid, values, s) for s in subsets)), None)
 
 
 def constant_minor_certificate(forms) -> bool:
@@ -531,7 +515,7 @@ def constant_minor_certificate(forms) -> bool:
     for it only when sampling finds no witness: at a dependent point every
     maximal minor vanishes, so a witness already rules out a certificate.
     The pivot-guided candidate is tried first, then at most MAX_MINORS
-    column subsets in lexicographic order (see _minor_search), so False
+    column subsets in lexicographic order (see _constant_minor), so False
     means "no certificate found", not "dependent". Most subsets are ruled
     out by their exact minors at two fixed probe points: a nonzero constant
     minor takes one nonzero value at both, so this prefilter never rules

@@ -16,6 +16,22 @@ seeded random fibers; the classification argument needs that rank never
 to be 1. It takes b_first for every form, then the multipliers c, and only
 then C-bar and C, for the forms with c_i != 0 alone: c has at most two
 nonzero entries, and assemble_principal_matrix reads no other form.
+
+Why the rank is never 1, with S^i = C^i diag((-1)^(mu+1)) over r, mu = 2..n:
+- S^i is skew, S^i_(r, mu) = s Pf(M' without r, mu) for r < mu, so rank
+  C^i is even.
+- The rows ((-1)^r a^t_r) annihilate every S^i from the left: M' adj =
+  Pf(M') I for adj the skew matrix of signed minors Pf(M' without a, b),
+  and the row of M' for e_t is (-alpha_t, 0). So where A' has rank m,
+  [c_1 C^1 | c_2 C^2] has rank at most n - 1 - m = 2k.
+- When Pf(M') != 0, S^i is s Pf(M') M'^-1 on its top-left (n-1)-block, up
+  to sign diagonals. By the nullity theorem (Gustafson 1984; Strang-Nguyen,
+  SIAM Review 46, 2004) that block has the nullity m of the complementary
+  zero block of M', so rank C^i = 2k; and A' has rank m.
+- c, the first kernel vector of (b_first^1, ..., b_first^m), is supported
+  on forms 1 and 2 with b_first^1 c_1 != 0, and the rank is 2k; or it is
+  one e_i with b_first^i = 0, and the rank is that of S^i, even.
+test_skew_structure_and_probe_rank_2k pins the first three steps.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ cross-checked against. evaluate_field, independent_by_fractions and
 derived_flag_by_fractions evaluate one point at a time in Fractions, the
 path that the compiled integer evaluation replaced, and
 first_rank_drop_by_fractions is the point-by-point rank guard that the
-pivot-guided constant minor now settles first; pivot_subset_by_fractions
-proposes that minor's columns by Fraction ranks. column_scan_bareiss is
+wedge checks now run only where their forms vanish;
+pivot_subset_by_fractions proposes the columns of the pivot-guided
+constant minor by Fraction ranks. column_scan_bareiss is
 the whole-matrix elimination that linalg.Echelon's row-at-a-time reduction
 replaced, with the rank, det, kernel_basis and solve built on it; the
 derived-flag oracle ranks with it.

@@ -1,10 +1,12 @@
 """The benchmark's recorded reports still come out byte for byte.
 
 perfbench/digests.json holds the SHA-256 of every benchmark job's report.
-This test runs variant 0 of each job template through cli.main in-process
-and checks it with perfbench's own jobs.verify: exit code, known answer and
-digest. So a report that drifts fails here, not only in a benchmark run.
-Nothing under perfbench/ is written.
+These tests run benchmark jobs through cli.main in-process and check each
+with perfbench's own jobs.verify: exit code, known answer and digest. So a
+report that drifts fails here, not only in a benchmark run. Every template
+runs its variant 0; the mni-check templates run all jobs.POOL variants,
+since each variant's seed moves the sample points at which the coframe
+guard ranks the coframe. Nothing under perfbench/ is written.
 """
 
 import importlib.util
@@ -24,17 +26,27 @@ _spec.loader.exec_module(jobs)
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("workload", jobs.WORKLOADS)
-def test_variant_zero_of_every_template_matches_its_digest(workload, tmp_path):
+def _problems(workload, variants, tmp_path):
     problems = []
     for template in jobs.templates(workload):
-        job = template.job(0)
-        if job.doc is not None:
-            path = tmp_path / ("%s.nh" % template.name)
-            path.write_text(job.doc, encoding="utf-8")
-            job.argv = [str(path) if a == jobs.DOC else a for a in job.argv]
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = cli.main(job.argv)
-        problems += jobs.verify(job, code, out.getvalue(), DIGESTS)
-    assert problems == []
+        for variant in variants:
+            job = template.job(variant)
+            if job.doc is not None:
+                path = tmp_path / ("%s-%d.nh" % (template.name, variant))
+                path.write_text(job.doc, encoding="utf-8")
+                job.argv = [str(path) if a == jobs.DOC else a for a in job.argv]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main(job.argv)
+            problems += jobs.verify(job, code, out.getvalue(), DIGESTS)
+    return problems
+
+
+@pytest.mark.parametrize("workload", jobs.WORKLOADS)
+def test_variant_zero_of_every_template_matches_its_digest(workload, tmp_path):
+    assert _problems(workload, [0], tmp_path) == []
+
+
+def test_every_mni_check_variant_matches_its_digest(tmp_path):
+    # variant 0 is checked above
+    assert _problems("mni-check", range(1, jobs.POOL), tmp_path) == []

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from nonholonomy.algebra import Chart, Polynomial
+from nonholonomy.algebra import Chart, Polynomial, poly_eval
 from nonholonomy.constructions import (
     builtin_corpus,
     contact_structure,
@@ -178,6 +178,22 @@ def test_the_pivot_candidate_leads_the_minor_search(monkeypatch):
     mni = [wedge(base, wedge_power(exterior_derivative(a), 2)) for a in coframe]
     confirmed.clear()
     assert constant_minor_certificate(mni)
+    assert len(confirmed) == 1
+
+
+def test_check_mni_confirms_one_subset_on_a_jetlike_coframe(monkeypatch):
+    # the coframe guard does no minor search: the one subset confirmed is
+    # the MNI forms' candidate, which settles their certificate
+    confirmed = []
+    original = forms._confirmed
+
+    def counted(grid, values, subset):
+        confirmed.append(subset)
+        return original(grid, values, subset)
+
+    monkeypatch.setattr(forms, "_confirmed", counted)
+    verdict = check_mni(jetlike_coframe(8, 2, random.Random(15)), 2)
+    assert verdict.value and verdict.certificate
     assert len(confirmed) == 1
 
 
@@ -460,9 +476,8 @@ def test_check_mni_quadratic_full_sampling_witnesses():
 
 
 def test_sampled_checks_accept_an_iterator_of_points():
-    # each check reads its points more than once: the witnesses and the
-    # count, and first the coframe guard when the pivot candidate does not
-    # prove the coframe's rank (this one it proves)
+    # each check reads its points more than once: the ranks of the forms,
+    # the coframe guard at the points where they vanish, and the count
     bundle = even_contact_structure(4)
     coframe, chart = bundle.coframe, bundle.distribution.chart
     points = [list(p) for p in sample_slice(chart, grid=10, randoms=10)]
@@ -508,54 +523,84 @@ def _random_coframe(rng, n):
 def test_rank_guard_matches_point_by_point_oracle():
     # the guard of the wedge checks raises at the first point where a
     # point-by-point Fraction guard finds the coframe dependent, and only
-    # then, whether the pivot candidate proves full rank or the points are
-    # ranked
+    # then, although it ranks the coframe only where the wedge forms vanish
     rng = random.Random(15)
-    outcomes = {"proved": 0, "sampled": 0, "dropped": 0}
+    outcomes = {"dropped": 0, "full rank": 0}
     for trial in range(150):
         coframe = _random_coframe(rng, 4 + trial % 5)
         chart = coframe[0].chart
         points = sample_points(chart, trial)
         points = rng.sample(points[:200], 6) + points[200:206]
         expected = first_rank_drop_by_fractions(coframe, points)
-        assert distributions._first_drop(coframe, points) == expected, trial
-        if expected is not None:
-            outcomes["dropped"] += 1
-        elif distributions._pivot_minor(distributions._grid(coframe, "test")) is not None:
-            outcomes["proved"] += 1
-        else:
-            outcomes["sampled"] += 1
-        if trial % 4 == 0:
-            try:
-                check_dbasis_condition(coframe, points)
-                assert expected is None, trial
-            except DegeneratePresentationError as err:
-                assert err.point == expected, trial
-    assert min(outcomes.values()) > 15, outcomes
+        try:
+            check_dbasis_condition(coframe, points)
+            raised = None
+        except DegeneratePresentationError as err:
+            raised = err.point
+        assert raised == expected, trial
+        outcomes["full rank" if expected is None else "dropped"] += 1
+    assert min(outcomes.values()) >= 15, outcomes
+
+
+def test_rank_guard_reads_past_rank_zero_points_without_a_drop():
+    # the last quadratic (8,2) form scaled by x8 - 1/2: every MNI form
+    # vanishes at the origin, (0,...,0,1) and (0,...,0,-1), where the
+    # coframe keeps its rank, and the coframe drops at (0,...,0,1/2)
+    coframe = quadratic_coframe(8, 2)
+    x8 = Polynomial.coordinate(coframe[0].chart, 8)
+    coframe[-1] = (x8 - Fraction(1, 2)) * coframe[-1]
+    points = sample_points(coframe[0].chart)
+    expected = first_rank_drop_by_fractions(coframe, points)
+    assert expected == (0,) * 7 + (Fraction(1, 2),)
+    try:
+        check_mni(coframe, 2)
+        assert False
+    except DegeneratePresentationError as err:
+        assert err.point == expected
+        assert "coframe drops rank" in str(err)
 
 
 def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
-    # the coframe guard of check_mni is proved by the pivot candidate on the
-    # benchmark's coframes, so the points are ranked only for the MNI forms
-    degrees = []
+    # the MNI forms' grid is ranked once per point, and the coframe only at
+    # the points where every MNI form vanishes: on the quadratic coframes
+    # some points, on the jet-like ones none
+    ranked = []
 
     def counted(forms, points):
-        degrees.append(forms[0].degree)
+        ranked.append((forms[0].degree, list(points)))
         return dependent_points(forms, points)
 
     monkeypatch.setattr(distributions, "dependent_points", counted)
     rng = random.Random(15)
+    vanishing = {"quadratic": [], "jet-like": []}
     for n, k in ((5, 1), (6, 2), (7, 2), (8, 2)):
-        for coframe in (quadratic_coframe(n, k), jetlike_coframe(n, k, rng)):
-            degrees.clear()
-            check_mni(coframe, k, points=sample_slice(coframe[0].chart, grid=5, randoms=5))
-            assert degrees == [n - 1], (n, k)
+        for kind, coframe in (("quadratic", quadratic_coframe(n, k)),
+                              ("jet-like", jetlike_coframe(n, k, rng))):
+            points = sample_slice(coframe[0].chart, grid=5, randoms=5)
+            base = wedge_all(coframe)
+            mni = [wedge(base, wedge_power(exterior_derivative(a), k)) for a in coframe]
+            zeros = [p for p in points
+                     if all(poly_eval(c, p) == 0 for f in mni for c in f.terms.values())]
+            ranked.clear()
+            check_mni(coframe, k, points=points)
+            assert ranked == [(1, zeros)], (n, k)
+            vanishing[kind].append(len(zeros))
+    assert min(vanishing["quadratic"]) > 0 and vanishing["jet-like"] == [0] * 4, vanishing
 
 
-def test_pivot_candidate_proves_the_benchmark_coframes():
-    # the candidate is the identity block of quadratic_coframe (the last m
-    # columns) and of a jet-like coframe (the first m) at every admissible
-    # shape with k <= 4, including those whose subsets outnumber MAX_MINORS
+def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
+    # the candidate, the first subset that forms._confirmed sees, is the
+    # identity block of quadratic_coframe (the last m columns) and of a
+    # jet-like coframe (the first m) at every admissible shape with k <= 4,
+    # including those whose subsets outnumber MAX_MINORS
+    seen = []
+    original = forms._confirmed
+
+    def counted(grid, values, subset):
+        seen.append((subset, original(grid, values, subset)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(forms, "_confirmed", counted)
     rng = random.Random(15)
     capped = []
     for k in range(1, 5):
@@ -563,7 +608,9 @@ def test_pivot_candidate_proves_the_benchmark_coframes():
             m = n - 2 * k - 1
             for coframe, block in ((quadratic_coframe(n, k), tuple(range(n - m, n))),
                                    (jetlike_coframe(n, k, rng), tuple(range(m)))):
-                assert distributions._pivot_minor(distributions._grid(coframe, "test")) == (block, 1)
+                seen.clear()
+                assert forms._constant_minor(distributions._grid(coframe, "test")) == (block, 1)
+                assert seen == [(block, (block, 1))], (n, k)
             if comb(n, m) > forms.MAX_MINORS:
                 capped.append((n, k))
     assert capped == [(17, 4), (18, 4)]

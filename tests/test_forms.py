@@ -17,7 +17,6 @@ from nonholonomy.forms import (
     VectorField,
     _constant_minor,
     _grid,
-    _pivot_minor,
     _poly_det,
     _probe_points,
     constant_minor_certificate,
@@ -650,25 +649,38 @@ def _random_grid(rng, n):
     return rows
 
 
-def test_pivot_minor_matches_fraction_oracle_on_random_grids():
-    # the candidate is the Fraction oracle's pivot subset whenever that
-    # subset's symbolic minor is a nonzero constant, and None otherwise; it
-    # finds nothing where no subset has a constant minor
+def test_pivot_minor_matches_fraction_oracle_on_random_grids(monkeypatch):
+    # the candidate, the first subset that _confirmed sees, is the Fraction
+    # oracle's pivot subset; it is confirmed whenever that subset's symbolic
+    # minor is a nonzero constant, and then settles the search. Where no
+    # subset has a constant minor nothing is confirmed
+    seen = []
+    original = forms_module._confirmed
+
+    def counted(grid, values, subset):
+        seen.append((subset, original(grid, values, subset)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(forms_module, "_confirmed", counted)
     rng = random.Random(15)
     found = searched_in_vain = 0
     for trial in range(240):
         grid = _random_grid(rng, 4 + trial % 5)
-        candidate = _pivot_minor(grid)
+        seen.clear()
+        result = _constant_minor(grid)
         subset = pivot_subset_by_fractions(grid)
+        assert (seen[0][0] if seen else None) == subset, trial
+        candidate = seen[0][1] if seen else None
         assert candidate == (None if subset is None else _symbolic_constant(grid, subset)), trial
         if candidate is not None:
             found += 1
+            assert result == candidate and len(seen) == 1, trial
             value = _poly_det([[row[c] for c in candidate[0]] for row in grid])
             assert value.is_constant() and value.constant_value() == candidate[1] != 0
         subsets = combinations(range(len(grid[0])), len(grid))
         if not any(_symbolic_constant(grid, s) for s in subsets):
             searched_in_vain += 1
-            assert candidate is None, trial
+            assert candidate is None and result is None, trial
     assert found > 40 and searched_in_vain > 40
 
 

@@ -82,11 +82,16 @@ def test_single_caller_helpers_stay_folded():
 
 
 def test_rank_guard_has_one_idiom():
-    # the wedge checks and the paired-omission construction guard their
-    # 1-forms' rank through one helper: the pivot candidate, then the points
-    assert "constant_minor_certificate" not in inspect.getsource(constructions)
-    assert "_first_drop(" in inspect.getsource(constructions.build_prop_ori_omegas)
-    assert "_first_drop(" in inspect.getsource(distributions._wedge_verdict)
+    # the wedge checks rank their coframe through dependent_points at the
+    # points where their forms vanish; the paired-omission construction
+    # seeks a constant minor and ranks its 1-forms only without one. One
+    # constant-minor search serves both
+    assert not hasattr(distributions, "_first_drop")
+    assert not hasattr(forms, "_pivot_minor")
+    assert not hasattr(forms, "_minor_search")
+    assert "dependent_points(" in inspect.getsource(distributions._wedge_verdict)
+    source = inspect.getsource(constructions.build_prop_ori_omegas)
+    assert 0 <= source.find("constant_minor_certificate(") < source.find("dependent_points(")
 
 
 def test_linalg_has_one_elimination_and_its_skew_analogue():
