@@ -35,7 +35,6 @@ from .distributions import (
 from .singularity import (
     FiberPoint,
     assemble_principal_matrix,
-    dependence_multipliers,
     extract_c_coefficients,
     thinness_probe,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "sample_points",
     "FiberPoint",
     "assemble_principal_matrix",
-    "dependence_multipliers",
     "extract_c_coefficients",
     "thinness_probe",
     "build_example",

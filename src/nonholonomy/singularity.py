@@ -5,17 +5,14 @@ A fiber point carries the coefficients of m 1-forms (a^i_j) and m 2-forms
 alpha_1 ^ ... ^ alpha_m ^ omega_i^k split over the principal subspace into
 constant parts C-bar and linear parts C(mu) in the principal entries
 z^i_{1mu}; every one of them is a Pfaffian of one skew matrix M per form (see
-extract_c_coefficients). B^i_1 = b_first is s Pf(M'), M' being M without
-coordinate 1. When it is nonzero, one exact solve with M' yields the rest:
-for 0-based a < b, Pf(M' without a, b) = (-1)^(a+b) Pf(M') (M'^-1)_ab, and
-with x = -M'^-1 M[2.., 1], C-bar_r = (-1)^(r-1) b_first x_(r-2). When
-b_first == 0 the Pfaffian minors are taken one by one.
+extract_c_coefficients, whose solve gives them all when B^i_1 = b_first =
+s Pf(M') is nonzero, M' being M without coordinate 1).
 
 The probe measures the exact rank of the assembled linear system across
 seeded random fibers; the classification argument needs that rank never
-to be 1. It takes b_first for every form, then the multipliers c, and only
-then C-bar and C, for the forms with c_i != 0 alone: c has at most two
-nonzero entries, and assemble_principal_matrix reads no other form.
+to be 1. It takes b_first of forms 1 and 2 alone, c from them in closed
+form, and C-bar and C of c's support alone; assemble_principal_matrix
+reads no other form.
 
 Why the rank is never 1, with S^i = C^i diag((-1)^(mu+1)) over r, mu = 2..n:
 - S^i is skew, S^i_(r, mu) = s Pf(M' without r, mu) for r < mu, so rank
@@ -28,9 +25,9 @@ Why the rank is never 1, with S^i = C^i diag((-1)^(mu+1)) over r, mu = 2..n:
   to sign diagonals. By the nullity theorem (Gustafson 1984; Strang-Nguyen,
   SIAM Review 46, 2004) that block has the nullity m of the complementary
   zero block of M', so rank C^i = 2k; and A' has rank m.
-- c, the first kernel vector of (b_first^1, ..., b_first^m), is supported
-  on forms 1 and 2 with b_first^1 c_1 != 0, and the rank is 2k; or it is
-  one e_i with b_first^i = 0, and the rank is that of S^i, even.
+- c is (-b_first^2, b_first^1, 0, ...) or e_1 by construction: supported
+  on forms 1 and 2 with b_first^1 c_1 != 0, and the rank is 2k; or one
+  e_i with b_first^i = 0, and the rank is that of S^i, even.
 test_skew_structure_and_probe_rank_2k pins the first three steps.
 """
 
@@ -45,7 +42,7 @@ from math import factorial, lcm
 from .algebra import Polynomial, random_rational
 from .distributions import dimension_bounds
 from .errors import InputError
-from .linalg import kernel_basis, normalize_primitive, pfaffian, rank, solve
+from .linalg import normalize_primitive, pfaffian, rank, solve
 
 
 def _entry_value(value):
@@ -131,22 +128,6 @@ class FiberPoint:
         )
 
 
-def dependence_multipliers(betas):
-    """A nonzero normalized kernel vector c with sum c_i beta_i = 0, or None
-    when the beta vectors are independent."""
-    betas = [list(b) for b in betas]
-    if not betas:
-        raise InputError("need at least one beta vector")
-    length = len(betas[0])
-    if any(len(b) != length for b in betas):
-        raise InputError("beta vectors have unequal lengths")
-    rows = [[b[r] for b in betas] for r in range(length)]
-    basis = kernel_basis(rows, len(betas))
-    if not basis:
-        return None
-    return normalize_primitive(basis[0])
-
-
 @dataclass(frozen=True)
 class CExtraction:
     """Symbolic split of the dependence coefficients over the principal
@@ -159,9 +140,13 @@ class CExtraction:
 
 
 def _form_matrices(fp: FiberPoint, forms):
-    """M = [[Z, A^T], [-A, 0]] of each form in forms, principal entries
-    w = 0, as integer rows scaled by one common denominator L of the
-    fiber's other entries; returns ({i: M}, L)."""
+    """The extraction's first step: M = [[Z, A^T], [-A, 0]] of each form in
+    forms, principal entries w = 0, as integer rows scaled by one common
+    denominator L of the fiber's other entries, and b_first = s Pf(M');
+    returns ({i: M}, L, {i: b_first}, s). A polynomial entry raises
+    InputError."""
+    if not all(isinstance(v, Fraction) for v in (*fp.a.values(), *fp.z.values())):
+        raise InputError("extraction needs numeric fiber entries")
     n, z = fp.n, fp.z
     size = n + fp.m
     values = [v for (_, j, _), v in z.items() if j != 1] + list(fp.a.values())
@@ -180,7 +165,8 @@ def _form_matrices(fp: FiberPoint, forms):
         for j, l in combinations(range(2, n + 1), 2):
             if (i, j, l) in z:
                 put(M, j, l, z[i, j, l])
-    return matrices, L
+    scale = (-1) ** (fp.m * (fp.m - 1) // 2) * factorial(fp.k)
+    return matrices, L, {i: scale * _minor_pfaffian(M, L, {0}) for i, M in matrices.items()}, scale
 
 
 def _minor_pfaffian(M, L, omit):
@@ -189,7 +175,35 @@ def _minor_pfaffian(M, L, omit):
     return pfaffian([[M[a][b] for b in keep] for a in keep]) / L ** (len(keep) // 2)
 
 
-def extract_c_coefficients(fp: FiberPoint, forms=None, b_first=None) -> CExtraction:
+def _form_parts(fp: FiberPoint, i, M, L, b_first, scale, cbar, cmat):
+    """The extraction's second step: C-bar and C of form i into cbar and
+    cmat, from _form_matrices' M, L, b_first and s. One solve with M' when
+    b_first != 0, the Pfaffian minors one by one when b_first == 0."""
+    n = fp.n
+    half = n - fp.k - 1
+    principal = range(2, n + 1)
+    if b_first:
+        pf = (b_first * L ** half / scale).numerator  # Pf(L M'), an integer
+        columns = [[int(a == b) for a in range(2 * half)] for b in range(n - 1)]
+        columns.append([row[0] for row in M[1:]])
+        Y = solve([row[1:] for row in M[1:]], columns, pf)
+        low = L ** (half - 1)
+        for r in principal:
+            sign = scale if r % 2 else -scale
+            cbar[(i, r)] = Fraction(-sign * Y[-1][r - 2], low * L)
+            for mu in principal:
+                cmat[(i, r, mu)] = Fraction(sign * Y[mu - 2][r - 2], low)
+        return
+    for r in principal:
+        cbar[(i, r)] = scale * _minor_pfaffian(M, L, {r - 1})
+        cmat[(i, r, r)] = Fraction(0)
+    for r, mu in combinations(principal, 2):
+        value = scale * _minor_pfaffian(M, L, {0, r - 1, mu - 1})
+        cmat[(i, r, mu)] = -value if mu % 2 == 0 else value
+        cmat[(i, mu, r)] = -value if r % 2 else value
+
+
+def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     """Compute the constant and linear parts of each B^i_r in the principal
     entries z^i_{1mu}, mu = 2..n, as Pfaffians of one skew matrix per form.
 
@@ -214,49 +228,15 @@ def extract_c_coefficients(fp: FiberPoint, forms=None, b_first=None) -> CExtract
     L^(n-k-2), and C-bar_r = (-1)^r s (Y L M[2.., 1])_(r-2) / L^(n-k-1).
     When b_first == 0 the minors are taken directly.
 
-    b_first is computed for all m forms; C-bar and C only for forms (all
-    by default). A b_first passed in, from an earlier extraction of the
-    same fiber, is reused. A polynomial fiber entry raises InputError.
-    FiberPoint guarantees m >= 1, so every form has a matrix to expand.
+    This runs the steps _form_matrices and _form_parts for every form; the
+    probe runs them for c's support alone. A polynomial entry raises
+    InputError.
     """
-    n, k, m = fp.n, fp.k, fp.m
-    if not all(isinstance(v, Fraction) for v in (*fp.a.values(), *fp.z.values())):
-        raise InputError("extraction needs numeric fiber entries")
-    forms = range(1, m + 1) if forms is None else sorted(set(forms))
-    if any(not 1 <= i <= m for i in forms):
-        raise InputError("form indices must lie in 1..%d" % m)
-    scale = (-1) ** (m * (m - 1) // 2) * factorial(k)
-    matrices, L = _form_matrices(fp, range(1, m + 1) if b_first is None else forms)
-    if b_first is None:
-        b_first = {i: scale * _minor_pfaffian(M, L, {0}) for i, M in matrices.items()}
-    half = n - k - 1
-    principal = range(2, n + 1)
-    cbar = {}
-    cmat = {}
-    for i in forms:
-        M = matrices[i]
-        if b_first[i]:
-            pf = b_first[i] * L ** half / scale
-            if pf.denominator != 1:
-                raise InputError("b_first does not belong to this fiber")
-            columns = [[int(a == b) for a in range(2 * half)] for b in range(n - 1)]
-            columns.append([row[0] for row in M[1:]])
-            Y = solve([row[1:] for row in M[1:]], columns, pf.numerator)
-            low = L ** (half - 1)
-            for r in principal:
-                sign = scale if r % 2 else -scale
-                cbar[(i, r)] = Fraction(-sign * Y[-1][r - 2], low * L)
-                for mu in principal:
-                    cmat[(i, r, mu)] = Fraction(sign * Y[mu - 2][r - 2], low)
-            continue
-        for r in principal:
-            cbar[(i, r)] = scale * _minor_pfaffian(M, L, {r - 1})
-            cmat[(i, r, r)] = Fraction(0)
-        for r, mu in combinations(principal, 2):
-            value = scale * _minor_pfaffian(M, L, {0, r - 1, mu - 1})
-            cmat[(i, r, mu)] = -value if mu % 2 == 0 else value
-            cmat[(i, mu, r)] = -value if r % 2 else value
-    return CExtraction(dict(b_first), cbar, cmat)
+    matrices, L, b_first, scale = _form_matrices(fp, range(1, fp.m + 1))
+    cbar, cmat = {}, {}
+    for i, M in matrices.items():
+        _form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
+    return CExtraction(b_first, cbar, cmat)
 
 
 @dataclass(frozen=True)
@@ -326,15 +306,26 @@ class ProbeReport:
         }
 
 
+def _multipliers(b_first, m):
+    """c, the first kernel vector of the row (b_first^1, ..., b_first^m),
+    whose pivot is its first nonzero column: e_1 when b_first^1 == 0, else
+    the primitive (-b_first^2, b_first^1, 0, ...), or None when m = 1."""
+    if not b_first[1]:
+        return (1,) + (0,) * (m - 1)
+    if m == 1:
+        return None
+    return normalize_primitive((-b_first[2], b_first[1]) + (0,) * (m - 2))
+
+
 def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeReport:
     """Rank statistics of the principal system over seeded random fibers.
 
-    Each sample draws a fiber (principal slots left free), takes b_first for
-    all forms and the first normalized kernel vector of the constant first
-    equation as c — fibers with no nonzero c never meet the singular set
-    and are only counted — extracts C-bar and C for the forms with
-    c_i != 0 alone (at most two), assembles the system, and records its
-    exact rank.
+    Each sample draws a fiber (principal slots left free), builds M and
+    b_first of forms 1 and 2 alone, and takes c in closed form — fibers with
+    no nonzero c never meet the singular set and are only counted. Then it
+    extracts C-bar and C of c's support alone, forms 1 and 2 (the solve)
+    or one form whose b_first is 0 (the direct minors), assembles the
+    system, and records its exact rank. sample_count must be at least 1.
 
     Verdict FAIL iff some rank equals 1 (the argument needs codimension
     >= 2 everywhere, never 1). When every sample misses the singular set
@@ -342,8 +333,8 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     is AMPLE-BY-EMPTINESS; otherwise PASS.
     """
     dimension_bounds(k, n)
-    if sample_count < 0:
-        raise InputError("sample count must be non-negative")
+    if sample_count < 1:
+        raise InputError("sample count must be at least 1")
     rng = random.Random(seed)
     m = n - 2 * k - 1
     histogram = {}
@@ -351,22 +342,24 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     empty_like = 0
     for _ in range(sample_count):
         fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
-        b_first = extract_c_coefficients(fp, forms=()).b_first
-        c = dependence_multipliers([(b_first[i],) for i in range(1, m + 1)])
+        matrices, L, b_first, scale = _form_matrices(fp, range(1, min(m, 2) + 1))
+        c = _multipliers(b_first, m)
         if c is None:
             empty += 1
             empty_like += 1
             continue
-        support = [i for i in range(1, m + 1) if c[i - 1]]
-        extraction = extract_c_coefficients(fp, support, b_first)
-        system = assemble_principal_matrix(fp, c, extraction)
+        cbar, cmat = {}, {}
+        for i, M in matrices.items():
+            if c[i - 1]:
+                _form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
+        system = assemble_principal_matrix(fp, c, CExtraction(b_first, cbar, cmat))
         r = rank(system.matrix)
         histogram[r] = histogram.get(r, 0) + 1
         if r == 0 and any(system.rhs):
             empty_like += 1
     if histogram.get(1):
         verdict = "FAIL"
-    elif sample_count > 0 and empty_like == sample_count:
+    elif empty_like == sample_count:
         verdict = "AMPLE-BY-EMPTINESS"
     else:
         verdict = "PASS"

@@ -4,9 +4,10 @@ perfbench/digests.json holds the SHA-256 of every benchmark job's report.
 These tests run benchmark jobs through cli.main in-process and check each
 with perfbench's own jobs.verify: exit code, known answer and digest. So a
 report that drifts fails here, not only in a benchmark run. Every template
-runs its variant 0; the mni-check templates run all jobs.POOL variants,
-since each variant's seed moves the sample points at which the coframe
-guard ranks the coframe. Nothing under perfbench/ is written.
+runs its variant 0; the mni-check and probe-sweep templates run all
+jobs.POOL variants, since each variant's seed moves the sample points at
+which the coframe guard ranks the coframe, and the fibers the thinness
+probe draws. Nothing under perfbench/ is written.
 """
 
 import importlib.util
@@ -50,3 +51,8 @@ def test_variant_zero_of_every_template_matches_its_digest(workload, tmp_path):
 def test_every_mni_check_variant_matches_its_digest(tmp_path):
     # variant 0 is checked above
     assert _problems("mni-check", range(1, jobs.POOL), tmp_path) == []
+
+
+def test_every_probe_sweep_variant_matches_its_digest(tmp_path):
+    # variant 0 is checked above
+    assert _problems("probe-sweep", range(1, jobs.POOL), tmp_path) == []

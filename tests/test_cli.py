@@ -210,6 +210,15 @@ def test_thinness_bounds_error(capsys):
     assert "ambient dimension" in json.loads(out)["error"]["message"]
 
 
+def test_thinness_needs_a_sample(capsys):
+    # exit 0 says every verdict held; with no fiber sampled none was checked
+    code, out = _run(capsys, ["thinness", "--n", "5", "--k", "1", "--samples", "0"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert "at least 1" in error["message"]
+
+
 def test_unknown_example_is_an_input_error(capsys):
     code, out = _run(capsys, ["example", "moebius-3"])
     assert code == 2

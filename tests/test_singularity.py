@@ -10,13 +10,12 @@ from nonholonomy.distributions import dimension_bounds
 from nonholonomy.errors import InputError
 from nonholonomy.forms import wedge_power
 from nonholonomy import singularity
-from nonholonomy.linalg import kernel_basis, normalize_primitive, rank
+from nonholonomy.linalg import kernel_basis, normalize_primitive, pfaffian, rank
 from nonholonomy.singularity import (
     CExtraction,
     FiberPoint,
     PrincipalSystem,
     assemble_principal_matrix,
-    dependence_multipliers,
     extract_c_coefficients,
     thinness_probe,
 )
@@ -208,20 +207,70 @@ def test_b_coefficients_match_permutation_sum():
                 assert b_coefficients(fp, i) == _b_by_permutation_sum(fp, i)
 
 
-def test_dependence_multipliers_examples():
-    assert dependence_multipliers([(1, 2, 0, 0), (1, 2, 0, 0)]) == (1, -1)
-    assert dependence_multipliers([(1, 0, 0), (0, 1, 0)]) is None
-    assert dependence_multipliers([(1, 2, 0, 0), (2, 4, 0, 0)]) == (2, -1)
-    try:
-        dependence_multipliers([])
-        assert False
-    except InputError:
-        pass
-    try:
-        dependence_multipliers([(1, 2), (1, 2, 3)])
-        assert False
-    except InputError:
-        pass
+def _probe_steps(fp):
+    """The probe's steps on one fiber: M and b_first of forms 1 and 2, c in
+    closed form, then C-bar and C of c's support alone; returns b_first, c
+    and the extraction (None when c is)."""
+    m = fp.m
+    matrices, L, b_first, scale = singularity._form_matrices(fp, range(1, min(m, 2) + 1))
+    c = singularity._multipliers(b_first, m)
+    if c is None:
+        return b_first, None, None
+    cbar, cmat = {}, {}
+    for i, M in matrices.items():
+        if c[i - 1]:
+            singularity._form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
+    return b_first, c, CExtraction(b_first, cbar, cmat)
+
+
+def test_closed_form_multipliers_are_the_first_kernel_vector():
+    # the row (b^1, ..., b^m) has its pivot in its first nonzero column, so
+    # its first kernel vector depends on b^1 and b^2 alone
+    rng = random.Random(19)
+    for m in range(1, 7):
+        for zeros in ((), (0,), (1,), tuple(range(2, m)), tuple(range(m))):
+            for _ in range(4):
+                row = [rnd_fraction(rng) or Fraction(1) for _ in range(m)]
+                for index in zeros:
+                    if index < m:
+                        row[index] = Fraction(0)
+                c = singularity._multipliers(dict(enumerate(row, start=1)), m)
+                basis = kernel_basis([row], m)
+                assert (c is None) == (m == 1 and row[0] != 0) == (not basis)
+                if basis:
+                    assert c == normalize_primitive(basis[0])
+
+
+def test_probe_steps_replay_the_probe():
+    # _probe_steps above is the probe's loop body; on the probe's own draws
+    # it gives the probe's histogram
+    for n, k, seed in ((6, 1, 4), (8, 2, 5), (10, 2, 6), (12, 3, 7)):
+        rng = random.Random(seed)
+        histogram = {}
+        for _ in range(4):
+            fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
+            _, c, extraction = _probe_steps(fp)
+            if c is not None:
+                r = rank(assemble_principal_matrix(fp, c, extraction).matrix)
+                histogram[r] = histogram.get(r, 0) + 1
+        assert thinness_probe(n, k, 4, seed).rank_histogram == histogram
+
+
+def test_probe_takes_two_first_pfaffians(monkeypatch):
+    # at (10,2), m = 5: b_first of forms 1 and 2 decide c, and the solve
+    # takes no Pfaffian, so a fiber with b^1 != 0 and b^2 != 0 costs two
+    fp = FiberPoint.random(10, 2, rng=random.Random(3), include_principal=False)
+    b_first, c, _ = _probe_steps(fp)
+    assert b_first[1] and b_first[2] and c[0] and c[1]
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return pfaffian(rows)
+
+    monkeypatch.setattr(singularity, "pfaffian", counting)
+    thinness_probe(10, 2, 1, seed=3)
+    assert len(calls) == 2
 
 
 def _assert_reconstructs_b(fp, extraction, rng, forms=None):
@@ -277,8 +326,7 @@ ORACLE_SHAPES = ((4, 1), (5, 1), (6, 1), (7, 2), (8, 2), (9, 3), (10, 2), (11, 3
 
 def test_extraction_matches_direct_minors():
     # the one solve per form gives exactly the Pfaffian minors taken one by
-    # one; a support-first extraction agrees with it on its forms, with the
-    # same b_first for every form, whether b_first is computed or reused
+    # one; the private steps run on some forms agree with it on those forms
     rng = random.Random(61)
     for n, k in ORACLE_SHAPES:
         m = n - 2 * k - 1
@@ -288,41 +336,31 @@ def test_extraction_matches_direct_minors():
             assert all(reference.b_first.values())  # the solve branch runs
             assert extract_c_coefficients(fp) == reference
             for forms in ((), (1,), (m,), tuple(range(1, min(m, 2) + 1))):
-                for b_first in (None, reference.b_first):
-                    part = extract_c_coefficients(fp, forms, b_first)
-                    assert part.b_first == reference.b_first
-                    assert {key[0] for key in (*part.cbar, *part.cmat)} == set(forms)
-                    assert all(part.cbar[key] == reference.cbar[key] for key in part.cbar)
-                    assert all(part.cmat[key] == reference.cmat[key] for key in part.cmat)
-                    assert len(part.cmat) == len(forms) * (n - 1) ** 2
-    try:
-        extract_c_coefficients(FiberPoint(5, 1), forms=(3,))
-        assert False
-    except InputError as err:
-        assert "1..2" in str(err)
-    # a reused b_first that no fiber entry scale can produce is refused
-    fp = FiberPoint.random(5, 1, rng=rng)
-    try:
-        extract_c_coefficients(fp, (1,), {1: Fraction(1, 7), 2: Fraction(1)})
-        assert False
-    except InputError as err:
-        assert "b_first" in str(err)
+                matrices, L, b_first, scale = singularity._form_matrices(fp, forms)
+                assert b_first == {i: reference.b_first[i] for i in forms}
+                part = CExtraction(b_first, {}, {})
+                for i in forms:
+                    singularity._form_parts(fp, i, matrices[i], L, b_first[i], scale, part.cbar, part.cmat)
+                assert {key[0] for key in (*part.cbar, *part.cmat)} == set(forms)
+                assert all(part.cbar[key] == reference.cbar[key] for key in part.cbar)
+                assert all(part.cmat[key] == reference.cmat[key] for key in part.cmat)
+                assert len(part.cmat) == len(forms) * (n - 1) ** 2
 
 
-def _singular_first_fiber(n, k, rng):
-    """A random probe fiber with b_first^1 = 0: Pf(M') is affine in the one
-    entry z^1_{23}, which is solved for exactly."""
+def _singular_fiber(n, k, rng, i=1):
+    """A random probe fiber with b_first^i = 0: Pf(M') is affine in the one
+    entry z^i_{23}, which is solved for exactly."""
     while True:
         fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
         values = []
         for t in (0, 1):
             z = dict(fp.z)
-            z[(1, 2, 3)] = Fraction(t)
-            values.append(direct_extraction(FiberPoint(n, k, fp.a, z)).b_first[1])
+            z[(i, 2, 3)] = Fraction(t)
+            values.append(direct_extraction(FiberPoint(n, k, fp.a, z)).b_first[i])
         slope = values[1] - values[0]
         if slope:
             z = dict(fp.z)
-            z[(1, 2, 3)] = -values[0] / slope
+            z[(i, 2, 3)] = -values[0] / slope
             return FiberPoint(n, k, fp.a, z)
 
 
@@ -335,16 +373,70 @@ def test_singular_first_coefficient_in_the_probe_path():
     for n, k in ((7, 2), (8, 2)):
         m = n - 2 * k - 1
         for _ in range(3):
-            fp = _singular_first_fiber(n, k, rng)
-            b_first = extract_c_coefficients(fp, forms=()).b_first
+            fp = _singular_fiber(n, k, rng)
+            b_first, c, extraction = _probe_steps(fp)
             assert b_first[1] == 0 and b_first[2] != 0
-            c = dependence_multipliers([(b_first[i],) for i in range(1, m + 1)])
             assert c == (1,) + (0,) * (m - 1)
-            extraction = extract_c_coefficients(fp, [1], b_first)
             system = assemble_principal_matrix(fp, c, extraction)
             assert system == assemble_principal_matrix(fp, c, direct_extraction(fp))
             assert rank(system.matrix) % 2 == 0 and any(system.matrix)
             _assert_reconstructs_b(fp, extraction, rng, forms=[1])
+
+
+def test_singular_second_coefficient_in_the_probe_path():
+    # b_first^2 = 0 with b_first^1 != 0 makes c = e_2: the support is form 2
+    # alone, whose b_first is 0, so form 2 takes the direct minors
+    rng = random.Random(68)
+    for n, k in ((7, 2), (8, 2)):
+        m = n - 2 * k - 1
+        for _ in range(3):
+            fp = _singular_fiber(n, k, rng, i=2)
+            b_first, c, extraction = _probe_steps(fp)
+            assert b_first[1] != 0 and b_first[2] == 0
+            assert c == (0, 1) + (0,) * (m - 2)
+            assert {key[0] for key in (*extraction.cbar, *extraction.cmat)} == {2}
+            system = assemble_principal_matrix(fp, c, extraction)
+            assert system == assemble_principal_matrix(fp, c, direct_extraction(fp))
+            assert rank(system.matrix) % 2 == 0 and any(system.matrix)
+            _assert_reconstructs_b(fp, extraction, rng, forms=[2])
+
+
+def _corank_four_fiber(n, k, rng, twist):
+    """A random probe fiber whose form-1 2-form, restricted to ker A' (A'
+    the 1-forms without coordinate 1, of dimension 2k), is 0 or, with
+    twist, gamma ^ delta of rank 2: z^1 on coordinates 2..n is
+    sum_t alpha'_t ^ beta_t, plus gamma ^ delta. M'_1 then has corank
+    2k - 0 or 2k - 2."""
+    fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
+    coords = range(2, n + 1)
+    pairs = [([fp.a_entry(t, j) for j in coords], [rnd_fraction(rng) for _ in coords])
+             for t in range(1, fp.m + 1)]
+    if twist:
+        pairs.append(([rnd_fraction(rng) for _ in coords], [rnd_fraction(rng) for _ in coords]))
+    z = {key: v for key, v in fp.z.items() if key[0] != 1}
+    for j, l in combinations(coords, 2):
+        z[(1, j, l)] = sum((u[j - 2] * v[l - 2] - u[l - 2] * v[j - 2] for u, v in pairs), Fraction(0))
+    return FiberPoint(n, k, fp.a, z)
+
+
+def test_corank_four_fiber_in_the_probe_path():
+    # ROADMAP item 4's degenerate fibers: M'_1 of corank 4 has b_first^1 = 0
+    # and every pair minor Pf(M'_1 without r, mu) = 0, so c = e_1 and the
+    # system is exactly zero
+    rng = random.Random(69)
+    for n, k, twist in ((10, 2, False), (12, 3, True)):
+        m = n - 2 * k - 1
+        for _ in range(2):
+            fp = _corank_four_fiber(n, k, rng, twist)
+            matrices, _, _, _ = singularity._form_matrices(fp, (1,))
+            reduced = [row[1:] for row in matrices[1][1:]]
+            assert rank(reduced) == len(reduced) - 4
+            b_first, c, extraction = _probe_steps(fp)
+            assert b_first[1] == 0
+            assert c == (1,) + (0,) * (m - 1)
+            system = assemble_principal_matrix(fp, c, extraction)
+            assert system == assemble_principal_matrix(fp, c, direct_extraction(fp))
+            assert rank(system.matrix) == 0
 
 
 def test_assemble_reads_only_the_support():
@@ -352,10 +444,9 @@ def test_assemble_reads_only_the_support():
     # are never looked up
     rng = random.Random(71)
     fp = FiberPoint.random(8, 2, rng=rng, include_principal=False)
-    b_first = extract_c_coefficients(fp, forms=()).b_first
-    c = dependence_multipliers([(b_first[i],) for i in range(1, 4)])
+    _, c, part = _probe_steps(fp)
     assert c[2] == 0
-    part = extract_c_coefficients(fp, [1, 2], b_first)
+    assert {key[0] for key in (*part.cbar, *part.cmat)} == {1, 2}
     system = assemble_principal_matrix(fp, c, part)
     assert system == assemble_principal_matrix(fp, c, extract_c_coefficients(fp))
     assert all(x == 0 and isinstance(x, Fraction) for row in system.matrix for x in row[14:])
@@ -488,7 +579,7 @@ def test_probe_multipliers_touch_at_most_two_forms():
         for _ in range(8):
             fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
             extraction = extract_c_coefficients(fp)
-            c = dependence_multipliers([(extraction.b_first[i],) for i in range(1, m + 1)])
+            c = singularity._multipliers(extraction.b_first, m)
             support = tuple(i for i in range(1, m + 1) if c[i - 1])
             assert 1 <= len(support) <= 2
             supports[support] = supports.get(support, 0) + 1
@@ -524,7 +615,7 @@ def test_skew_structure_and_probe_rank_2k():
                     for mu in principal:
                         assert sum((-1) ** r * fp.a_entry(t, r) * S[r, mu] for r in principal) == 0
                 forms += 1
-            c = dependence_multipliers([(extraction.b_first[i],) for i in range(1, m + 1)])
+            c = singularity._multipliers(extraction.b_first, m)
             if c is not None and sum(1 for x in c if x) == 2:
                 system = assemble_principal_matrix(fp, c, extraction)
                 assert rank(system.matrix) == 2 * k, (n, k)
@@ -580,11 +671,13 @@ def test_thinness_probe_errors_and_schema():
         assert False
     except InputError:
         pass
-    try:
-        thinness_probe(5, 1, -1)
-        assert False
-    except InputError:
-        pass
+    # a run over no fibers would report PASS with nothing measured
+    for count in (-1, 0):
+        try:
+            thinness_probe(5, 1, count)
+            assert False
+        except InputError as err:
+            assert "at least 1" in str(err)
     report = thinness_probe(6, 1, 5, seed=1)
     payload = report.to_json_dict()
     assert sorted(payload) == [
