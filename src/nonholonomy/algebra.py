@@ -287,6 +287,24 @@ def poly_eval(p: Polynomial, point) -> Fraction:
     return total
 
 
+def _integer_point(point, n: int):
+    """The integers q_1, ..., q_n, D of a point p = q/D given as n ints and
+    Fractions, D the lcm of their denominators; InputError for any other
+    point."""
+    point = tuple(point)
+    if len(point) != n:
+        raise InputError(
+            "point of length %d does not match chart of dimension %d" % (len(point), n)
+        )
+    try:
+        denom = lcm(*[x.denominator for x in point])
+        bases = [x.numerator * (denom // x.denominator) for x in point]
+    except AttributeError:
+        raise InputError("expected integers or Fractions, got %r" % (point,)) from None
+    bases.append(denom)
+    return bases
+
+
 class IntegerGrid:
     """Rows of polynomials on one chart, compiled once for exact evaluation
     in integers at many points.
@@ -331,18 +349,7 @@ class IntegerGrid:
 
     def __call__(self, point):
         """Integer rows at a point given as ints and Fractions in chart order."""
-        point = tuple(point)
-        if len(point) != self.n:
-            raise InputError(
-                "point of length %d does not match chart of dimension %d"
-                % (len(point), self.n)
-            )
-        try:
-            denom = lcm(*[x.denominator for x in point])
-            bases = [x.numerator * (denom // x.denominator) for x in point]
-        except AttributeError:
-            raise InputError("expected integers or Fractions, got %r" % (point,)) from None
-        bases.append(denom)
+        bases = _integer_point(point, self.n)
         powers = []
         for j, top in self._tops:
             base = power = bases[j]

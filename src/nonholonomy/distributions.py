@@ -2,12 +2,15 @@
 pointwise non-integrability checks.
 
 "Pointwise at every point" is realized as a deterministic grid plus seeded
-random rational points, together with a constant-minor certificate, sought
-when no point refutes, that upgrades the sampled verdict to one valid at
-every chart point. Exact sampling refutes; the certificate proves. The
-wedge checks guard their coframe's rank with the same samples: where the
-coframe drops rank, a_1^...^a_q and so every wedge form vanishes, so the
-coframe is ranked only at the points where the forms' grid has rank 0.
+random rational points, together with a constant-minor certificate that
+upgrades the verdict to one valid at every chart point. Exact sampling
+refutes; the certificate proves. The wedge checks rank their forms at the
+first point, and seek the certificate at once unless that point is a
+witness: a certified check ranks one point, and its coframe nowhere. Only
+an uncertified check samples the rest, and guards its coframe's rank with
+the same samples: where the coframe drops rank, a_1^...^a_q and so every
+wedge form vanishes, so the coframe is ranked only at the points where the
+forms' grid has rank 0.
 
 Points are evaluated in integers: the forms of a check, and each level of
 a derived flag's bracket fields, are compiled once into an
@@ -24,7 +27,7 @@ from itertools import islice, product
 from math import comb
 
 from . import forms as _forms
-from .algebra import Chart, IntegerGrid, Polynomial, random_rational
+from .algebra import Chart, IntegerGrid, Polynomial, _integer_point, random_rational
 from .errors import ConsistencyError, DegeneratePresentationError, InputError
 from .forms import (
     DiffForm,
@@ -55,6 +58,16 @@ def sample_points(chart: Chart, seed: int = 0):
     return points
 
 
+def _sample_set(chart: Chart, points, seed: int):
+    """The points of a sampled check as a list of tuples: the caller's, or
+    sample_points(chart, seed) when points is None. An empty set raises
+    InputError: with no point, every verdict would hold vacuously."""
+    points = sample_points(chart, seed) if points is None else [tuple(p) for p in points]
+    if not points:
+        raise InputError("a sampled check needs at least one point")
+    return points
+
+
 def _pairing(form: DiffForm, vector_field: VectorField) -> Polynomial:
     """alpha(X) for a 1-form and a field, as a polynomial."""
     total = Polynomial.zero(form.chart)
@@ -80,10 +93,11 @@ def _check_coframe(coframe):
 class Verdict:
     """Outcome of a sampled pointwise check.
 
-    value is decided by the samples. certificate=True marks a True that a
-    constant-minor certificate extends to every chart point; the wedge
-    checks seek a certificate only when the samples hold no witness, so a
-    False value always comes with certificate=False.
+    certificate=True marks a True that a constant-minor certificate proves
+    at every chart point; the wedge checks then rank only the first sample
+    point. Otherwise value is decided by ranking every sample point, and a
+    False value always comes with certificate=False. checked is the size
+    of the sample set either way, for a certificate the set it covers.
     """
 
     value: bool
@@ -280,7 +294,7 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     distribution's rank is a presentation failure, not integrability
     information, and raises.
     """
-    points = sample_points(dist.chart, seed) if points is None else [tuple(p) for p in points]
+    points = _sample_set(dist.chart, points, seed)
     n = dist.chart.n
     expected = (n,) if dist.rank == n else (dist.rank, n)
     witnesses = []
@@ -297,26 +311,36 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     """Test the forms a_1^...^a_q^(omega_i)^k for pointwise independence at
     the sample points, guarding the coframe's rank on the way.
 
-    The forms' grid is compiled once and ranked once per point; rank below
-    the number of forms makes a witness. Where the coframe drops rank,
-    a_1^...^a_q vanishes and with it every form, so the coframe is ranked
-    only at the rank-0 points, and the first drop among them, the first
-    among all points, raises. The certificate is sought only without a
-    witness: at a witness every maximal minor vanishes, so none is a
-    nonzero constant, and certificate=False is proved.
+    The forms' grid is compiled once and ranked at the first point; rank
+    below the number of forms makes a witness. Unless the first point is a
+    witness, the certificate is sought before any other point is ranked.
+    When it holds, the forms are independent everywhere: no sample point is
+    a witness, a_1^...^a_q never vanishes, so the coframe never drops rank,
+    and the caller's other points are only validated. Otherwise every
+    point is ranked, with certificate=False: at a witness every maximal
+    minor vanishes, so none is a nonzero constant. Where the coframe drops
+    rank, a_1^...^a_q vanishes and with it every form, so the coframe is
+    ranked only at the rank-0 points, and the first drop among them, the
+    first among all points, raises.
     """
     chart = coframe[0].chart
-    points = sample_points(chart, seed) if points is None else [tuple(p) for p in points]
+    given = points is not None
+    points = _sample_set(chart, points, seed)
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
     grid = IntegerGrid(chart, _grid(forms, "independence check"))
-    ranks = [rank(grid(p)) for p in points]
+    first = rank(grid(points[0]))
+    if first == len(forms) and constant_minor_certificate(forms):
+        if given:  # the grid's check of a point, which sample points pass
+            for p in points[1:]:
+                _integer_point(p, chart.n)
+        return Verdict(True, len(points), (), True)
+    ranks = [first] + [rank(grid(p)) for p in points[1:]]
     dropped = dependent_points(coframe, [p for p, r in zip(points, ranks) if not r])
     if dropped:
         raise _rank_drop("coframe", dropped[0])
     witnesses = tuple(p for p, r in zip(points, ranks) if r < len(forms))
-    certificate = not witnesses and constant_minor_certificate(forms)
-    return Verdict(not witnesses, len(points), witnesses, certificate)
+    return Verdict(not witnesses, len(points), witnesses)
 
 
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:

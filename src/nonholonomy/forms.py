@@ -512,8 +512,10 @@ def constant_minor_certificate(forms) -> bool:
 
     Such a minor certifies pointwise independence at every point of the
     chart, upgrading a sampled verdict to a proof. The sampled checks ask
-    for it only when sampling finds no witness: at a dependent point every
-    maximal minor vanishes, so a witness already rules out a certificate.
+    for it after ranking their first sample point, unless that point is a
+    witness: at a dependent point every maximal minor vanishes, so a
+    witness already rules out a certificate. A certificate found spares
+    the check every other point.
     The pivot-guided candidate is tried first, then at most MAX_MINORS
     column subsets in lexicographic order (see _constant_minor), so False
     means "no certificate found", not "dependent". Most subsets are ruled

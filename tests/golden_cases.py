@@ -21,6 +21,8 @@ CASES = [
      ["check-mni", "data/jetlike5.nh", "--k", "1"], 0),
     ("mni_integrable5.json",
      ["check-mni", "data/integrable5.nh", "--k", "1"], 1),
+    ("mni_drop5.json",
+     ["check-mni", "data/drop5.nh", "--k", "1"], 2),
     ("amni5.json",
      ["check-amni", "data/amni5.nh", "--k", "1", "--omegas", "w1,w2"], 0),
     ("thinness_4_1.json",

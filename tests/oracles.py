@@ -14,6 +14,8 @@ derived_flag_by_fractions evaluate one point at a time in Fractions, the
 path that the compiled integer evaluation replaced, and
 first_rank_drop_by_fractions is the point-by-point rank guard that the
 wedge checks now run only where their forms vanish;
+witness_first_verdict is the wedge checks' earlier order, which ranked
+every point before it sought the certificate;
 pivot_subset_by_fractions proposes the columns of the pivot-guided
 constant minor by Fraction ranks. column_scan_bareiss is
 the whole-matrix elimination that linalg.Echelon's row-at-a-time reduction
@@ -25,15 +27,19 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from nonholonomy.algebra import Chart, Polynomial, poly_eval
-from nonholonomy.distributions import _check_coframe, _rank_drop
+from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, poly_eval
+from nonholonomy.distributions import Verdict, _check_coframe, _rank_drop, sample_points
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
+    _grid,
     _probe_points,
+    constant_minor_certificate,
+    dependent_points,
     evaluate_at_point,
     lie_bracket,
+    wedge,
     wedge_all,
     wedge_power,
 )
@@ -194,6 +200,24 @@ def first_rank_drop_by_fractions(forms, points):
     dependent, testing one point at a time by independent_by_fractions;
     None when there is none."""
     return next((tuple(p) for p in points if not independent_by_fractions(forms, p)), None)
+
+
+def witness_first_verdict(coframe, omegas, k, points, seed):
+    """The wedge checks' verdict by the earlier order: rank the forms
+    a_1^...^a_q^(omega_i)^k at every point, guard the coframe at the rank-0
+    points, and seek the certificate only when no point is a witness."""
+    chart = coframe[0].chart
+    points = sample_points(chart, seed) if points is None else [tuple(p) for p in points]
+    base = wedge_all(coframe)
+    forms = [wedge(base, wedge_power(w, k)) for w in omegas]
+    grid = IntegerGrid(chart, _grid(forms, "independence check"))
+    ranks = [rank(grid(p)) for p in points]
+    dropped = dependent_points(coframe, [p for p, r in zip(points, ranks) if not r])
+    if dropped:
+        raise _rank_drop("coframe", dropped[0])
+    witnesses = tuple(p for p, r in zip(points, ranks) if r < len(forms))
+    certificate = not witnesses and constant_minor_certificate(forms)
+    return Verdict(not witnesses, len(points), witnesses, certificate)
 
 
 def pivot_subset_by_fractions(grid):

@@ -1,9 +1,14 @@
 """Distributions: kernels, derived flags, and the non-integrability checks."""
 
+import glob
 import hashlib
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
+
+import pytest
 
 from nonholonomy.algebra import Chart, Polynomial, poly_eval
 from nonholonomy.constructions import (
@@ -24,7 +29,7 @@ from nonholonomy.distributions import (
     has_derived_length_one,
     sample_points,
 )
-from nonholonomy.errors import DegeneratePresentationError, InputError
+from nonholonomy.errors import DegeneratePresentationError, InputError, ParseError
 from nonholonomy import distributions, forms
 from nonholonomy.forms import (
     DiffForm,
@@ -37,13 +42,17 @@ from nonholonomy.forms import (
     wedge_power,
 )
 from nonholonomy.linalg import rank
+from nonholonomy.parser import parse_document
 
 from conftest import (
     jetlike_coframe, quadratic_coframe, rnd_form, rnd_point, rnd_poly, sample_slice,
 )
 from oracles import (
     derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions, pointwise_kernel,
+    witness_first_verdict,
 )
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def _chart3():
@@ -520,17 +529,22 @@ def _random_coframe(rng, n):
     return coframe
 
 
+def _rank_drop_trials():
+    """150 (trial, coframe, points): random coframes on 4 to 8 coordinates,
+    each with 6 grid points and 6 random points of sample_points."""
+    rng = random.Random(15)
+    for trial in range(150):
+        coframe = _random_coframe(rng, 4 + trial % 5)
+        points = sample_points(coframe[0].chart, trial)
+        yield trial, coframe, rng.sample(points[:200], 6) + points[200:206]
+
+
 def test_rank_guard_matches_point_by_point_oracle():
     # the guard of the wedge checks raises at the first point where a
     # point-by-point Fraction guard finds the coframe dependent, and only
     # then, although it ranks the coframe only where the wedge forms vanish
-    rng = random.Random(15)
     outcomes = {"dropped": 0, "full rank": 0}
-    for trial in range(150):
-        coframe = _random_coframe(rng, 4 + trial % 5)
-        chart = coframe[0].chart
-        points = sample_points(chart, trial)
-        points = rng.sample(points[:200], 6) + points[200:206]
+    for trial, coframe, points in _rank_drop_trials():
         expected = first_rank_drop_by_fractions(coframe, points)
         try:
             check_dbasis_condition(coframe, points)
@@ -540,6 +554,141 @@ def test_rank_guard_matches_point_by_point_oracle():
         assert raised == expected, trial
         outcomes["full rank" if expected is None else "dropped"] += 1
     assert min(outcomes.values()) >= 15, outcomes
+
+
+def _verdict_or_drop(verdict, *args):
+    try:
+        return verdict(*args)
+    except DegeneratePresentationError as err:
+        return "drop", err.point, str(err)
+
+
+def _agreed_outcome(coframe, omegas, k, points=None, seed=0):
+    """The wedge checks' Verdict or rank drop, which must equal that of
+    the witness-first order."""
+    args = (list(coframe), list(omegas), k, points, seed)
+    outcome = _verdict_or_drop(distributions._wedge_verdict, *args)
+    assert outcome == _verdict_or_drop(witness_first_verdict, *args)
+    return outcome
+
+
+def _kind(outcome):
+    if not isinstance(outcome, distributions.Verdict):
+        return "drop"
+    return "certified" if outcome.certificate else "value %s" % outcome.value
+
+
+def _derivatives(coframe):
+    return [exterior_derivative(a) for a in coframe]
+
+
+def test_certificate_first_matches_witness_first_on_the_corpus():
+    # the data documents (the d-basis condition, and the MNI and almost-MNI
+    # checks where their sizes admit a k) and every gallery claim of the
+    # three wedge checks, at seeds 0 and 3
+    cases = []
+    for path in sorted(glob.glob(os.path.join(DATA, "*.nh"))):
+        with open(path, encoding="utf-8") as handle:
+            try:
+                doc = parse_document(handle.read())
+            except ParseError:
+                continue
+        coframe = doc.one_forms()
+        if not coframe:
+            continue
+        cases.append((coframe, _derivatives(coframe), 1))
+        twice_k = doc.chart.n - len(coframe) - 1
+        if twice_k >= 2 and twice_k % 2 == 0:
+            cases.append((coframe, _derivatives(coframe), twice_k // 2))
+            two_forms = [b.value for b in doc.bindings
+                         if isinstance(b.value, DiffForm) and b.value.degree == 2]
+            if len(two_forms) == len(coframe):
+                cases.append((coframe, two_forms, twice_k // 2))
+    for bundle in builtin_corpus():
+        claimed = {"check-dbasis": (_derivatives(bundle.coframe), 1),
+                   "check-mni": (_derivatives(bundle.coframe), bundle.k),
+                   "check-amni": (bundle.omegas, bundle.k)}
+        cases += [(bundle.coframe,) + claimed[c] for c in bundle.claims if c in claimed]
+    kinds = Counter(_kind(_agreed_outcome(coframe, omegas, k, None, seed))
+                    for coframe, omegas, k in cases for seed in (0, 3))
+    assert set(kinds) == {"certified", "value False", "drop"}, kinds
+
+
+def test_certificate_first_matches_witness_first_on_benchmark_coframes():
+    # every admissible shape with k <= 2, (10,2) the largest, at seeds 0
+    # and 3: the quadratic checks are refuted, the jet-like ones certified
+    for k in (1, 2):
+        for n in range(2 * k + 2, 4 * k + 3):
+            for seed in (0, 3):
+                quadratic = quadratic_coframe(n, k)
+                outcome = _agreed_outcome(quadratic, _derivatives(quadratic), k, None, seed)
+                assert _kind(outcome) == "value False", (n, k, seed)
+                jetlike = jetlike_coframe(n, k, random.Random(seed))
+                outcome = _agreed_outcome(jetlike, _derivatives(jetlike), k, None, seed)
+                assert _kind(outcome) == "certified", (n, k, seed)
+
+
+def test_certificate_first_matches_witness_first_on_random_coframes():
+    # the d-basis condition on the rank guard's 150 random coframes, where
+    # each of the four outcomes occurs
+    kinds = Counter(_kind(_agreed_outcome(coframe, _derivatives(coframe), 1, points))
+                    for _, coframe, points in _rank_drop_trials())
+    assert len(kinds) == 4 and min(kinds.values()) >= 5, kinds
+
+
+def _two_constraints():
+    """(chart, jets, integrable): dy_i - t dx_i, which is MNI for k = 1, and
+    dy_i, which is integrable, for i = 1, 2 on five coordinates."""
+    five = Chart(("x1", "x2", "y1", "y2", "t"))
+    t = Polynomial.coordinate(five, "t")
+    jets = [DiffForm.basis(five, "y%d" % i) - t * DiffForm.basis(five, "x%d" % i)
+            for i in (1, 2)]
+    return five, jets, [DiffForm.basis(five, "y1"), DiffForm.basis(five, "y2")]
+
+
+def _sampled_checks():
+    five, jets, integrable = _two_constraints()
+    zeros = [DiffForm.zero(five, 2)] * 2
+    flat = Distribution(five, coframe=integrable)
+    return {
+        "check_mni": lambda pts: check_mni(integrable, 1, pts),
+        "check_almost_mni": lambda pts: check_almost_mni(jets, zeros, 1, pts),
+        "check_dbasis_condition": lambda pts: check_dbasis_condition(integrable, pts),
+        "has_derived_length_one": lambda pts: has_derived_length_one(flat, pts),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_sampled_checks()))
+def test_an_empty_point_set_is_an_error(name):
+    # no point refutes an empty set, so a check on an integrable or zero
+    # input would pass vacuously
+    check = _sampled_checks()[name]
+    assert check([(0,) * 5]).value is False
+    with pytest.raises(InputError, match="at least one point"):
+        check([])
+    with pytest.raises(InputError, match="at least one point"):
+        check(iter(()))
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 0, 0), (0, 0, 0, 0, 0.5)], ids=["length", "float"])
+def test_malformed_points_after_the_first_raise_on_every_path(bad):
+    # a certified check ranks only its first point, yet a malformed point
+    # later on raises the InputError of the integer evaluator, as it does
+    # on the uncertified paths: a witness at the first point, or no witness
+    # there and no constant minor
+    five, jets, integrable = _two_constraints()
+    t = Polynomial.coordinate(five, "t")
+    stretched = [(1 + t * t) * jets[0], jets[1]]
+    points = [(1, 2, 3, 4, 5), (0, 1, 0, 1, Fraction(1, 2)), bad, (0,) * 5]
+    for coframe, kind in ((jets, "certified"), (stretched, "value True"),
+                          (integrable, "value False")):
+        assert _kind(_agreed_outcome(coframe, _derivatives(coframe), 1, points[:2])) == kind
+        with pytest.raises(InputError) as caught:
+            check_mni(coframe, 1, points)
+        with pytest.raises(InputError) as expected:
+            witness_first_verdict(coframe, _derivatives(coframe), 1, points, 0)
+        assert str(caught.value) == str(expected.value), kind
+        assert str(expected.value).startswith(("point of length 4", "expected integers")), kind
 
 
 def test_rank_guard_reads_past_rank_zero_points_without_a_drop():
@@ -561,31 +710,55 @@ def test_rank_guard_reads_past_rank_zero_points_without_a_drop():
 
 
 def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
-    # the MNI forms' grid is ranked once per point, and the coframe only at
-    # the points where every MNI form vanishes: on the quadratic coframes
-    # some points, on the jet-like ones none
-    ranked = []
+    # a quadratic check, whose first point is a witness, seeks no
+    # certificate, ranks its MNI forms' grid at every point, and its
+    # coframe only at the points where every MNI form vanishes; a jet-like
+    # check, whose first point is no witness and whose certificate holds,
+    # ranks its forms at that one point and its coframe nowhere
+    ranked, guarded, sought = [], [], []
+
+    def counted_rank(rows):
+        ranked.append(len(rows))
+        return rank(rows)
 
     def counted(forms, points):
-        ranked.append((forms[0].degree, list(points)))
+        guarded.append((forms[0].degree, list(points)))
         return dependent_points(forms, points)
 
+    def counted_search(forms):
+        sought.append(len(forms))
+        return constant_minor_certificate(forms)
+
+    monkeypatch.setattr(distributions, "rank", counted_rank)
     monkeypatch.setattr(distributions, "dependent_points", counted)
+    monkeypatch.setattr(distributions, "constant_minor_certificate", counted_search)
     rng = random.Random(15)
-    vanishing = {"quadratic": [], "jet-like": []}
+    vanishing = []
     for n, k in ((5, 1), (6, 2), (7, 2), (8, 2)):
-        for kind, coframe in (("quadratic", quadratic_coframe(n, k)),
-                              ("jet-like", jetlike_coframe(n, k, rng))):
-            points = sample_slice(coframe[0].chart, grid=5, randoms=5)
-            base = wedge_all(coframe)
-            mni = [wedge(base, wedge_power(exterior_derivative(a), k)) for a in coframe]
-            zeros = [p for p in points
-                     if all(poly_eval(c, p) == 0 for f in mni for c in f.terms.values())]
-            ranked.clear()
-            check_mni(coframe, k, points=points)
-            assert ranked == [(1, zeros)], (n, k)
-            vanishing[kind].append(len(zeros))
-    assert min(vanishing["quadratic"]) > 0 and vanishing["jet-like"] == [0] * 4, vanishing
+        m = n - 2 * k - 1
+        coframe = quadratic_coframe(n, k)
+        points = sample_slice(coframe[0].chart, grid=5, randoms=5)
+        base = wedge_all(coframe)
+        mni = [wedge(base, wedge_power(exterior_derivative(a), k)) for a in coframe]
+        zeros = [p for p in points
+                 if all(poly_eval(c, p) == 0 for f in mni for c in f.terms.values())]
+        ranked.clear()
+        guarded.clear()
+        sought.clear()
+        assert not check_mni(coframe, k, points=points).certificate
+        assert ranked == [m] * len(points) and guarded == [(1, zeros)], (n, k)
+        assert sought == [], (n, k)
+        vanishing.append(len(zeros))
+
+        coframe = jetlike_coframe(n, k, rng)
+        points = sample_slice(coframe[0].chart, grid=5, randoms=5)
+        ranked.clear()
+        guarded.clear()
+        sought.clear()
+        verdict = check_mni(coframe, k, points=points)
+        assert verdict == distributions.Verdict(True, len(points), (), True), (n, k)
+        assert ranked == [m] and guarded == [] and sought == [m], (n, k)
+    assert min(vanishing) > 0, vanishing
 
 
 def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
