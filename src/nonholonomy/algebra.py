@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm, prod
+from itertools import accumulate, repeat
+from math import lcm
 from operator import mul
 
 from .errors import InputError
@@ -311,55 +312,80 @@ class IntegerGrid:
 
     Every distinct exponent tuple of the grid gets one slot, and each row's
     coefficients become integers over that row's own denominator lcm L_row.
-    At a point p = q/D (D the lcm of p's denominators, q integer), each slot's
-    monomial is computed once, as prod_j q_j^e_j * D^(dmax - deg) with dmax
-    the grid's top degree. Calling the grid returns integer rows, row i being
-    L_i * D^dmax times the exact values of row i at p: a positive multiple,
-    so ranks and zero tests are those of the exact rows, and at two points
-    of one denominator D the rows carry the same factors.
+    At a point p = q/D, with q integer and D any positive common
+    denominator, each slot's monomial is D^(dmax - deg) * prod_j q_j^e_j,
+    dmax the grid's top degree. The powers D^1..D^dmax and q_j^1..q_j^top_j
+    are computed first, and the slots are compiled into a trie over their
+    factors, the power of D first and then those of q_j in chart order: a
+    node is its parent's value times one power, so each node costs one
+    multiplication. Row i at p is L_i * D^dmax times the exact values of
+    row i: a positive multiple, so ranks and zero tests are those of the
+    exact rows, and at two points of one D the rows carry the same factors.
     """
 
-    __slots__ = ("n", "_rows", "_slots", "_tops")
+    __slots__ = ("n", "_rows", "_tops", "_levels")
 
     def __init__(self, chart: Chart, rows):
-        slot_of = {}
-        self._rows = []
-        for row in rows:
-            row = list(row)
-            if any(p.chart != chart for p in row):
-                raise InputError("grid polynomials live on different charts")
-            scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
-            # an entry is its integer coefficients and their slots
-            self._rows.append([
-                (tuple(c.numerator * (scale // c.denominator) for c in p.terms.values()),
-                 tuple(slot_of.setdefault(e, len(slot_of)) for e in p.terms))
-                for p in row
-            ])
+        rows = [list(row) for row in rows]
+        if any(p.chart != chart for row in rows for p in row):
+            raise InputError("grid polynomials live on different charts")
+        exponents = list(dict.fromkeys(e for row in rows for p in row for e in p.terms))
         self.n = chart.n
-        top = max(map(sum, slot_of), default=0)
-        # the powers x_j^1..x_j^top_j of every coordinate the grid uses, and
-        # then of D, laid end to end; a slot lists the positions of its factors
-        tops = [max((e[j] for e in slot_of), default=0) for j in range(self.n)] + [top]
-        self._tops = [(j, t) for j, t in enumerate(tops) if t]
-        starts = [0]
+        top = max(map(sum, exponents), default=0)
+        # the exponents of D and then of each coordinate, the index of each
+        # in a point's integer row, and their powers laid end to end after
+        # the empty product 1
+        homogenized = [(top - sum(e),) + e for e in exponents]
+        tops = [max((h[i] for h in homogenized), default=0) for i in range(self.n + 1)]
+        self._tops = [(j, t) for j, t in zip([self.n, *range(self.n)], tops) if t]
+        starts = [1]
         for t in tops:
             starts.append(starts[-1] + t)
-        self._slots = [tuple(at + x - 1 for at, x in zip(starts, e + (top - sum(e),)) if x)
-                       for e in slot_of]
+        factors = [tuple(at + x - 1 for at, x in zip(starts, h) if x) for h in homogenized]
+        # a prefix of one factor is that power; the longer prefixes are
+        # numbered after the powers, depth by depth, and each depth is kept
+        # as the (parent, power) pairs of its nodes in order
+        node_of = {(): 0}
+        node_of.update(((f,), f) for f in range(1, starts[-1]))
+        self._levels = []
+        for depth in range(2, max(map(len, factors), default=0) + 1):
+            parents, powers = [], []
+            for f in factors:
+                if len(f) >= depth and f[:depth] not in node_of:
+                    node_of[f[:depth]] = len(node_of)
+                    parents.append(node_of[f[:depth - 1]])
+                    powers.append(f[depth - 1])
+            self._levels.append((parents, powers))
+        slot_node = {e: node_of[f] for e, f in zip(exponents, factors)}
+        self._rows = []
+        for row in rows:
+            scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
+            # an entry is its integer coefficients and the nodes of their monomials
+            self._rows.append([
+                (tuple(c.numerator * (scale // c.denominator) for c in p.terms.values()),
+                 tuple(map(slot_node.__getitem__, p.terms)))
+                for p in row
+            ])
+
+    def __len__(self):
+        return len(self._rows)
+
+    def at(self, q):
+        """The integer rows at the point q_1/D, ..., q_n/D, given as the ints
+        q_1, ..., q_n, D with D > 0. The monomials are computed at once, and
+        each row when it is read."""
+        values = [1]
+        for j, top in self._tops:
+            values += accumulate(repeat(q[j], top), mul)
+        get = values.__getitem__
+        for parents, powers in self._levels:
+            values += list(map(mul, map(get, parents), map(get, powers)))
+        return ([sum(map(mul, coeffs, map(get, nodes))) for coeffs, nodes in row]
+                for row in self._rows)
 
     def __call__(self, point):
         """Integer rows at a point given as ints and Fractions in chart order."""
-        bases = _integer_point(point, self.n)
-        powers = []
-        for j, top in self._tops:
-            base = power = bases[j]
-            powers.append(power)
-            for _ in range(top - 1):
-                power *= base
-                powers.append(power)
-        value = [prod(map(powers.__getitem__, slot)) for slot in self._slots].__getitem__
-        return [[sum(map(mul, coeffs, map(value, slots))) for coeffs, slots in row]
-                for row in self._rows]
+        return list(self.at(_integer_point(point, self.n)))
 
 
 def poly_diff(p: Polynomial, index: int) -> Polynomial:

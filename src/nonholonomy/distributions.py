@@ -12,10 +12,15 @@ the same samples: where the coframe drops rank, a_1^...^a_q and so every
 wedge form vanishes, so the coframe is ranked only at the points where the
 forms' grid has rank 0.
 
-Points are evaluated in integers: the forms of a check, and each level of
-a derived flag's bracket fields, are compiled once into an
-algebra.IntegerGrid, whose rows at a point are positive multiples of the
-exact values and go straight to the fraction-free rank.
+Points are evaluated in integers. The sample set is drawn as integer rows
+q_1, ..., q_n, D of the points q/D (D = 2 on the grid, 6 at the random
+points), one at a time as a check ranks them, so a certified check draws
+one point; its size is known without drawing it. Only witnesses, and the
+points handed to the coframe guard, become tuples of Fractions. The forms
+of a check, and each level of a derived flag's bracket fields, are
+compiled once into an algebra.IntegerGrid, whose rows at q are positive
+multiples of the exact values at q/D, for any D, and go straight to the
+fraction-free rank.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from itertools import islice, product
 from math import comb
 
 from . import forms as _forms
-from .algebra import Chart, IntegerGrid, Polynomial, _integer_point, random_rational
+from .algebra import Chart, IntegerGrid, Polynomial, _integer_point
 from .errors import ConsistencyError, DegeneratePresentationError, InputError
 from .forms import (
     DiffForm,
@@ -44,28 +49,53 @@ from .forms import (
 )
 from .linalg import Echelon, rank
 
-GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+_GRID_NUMERATORS = (0, 2, -2, 1, -1)  # over D = 2: 0, 1, -1, 1/2, -1/2
+
+
+def _integer_sample(n: int, seed: int):
+    """The sample set's points, drawn one at a time as integer rows
+    q_1, ..., q_n, D of the points q/D: the first 200 points of the grid
+    over {0, +-1, +-1/2} in lexicographic order with D = 2 (all 5^n of them
+    when n <= 3), then 100 random points with D = 6, each coordinate
+    drawn as random_rational draws it."""
+    for q in islice(product(_GRID_NUMERATORS, repeat=n), 200):
+        yield q + (2,)
+    rng = random.Random(seed)
+    for _ in range(100):
+        yield tuple(rng.randint(-9, 9) * (6 // rng.choice((1, 2, 3))) for _ in range(n)) + (6,)
+
+
+def _fraction_point(q):
+    """The point q_1/D, ..., q_n/D of an integer row q_1, ..., q_n, D."""
+    return tuple(Fraction(x, q[-1]) for x in q[:-1])
 
 
 def sample_points(chart: Chart, seed: int = 0):
-    """Deterministic sample set, as a list of tuples: the first 200 points
-    of the grid over {0, ±1, ±1/2} in lexicographic order (all 5^n of them
-    when n <= 3), then 100 random rational points seeded by seed."""
-    points = list(islice(product(GRID_VALUES, repeat=chart.n), 200))
-    rng = random.Random(seed)
-    for _ in range(100):
-        points.append(tuple(random_rational(rng) for _ in range(chart.n)))
-    return points
+    """Deterministic sample set, as a list of tuples of Fractions: the first
+    200 points of the grid over {0, +-1, +-1/2} in lexicographic order (all
+    5^n of them when n <= 3), then 100 random rational points, each
+    coordinate a random_rational of a generator seeded by seed."""
+    return [_fraction_point(q) for q in _integer_sample(chart.n, seed)]
 
 
 def _sample_set(chart: Chart, points, seed: int):
-    """The points of a sampled check as a list of tuples: the caller's, or
-    sample_points(chart, seed) when points is None. An empty set raises
-    InputError: with no point, every verdict would hold vacuously."""
-    points = sample_points(chart, seed) if points is None else [tuple(p) for p in points]
-    if not points:
+    """(size, rows, given) for a sampled check. When points is None, the
+    rows are those of sample_points(chart, seed), drawn only as they are
+    read, and given is None. Otherwise given lists the caller's points as
+    tuples, and rows their integer rows, all converted here, so a malformed
+    point raises InputError before anything is ranked. An empty set raises
+    InputError too: with no point, every verdict would hold vacuously."""
+    if points is None:
+        return min(5 ** chart.n, 200) + 100, _integer_sample(chart.n, seed), None
+    given = [tuple(p) for p in points]
+    if not given:
         raise InputError("a sampled check needs at least one point")
-    return points
+    return len(given), [_integer_point(p, chart.n) for p in given], given
+
+
+def _sample_point(given, i: int, q):
+    """The i-th point of a sample set, with integer row q, as a tuple."""
+    return _fraction_point(q) if given is None else given[i]
 
 
 def _pairing(form: DiffForm, vector_field: VectorField) -> Polynomial:
@@ -94,10 +124,11 @@ class Verdict:
     """Outcome of a sampled pointwise check.
 
     certificate=True marks a True that a constant-minor certificate proves
-    at every chart point; the wedge checks then rank only the first sample
-    point. Otherwise value is decided by ranking every sample point, and a
-    False value always comes with certificate=False. checked is the size
-    of the sample set either way, for a certificate the set it covers.
+    at every chart point; the wedge checks then draw and rank only the
+    first sample point. Otherwise value is decided by ranking every sample
+    point, and a False value always comes with certificate=False. checked
+    is the size of the sample set either way, for a certificate the set it
+    covers, whose other points are never drawn.
     """
 
     value: bool
@@ -243,12 +274,33 @@ class _SpanningSets:
         return self.grids[l]
 
 
+def _flag_ranks(spans: _SpanningSets, n: int, q, depth_cap: int):
+    """(ranks, stabilized) of the derived flag at the integer row q, by the
+    rule of derived_flag_at."""
+    echelon = Echelon(n)
+    ranks = []
+    while True:
+        level = spans.level(len(ranks))
+        for row in level.at(q):
+            echelon.add(row)
+            if len(echelon.pivots) == n:
+                break
+        r = len(echelon.pivots)
+        ranks.append(r)
+        if r == n:
+            return tuple(ranks), True
+        if len(ranks) > 1 and r == ranks[-2]:
+            return tuple(ranks), not level
+        if len(ranks) >= depth_cap:
+            return tuple(ranks), False
+
+
 def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     """Pointwise derived flag: ranks of the iterated-bracket spans at the
     point. One linalg.Echelon is extended level by level with the integer
-    rows of each level's IntegerGrid, and takes no more rows once the rank
-    is n, so no row is eliminated twice. As the echelon only grows, the
-    ranks never decrease.
+    rows of each level's IntegerGrid, each row evaluated only while the
+    rank is below n, so no row is evaluated past rank n or eliminated
+    twice. As the echelon only grows, the ranks never decrease.
 
     Stops when the rank hits n, repeats, or the depth cap is reached, so at
     most n levels are built. "Stabilized" means every deeper level has the
@@ -261,29 +313,12 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     [2, 2] unstabilized at every point too.
     """
     point = tuple(point)
-    if len(point) != dist.chart.n:
-        raise InputError("point has wrong dimension")
+    q = _integer_point(point, dist.chart.n)
     depth_cap = dist.chart.n if depth_cap is None else depth_cap
     if depth_cap < 1:
         raise InputError("depth cap must be at least 1")
-    spans = dist._spanning_sets()
-    n = dist.chart.n
-    echelon = Echelon(n)
-    ranks = []
-    while True:
-        added = spans.level(len(ranks))(point)
-        for row in added:
-            if len(echelon.pivots) == n:
-                break
-            echelon.add(row)
-        r = len(echelon.pivots)
-        ranks.append(r)
-        if r == n:
-            return DerivedFlag(point, tuple(ranks), True)
-        if len(ranks) > 1 and r == ranks[-2]:
-            return DerivedFlag(point, tuple(ranks), not added)
-        if len(ranks) >= depth_cap:
-            return DerivedFlag(point, tuple(ranks), False)
+    ranks, stabilized = _flag_ranks(dist._spanning_sets(), dist.chart.n, q, depth_cap)
+    return DerivedFlag(point, ranks, stabilized)
 
 
 def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Verdict:
@@ -294,17 +329,18 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     distribution's rank is a presentation failure, not integrability
     information, and raises.
     """
-    points = _sample_set(dist.chart, points, seed)
+    size, rows, given = _sample_set(dist.chart, points, seed)
+    spans = dist._spanning_sets()
     n = dist.chart.n
     expected = (n,) if dist.rank == n else (dist.rank, n)
     witnesses = []
-    for point in points:
-        ranks = derived_flag_at(dist, point, 2).ranks
+    for i, q in enumerate(rows):
+        ranks, _ = _flag_ranks(spans, n, q, 2)
         if ranks[0] < dist.rank:
-            raise _rank_drop("frame", point)
+            raise _rank_drop("frame", _sample_point(given, i, q))
         if ranks != expected:
-            witnesses.append(point)
-    return Verdict(not witnesses, len(points), tuple(witnesses))
+            witnesses.append(_sample_point(given, i, q))
+    return Verdict(not witnesses, size, tuple(witnesses))
 
 
 def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
@@ -313,34 +349,32 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
 
     The forms' grid is compiled once and ranked at the first point; rank
     below the number of forms makes a witness. Unless the first point is a
-    witness, the certificate is sought before any other point is ranked.
+    witness, the certificate is sought before any other point is drawn.
     When it holds, the forms are independent everywhere: no sample point is
-    a witness, a_1^...^a_q never vanishes, so the coframe never drops rank,
-    and the caller's other points are only validated. Otherwise every
-    point is ranked, with certificate=False: at a witness every maximal
-    minor vanishes, so none is a nonzero constant. Where the coframe drops
-    rank, a_1^...^a_q vanishes and with it every form, so the coframe is
-    ranked only at the rank-0 points, and the first drop among them, the
-    first among all points, raises.
+    a witness, a_1^...^a_q never vanishes, so the coframe never drops rank.
+    Otherwise every point is ranked, with certificate=False: at a witness
+    every maximal minor vanishes, so none is a nonzero constant. Where the
+    coframe drops rank, a_1^...^a_q vanishes and with it every form, so the
+    coframe is ranked only at the rank-0 points, and the first drop among
+    them, the first among all points, raises.
     """
     chart = coframe[0].chart
-    given = points is not None
-    points = _sample_set(chart, points, seed)
+    size, rows, given = _sample_set(chart, points, seed)
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
     grid = IntegerGrid(chart, _grid(forms, "independence check"))
-    first = rank(grid(points[0]))
-    if first == len(forms) and constant_minor_certificate(forms):
-        if given:  # the grid's check of a point, which sample points pass
-            for p in points[1:]:
-                _integer_point(p, chart.n)
-        return Verdict(True, len(points), (), True)
-    ranks = [first] + [rank(grid(p)) for p in points[1:]]
-    dropped = dependent_points(coframe, [p for p, r in zip(points, ranks) if not r])
+    rows = iter(rows)
+    first = next(rows)
+    r = rank(list(grid.at(first)))
+    if r == len(forms) and constant_minor_certificate(forms):
+        return Verdict(True, size, (), True)
+    ranked = [(first, r)] + [(q, rank(list(grid.at(q)))) for q in rows]
+    witnesses = [(_sample_point(given, i, q), r)
+                 for i, (q, r) in enumerate(ranked) if r < len(forms)]
+    dropped = dependent_points(coframe, [p for p, r in witnesses if not r])
     if dropped:
         raise _rank_drop("coframe", dropped[0])
-    witnesses = tuple(p for p, r in zip(points, ranks) if r < len(forms))
-    return Verdict(not witnesses, len(points), witnesses)
+    return Verdict(not witnesses, size, tuple(p for p, _ in witnesses))
 
 
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:

@@ -17,18 +17,22 @@ wedge checks now run only where their forms vanish;
 witness_first_verdict is the wedge checks' earlier order, which ranked
 every point before it sought the certificate;
 pivot_subset_by_fractions proposes the columns of the pivot-guided
-constant minor by Fraction ranks. column_scan_bareiss is
-the whole-matrix elimination that linalg.Echelon's row-at-a-time reduction
-replaced, with the rank, det, kernel_basis and solve built on it; the
-derived-flag oracle ranks with it.
+constant minor by Fraction ranks. sample_points_by_fractions builds the
+sample set as Fraction points, the path that the lazy integer draw
+replaced, and grid_rows_by_products evaluates an IntegerGrid's rows with
+each monomial a product of powers, the evaluation that its trie replaced.
+column_scan_bareiss is the whole-matrix elimination that linalg.Echelon's
+row-at-a-time reduction replaced, with the rank, det, kernel_basis and
+solve built on it; the derived-flag oracle ranks with it.
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, islice, permutations, product
+from math import factorial, lcm, prod
 
-from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, poly_eval
-from nonholonomy.distributions import Verdict, _check_coframe, _rank_drop, sample_points
+from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, poly_eval, random_rational
+from nonholonomy.distributions import Verdict, _check_coframe, _rank_drop
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
@@ -202,12 +206,44 @@ def first_rank_drop_by_fractions(forms, points):
     return next((tuple(p) for p in points if not independent_by_fractions(forms, p)), None)
 
 
+GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+
+
+def sample_points_by_fractions(chart, seed=0):
+    """The sample set as a list of tuples of Fractions: the first 200 points
+    of the grid over GRID_VALUES in lexicographic order, then 100 points of
+    random_rational coordinates seeded by seed."""
+    points = list(islice(product(GRID_VALUES, repeat=chart.n), 200))
+    rng = random.Random(seed)
+    for _ in range(100):
+        points.append(tuple(random_rational(rng) for _ in range(chart.n)))
+    return points
+
+
+def grid_rows_by_products(grid, q):
+    """The rows of IntegerGrid(chart, grid) at the integer row
+    q_1, ..., q_n, D of the point q/D: each row's coefficients cleared by the
+    lcm of their denominators, and each monomial the product of the powers
+    q_j^e_j and D^(dmax - deg), dmax the grid's top degree."""
+    top = max((sum(e) for row in grid for p in row for e in p.terms), default=0)
+    out = []
+    for row in grid:
+        scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
+        out.append([sum(c.numerator * (scale // c.denominator)
+                        * prod(x ** e for x, e in zip(q, exps + (top - sum(exps),)))
+                        for exps, c in p.terms.items())
+                    for p in row])
+    return out
+
+
 def witness_first_verdict(coframe, omegas, k, points, seed):
     """The wedge checks' verdict by the earlier order: rank the forms
     a_1^...^a_q^(omega_i)^k at every point, guard the coframe at the rank-0
     points, and seek the certificate only when no point is a witness."""
     chart = coframe[0].chart
-    points = sample_points(chart, seed) if points is None else [tuple(p) for p in points]
+    if points is None:
+        points = sample_points_by_fractions(chart, seed)
+    points = [tuple(p) for p in points]
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
     grid = IntegerGrid(chart, _grid(forms, "independence check"))

@@ -4,10 +4,13 @@ from math import lcm
 
 import pytest
 
-from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, poly_diff, poly_eval
+from nonholonomy.algebra import (
+    Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval,
+)
 from nonholonomy.errors import InputError
 
 from conftest import rnd_chart, rnd_poly, rnd_point
+from oracles import grid_rows_by_products
 
 
 def test_chart_basics():
@@ -98,16 +101,22 @@ def _random_grid_point(rng, chart):
                  for _ in range(chart.n))
 
 
-def test_integer_grid_rows_are_positive_multiples_of_exact_rows():
+def _random_grids():
+    """400 (chart, grid, points): random grids on 1 to 4 coordinates, each
+    with three random points."""
     rng = random.Random(5)
-    rows_seen = 0
     for _ in range(400):
         chart = rnd_chart(rng, max_n=4)
         grid = _random_grid(rng, chart)
+        yield chart, grid, [_random_grid_point(rng, chart) for _ in range(3)]
+
+
+def test_integer_grid_rows_are_positive_multiples_of_exact_rows():
+    rows_seen = 0
+    for chart, grid, points in _random_grids():
         compiled = IntegerGrid(chart, grid)
         top = max((sum(e) for row in grid for p in row for e in p.terms), default=0)
-        for _ in range(3):
-            point = _random_grid_point(rng, chart)
+        for point in points:
             values = compiled(point)
             assert len(values) == len(grid)
             denom = lcm(*(Fraction(x).denominator for x in point))
@@ -128,6 +137,25 @@ def test_integer_grid_rows_are_positive_multiples_of_exact_rows():
                 assert got[ref] == exact[ref] * scale * denom ** top
                 rows_seen += 1
     assert rows_seen > 1000
+
+
+def test_integer_grid_trie_matches_products_of_powers():
+    # at the reduced denominator and at multiples of it, the trie's rows
+    # equal the product-of-powers oracle's, and a point given as Fractions
+    # reads as its reduced integer row
+    deepest = 0
+    for chart, grid, points in _random_grids():
+        compiled = IntegerGrid(chart, grid)
+        deepest = max(deepest, len(compiled._levels))
+        for point in points:
+            reduced = _integer_point(point, chart.n)
+            assert compiled(point) == grid_rows_by_products(grid, reduced)
+            for c in (2, 3, 6):
+                q = [x * c for x in reduced]
+                assert list(compiled.at(q)) == grid_rows_by_products(grid, q)
+    # degree-3 monomials have up to three factors, q_j powers and one of D,
+    # so the trie reaches two levels past the powers
+    assert deepest == 2
 
 
 def test_integer_grid_rejects_bad_points_and_charts():

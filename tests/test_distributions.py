@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from nonholonomy.algebra import Chart, Polynomial, poly_eval
+from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, poly_eval
 from nonholonomy.constructions import (
     builtin_corpus,
     contact_structure,
@@ -49,7 +49,7 @@ from conftest import (
 )
 from oracles import (
     derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions, pointwise_kernel,
-    witness_first_verdict,
+    sample_points_by_fractions, witness_first_verdict,
 )
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -80,6 +80,44 @@ def test_sample_points_deterministic_and_exact():
     # large charts keep the grid portion capped
     big = Chart(tuple("x%d" % i for i in range(1, 8)))
     assert len(sample_points(big)) == 200 + 100
+
+
+def test_sample_points_match_the_fraction_oracle():
+    # the integer draw gives the Fraction points of the oracle, and the
+    # checks' size formula its length, without drawing
+    for n in range(1, 13):
+        chart = Chart(tuple("x%d" % i for i in range(1, n + 1)))
+        for seed in range(10):
+            expected = sample_points_by_fractions(chart, seed)
+            assert sample_points(chart, seed) == expected, (n, seed)
+            size, rows, given = distributions._sample_set(chart, None, seed)
+            assert size == len(expected) and given is None, (n, seed)
+
+
+def test_a_certified_check_draws_one_sample_point(monkeypatch):
+    # a jet-like check is certified at its first point and draws no other;
+    # a quadratic one, whose first point is a witness, draws every point
+    drawn = []
+    original = distributions._integer_sample
+
+    def counted(n, seed):
+        for q in original(n, seed):
+            drawn.append(q)
+            yield q
+
+    monkeypatch.setattr(distributions, "_integer_sample", counted)
+    for n, k in ((6, 2), (8, 2), (8, 3)):
+        coframe = jetlike_coframe(n, k, random.Random(n))
+        drawn.clear()
+        verdict = check_mni(coframe, k)
+        assert verdict.certificate and verdict.checked == 300, (n, k)
+        assert len(drawn) == 1, (n, k)
+        coframe = quadratic_coframe(n, k)
+        drawn.clear()
+        verdict = check_mni(coframe, k)
+        assert not verdict.certificate and verdict.checked == 300, (n, k)
+        assert len(drawn) == 300, (n, k)
+        assert verdict.witnesses[0] == (0,) * n
 
 
 def test_pointwise_kernel_examples():
@@ -300,6 +338,50 @@ def test_derived_flag_matches_fraction_oracle(rng):
             for cap in (None, 1, 2):
                 flag = derived_flag_at(dist, point, cap)
                 assert (flag.ranks, flag.stabilized) == derived_flag_by_fractions(dist, point, cap)
+
+
+def test_flag_rows_are_evaluated_only_below_rank_n(monkeypatch):
+    # over the 300 points of has_derived_length_one, a level's rows are
+    # read until the echelon reaches rank n: the frame's 2M rows and one
+    # bracket on contact-M (M*(2M-1) brackets evaluated before), and the
+    # frame's N-1 rows and one bracket on even-contact-N
+    evaluated = []
+    original = IntegerGrid.at
+
+    def counted(self, q):
+        for row in original(self, q):
+            evaluated.append(row)
+            yield row
+
+    monkeypatch.setattr(IntegerGrid, "at", counted)
+    for bundle, rows in ((contact_structure(3), 2100), (contact_structure(4), 2700),
+                         (even_contact_structure(6), 1800)):
+        evaluated.clear()
+        verdict = has_derived_length_one(bundle.distribution)
+        assert verdict.value and verdict.checked == 300
+        assert len(evaluated) == rows, bundle.name
+
+
+def test_a_malformed_point_reads_the_same_in_every_sampled_check():
+    # every point is converted by the integer evaluator's own check before
+    # anything is ranked, so a certified check, which ranks one point,
+    # rejects a malformed later point as the others do
+    five, jets, _ = _two_constraints()
+    dist = Distribution(five, coframe=jets)
+    checks = {
+        "derived_flag_at": lambda pts: [derived_flag_at(dist, p) for p in pts],
+        "has_derived_length_one": lambda pts: has_derived_length_one(dist, pts),
+        "check_dbasis_condition": lambda pts: check_dbasis_condition(jets, pts),
+        "check_mni": lambda pts: check_mni(jets, 1, pts),
+    }
+    good = (1, 2, 3, 4, Fraction(1, 2))
+    assert check_mni(jets, 1, [good]).certificate
+    for bad, message in (((0, 0), "point of length 2 does not match chart of dimension 5"),
+                         ((0, 0, 0, 0, 0.5), "expected integers or Fractions")):
+        for name, check in checks.items():
+            with pytest.raises(InputError) as caught:
+                check([good, bad])
+            assert str(caught.value).startswith(message), name
 
 
 def test_derived_flag_jet_rank3():
