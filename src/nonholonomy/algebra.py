@@ -4,8 +4,9 @@ Every scalar is an arbitrary-precision rational (``fractions.Fraction``), so
 every rank decision and independence verdict downstream is exact: equality
 to zero is equality, not a tolerance. Polynomials are sparse maps from
 exponent tuples to nonzero Fractions; the zero polynomial has an empty term
-map. IntegerGrid compiles rows of polynomials once and evaluates them at
-many points in ints, for the rank decisions that sample points.
+map. IntegerGrid compiles rows of polynomials once and evaluates them in
+ints at the integer rows q_1, ..., q_n, D of points q/D, which
+_integer_point makes from points of ints and Fractions.
 """
 
 from __future__ import annotations
@@ -323,21 +324,20 @@ class IntegerGrid:
     exact rows, and at two points of one D the rows carry the same factors.
     """
 
-    __slots__ = ("n", "_rows", "_tops", "_levels")
+    __slots__ = ("_rows", "_tops", "_levels")
 
     def __init__(self, chart: Chart, rows):
         rows = [list(row) for row in rows]
         if any(p.chart != chart for row in rows for p in row):
             raise InputError("grid polynomials live on different charts")
         exponents = list(dict.fromkeys(e for row in rows for p in row for e in p.terms))
-        self.n = chart.n
         top = max(map(sum, exponents), default=0)
         # the exponents of D and then of each coordinate, the index of each
         # in a point's integer row, and their powers laid end to end after
         # the empty product 1
         homogenized = [(top - sum(e),) + e for e in exponents]
-        tops = [max((h[i] for h in homogenized), default=0) for i in range(self.n + 1)]
-        self._tops = [(j, t) for j, t in zip([self.n, *range(self.n)], tops) if t]
+        tops = [max((h[i] for h in homogenized), default=0) for i in range(chart.n + 1)]
+        self._tops = [(j, t) for j, t in zip([chart.n, *range(chart.n)], tops) if t]
         starts = [1]
         for t in tops:
             starts.append(starts[-1] + t)
@@ -382,10 +382,6 @@ class IntegerGrid:
             values += list(map(mul, map(get, parents), map(get, powers)))
         return ([sum(map(mul, coeffs, map(get, nodes))) for coeffs, nodes in row]
                 for row in self._rows)
-
-    def __call__(self, point):
-        """Integer rows at a point given as ints and Fractions in chart order."""
-        return list(self.at(_integer_point(point, self.n)))
 
 
 def poly_diff(p: Polynomial, index: int) -> Polynomial:

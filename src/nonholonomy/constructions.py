@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Chart, Polynomial
-from .distributions import Distribution, _check_coframe, sample_points
+from .distributions import Distribution, _check_coframe, _integer_sample
 from .errors import InputError
 from .forms import (
     DiffForm,
@@ -154,8 +154,9 @@ def build_prop_ori_omegas(coframe):
     q = len(coframe)
     if q < 3 or q % 2 == 0:
         raise InputError("expected an odd number 2k+1 >= 3 of 1-forms, got %d" % q)
-    if not constant_minor_certificate(coframe) and dependent_points(coframe, sample_points(chart)):
-        raise InputError("the 1-forms are dependent at a sample point")
+    if not constant_minor_certificate(coframe):
+        if next(dependent_points(coframe, _integer_sample(chart.n, 0)), None) is not None:
+            raise InputError("the 1-forms are dependent at a sample point")
     k = (q - 1) // 2
     omegas = []
     for i in range(1, q + 1):

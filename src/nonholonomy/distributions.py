@@ -15,12 +15,12 @@ forms' grid has rank 0.
 Points are evaluated in integers. The sample set is drawn as integer rows
 q_1, ..., q_n, D of the points q/D (D = 2 on the grid, 6 at the random
 points), one at a time as a check ranks them, so a certified check draws
-one point; its size is known without drawing it. Only witnesses, and the
-points handed to the coframe guard, become tuples of Fractions. The forms
-of a check, and each level of a derived flag's bracket fields, are
-compiled once into an algebra.IntegerGrid, whose rows at q are positive
-multiples of the exact values at q/D, for any D, and go straight to the
-fraction-free rank.
+one point; its size is known without drawing it. A caller's points become
+such rows up front, and only witnesses and rank-drop points become tuples
+of Fractions again. The forms of a check, and each level of a derived
+flag's bracket fields, are compiled once into an algebra.IntegerGrid,
+whose rows at q are positive multiples of the exact values at q/D, for
+any D, and go straight to the fraction-free rank.
 """
 
 from __future__ import annotations
@@ -79,23 +79,18 @@ def sample_points(chart: Chart, seed: int = 0):
 
 
 def _sample_set(chart: Chart, points, seed: int):
-    """(size, rows, given) for a sampled check. When points is None, the
-    rows are those of sample_points(chart, seed), drawn only as they are
-    read, and given is None. Otherwise given lists the caller's points as
-    tuples, and rows their integer rows, all converted here, so a malformed
-    point raises InputError before anything is ranked. An empty set raises
-    InputError too: with no point, every verdict would hold vacuously."""
+    """(size, rows) for a sampled check: the integer rows of
+    sample_points(chart, seed), drawn only as they are read, when points is
+    None, else those of the caller's points, all converted here, so that a
+    malformed point raises InputError before anything is ranked. An empty
+    set raises InputError too: with no point, every verdict would hold
+    vacuously."""
     if points is None:
-        return min(5 ** chart.n, 200) + 100, _integer_sample(chart.n, seed), None
-    given = [tuple(p) for p in points]
-    if not given:
+        return min(5 ** chart.n, 200) + 100, _integer_sample(chart.n, seed)
+    rows = [_integer_point(p, chart.n) for p in points]
+    if not rows:
         raise InputError("a sampled check needs at least one point")
-    return len(given), [_integer_point(p, chart.n) for p in given], given
-
-
-def _sample_point(given, i: int, q):
-    """The i-th point of a sample set, with integer row q, as a tuple."""
-    return _fraction_point(q) if given is None else given[i]
+    return len(rows), rows
 
 
 def _pairing(form: DiffForm, vector_field: VectorField) -> Polynomial:
@@ -329,17 +324,17 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     distribution's rank is a presentation failure, not integrability
     information, and raises.
     """
-    size, rows, given = _sample_set(dist.chart, points, seed)
+    size, rows = _sample_set(dist.chart, points, seed)
     spans = dist._spanning_sets()
     n = dist.chart.n
     expected = (n,) if dist.rank == n else (dist.rank, n)
     witnesses = []
-    for i, q in enumerate(rows):
+    for q in rows:
         ranks, _ = _flag_ranks(spans, n, q, 2)
         if ranks[0] < dist.rank:
-            raise _rank_drop("frame", _sample_point(given, i, q))
+            raise _rank_drop("frame", _fraction_point(q))
         if ranks != expected:
-            witnesses.append(_sample_point(given, i, q))
+            witnesses.append(_fraction_point(q))
     return Verdict(not witnesses, size, tuple(witnesses))
 
 
@@ -359,7 +354,7 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     them, the first among all points, raises.
     """
     chart = coframe[0].chart
-    size, rows, given = _sample_set(chart, points, seed)
+    size, rows = _sample_set(chart, points, seed)
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
     grid = IntegerGrid(chart, _grid(forms, "independence check"))
@@ -369,12 +364,11 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     if r == len(forms) and constant_minor_certificate(forms):
         return Verdict(True, size, (), True)
     ranked = [(first, r)] + [(q, rank(list(grid.at(q)))) for q in rows]
-    witnesses = [(_sample_point(given, i, q), r)
-                 for i, (q, r) in enumerate(ranked) if r < len(forms)]
-    dropped = dependent_points(coframe, [p for p, r in witnesses if not r])
-    if dropped:
-        raise _rank_drop("coframe", dropped[0])
-    return Verdict(not witnesses, size, tuple(p for p, _ in witnesses))
+    dropped = next(dependent_points(coframe, (q for q, r in ranked if not r)), None)
+    if dropped is not None:
+        raise _rank_drop("coframe", _fraction_point(dropped))
+    witnesses = tuple(_fraction_point(q) for q, r in ranked if r < len(forms))
+    return Verdict(not witnesses, size, witnesses)
 
 
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:

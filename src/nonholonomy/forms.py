@@ -7,20 +7,21 @@ polynomial component per coordinate. All coefficients are exact rationals,
 so independence checks below are decisions, not estimates.
 
 Pointwise checks compile a form's coefficient grid once into an
-algebra.IntegerGrid and take the fraction-free rank of its integer rows
-at each point; evaluate_at_point is the plain Fraction evaluation. A
-nonzero constant maximal minor of the grid proves independence at every
-point at once. One search looks for it (_constant_minor): the pivot
-candidate, proposed by one elimination, then at most MAX_MINORS column
-subsets in lexicographic order.
+algebra.IntegerGrid and take the fraction-free rank of its integer rows at
+each point, itself given as the integer row q_1, ..., q_n, D of q/D;
+evaluate_at_point is the plain Fraction evaluation. A nonzero constant
+maximal minor of the grid proves independence at every point at once. One
+search looks for it (_constant_minor): the pivot candidate, proposed by one
+elimination, then at most MAX_MINORS column subsets in lexicographic order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations, islice
+from math import factorial
 
-from .algebra import Chart, IntegerGrid, Polynomial, poly_diff, poly_eval, signed_sum
+from .algebra import Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval, signed_sum
 from .errors import InputError
 from .linalg import Echelon, det, rank
 
@@ -283,6 +284,26 @@ class VectorField:
 # -- operations -----------------------------------------------------------
 
 
+def _wedge_into(terms, a_terms, b_terms):
+    """Add the exterior product of two term maps, given as (key,
+    coefficient) pairs, into the term map terms, in place."""
+    for key_a, coeff_a in a_terms:
+        for key_b, coeff_b in b_terms:
+            packed = sort_with_sign(key_a + key_b)
+            if packed is None:
+                continue
+            key, sign = packed
+            contrib = coeff_a * coeff_b
+            if sign < 0:
+                contrib = -contrib
+            total = terms.get(key)
+            total = contrib if total is None else total + contrib
+            if total.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = total
+
+
 def wedge(a, b) -> DiffForm:
     """Exterior product. Polynomial arguments count as degree-0 forms."""
     if isinstance(a, Polynomial):
@@ -292,21 +313,7 @@ def wedge(a, b) -> DiffForm:
     if a.chart != b.chart:
         raise InputError("forms live on different charts")
     out = DiffForm.zero(a.chart, a.degree + b.degree)
-    for key_a, coeff_a in a.terms.items():
-        for key_b, coeff_b in b.terms.items():
-            packed = sort_with_sign(key_a + key_b)
-            if packed is None:
-                continue
-            key, sign = packed
-            contrib = coeff_a * coeff_b
-            if sign < 0:
-                contrib = -contrib
-            total = out.terms.get(key)
-            total = contrib if total is None else total + contrib
-            if total.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = total
+    _wedge_into(out.terms, a.terms.items(), b.terms.items())
     return out
 
 
@@ -324,19 +331,33 @@ def wedge_all(forms) -> DiffForm:
 
 
 def wedge_power(form: DiffForm, k: int) -> DiffForm:
-    """k-th wedge power of a 2-form, as the left fold form ^ form ^ ... ^ form.
+    """k-th wedge power of a 2-form: k! times the k-th elementary symmetric
+    form e_k of its terms, which commute and square to zero (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2).
 
-    Each step multiplies by the 2-form itself, never a large power by a
-    large power (squaring is the test suite's cross-check). A power of
-    degree 2k > n is zero and built directly, so any k returns at once.
+    One pass over the terms t_a adds e_(j-1) ^ t_a into e_j, j descending,
+    skipping each j that the terms left cannot raise to k; e_0 is k!, so
+    e_k comes out as the power. On k disjoint terms, such as those of a
+    paired-omission form, that is k products. Squaring is the test suite's
+    cross-check. A power of degree 2k > n is zero and built directly, so
+    any k returns at once.
     """
     if not isinstance(form, DiffForm) or form.degree != 2:
         raise InputError("wedge_power expects a 2-form")
     if not isinstance(k, int) or k < 1:
         raise InputError("wedge power expects an integer k >= 1")
+    if k == 1:
+        return form
     if 2 * k > form.chart.n:
         return DiffForm.zero(form.chart, 2 * k)
-    return wedge_all([form] * k)
+    terms = list(form.terms.items())
+    sums = [{(): Polynomial.constant(form.chart, factorial(k))}] + [{} for _ in range(k)]
+    for a, term in enumerate(terms):
+        for j in range(min(k, a + 1), max(0, k - len(terms) + a), -1):
+            _wedge_into(sums[j], sums[j - 1].items(), (term,))
+    out = DiffForm.zero(form.chart, 2 * k)
+    out.terms = sums[k]
+    return out
 
 
 def exterior_derivative(a) -> DiffForm:
@@ -403,25 +424,29 @@ def _grid(forms, what):
     return [[form.terms.get(c, zero) for c in columns] for form in forms]
 
 
-def dependent_points(forms, points):
-    """The points, in order and as tuples, at which these same-degree forms
-    are linearly dependent.
+def dependent_points(forms, rows):
+    """Yield, in order, the integer rows q_1, ..., q_n, D of points q/D at
+    which these same-degree forms are linearly dependent, ranking each row
+    only when the next dependent one is asked for.
 
     The coefficient grid is compiled once into an IntegerGrid, and its
     integer rows at each point, positive multiples of the exact ones, go
     to the fraction-free rank.
     """
     forms = list(forms)
-    points = [tuple(p) for p in points]
     if not forms:
-        return []
+        return
     grid = IntegerGrid(forms[0].chart, _grid(forms, "independence check"))
-    return [p for p in points if rank(grid(p)) < len(forms)]
+    yield from (q for q in rows if rank(list(grid.at(q))) < len(forms))
 
 
 def independent_at_point(forms, point) -> bool:
-    """Are these same-degree forms linearly independent at the point?"""
-    return not dependent_points(forms, [point])
+    """Are these same-degree forms independent at a point of ints and Fractions?"""
+    forms = list(forms)
+    if not forms:
+        return True
+    q = _integer_point(point, forms[0].chart.n)
+    return next(dependent_points(forms, [q]), None) is None
 
 
 def _poly_det(matrix) -> Polynomial:
@@ -457,7 +482,8 @@ def _probe_values(grid):
     exact ones times one positive constant, and decide the same way.
     """
     chart = grid[0][0].chart
-    return list(map(IntegerGrid(chart, grid), _probe_points(chart.n)))
+    compiled = IntegerGrid(chart, grid)
+    return [list(compiled.at(p + (1,))) for p in _probe_points(chart.n)]
 
 
 def _confirmed(grid, values, subset):

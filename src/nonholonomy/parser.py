@@ -61,6 +61,7 @@ def tokenize(text: str):
         if ch == "#":
             while i < size and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         start_col = col
         if ch.isalpha() or ch == "_":

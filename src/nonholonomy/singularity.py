@@ -46,7 +46,9 @@ from .linalg import normalize_primitive, pfaffian, rank, solve
 
 
 def _entry_value(value):
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Polynomial):
         return value

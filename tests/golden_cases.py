@@ -39,8 +39,12 @@ CASES = [
      ["example", "prop-ori-5-1", "--check"], 0),
     ("verify_ori_k2.json",
      ["verify-ori", "--k", "2"], 0),
+    ("verify_ori_k12.json",
+     ["verify-ori", "--k", "12"], 0),
     ("parse_error.json",
      ["check-dlo", "data/badsyntax.nh"], 2),
+    ("parse_error_eof_comment.json",
+     ["check-dlo", "data/eof_comment.nh"], 2),
     ("input_error.json",
      ["check-mni", "data/contact3.nh", "--k", "1"], 2),
 ]

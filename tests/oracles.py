@@ -31,8 +31,10 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import factorial, lcm, prod
 
-from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, poly_eval, random_rational
-from nonholonomy.distributions import Verdict, _check_coframe, _rank_drop
+from nonholonomy.algebra import (
+    Chart, IntegerGrid, Polynomial, _integer_point, poly_eval, random_rational,
+)
+from nonholonomy.distributions import Verdict, _check_coframe, _fraction_point, _rank_drop
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
@@ -199,6 +201,20 @@ def independent_by_fractions(forms, point) -> bool:
     return rank(rows) == len(forms)
 
 
+def squaring_wedge_power(form, k):
+    """The k-th wedge power of a 2-form by binary exponentiation: whole
+    powers of the form wedged together, the form^(2^j) by squaring."""
+    result = None
+    base = form
+    while k:
+        if k & 1:
+            result = base if result is None else wedge(result, base)
+        k >>= 1
+        if k:
+            base = wedge(base, base)
+    return result
+
+
 def first_rank_drop_by_fractions(forms, points):
     """The first point, as a tuple, at which same-degree forms are
     dependent, testing one point at a time by independent_by_fractions;
@@ -247,10 +263,11 @@ def witness_first_verdict(coframe, omegas, k, points, seed):
     base = wedge_all(coframe)
     forms = [wedge(base, wedge_power(w, k)) for w in omegas]
     grid = IntegerGrid(chart, _grid(forms, "independence check"))
-    ranks = [rank(grid(p)) for p in points]
-    dropped = dependent_points(coframe, [p for p, r in zip(points, ranks) if not r])
+    rows = [_integer_point(p, chart.n) for p in points]
+    ranks = [rank(list(grid.at(q))) for q in rows]
+    dropped = list(dependent_points(coframe, [q for q, r in zip(rows, ranks) if not r]))
     if dropped:
-        raise _rank_drop("coframe", dropped[0])
+        raise _rank_drop("coframe", _fraction_point(dropped[0]))
     witnesses = tuple(p for p, r in zip(points, ranks) if r < len(forms))
     certificate = not witnesses and constant_minor_certificate(forms)
     return Verdict(not witnesses, len(points), witnesses, certificate)

@@ -1,7 +1,9 @@
 """Built-in example constructions and the paired-omission identity."""
 
+from fractions import Fraction
 from math import factorial
 
+from nonholonomy import forms
 from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.constructions import (
     build_example,
@@ -20,9 +22,10 @@ from nonholonomy.distributions import (
     check_mni,
     derived_flag_at,
     has_derived_length_one,
+    sample_points,
 )
 from nonholonomy.errors import InputError
-from nonholonomy.forms import DiffForm, wedge, wedge_all, wedge_power
+from nonholonomy.forms import DiffForm, sort_with_sign, wedge, wedge_all, wedge_power
 
 from conftest import sample_slice
 
@@ -126,6 +129,51 @@ def test_build_prop_ori_omegas_errors():
         assert False
     except InputError as err:
         assert "dependent" in str(err)
+
+
+def test_build_prop_ori_omegas_stops_at_the_first_dependent_row(monkeypatch):
+    # (x1 - 1/2)*dx1, dx2, dx3 has no constant minor and first drops rank at
+    # the 76th sample point, (1/2, 0, 0): the guard ranks the coframe at the
+    # first 76 points of the 225, and no further
+    chart = Chart(("x1", "x2", "x3"))
+    x1 = Polynomial.coordinate(chart, "x1")
+    dx = [DiffForm.basis(chart, j) for j in (1, 2, 3)]
+    ranked = []
+    original = forms.rank
+
+    def counted(rows):
+        ranked.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(forms, "rank", counted)
+    try:
+        build_prop_ori_omegas([(x1 - Fraction(1, 2)) * dx[0], dx[1], dx[2]])
+        assert False
+    except InputError as err:
+        assert "dependent" in str(err)
+    assert ranked == [3] * 76
+    assert sample_points(chart)[75] == (Fraction(1, 2), 0, 0)
+
+
+def test_verify_ori_wedge_powers_grow_polynomially_in_k(monkeypatch):
+    # the paired-omission power omega_i^k is k wedges of disjoint terms, not
+    # a fold through omega_i^j with C(k, j) terms: from k = 6 to k = 10 the
+    # exterior monomials sorted grow by less than (10/6)^4
+    calls = []
+
+    def counted(indices):
+        calls.append(1)
+        return sort_with_sign(indices)
+
+    monkeypatch.setattr(forms, "sort_with_sign", counted)
+    counts = {}
+    for k in (6, 10):
+        chart = Chart(tuple("x%d" % j for j in range(1, 2 * k + 2)))
+        coframe = [DiffForm.basis(chart, j) for j in range(1, 2 * k + 2)]
+        calls.clear()
+        assert verify_prop_ori_identity(coframe) == (True, [1] * (2 * k + 1))
+        counts[k] = len(calls)
+    assert counts[10] < counts[6] * (10 / 6) ** 4, counts
 
 
 def test_verify_prop_ori_identity_magnitudes():

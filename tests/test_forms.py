@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from nonholonomy import forms as forms_module
-from nonholonomy.algebra import Chart, Polynomial, poly_eval
-from nonholonomy.constructions import builtin_corpus, jet_canonical
-from nonholonomy.distributions import check_almost_mni, check_dbasis_condition, sample_points
+from nonholonomy.algebra import Chart, Polynomial, _integer_point, poly_eval
+from nonholonomy.constructions import build_prop_ori_omegas, builtin_corpus, jet_canonical
+from nonholonomy.distributions import (
+    _fraction_point, _integer_sample, check_almost_mni, check_dbasis_condition,
+)
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
@@ -39,6 +41,7 @@ from conftest import (
 )
 from oracles import (
     evaluate_field, independent_by_fractions, interior_product, pivot_subset_by_fractions,
+    squaring_wedge_power,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -189,26 +192,44 @@ def test_wedge_power_of_paired_constant_coframe():
         assert wedge_power(w, k) == factorial * wedge_all(coframe)
 
 
-def test_wedge_power_matches_fold(rng):
-    # wedge_power is the left fold; binary exponentiation multiplies in a
-    # different order (powers of a 2-form commute), so it is an
-    # independent oracle
-    def squaring_power(w, k):
-        result = None
-        base = w
-        while k:
-            if k & 1:
-                result = base if result is None else wedge(result, base)
-            k >>= 1
-            if k:
-                base = wedge(base, base)
-        return result
-
-    for _ in range(60):
+def test_wedge_power_matches_squaring_on_random_forms(rng):
+    # wedge_power sums k-subsets of the form's terms; binary exponentiation
+    # wedges whole powers of the form, so it is an independent oracle
+    for _ in range(120):
         chart = rnd_chart(rng, max_n=8, min_n=2)
-        w = rnd_form(rng, chart, 2, max_terms=4)
-        for k in range(1, 6):
-            assert wedge_power(w, k) == squaring_power(w, k)
+        w = rnd_form(rng, chart, 2, max_terms=rng.choice((4, 8)))
+        for k in range(1, 6):  # k = 5 exceeds every such chart: the 2k > n shortcut
+            assert wedge_power(w, k) == squaring_wedge_power(w, k)
+
+
+def test_wedge_power_matches_squaring_on_benchmark_coframes():
+    # the da_i of quadratic and jet-like coframes at every mni-check shape
+    rng = random.Random(43)
+    shapes = {"quadratic": ((4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 2)),
+              "jet-like": ((4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 2), (9, 2), (10, 2))}
+    for kind, pairs in shapes.items():
+        for n, k in pairs:
+            coframe = quadratic_coframe(n, k) if kind == "quadratic" else jetlike_coframe(n, k, rng)
+            for a in coframe:
+                w = exterior_derivative(a)
+                assert wedge_power(w, k) == squaring_wedge_power(w, k), (kind, n, k)
+
+
+def test_wedge_power_matches_squaring_on_paired_omission_forms():
+    # the forms verify-ori raises to the k-th power, for k <= 12, on the
+    # coordinate coframe (the middle form, whose pairs straddle the omitted
+    # index; squaring takes seconds at k = 12) and, for k <= 4, on a
+    # unimodular non-coordinate one
+    for k in range(1, 13):
+        chart = Chart(tuple("x%d" % j for j in range(1, 2 * k + 2)))
+        coframe = [DiffForm.basis(chart, j) for j in range(1, 2 * k + 2)]
+        w = build_prop_ori_omegas(coframe)[k]
+        assert wedge_power(w, k) == squaring_wedge_power(w, k), k
+        if k <= 4:
+            sheared = [a + (j + 2) * b for j, (a, b) in enumerate(zip(coframe, coframe[1:]))]
+            sheared.append(coframe[-1])
+            w = build_prop_ori_omegas(sheared)[0]
+            assert wedge_power(w, k) == squaring_wedge_power(w, k), k
 
 
 def test_wedge_power_rejects_bad_arguments():
@@ -398,7 +419,7 @@ def _corpus_form_tuples():
             omegas = bundle.omegas or [exterior_derivative(a) for a in bundle.coframe]
             yield bundle.name, _mni_forms(bundle.coframe, omegas, bundle.k)
     for path in sorted(DATA.glob("*.nh")):
-        if path.name == "badsyntax.nh":
+        if path.name in ("badsyntax.nh", "eof_comment.nh"):  # parse errors
             continue
         doc = parse_document(path.read_text(encoding="utf-8"))
         coframe = doc.one_forms()
@@ -420,7 +441,8 @@ def test_dependent_points_matches_fraction_oracle():
     for seed, (name, forms) in enumerate(_corpus_form_tuples()):
         points = sample_slice(forms[0].chart, seed, grid=12, randoms=12)
         expected = [p for p in points if not independent_by_fractions(forms, p)]
-        assert dependent_points(forms, points) == expected, name
+        rows = [_integer_point(p, forms[0].chart.n) for p in points]
+        assert list(map(_fraction_point, dependent_points(forms, rows))) == expected, name
         for p in points[::6]:
             assert independent_at_point(forms, p) == independent_by_fractions(forms, p), name
         dependent += len(expected)
@@ -459,7 +481,7 @@ def test_dependent_mni_tuples_have_no_certificate():
     dependent += [(_document_coframe("integrable5.nh"), 1), (jet_canonical(4).coframe, 2)]
     for coframe, k in dependent:
         forms = _mni_forms(coframe, [exterior_derivative(a) for a in coframe], k)
-        assert dependent_points(forms, sample_points(coframe[0].chart))
+        assert next(dependent_points(forms, _integer_sample(coframe[0].chart.n, 0)), None)
         assert constant_minor_certificate(forms) is False
     inputs = [(b.coframe, b.omegas or [exterior_derivative(a) for a in b.coframe], b.k)
               for b in builtin_corpus()]

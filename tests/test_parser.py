@@ -160,6 +160,15 @@ def test_first_error_in_reading_order_wins():
     _fails_at("coords x; form a = d(x) form b = d(x);", 1, 25, "expected ;")
 
 
+def test_end_of_input_after_a_trailing_comment_is_past_the_comment():
+    # a comment on the last line, with no newline after it, still takes
+    # columns: the end of input is one past its last character
+    _fails_at("coords x;\nform a = d(x) # missing semicolon", 2, 34, "got 'end of input'")
+    _fails_at("coords x; form a = d(x) #", 1, 26, "got 'end of input'")
+    tokens = tokenize("coords x; # a\n# bc")
+    assert (tokens[-1].line, tokens[-1].col) == (2, 5)
+
+
 def test_deep_nesting_is_a_parse_error():
     # the 101st nesting level is the offending token; the document's own
     # prefix takes columns 1..19

@@ -137,6 +137,24 @@ def test_fiber_point_entries():
         pass
 
 
+def test_fiber_point_keeps_fractions_and_converts_only_ints():
+    # a Fraction entry is stored as given, not rebuilt; ints become
+    # Fractions, polynomials pass, and floats and strings raise
+    half = Fraction(1, 2)
+    chart = Chart(("t",))
+    t = Polynomial.coordinate(chart, "t")
+    fp = FiberPoint(5, 1, a={(1, 4): half, (1, 5): 3, (2, 1): t}, z={(1, 1, 2): half})
+    assert fp.a[(1, 4)] is half and fp.z[(1, 1, 2)] is half
+    assert type(fp.a[(1, 5)]) is Fraction and fp.a[(1, 5)] == 3
+    assert fp.a[(2, 1)] is t
+    for bad in (0.5, "x", None):
+        try:
+            FiberPoint(5, 1, a={(1, 1): bad})
+            assert False
+        except InputError:
+            pass
+
+
 def test_fiber_point_random_is_seeded():
     one = FiberPoint.random(5, 1, random.Random(9))
     two = FiberPoint.random(5, 1, random.Random(9))

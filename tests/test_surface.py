@@ -5,10 +5,11 @@ import contextlib
 import inspect
 import io
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import nonholonomy
-from nonholonomy import constructions, distributions, forms, linalg, singularity
+from nonholonomy import algebra, constructions, distributions, forms, linalg, singularity
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -94,6 +95,20 @@ def test_rank_guard_has_one_idiom():
     assert "dependent_points(" in inspect.getsource(distributions._wedge_verdict)
     source = inspect.getsource(constructions.build_prop_ori_omegas)
     assert 0 <= source.find("constant_minor_certificate(") < source.find("dependent_points(")
+
+
+def test_integer_rows_are_the_only_point_type_below_the_api():
+    # IntegerGrid has one entry, at(q) on an integer row; a sample set is
+    # (size, rows), and its witnesses are made from the rows, not looked up
+    # among the caller's points
+    chart = algebra.Chart(("x", "y"))
+    assert not callable(algebra.IntegerGrid(chart, []))
+    assert not hasattr(distributions, "_sample_point")
+    size, rows = distributions._sample_set(chart, [(0, Fraction(1, 2))], 0)
+    assert (size, rows) == (1, [[0, 1, 2]])
+    assert len(distributions._sample_set(chart, None, 0)) == 2
+    assert inspect.isgeneratorfunction(forms.dependent_points)
+    assert list(inspect.signature(forms.dependent_points).parameters) == ["forms", "rows"]
 
 
 def test_linalg_has_one_elimination_and_its_skew_analogue():
