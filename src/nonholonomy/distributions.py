@@ -21,6 +21,18 @@ of Fractions again. The forms of a check, and each level of a derived
 flag's bracket fields, are compiled once into an algebra.IntegerGrid,
 whose rows at q are positive multiples of the exact values at q/D, for
 any D, and go straight to the fraction-free rank.
+
+Derived length one, D + [D, D] = TM, is decided on the restricted grid
+where the presentation allows. For fields X, Y in D = ker(a_1, ..., a_m),
+a_i([X, Y]) = X(a_i(Y)) - Y(a_i(X)) - da_i(X, Y) = -da_i(X, Y): this is the
+curvature, or Levi bracket, L^2 D -> TM/D. So for a frame X_1, ..., X_r of
+D, the flag is [r, n] at p exactly when the m rows
+W_i = (da_i(X_a, X_b))_{a<b} are independent at p. The route needs the
+frame to have rank r and the coframe rank m at every point, each proved by
+a constant maximal minor: a frame from frame_from_coframe has both by
+construction, while a frame given with the coframe needs a constant r x r
+minor, and the coframe a constant m x m one. Every other distribution, and
+every derived_flag_at, builds brackets.
 """
 
 from __future__ import annotations
@@ -37,7 +49,9 @@ from .errors import ConsistencyError, DegeneratePresentationError, InputError
 from .forms import (
     DiffForm,
     VectorField,
+    _constant_minor,
     _grid,
+    _search_capped,
     constant_minor_certificate,
     dependent_points,
     exterior_derivative,
@@ -182,6 +196,7 @@ class Distribution:
                         raise InputError("coframe does not annihilate the frame")
         self._derived_frame = None
         self._spans = None
+        self._restricted = False  # not built yet; then the restricted grid, or None
 
     def spanning_frame(self):
         """A polynomial frame: the given one, or a symbolic complement of the
@@ -191,7 +206,7 @@ class Distribution:
         if self._derived_frame is None:
             built = frame_from_coframe(self.coframe)
             if built is None:
-                if comb(self.chart.n, len(self.coframe)) > _forms.MAX_MINORS:
+                if _search_capped(_coframe_grid(self.coframe)):
                     raise InputError(
                         "constant-minor search stopped at its cap of %d column subsets "
                         "without a complement; supply an explicit frame" % _forms.MAX_MINORS
@@ -207,6 +222,22 @@ class Distribution:
             self._spans = _SpanningSets(self.spanning_frame())
         return self._spans
 
+    def _restricted_grid(self):
+        """The restricted grid of the spanning frame and the coframe, built
+        once, or None unless both are proved of constant rank: a derived
+        frame and its coframe are, by the constant minor frame_from_coframe
+        found; a given frame needs a constant r x r minor, and its coframe a
+        constant m x m one. A distribution of rank n, or without a coframe,
+        has none."""
+        if self._restricted is False:
+            proved = bool(self.coframe) and (
+                self.frame is None
+                or _constant_minor([list(f.components) for f in self.frame]) is not None
+                and _constant_minor(_coframe_grid(self.coframe)) is not None)
+            self._restricted = (_compile_restricted_grid(self.spanning_frame(), self.coframe)
+                                if proved else None)
+        return self._restricted
+
     def __repr__(self):
         return "Distribution(rank %d on %r)" % (self.rank, self.chart)
 
@@ -218,6 +249,28 @@ def _rank_drop(what, point):
     )
 
 
+def _coframe_grid(coframe):
+    """The m x n grid of the coframe's coefficients, a row per form."""
+    chart = coframe[0].chart
+    zero = Polynomial.zero(chart)
+    return [[form.terms.get((j,), zero) for j in range(1, chart.n + 1)] for form in coframe]
+
+
+def _compile_restricted_grid(frame, coframe) -> IntegerGrid:
+    """The restricted grid: row i holds da_i(X_a, X_b) for the frame's
+    pairs a < b in order, where da_i = sum c_jl dx_j^dx_l (j < l) gives
+    da_i(X, Y) = sum c_jl (X^j Y^l - X^l Y^j)."""
+    chart = coframe[0].chart
+    zero = Polynomial.zero(chart)
+    pairs = [(x.components, y.components) for a, x in enumerate(frame) for y in frame[a + 1:]]
+    rows = []
+    for form in coframe:
+        terms = [(j - 1, l - 1, c) for (j, l), c in exterior_derivative(form).terms.items()]
+        rows.append([sum((c * (x[j] * y[l] - x[l] * y[j]) for j, l, c in terms), zero)
+                     for x, y in pairs])
+    return IntegerGrid(chart, rows)
+
+
 def frame_from_coframe(coframe):
     """Complete a coframe to a polynomial frame of its kernel, or None.
 
@@ -227,10 +280,8 @@ def frame_from_coframe(coframe):
     the frame has constant rank everywhere. Coframes without such a subset
     get None: the caller must supply a frame.
     """
-    coframe, chart = _check_coframe(coframe)
-    zero = Polynomial.zero(chart)
-    grid = [[form.terms.get((j,), zero) for j in range(1, chart.n + 1)] for form in coframe]
-    fields = kernel_frame(grid)
+    coframe, _ = _check_coframe(coframe)
+    fields = kernel_frame(_coframe_grid(coframe))
     if fields is None:
         return None
     for form in coframe:
@@ -319,12 +370,22 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
 def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Verdict:
     """True iff the flag is [r, n] at every sample point.
 
-    Only the first two levels are built: a full flag differs from [r, n]
-    exactly when its first two levels do. A first-level rank below the
-    distribution's rank is a presentation failure, not integrability
-    information, and raises.
+    Where the frame and the coframe are proved of constant rank (see
+    Distribution._restricted_grid), no bracket is built: since
+    a_i([X_a, X_b]) = -da_i(X_a, X_b) on D, the flag is [r, n] at a point
+    exactly when the m rows of the restricted grid have rank m there, and
+    the frame cannot drop rank. Otherwise only the first two levels of the
+    flag are built: a full flag differs from [r, n] exactly when its first
+    two levels do. A first-level rank below the distribution's rank is a
+    presentation failure, not integrability information, and raises.
     """
     size, rows = _sample_set(dist.chart, points, seed)
+    restricted = dist._restricted_grid()
+    if restricted is not None:  # a row in the span of those before it makes a witness
+        pairs = comb(dist.rank, 2)
+        witnesses = tuple(_fraction_point(q) for q in rows
+                          if not all(map(Echelon(pairs).add, restricted.at(q))))
+        return Verdict(not witnesses, size, witnesses)
     spans = dist._spanning_sets()
     n = dist.chart.n
     expected = (n,) if dist.rank == n else (dist.rank, n)

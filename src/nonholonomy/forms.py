@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from math import factorial
+from math import comb, factorial
 
 from .algebra import Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval, signed_sum
 from .errors import InputError
@@ -530,6 +530,15 @@ def _constant_minor(grid):
     pivot = tuple(sorted(order[p] for p in echelon.pivots))
     subsets = chain([pivot], islice(combinations(range(len(grid[0])), len(grid)), MAX_MINORS))
     return next(filter(None, (_confirmed(grid, values, s) for s in subsets)), None)
+
+
+def _search_capped(grid) -> bool:
+    """Whether _constant_minor, having found nothing on this grid, stopped
+    at MAX_MINORS: its enumeration runs when the rows are independent at the
+    first probe point, and it stops short of its last subset when the grid
+    has more maximal minors than the cap."""
+    return (comb(len(grid[0]), len(grid)) > MAX_MINORS
+            and rank(_probe_values(grid)[0]) == len(grid))
 
 
 def constant_minor_certificate(forms) -> bool:

@@ -15,7 +15,9 @@ path that the compiled integer evaluation replaced, and
 first_rank_drop_by_fractions is the point-by-point rank guard that the
 wedge checks now run only where their forms vanish;
 witness_first_verdict is the wedge checks' earlier order, which ranked
-every point before it sought the certificate;
+every point before it sought the certificate, and flag_route_dlo_verdict
+decides derived length one by brackets, the route that the restricted
+grid replaced where the presentation is proved of constant rank;
 pivot_subset_by_fractions proposes the columns of the pivot-guided
 constant minor by Fraction ranks. sample_points_by_fractions builds the
 sample set as Fraction points, the path that the lazy integer draw
@@ -34,7 +36,9 @@ from math import factorial, lcm, prod
 from nonholonomy.algebra import (
     Chart, IntegerGrid, Polynomial, _integer_point, poly_eval, random_rational,
 )
-from nonholonomy.distributions import Verdict, _check_coframe, _fraction_point, _rank_drop
+from nonholonomy.distributions import (
+    Verdict, _SpanningSets, _check_coframe, _flag_ranks, _fraction_point, _rank_drop, _sample_set,
+)
 from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
@@ -271,6 +275,24 @@ def witness_first_verdict(coframe, omegas, k, points, seed):
     witnesses = tuple(p for p, r in zip(points, ranks) if r < len(forms))
     certificate = not witnesses and constant_minor_certificate(forms)
     return Verdict(not witnesses, len(points), witnesses, certificate)
+
+
+def flag_route_dlo_verdict(dist, points=None, seed=0):
+    """has_derived_length_one by the first two levels of the derived flag,
+    built afresh from the spanning frame: a point is a witness unless its
+    flag reads [r, n] ([n] at rank n), and a first level below r raises."""
+    size, rows = _sample_set(dist.chart, points, seed)
+    spans = _SpanningSets(dist.spanning_frame())
+    n = dist.chart.n
+    expected = (n,) if dist.rank == n else (dist.rank, n)
+    witnesses = []
+    for q in rows:
+        ranks, _ = _flag_ranks(spans, n, q, 2)
+        if ranks[0] < dist.rank:
+            raise _rank_drop("frame", _fraction_point(q))
+        if ranks != expected:
+            witnesses.append(_fraction_point(q))
+    return Verdict(not witnesses, size, tuple(witnesses))
 
 
 def pivot_subset_by_fractions(grid):

@@ -45,11 +45,11 @@ from nonholonomy.linalg import rank
 from nonholonomy.parser import parse_document
 
 from conftest import (
-    jetlike_coframe, quadratic_coframe, rnd_form, rnd_point, rnd_poly, sample_slice,
+    jetlike_coframe, quadratic_coframe, rnd_form, rnd_fraction, rnd_point, rnd_poly, sample_slice,
 )
 from oracles import (
-    derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions, pointwise_kernel,
-    sample_points_by_fractions, witness_first_verdict,
+    derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions,
+    flag_route_dlo_verdict, pointwise_kernel, sample_points_by_fractions, witness_first_verdict,
 )
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -198,6 +198,22 @@ def test_minor_search_cap(monkeypatch):
     assert [str(f) for f in frame_from_coframe(coframe)] == ["x1*x3^2*@x1 + @x2 - x1*@x3"]
 
 
+def test_the_cap_message_needs_a_search_that_reached_the_cap(monkeypatch):
+    # dx1, ..., dx9 and dx1 again on 20 coordinates: C(20, 10) subsets
+    # outnumber the cap, but the rows are dependent at the probe point, so
+    # the search tries none of them and the cap is not what stopped it
+    confirmed = []
+    monkeypatch.setattr(forms, "_confirmed", lambda *args: confirmed.append(args))
+    chart = Chart(tuple("x%d" % j for j in range(1, 21)))
+    coframe = [DiffForm.basis(chart, j) for j in (*range(1, 10), 1)]
+    assert comb(20, 10) > forms.MAX_MINORS
+    assert frame_from_coframe(coframe) is None and confirmed == []
+    with pytest.raises(InputError) as caught:
+        Distribution(chart, coframe=coframe).spanning_frame()
+    assert str(caught.value) == (
+        "coframe admits no constant-minor complement; supply an explicit frame")
+
+
 def test_the_pivot_candidate_leads_the_minor_search(monkeypatch):
     # quadratic (8,2) has 56 column subsets of 3, and its identity block,
     # columns 6 to 8, is the last of them; the pivot candidate comes first
@@ -341,25 +357,38 @@ def test_derived_flag_matches_fraction_oracle(rng):
 
 
 def test_flag_rows_are_evaluated_only_below_rank_n(monkeypatch):
-    # over the 300 points of has_derived_length_one, a level's rows are
-    # read until the echelon reaches rank n: the frame's 2M rows and one
-    # bracket on contact-M (M*(2M-1) brackets evaluated before), and the
-    # frame's N-1 rows and one bracket on even-contact-N
-    evaluated = []
+    # over the 300 sample points, derived_flag_at reads a level's rows until
+    # the echelon reaches rank n: the frame's 2M rows and one bracket on
+    # contact-M (M*(2M-1) brackets evaluated before), and the frame's N-1
+    # rows and one bracket on even-contact-N. has_derived_length_one builds
+    # no bracket level there: it reads the m = 1 row of the restricted grid
+    # once per point, and its other rows are the constant-minor searches'
+    # probe rows
+    evaluated = Counter()
     original = IntegerGrid.at
 
     def counted(self, q):
         for row in original(self, q):
-            evaluated.append(row)
+            evaluated[self] += 1
             yield row
 
     monkeypatch.setattr(IntegerGrid, "at", counted)
-    for bundle, rows in ((contact_structure(3), 2100), (contact_structure(4), 2700),
-                         (even_contact_structure(6), 1800)):
+    for make, size, rows in ((contact_structure, 3, 2100), (contact_structure, 4, 2700),
+                             (even_contact_structure, 6, 1800)):
+        bundle = make(size)
+        dist = bundle.distribution
         evaluated.clear()
-        verdict = has_derived_length_one(bundle.distribution)
+        for p in sample_points(dist.chart):
+            assert derived_flag_at(dist, p).ranks == bundle.expected_flag
+        assert sum(evaluated.values()) == rows, bundle.name
+        dist = make(size).distribution
+        evaluated.clear()
+        verdict = has_derived_length_one(dist)
         assert verdict.value and verdict.checked == 300
-        assert len(evaluated) == rows, bundle.name
+        restricted = dist._restricted_grid()
+        assert len(restricted) == 1 and evaluated[restricted] == 300, bundle.name
+        assert dist._spans is None
+        assert sum(evaluated.values()) - 300 == 2 * (dist.rank + 1), bundle.name
 
 
 def test_a_malformed_point_reads_the_same_in_every_sampled_check():
@@ -485,6 +514,119 @@ def test_has_derived_length_one_rejects_rank_drop():
         assert False
     except DegeneratePresentationError:
         pass
+
+
+def _identity_block_coframe(rng, n):
+    """m random 1-forms a_i = dx_(n-m+i) + sum_(j <= n-m) p_ij dx_j with
+    random polynomials p_ij of degree <= 2, 1 <= m <= n-2."""
+    m = rng.randint(1, n - 2)
+    chart = Chart(tuple("x%d" % j for j in range(1, n + 1)))
+    coframe = []
+    for i in range(m):
+        form = DiffForm.basis(chart, n - m + i + 1)
+        for j in range(1, n - m + 1):
+            form = form + rnd_poly(rng, chart) * DiffForm.basis(chart, j)
+        coframe.append(form)
+    return chart, coframe
+
+
+def _same_dlo_verdict(dist, points=None):
+    expected = flag_route_dlo_verdict(dist, points)
+    assert has_derived_length_one(dist, points) == expected
+    return expected
+
+
+def test_restricted_grid_matches_the_flag_route_on_the_corpus():
+    for bundle in builtin_corpus():
+        dist = bundle.distribution
+        _same_dlo_verdict(dist)
+        assert dist._restricted_grid() is not None and dist._spans is None, bundle.name
+    # at rank 1 the restricted grid has no column: every point is a witness
+    chart = Chart(("x", "y"))
+    x = Polynomial.coordinate(chart, "x")
+    line = Distribution(chart, coframe=[DiffForm.basis(chart, "y") - x * DiffForm.basis(chart, "x")])
+    assert _same_dlo_verdict(line).witnesses == tuple(sample_points(chart))
+    assert line._restricted_grid() is not None
+
+
+def test_restricted_grid_matches_the_flag_route_on_random_coframes():
+    # the frame derived from the coframe, and two frames given with it: a
+    # constant mix of the derived one, which keeps a constant minor and so
+    # the restricted grid, and one with a field scaled by 1 + x1^2, which
+    # has no constant minor and keeps the flag route
+    rng = random.Random(22)
+    with_witnesses = 0
+    for case in range(120):
+        chart, coframe = _identity_block_coframe(rng, 3 + case % 5)
+        derived = Distribution(chart, coframe=coframe)
+        verdict = _same_dlo_verdict(derived)
+        with_witnesses += bool(verdict.witnesses)
+        assert derived._restricted_grid() is not None
+        if case % 4:
+            continue
+        frame = list(derived.spanning_frame())
+        if len(frame) > 1:
+            frame[0] = frame[0] + rnd_fraction(rng) * frame[1]
+        frame[-1] = -frame[-1]
+        mixed = Distribution(chart, frame=frame, coframe=coframe)
+        points = sample_slice(chart, case, grid=40, randoms=20)
+        assert _same_dlo_verdict(mixed, points) == has_derived_length_one(derived, points)
+        assert mixed._restricted_grid() is not None
+        x1 = Polynomial.coordinate(chart, 1)
+        frame[0] = (x1 * x1 + 1) * frame[0]
+        scaled = Distribution(chart, frame=frame, coframe=coframe)
+        assert _same_dlo_verdict(scaled, points) == has_derived_length_one(derived, points)
+        assert scaled._restricted_grid() is None
+    assert with_witnesses >= 80, with_witnesses
+
+
+def test_the_flag_route_serves_unproved_presentations(monkeypatch):
+    # a caller frame without a constant minor, a coframe without one, a
+    # frame alone and rank n build no restricted grid; the frame and
+    # coframe of contact-3, and the frame derived from a coframe, build
+    # no bracket
+    built, brackets = [], []
+
+    def compiled(frame, coframe):
+        built.append(1)
+        return original(frame, coframe)
+
+    def counted(x, y):
+        brackets.append(1)
+        return forms.lie_bracket(x, y)
+
+    original = distributions._compile_restricted_grid
+    monkeypatch.setattr(distributions, "_compile_restricted_grid", compiled)
+    monkeypatch.setattr(distributions, "lie_bracket", counted)
+    chart = _chart3()
+    x = Polynomial.coordinate(chart, "x")
+    dx, dy, dz = (VectorField.basis(chart, name) for name in ("x", "y", "z"))
+    alpha = DiffForm.basis(chart, "z")
+    stretched = Distribution(chart, frame=[x * dx, dy], coframe=[alpha])
+    with pytest.raises(DegeneratePresentationError) as caught:
+        has_derived_length_one(stretched, [(1, 0, 0), (0, 1, 2)])
+    assert str(caught.value) == "frame drops rank at point (0, 1, 2)"
+    assert caught.value.point == (0, 1, 2)
+    contact = contact_structure(3).distribution
+    cases = [
+        (Distribution(chart, frame=[dx, dy], coframe=[(x * x + 1) * alpha]), False, 1),
+        (Distribution(contact.chart, frame=contact.frame), True, 15),
+        (Distribution(chart, frame=[dx, dy, dz]), True, 0),
+        (Distribution(chart, frame=[dx, dy, dz], coframe=[]), True, 0),
+    ]
+    for dist, value, count in cases:
+        brackets.clear()
+        verdict = has_derived_length_one(dist, sample_slice(dist.chart, grid=20, randoms=5))
+        assert (verdict.value, len(brackets)) == (value, count), dist
+        assert dist._restricted_grid() is None
+    assert built == [] and stretched._restricted_grid() is None
+    jet = jet_canonical(2)
+    for dist in (contact_structure(3).distribution,
+                 Distribution(jet.distribution.chart, coframe=jet.coframe)):
+        brackets.clear()
+        assert has_derived_length_one(dist).value
+        assert brackets == [] and dist._spans is None
+    assert built == [1, 1]
 
 
 def test_check_dbasis_condition_examples():
