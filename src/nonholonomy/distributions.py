@@ -43,7 +43,6 @@ from fractions import Fraction
 from itertools import islice, product
 from math import comb
 
-from . import forms as _forms
 from .algebra import Chart, IntegerGrid, Polynomial, _integer_point
 from .errors import ConsistencyError, DegeneratePresentationError, InputError
 from .forms import (
@@ -51,7 +50,6 @@ from .forms import (
     VectorField,
     _constant_minor,
     _grid,
-    _search_capped,
     constant_minor_certificate,
     dependent_points,
     exterior_derivative,
@@ -206,11 +204,6 @@ class Distribution:
         if self._derived_frame is None:
             built = frame_from_coframe(self.coframe)
             if built is None:
-                if _search_capped(_coframe_grid(self.coframe)):
-                    raise InputError(
-                        "constant-minor search stopped at its cap of %d column subsets "
-                        "without a complement; supply an explicit frame" % _forms.MAX_MINORS
-                    )
                 raise InputError(
                     "coframe admits no constant-minor complement; supply an explicit frame"
                 )
@@ -274,11 +267,13 @@ def _compile_restricted_grid(frame, coframe) -> IntegerGrid:
 def frame_from_coframe(coframe):
     """Complete a coframe to a polynomial frame of its kernel, or None.
 
-    Searches (the pivot candidate first, then at most forms.MAX_MINORS
-    subsets in lexicographic order) for a column subset whose minor is a
-    nonzero constant; the complementary columns then carry an identity block, so
-    the frame has constant rank everywhere. Coframes without such a subset
-    get None: the caller must supply a frame.
+    Tries the pivot candidate of forms._constant_minor, a column subset
+    whose minor, if a nonzero constant, makes the complementary columns
+    carry an identity block, so the frame has constant rank everywhere. It
+    is found whenever the coframe's constant columns alone have full rank,
+    as with an identity block. Other coframes get None, including those
+    whose only constant minors need a non-constant column by cancellation
+    (dx1 + x3^2*dx3, x1*dx2 + dx3): the caller must supply a frame.
     """
     coframe, _ = _check_coframe(coframe)
     fields = kernel_frame(_coframe_grid(coframe))

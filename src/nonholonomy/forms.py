@@ -11,23 +11,21 @@ algebra.IntegerGrid and take the fraction-free rank of its integer rows at
 each point, itself given as the integer row q_1, ..., q_n, D of q/D;
 evaluate_at_point is the plain Fraction evaluation. A nonzero constant
 maximal minor of the grid proves independence at every point at once. One
-search looks for it (_constant_minor): the pivot candidate, proposed by one
-elimination, then at most MAX_MINORS column subsets in lexicographic order.
+search looks for it (_constant_minor), and tries one column subset: the
+pivot candidate, proposed by one elimination. It finds a constant minor
+whenever the grid's constant columns alone have full rank, as they do for
+a coframe with an identity block; a constant minor that needs a
+non-constant column, by cancellation, is not sought.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, islice
-from math import comb, factorial
+from math import factorial
 
 from .algebra import Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval, signed_sum
 from .errors import InputError
 from .linalg import Echelon, det, rank
-
-# Column subsets a constant-minor search enumerates, in lexicographic order,
-# after the pivot candidate (see _constant_minor).
-MAX_MINORS = 20000
 
 
 def sort_with_sign(indices):
@@ -474,25 +472,13 @@ def _probe_points(n: int):
             tuple((-1) ** j * (2 * j + 1) for j in range(1, n + 1)))
 
 
-def _probe_values(grid):
-    """The IntegerGrid rows of the polynomial grid at the two probe points.
-
-    Both probe points are integer, so these rows are the exact rows times one
-    factor per row, the same at both points: the integer minors are the
-    exact ones times one positive constant, and decide the same way.
-    """
-    chart = grid[0][0].chart
-    compiled = IntegerGrid(chart, grid)
-    return [list(compiled.at(p + (1,))) for p in _probe_points(chart.n)]
-
-
 def _confirmed(grid, values, subset):
     """(subset, constant) when the grid's maximal minor on the column subset
     is a nonzero constant, else None.
 
     A nonzero constant minor has the same nonzero value at every point, so
     the symbolic _poly_det is taken only if the subset's integer minors at
-    the two probe points (values, from _probe_values) are nonzero and equal.
+    the two probe points (values, integer rows there) are nonzero and equal.
     """
     d0 = det([[row[c] for c in subset] for row in values[0]])
     if not d0 or d0 != det([[row[c] for c in subset] for row in values[1]]):
@@ -502,17 +488,18 @@ def _confirmed(grid, values, subset):
 
 
 def _constant_minor(grid):
-    """The first column subset whose maximal minor _confirmed finds to be a
-    nonzero constant, as (subset, constant), or None.
+    """(subset, constant) for the pivot candidate's column subset when
+    _confirmed finds its maximal minor to be a nonzero constant, else None.
 
-    The pivot candidate comes first: the columns ordered by the top total
-    degree of their entries, constants first and ties by index, and the
-    first column basis of the integer rows at the first probe point in that
-    order, from one linalg.Echelon, so a constant full-rank block such as a
-    coframe's identity block is tried first wherever it lies. At most
-    MAX_MINORS subsets follow in lexicographic order, a failed candidate
-    again in its place. Rows dependent at that probe point have no nonzero
-    maximal minor there, and then nothing is tried.
+    The candidate, the only subset tried, is the first column basis of the
+    integer rows at the first probe point, from one linalg.Echelon, with the
+    columns ordered by the top total degree of their entries, constants
+    first and ties by index. When the constant columns alone have full rank
+    the candidate lies among them, so its minor is a nonzero constant and is
+    found, as for a coframe with an identity block or the jet-like MNI
+    forms. A constant minor that needs a non-constant column is not sought.
+    Rows dependent at the probe point have no nonzero maximal minor there,
+    and then nothing is tried.
     """
     if len(grid) > len(grid[0]):
         return None
@@ -521,24 +508,18 @@ def _constant_minor(grid):
         return max((sum(e) for row in grid for e in row[c].terms), default=-1)
 
     order = sorted(range(len(grid[0])), key=lambda c: (degree(c), c))
-    values = _probe_values(grid)
+    chart = grid[0][0].chart
+    compiled = IntegerGrid(chart, grid)
+    # both probe points are integer, so these rows are the exact rows times
+    # one factor per row, the same at both points: the integer minors are
+    # the exact ones times one positive constant, and decide the same way
+    values = [list(compiled.at(p + (1,))) for p in _probe_points(chart.n)]
     echelon = Echelon(len(order))
     for row in values[0]:
         echelon.add([row[c] for c in order])
     if len(echelon.pivots) < len(grid):  # every maximal minor vanishes there
         return None
-    pivot = tuple(sorted(order[p] for p in echelon.pivots))
-    subsets = chain([pivot], islice(combinations(range(len(grid[0])), len(grid)), MAX_MINORS))
-    return next(filter(None, (_confirmed(grid, values, s) for s in subsets)), None)
-
-
-def _search_capped(grid) -> bool:
-    """Whether _constant_minor, having found nothing on this grid, stopped
-    at MAX_MINORS: its enumeration runs when the rows are independent at the
-    first probe point, and it stops short of its last subset when the grid
-    has more maximal minors than the cap."""
-    return (comb(len(grid[0]), len(grid)) > MAX_MINORS
-            and rank(_probe_values(grid)[0]) == len(grid))
+    return _confirmed(grid, values, tuple(sorted(order[p] for p in echelon.pivots)))
 
 
 def constant_minor_certificate(forms) -> bool:
@@ -551,13 +532,13 @@ def constant_minor_certificate(forms) -> bool:
     witness: at a dependent point every maximal minor vanishes, so a
     witness already rules out a certificate. A certificate found spares
     the check every other point.
-    The pivot-guided candidate is tried first, then at most MAX_MINORS
-    column subsets in lexicographic order (see _constant_minor), so False
-    means "no certificate found", not "dependent". Most subsets are ruled
-    out by their exact minors at two fixed probe points: a nonzero constant
-    minor takes one nonzero value at both, so this prefilter never rules
-    out a certificate, and only the subsets it keeps are expanded
-    symbolically.
+    Only the pivot candidate is tried (see _constant_minor): it is found
+    whenever the constant columns alone have full rank, and a constant
+    minor that needs a non-constant column is not sought, so False means
+    "no certificate found", not "dependent". The candidate is expanded
+    symbolically only if its exact minors at two fixed probe points are
+    nonzero and equal: a nonzero constant minor takes one value at both, so
+    this prefilter never rules out a certificate.
     """
     forms = list(forms)
     if not forms:

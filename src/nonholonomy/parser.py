@@ -248,7 +248,8 @@ class _Parser:
             if tok.text == "^":
                 if isinstance(value, VectorField) or isinstance(right, VectorField):
                     self.fail("'^' applies to forms", tok)
-                value = wedge(value, right)
+                both_scalar = isinstance(value, Polynomial) and isinstance(right, Polynomial)
+                value = value * right if both_scalar else wedge(value, right)
             elif isinstance(value, Polynomial):
                 value = right * value if isinstance(right, (DiffForm, VectorField)) else value * right
             elif isinstance(right, Polynomial):

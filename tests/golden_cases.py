@@ -17,6 +17,8 @@ CASES = [
      ["check-dlo", "data/contact3.nh"], 0),
     ("dlo_integrable3.json",
      ["check-dlo", "data/integrable3.nh"], 1),
+    ("dlo_offpivot3.json",
+     ["check-dlo", "data/offpivot3.nh"], 2),
     ("mni_jetlike5.json",
      ["check-mni", "data/jetlike5.nh", "--k", "1"], 0),
     ("mni_integrable5.json",

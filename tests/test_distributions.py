@@ -6,7 +6,6 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -163,50 +162,61 @@ def test_frame_from_coframe_matches_corpus_frames():
     assert seen >= 9
 
 
-def test_minor_search_cap(monkeypatch):
+def test_minor_search_cap():
     # the 2 x 2 minors over columns (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
     # are -x2, 0, x1, x2, 1, x1: only the 5th subset is a nonzero constant.
-    # The pivot candidate, the constant columns 2 and 4, is that subset and
-    # comes first, so the frame does not depend on the cap
+    # The pivot candidate, the constant columns 2 and 4, is that subset
     chart = Chart(("x1", "x2", "x3", "x4"))
     x1, x2 = (Polynomial.coordinate(chart, i) for i in (1, 2))
     dx = [DiffForm.basis(chart, i) for i in range(1, 5)]
     coframe = [x1 * dx[0] + dx[1] + x1 * dx[2], x2 * dx[0] + x2 * dx[2] + dx[3]]
-    for cap in (4, 5):
-        monkeypatch.setattr(forms, "MAX_MINORS", cap)
-        assert constant_minor_certificate(coframe)
-        frame = frame_from_coframe(coframe)
-        assert [str(f) for f in frame] == ["@x1 - x1*@x2 - x2*@x4", "-x1*@x2 + @x3 - x2*@x4"]
+    assert constant_minor_certificate(coframe)
+    frame = frame_from_coframe(coframe)
+    assert [str(f) for f in frame] == ["@x1 - x1*@x2 - x2*@x4", "-x1*@x2 + @x3 - x2*@x4"]
     # the minors over (1,2), (1,3), (2,3) are x1, 1, -x1*x3^2; the pivot
     # candidate takes the lower-degree columns 1 and 2, whose minor is not
-    # constant, so only the search finds the second subset
+    # constant, and the constant one over (1,3), which needs the
+    # non-constant column 3, is not sought
     chart = Chart(("x1", "x2", "x3"))
     x1, x3 = (Polynomial.coordinate(chart, i) for i in (1, 3))
     dx = [DiffForm.basis(chart, i) for i in range(1, 4)]
     coframe = [dx[0] + x3 * x3 * dx[2], x1 * dx[1] + dx[2]]
-    monkeypatch.setattr(forms, "MAX_MINORS", 1)
     assert not constant_minor_certificate(coframe)
     assert frame_from_coframe(coframe) is None
-    try:
+    with pytest.raises(InputError) as caught:
         Distribution(chart, coframe=coframe).spanning_frame()
-        assert False
-    except InputError as err:
-        assert "stopped at its cap of 1 column subsets" in str(err)
-        assert "explicit frame" in str(err)
-    monkeypatch.setattr(forms, "MAX_MINORS", 2)
-    assert constant_minor_certificate(coframe)
-    assert [str(f) for f in frame_from_coframe(coframe)] == ["x1*x3^2*@x1 + @x2 - x1*@x3"]
+    assert str(caught.value) == (
+        "coframe admits no constant-minor complement; supply an explicit frame")
+    verdict = check_dbasis_condition(coframe)
+    assert (verdict.value, verdict.checked, len(verdict.witnesses)) == (False, 225, 225)
+    assert not verdict.certificate
+    # with the frame it used to derive, check-dlo still answers, on the flag
+    # route, as the coframe is no longer proved of constant rank
+    field = VectorField(chart, [x1 * x3 * x3, 1, -x1])
+    given = Distribution(chart, frame=[field], coframe=coframe)
+    verdict = has_derived_length_one(given)
+    assert (verdict.value, verdict.checked, len(verdict.witnesses)) == (False, 225, 225)
+    assert verdict == flag_route_dlo_verdict(given) and given._restricted_grid() is None
+    # the same minors as a wedge check's grid: dx4^dx5^w_i on five
+    # coordinates has the coefficients of w_i on dx1^dx2, dx1^dx3, dx2^dx3.
+    # Its forms are independent everywhere, so the sampled verdict holds,
+    # over every point, without a certificate
+    five = Chart(tuple("x%d" % j for j in range(1, 6)))
+    x1, x3 = (Polynomial.coordinate(five, i) for i in (1, 3))
+    d = [None] + [DiffForm.basis(five, i) for i in range(1, 6)]
+    omegas = [wedge(d[1], d[2]) + x3 * x3 * wedge(d[2], d[3]),
+              x1 * wedge(d[1], d[3]) + wedge(d[2], d[3])]
+    verdict = check_almost_mni([d[4], d[5]], omegas, 1)
+    assert verdict == distributions.Verdict(True, 300, (), False)
 
 
 def test_the_cap_message_needs_a_search_that_reached_the_cap(monkeypatch):
-    # dx1, ..., dx9 and dx1 again on 20 coordinates: C(20, 10) subsets
-    # outnumber the cap, but the rows are dependent at the probe point, so
-    # the search tries none of them and the cap is not what stopped it
+    # dx1, ..., dx9 and dx1 again on 20 coordinates: the rows are dependent
+    # at the probe point, so the search tries no subset at all
     confirmed = []
     monkeypatch.setattr(forms, "_confirmed", lambda *args: confirmed.append(args))
     chart = Chart(tuple("x%d" % j for j in range(1, 21)))
     coframe = [DiffForm.basis(chart, j) for j in (*range(1, 10), 1)]
-    assert comb(20, 10) > forms.MAX_MINORS
     assert frame_from_coframe(coframe) is None and confirmed == []
     with pytest.raises(InputError) as caught:
         Distribution(chart, coframe=coframe).spanning_frame()
@@ -216,9 +226,9 @@ def test_the_cap_message_needs_a_search_that_reached_the_cap(monkeypatch):
 
 def test_the_pivot_candidate_leads_the_minor_search(monkeypatch):
     # quadratic (8,2) has 56 column subsets of 3, and its identity block,
-    # columns 6 to 8, is the last of them; the pivot candidate comes first
-    # and is confirmed at once, whatever the cap. So is the candidate of a
-    # jet-like (8,2) MNI grid, which settles its certificate
+    # columns 6 to 8, is the last of them; the pivot candidate is that block
+    # and is confirmed at once. So is the candidate of a jet-like (8,2) MNI
+    # grid, which settles its certificate
     confirmed = []
     original = forms._confirmed
 
@@ -228,14 +238,9 @@ def test_the_pivot_candidate_leads_the_minor_search(monkeypatch):
 
     monkeypatch.setattr(forms, "_confirmed", counted)
     coframe = quadratic_coframe(8, 2)
-    frames = []
-    for cap in (20000, 55, 1):
-        monkeypatch.setattr(forms, "MAX_MINORS", cap)
-        confirmed.clear()
-        frames.append(frame_from_coframe(coframe))
-        assert confirmed == [(5, 6, 7)], cap
-    assert frames[0] == frames[1] == frames[2] and len(frames[0]) == 5
-    assert all(distributions._pairing(a, f).is_zero() for a in coframe for f in frames[0])
+    frame = frame_from_coframe(coframe)
+    assert confirmed == [(5, 6, 7)] and len(frame) == 5
+    assert all(distributions._pairing(a, f).is_zero() for a in coframe for f in frame)
     coframe = jetlike_coframe(8, 2, random.Random(15))
     base = wedge_all(coframe)
     mni = [wedge(base, wedge_power(exterior_derivative(a), 2)) for a in coframe]
@@ -629,6 +634,33 @@ def test_the_flag_route_serves_unproved_presentations(monkeypatch):
     assert built == [1, 1]
 
 
+def test_a_caller_frame_without_a_constant_minor_costs_one_probe(monkeypatch):
+    # the frame (1 + x1^2)*@x_j, j <= 9, with the coframe dx10, ..., dx18:
+    # the frame's one candidate, columns 1 to 9, has unequal probe minors 5^9
+    # and 10^9, so no symbolic determinant is taken before the flag route
+    confirmed, expanded = [], []
+    original_confirmed, original_det = forms._confirmed, forms._poly_det
+
+    def counted(grid, values, subset):
+        confirmed.append(subset)
+        return original_confirmed(grid, values, subset)
+
+    def determinant(matrix):
+        expanded.append(len(matrix))
+        return original_det(matrix)
+
+    monkeypatch.setattr(forms, "_confirmed", counted)
+    monkeypatch.setattr(forms, "_poly_det", determinant)
+    chart = Chart(tuple("x%d" % j for j in range(1, 19)))
+    x1 = Polynomial.coordinate(chart, 1)
+    frame = [(x1 * x1 + 1) * VectorField.basis(chart, j) for j in range(1, 10)]
+    coframe = [DiffForm.basis(chart, j) for j in range(10, 19)]
+    dist = Distribution(chart, frame=frame, coframe=coframe)
+    verdict = has_derived_length_one(dist, [(0,) * 18])
+    assert verdict.witnesses == ((0,) * 18,) and dist._restricted_grid() is None
+    assert confirmed == [tuple(range(9))] and expanded == []
+
+
 def test_check_dbasis_condition_examples():
     chart, alpha = _contact3()
     assert check_dbasis_condition([alpha]).value is True
@@ -990,8 +1022,7 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
 def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
     # the candidate, the first subset that forms._confirmed sees, is the
     # identity block of quadratic_coframe (the last m columns) and of a
-    # jet-like coframe (the first m) at every admissible shape with k <= 4,
-    # including those whose subsets outnumber MAX_MINORS
+    # jet-like coframe (the first m) at every admissible shape with k <= 4
     seen = []
     original = forms._confirmed
 
@@ -1001,7 +1032,6 @@ def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
 
     monkeypatch.setattr(forms, "_confirmed", counted)
     rng = random.Random(15)
-    capped = []
     for k in range(1, 5):
         for n in range(2 * k + 2, 4 * k + 3):
             m = n - 2 * k - 1
@@ -1010,9 +1040,6 @@ def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
                 seen.clear()
                 assert forms._constant_minor(distributions._grid(coframe, "test")) == (block, 1)
                 assert seen == [(block, (block, 1))], (n, k)
-            if comb(n, m) > forms.MAX_MINORS:
-                capped.append((n, k))
-    assert capped == [(17, 4), (18, 4)]
 
 
 def test_check_mni_shape_errors():

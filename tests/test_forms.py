@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations, islice, permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from nonholonomy.forms import (
     wedge_all,
     wedge_power,
 )
-from nonholonomy.linalg import det
+from nonholonomy.linalg import det, rank
 from nonholonomy.parser import parse_document
 
 from conftest import (
@@ -508,24 +508,20 @@ def _symbolic_constant(grid, subset):
     return None
 
 
-def _searched_subsets(grid, max_minors):
-    # the subset the Fraction pivot oracle proposes, if any, then the
-    # subsets in lexicographic order up to the cap; none for a grid with
-    # more rows than columns
+def _searched_subsets(grid):
+    # the one subset the search tries, the Fraction pivot oracle's, if any;
+    # none for a grid with more rows than columns
     if len(grid) > len(grid[0]):
         return []
     pivot = pivot_subset_by_fractions(grid)
-    lexicographic = islice(combinations(range(len(grid[0])), len(grid)), max_minors)
-    return chain([pivot] if pivot else [], lexicographic)
+    return [pivot] if pivot else []
 
 
-def _reference_constant_minor(grid, max_minors):
+def _reference_constant_minor(grid):
     # the search without the numeric prefilter: the symbolic determinant of
-    # every subset it tries, in the same order and under the same cap
-    for subset in _searched_subsets(grid, max_minors):
-        found = _symbolic_constant(grid, subset)
-        if found:
-            return found
+    # the subset it tries
+    for subset in _searched_subsets(grid):
+        return _symbolic_constant(grid, subset)
     return None
 
 
@@ -538,47 +534,35 @@ def _mni_forms(coframe, omegas, k):
     return [wedge(base, wedge_power(w, k)) for w in omegas]
 
 
-def _fraction_prefilter_survivors(grid, max_minors):
-    # the subsets the prefilter passed on before integer evaluation: exact
-    # Fraction minors at both probe points, nonzero and equal, in the
-    # search's order up to the first constant symbolic minor, under the same
-    # cap
-    values0, values1 = ([[poly_eval(entry, point) for entry in row] for row in grid]
-                        for point in _probe_points(grid[0][0].chart.n))
-
-    def passes(subset):
-        d0 = det([[row[c] for c in subset] for row in values0])
-        return d0 and d0 == det([[row[c] for c in subset] for row in values1])
-
+def _fraction_prefilter_survivors(grid):
+    # the subsets the prefilter passed on before integer evaluation: the
+    # tried subset when its exact Fraction minors at both probe points are
+    # nonzero and equal
     survivors = []
-    for subset in _searched_subsets(grid, max_minors):
-        if not passes(subset):
-            continue
-        survivors.append(subset)
-        if _poly_det([[row[c] for c in subset] for row in grid]).is_constant():
-            break
+    for subset in _searched_subsets(grid):
+        d0, d1 = (det([[poly_eval(row[c], point) for c in subset] for row in grid])
+                  for point in _probe_points(grid[0][0].chart.n))
+        if d0 and d0 == d1:
+            survivors.append(subset)
     return survivors
 
 
-def _assert_matches_reference(grid, caps=(20000,)):
+def _assert_matches_reference(grid):
     poly_det = forms_module._poly_det
-    for cap in caps:
-        expanded = []
+    expanded = []
 
-        def recorded(matrix):
-            if len(matrix) == len(grid):
-                expanded.append(matrix)
-            return poly_det(matrix)
+    def recorded(matrix):
+        if len(matrix) == len(grid):
+            expanded.append(matrix)
+        return poly_det(matrix)
 
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(forms_module, "MAX_MINORS", cap)
-            monkeypatch.setattr(forms_module, "_poly_det", recorded)
-            assert _constant_minor(grid) == _reference_constant_minor(grid, cap)
-        if len(grid) <= len(grid[0]):
-            # the integer prefilter passes on exactly the subsets the
-            # Fraction one did, so the same subset comes back
-            survivors = _fraction_prefilter_survivors(grid, cap)
-            assert expanded == [[[row[c] for c in s] for row in grid] for s in survivors]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(forms_module, "_poly_det", recorded)
+        assert _constant_minor(grid) == _reference_constant_minor(grid)
+    # the integer prefilter passes on exactly the subset the Fraction one
+    # did, so the same subset comes back
+    survivors = _fraction_prefilter_survivors(grid)
+    assert expanded == [[[row[c] for c in s] for row in grid] for s in survivors]
 
 
 def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
@@ -593,9 +577,8 @@ def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
     for n, k in ((4, 1), (5, 1), (6, 1), (6, 2)):
         for coframe in (quadratic_coframe(n, k), jetlike_coframe(n, k, rng)):
             grid = _grid(_mni_forms(coframe, [exterior_derivative(a) for a in coframe], k), "test")
-            expected = _reference_constant_minor(grid, 20000)
-            found += expected is not None
-            _assert_matches_reference(grid, caps=(20000, 1, 2, 3))
+            found += _reference_constant_minor(grid) is not None
+            _assert_matches_reference(grid)
     assert found == 4  # every jet-like tuple, no quadratic one
 
 
@@ -610,22 +593,19 @@ def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
     # a constant one: the 2 x 2 minors are 3f, 0 and -3 with
     # f = 5 + (x1 - a1)(x1 - b1), and the search must return the last
     twin = [[5 + (x1 - a1) * (x1 - b1), zero, one], [zero, 3 * one, zero]]
-    # all-zero columns around and between the live ones; the first
-    # constant minor is the last, over columns 3 and 4
+    # all-zero columns around and between the live ones; the one constant
+    # minor, over columns 3 and 4, needs the non-constant column 3, and the
+    # candidate, columns 1 and 4, has the minor x1
     hollow = [[zero, x1, zero, one, zero], [zero, one, zero, x2, one]]
     # a constant minor in a row whose values are [0, 1] at the first probe
     # point and [1/2, 1] at the second: its integer minors 1 and 2 agree
     # only after the row scales 1 and 2
     scaled = [[(x1 - a1) * Fraction(1, 2 * (b1 - a1)), one]]
     for grid in (vanishing, twin, hollow, scaled):
-        _assert_matches_reference(grid, caps=(20000, 1, 2, 3, 9, 10))
+        _assert_matches_reference(grid)
     assert _constant_minor(vanishing) == ((2,), 7)
     assert _constant_minor(scaled) == ((1,), 1)
-    with pytest.MonkeyPatch.context() as capped:
-        capped.setattr(forms_module, "MAX_MINORS", 10)
-        assert _constant_minor(hollow) == ((3, 4), 1)
-        capped.setattr(forms_module, "MAX_MINORS", 9)
-        assert _constant_minor(hollow) is None
+    assert _constant_minor(hollow) is None
     calls = []
     poly_det = forms_module._poly_det
 
@@ -637,8 +617,8 @@ def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
     monkeypatch.setattr(forms_module, "_poly_det", top_level)
     assert _constant_minor(twin) == ((1, 2), -3)
     # the pivot candidate, the constant columns 1 and 2, is expanded first
-    # and settles the search, so (0, 1), which passes both probes but is not
-    # constant, is never expanded
+    # and is the only subset tried, so (0, 1), which passes both probes but
+    # is not constant, is never expanded
     assert len(calls) == 1
     # no columns at all: the certificate search finds nothing
     assert not constant_minor_certificate([DiffForm.zero(chart, 1)])
@@ -672,10 +652,10 @@ def _random_grid(rng, n):
 
 
 def test_pivot_minor_matches_fraction_oracle_on_random_grids(monkeypatch):
-    # the candidate, the first subset that _confirmed sees, is the Fraction
-    # oracle's pivot subset; it is confirmed whenever that subset's symbolic
-    # minor is a nonzero constant, and then settles the search. Where no
-    # subset has a constant minor nothing is confirmed
+    # the candidate, the one subset that _confirmed sees, is the Fraction
+    # oracle's pivot subset; it is confirmed exactly when that subset's
+    # symbolic minor is a nonzero constant, and then is the search's result.
+    # Where no subset has a constant minor nothing is confirmed
     seen = []
     original = forms_module._confirmed
 
@@ -694,9 +674,9 @@ def test_pivot_minor_matches_fraction_oracle_on_random_grids(monkeypatch):
         assert (seen[0][0] if seen else None) == subset, trial
         candidate = seen[0][1] if seen else None
         assert candidate == (None if subset is None else _symbolic_constant(grid, subset)), trial
+        assert result == candidate and len(seen) <= 1, trial
         if candidate is not None:
             found += 1
-            assert result == candidate and len(seen) == 1, trial
             value = _poly_det([[row[c] for c in candidate[0]] for row in grid])
             assert value.is_constant() and value.constant_value() == candidate[1] != 0
         subsets = combinations(range(len(grid[0])), len(grid))
@@ -704,6 +684,45 @@ def test_pivot_minor_matches_fraction_oracle_on_random_grids(monkeypatch):
             searched_in_vain += 1
             assert candidate is None and result is None, trial
     assert found > 40 and searched_in_vain > 40
+
+
+def test_constant_columns_of_full_rank_are_confirmed_at_once(monkeypatch):
+    # the search's guarantee: when the constant columns alone have full
+    # rank, the candidate lies among them, and the first and only _confirmed
+    # call returns its minor, a nonzero constant, whatever the other columns
+    seen = []
+    original = forms_module._confirmed
+
+    def counted(grid, values, subset):
+        seen.append(original(grid, values, subset))
+        return seen[-1]
+
+    monkeypatch.setattr(forms_module, "_confirmed", counted)
+    rng = random.Random(23)
+    for trial in range(120):
+        n = 3 + trial % 6
+        chart = Chart(tuple("x%d" % i for i in range(1, n + 1)))
+        q = rng.randint(1, min(4, n))
+        constant = rng.sample(range(n), rng.randint(q, n))
+        block = [[0] * len(constant)]
+        while rank(block) < q:
+            block = [[rnd_fraction(rng) * (rng.random() < 0.7) for _ in constant]
+                     for _ in range(q)]
+        grid = [[None] * n for _ in range(q)]
+        for row, values in zip(grid, block):
+            for c, value in zip(constant, values):
+                row[c] = Polynomial.constant(chart, value)
+        for c in set(range(n)) - set(constant):
+            x = Polynomial.coordinate(chart, rng.randint(1, n))
+            for row in grid:
+                row[c] = rnd_poly(rng, chart)
+            grid[rng.randrange(q)][c] += x * x * rnd_fraction(rng) + x
+        seen.clear()
+        result = _constant_minor(grid)
+        assert result is not None and seen == [result], trial
+        subset, value = result
+        assert set(subset) <= set(constant) and value != 0, trial
+        assert _symbolic_constant(grid, subset) == result, trial
 
 
 def test_form_string_rendering():

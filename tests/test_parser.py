@@ -107,6 +107,16 @@ def test_parse_wedge_and_pow2():
     assert not doc.binding("top").value.is_zero()
 
 
+def test_wedge_of_two_scalars_is_a_scalar():
+    # '^' between two degree-0 values is their product, a polynomial, so it
+    # adds to a polynomial and scales a form like any other scalar
+    doc = parse_document("coords x y z; form a = (x ^ y) + x; form b = (x ^ y) * d(z);")
+    x, y = (Polynomial.coordinate(doc.chart, name) for name in ("x", "y"))
+    assert isinstance(doc.binding("a").value, Polynomial)
+    assert doc.binding("a").value == x * y + x
+    assert doc.binding("b").value == (x * y) * DiffForm.basis(doc.chart, "z")
+
+
 def test_pow2_power_past_the_dimension_is_zero_at_once():
     # w^k vanishes once 2k > n, so a huge power is the zero 2k-form,
     # built without k wedges (or a k-item list, which overflows past 2**63)

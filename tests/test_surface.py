@@ -67,7 +67,9 @@ def test_removed_parameters_stay_removed():
         assert parameter not in inspect.signature(function).parameters, function
     extraction = inspect.signature(singularity.assemble_principal_matrix).parameters["extraction"]
     assert extraction.default is inspect.Parameter.empty
-    assert forms.MAX_MINORS == 20000
+    # the constant-minor search tries only its pivot candidate: no cap
+    assert not hasattr(forms, "MAX_MINORS")
+    assert not hasattr(forms, "_search_capped")
 
 
 def test_single_caller_helpers_stay_folded():
@@ -77,6 +79,7 @@ def test_single_caller_helpers_stay_folded():
     assert not hasattr(distributions.Distribution, "from_coframe")
     # the minor prefilter compares exact minors; row scaling is private to linalg
     assert not hasattr(forms, "_probe_rows")
+    assert not hasattr(forms, "_probe_values")
     assert not hasattr(forms, "integer_rows")
     assert not hasattr(linalg, "integer_rows")
     # kernel_basis back-substitutes on the Bareiss echelon rows; the
