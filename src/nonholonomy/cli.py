@@ -67,7 +67,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("flag", help="derived flag at a point")
     common(p)
     p.add_argument("--point", default="", help="comma-separated name=value pairs; missing coordinates are 0")
-    p.add_argument("--depth", type=int, default=None, help="flag depth cap (default: chart dimension)")
+    p.add_argument("--depth", type=int, default=None, help="flag depth cap (default: none; the flag stops by itself)")
 
     p = sub.add_parser("check-dlo", help="derived length one on the sample set")
     common(p)

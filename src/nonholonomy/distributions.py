@@ -315,9 +315,9 @@ class _SpanningSets:
         return self.grids[l]
 
 
-def _flag_ranks(spans: _SpanningSets, n: int, q, depth_cap: int):
+def _flag_ranks(spans: _SpanningSets, n: int, q, depth_cap):
     """(ranks, stabilized) of the derived flag at the integer row q, by the
-    rule of derived_flag_at."""
+    rule of derived_flag_at; a depth_cap of None sets no cap."""
     echelon = Echelon(n)
     ranks = []
     while True:
@@ -332,7 +332,7 @@ def _flag_ranks(spans: _SpanningSets, n: int, q, depth_cap: int):
             return tuple(ranks), True
         if len(ranks) > 1 and r == ranks[-2]:
             return tuple(ranks), not level
-        if len(ranks) >= depth_cap:
+        if depth_cap is not None and len(ranks) >= depth_cap:
             return tuple(ranks), False
 
 
@@ -343,20 +343,20 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     rank is below n, so no row is evaluated past rank n or eliminated
     twice. As the echelon only grows, the ranks never decrease.
 
-    Stops when the rank hits n, repeats, or the depth cap is reached, so at
-    most n levels are built. "Stabilized" means every deeper level has the
-    same rank: the rank is n, or it repeated at a level that added no
-    nonzero bracket. After any other repeat it is False, which means only
-    "not shown": a bracket that vanishes at the point can have a deeper one
-    that does not (X = @x, Y = @z + x*x*@y at x = 0 reads [2, 2], yet
-    [X, [X, Y]] = 2*@y has rank 3 there), but the involutive frame X = @x,
-    Y = @y + x*@x, whose bracket @x is nonzero and in its span, reads
-    [2, 2] unstabilized at every point too.
+    Stops when the rank hits n, repeats, or the depth cap, if one is given,
+    is reached. Until it stops the ranks strictly increase, so at most
+    n + 1 levels are built even with no cap. "Stabilized" means every
+    deeper level has the same rank: the rank is n, or it repeated at a
+    level that added no nonzero bracket. After any other repeat it is
+    False, which means only "not shown": a bracket that vanishes at the
+    point can have a deeper one that does not (X = @x, Y = @z + x*x*@y at
+    x = 0 reads [2, 2], yet [X, [X, Y]] = 2*@y has rank 3 there), but the
+    involutive frame X = @x, Y = @y + x*@x, whose bracket @x is nonzero and
+    in its span, reads [2, 2] unstabilized at every point too.
     """
     point = tuple(point)
     q = _integer_point(point, dist.chart.n)
-    depth_cap = dist.chart.n if depth_cap is None else depth_cap
-    if depth_cap < 1:
+    if depth_cap is not None and depth_cap < 1:
         raise InputError("depth cap must be at least 1")
     ranks, stabilized = _flag_ranks(dist._spanning_sets(), dist.chart.n, q, depth_cap)
     return DerivedFlag(point, ranks, stabilized)

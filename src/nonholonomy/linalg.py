@@ -5,9 +5,11 @@ kernel_basis and solve. It takes integer rows one at a time, each reduced
 against the rows held so far, so a caller whose rows come in batches, as
 the derived flag's levels do, extends one elimination instead of starting
 again. Each function clears the denominators of its rows itself, so
-intermediate entries stay integers and never lose exactness. kernel_basis
-and solve share one back-substitution through the held rows, which divides
-exactly by each pivot. pfaffian runs the skew analogue of the elimination.
+intermediate entries stay integers and never lose exactness. A held row
+is kept at full width, zero before its pivot and at the pivots of the rows
+held before it, so kernel_basis and solve share one back-substitution that
+takes one dot product and one exact division by the pivot per held row.
+pfaffian runs the skew analogue of the elimination.
 
 Everything here is deterministic, and the pivot columns do not depend on
 the order of the rows: a held row is zero before its pivot, its first
@@ -55,22 +57,21 @@ class Echelon:
     holds it if anything is left. This is Bareiss's step on one row: every
     entry left is the minor of the held rows' originals and this row on the
     columns c_0, ..., c_(k-1) and its own, so by Sylvester's identity each
-    division is exact. Each step clears column c_k of the row, and a held
-    row is zero at the pivots of the rows held before it, so a held row is
-    stored without those columns and without its own pivot entry.
+    division is exact. A held row is kept at full width: p_k at c_k, and
+    zero before c_k and at the pivots of the rows held before it, as each
+    step clears column c_k of the row.
 
     pivots lists the held rows' pivot columns in the order they were added;
     its length is the rank of the rows added.
     """
 
-    __slots__ = ("pivots", "_rows", "_local", "_heads", "_free")
+    __slots__ = ("pivots", "_rows", "_heads", "_n_cols")
 
     def __init__(self, n_cols: int):
         self.pivots = []
-        self._rows = []  # held row k on the columns not in pivots[:k + 1]
-        self._local = []  # the index of pivots[k] among the columns not in pivots[:k]
+        self._rows = []  # held row k at full width
         self._heads = []  # held row k's pivot entry p_k
-        self._free = list(range(n_cols))  # the columns not in pivots
+        self._n_cols = n_cols
 
     def add(self, row) -> bool:
         """Reduce an integer row and hold what is left, its pivot being its
@@ -78,20 +79,18 @@ class Echelon:
         lies in the span of the held rows."""
         row = list(row)
         prev = 1
-        for held, l, p in zip(self._rows, self._local, self._heads):
-            head = row.pop(l)
+        for held, c, p in zip(self._rows, self.pivots, self._heads):
+            head = row[c]
             if head:
                 row = [(x * p - head * y) // prev for x, y in zip(row, held)]
             else:
                 row = [x * p // prev for x in row]
             prev = p
-        for l, x in enumerate(row):
+        for c, x in enumerate(row):
             if x:
-                del row[l]
                 self._rows.append(row)
-                self._local.append(l)
                 self._heads.append(x)
-                self.pivots.append(self._free.pop(l))
+                self.pivots.append(c)
                 return True
         return False
 
@@ -105,21 +104,20 @@ class Echelon:
         free and 0 in the others, A being the rows added.
 
         Its pivot entries are solved through the held rows in reverse order
-        of addition, each by one division by its pivot: off c_k, held row k
-        lives on the free columns and the pivots of the rows held after it,
-        where v is known by then. The division is exact whenever the whole
-        vector is integral, which the caller ensures by its choice of scale;
-        a remainder raises ConsistencyError.
+        of addition, each by one dot product and one division by its pivot:
+        v[c_k] = -(held_k . v) / p_k, as v is still 0 at c_k and at the
+        pivots of the rows held before k, and known everywhere else by then.
+        The division is exact whenever the whole vector is integral, which
+        the caller ensures by its choice of scale; a remainder raises
+        ConsistencyError.
         """
-        v = [0] * (len(self._free) + len(self.pivots))
+        v = [0] * self._n_cols
         v[free] = scale
-        columns = list(self._free)
-        for held, l, p, c in zip(*map(reversed, (self._rows, self._local, self._heads, self.pivots))):
-            value, remainder = divmod(-sum(x * v[j] for x, j in zip(held, columns)), p)
+        for held, p, c in zip(*map(reversed, (self._rows, self._heads, self.pivots))):
+            value, remainder = divmod(-sum(x * y for x, y in zip(held, v)), p)
             if remainder:
                 raise ConsistencyError("back-substitution scale leaves a fraction")
             v[c] = value
-            columns.insert(l, c)
         return v
 
 
@@ -252,9 +250,7 @@ def normalize_primitive(vec):
         return tuple(0 for _ in vec)
     scale = lcm(*(x.denominator for x in vec))
     ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x)
     if first < 0:

@@ -34,7 +34,7 @@ test_skew_structure_and_probe_rank_2k pins the first three steps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
@@ -297,15 +297,9 @@ class ProbeReport:
     verdict: str
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "seed": self.seed,
-            "samples": self.samples,
-            "rank_histogram": {str(r): self.rank_histogram[r] for r in sorted(self.rank_histogram)},
-            "empty_fiber_count": self.empty_fiber_count,
-            "verdict": self.verdict,
-        }
+        payload = asdict(self)
+        payload["rank_histogram"] = {str(r): count for r, count in self.rank_histogram.items()}
+        return payload
 
 
 def _multipliers(b_first, m):

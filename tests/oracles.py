@@ -319,9 +319,8 @@ def derived_flag_by_fractions(dist, point, depth_cap=None):
     derived_flag_at: each level's new brackets, over ordered pairs, are
     evaluated in Fractions and all rows ranked by the column scan, until the
     rank is n, repeats (stabilized only if the level added no bracket) or
-    the cap is reached."""
+    the cap, if one is given, is reached."""
     n = dist.chart.n
-    depth_cap = n if depth_cap is None else depth_cap
     frame = list(dist.spanning_frame())
     added, rows, ranks = frame, [], []
     while True:
@@ -331,7 +330,7 @@ def derived_flag_by_fractions(dist, point, depth_cap=None):
             return tuple(ranks), True
         if len(ranks) > 1 and ranks[-1] == ranks[-2]:
             return tuple(ranks), not added
-        if len(ranks) >= depth_cap:
+        if depth_cap is not None and len(ranks) >= depth_cap:
             return tuple(ranks), False
         added = [b for g in frame for f in added if not (b := lie_bracket(g, f)).is_zero()]
 

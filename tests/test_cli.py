@@ -164,6 +164,16 @@ def test_flag_depth_cap_through_the_cli(capsys):
     assert task["stabilized"] is False
 
 
+def test_flag_has_no_default_depth_cap(capsys, tmp_path):
+    doc = tmp_path / "vanishing_frame.nh"
+    doc.write_text("coords x;\nfield X = x*@x;\n", encoding="utf-8")
+    code, out = _run(capsys, ["flag", str(doc)])
+    assert code == 0
+    task = json.loads(out)["tasks"][0]
+    assert task["ranks"] == [0, 0]
+    assert task["stabilized"] is True
+
+
 def test_flag_repeat_with_a_deeper_bracket_is_not_stabilized(capsys, tmp_path):
     doc = tmp_path / "vanishing_bracket.nh"
     doc.write_text("coords x y z;\nfield X = @x;\nfield Y = @z + x*x*@y;\n", encoding="utf-8")

@@ -450,6 +450,20 @@ def test_derived_flag_depth_cap():
     assert verdict.value is False
 
 
+def test_derived_flag_has_no_default_cap():
+    # x*@x vanishes at x = 0, so the flag starts at rank 0 there; with no cap
+    # it goes on to level 1, which adds no bracket, and so stabilizes
+    chart = Chart(("x",))
+    x = Polynomial.coordinate(chart, "x")
+    dist = Distribution(chart, frame=[x * VectorField.basis(chart, "x")])
+    flag = derived_flag_at(dist, (0,))
+    assert (flag.ranks, flag.stabilized) == ((0, 0), True)
+    assert derived_flag_by_fractions(dist, (0,)) == ((0, 0), True)
+    cut = derived_flag_at(dist, (0,), depth_cap=1)
+    assert (cut.ranks, cut.stabilized) == ((0,), False)
+    assert derived_flag_at(dist, (1,)).ranks == (1,)
+
+
 def test_has_derived_length_one_builds_two_levels(monkeypatch):
     # the [2, 3, 4] frame of test_derived_flag_depth_cap: the verdict needs
     # level 1, the one bracket [f_1, f_2], not the brackets level 2 would add

@@ -396,6 +396,40 @@ def test_echelon_grows_by_rows():
     assert Echelon(2).last_pivot() == 1
 
 
+def test_held_rows_are_full_width_echelon_rows():
+    # the back-substitution's dot product relies on each held row being
+    # full width, zero before its pivot and at the pivots held before it;
+    # tall, wide and rank-deficient matrices, rows added in shuffled order
+    rng = random.Random(24)
+    shapes = {"tall": 0, "wide": 0, "deficient": 0}
+    for trial in range(600):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+        # a product through inner columns has rank at most inner
+        inner = rng.randint(0, min(n_rows, n_cols) - 1) if trial % 3 == 0 else max(n_rows, n_cols)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(n_rows)]
+        right = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(inner)]
+        rows = [[sum(a * r[j] for a, r in zip(row, right)) for j in range(n_cols)] for row in left]
+        rng.shuffle(rows)
+        echelon = Echelon(n_cols)
+        for row in rows:
+            echelon.add(row)
+        shapes["tall"] += n_rows > n_cols
+        shapes["wide"] += n_rows < n_cols
+        shapes["deficient"] += len(echelon.pivots) < min(n_rows, n_cols)
+        for k, (held, c, p) in enumerate(zip(echelon._rows, echelon.pivots, echelon._heads)):
+            assert len(held) == n_cols
+            assert held[c] == p != 0
+            assert not any(held[:c])
+            assert not any(held[j] for j in echelon.pivots[:k])
+        free_columns = [j for j in range(n_cols) if j not in echelon.pivots]
+        scale = echelon.last_pivot()
+        for free in free_columns:
+            v = echelon.kernel_vector(free, scale)
+            assert [v[j] for j in free_columns] == [scale if j == free else 0 for j in free_columns]
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+    assert all(count > 50 for count in shapes.values()), shapes
+
+
 def test_normalize_primitive():
     assert normalize_primitive([Fraction(1, 2), Fraction(-1, 2)]) == (1, -1)
     assert normalize_primitive([Fraction(-2), Fraction(4)]) == (1, -2)

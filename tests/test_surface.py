@@ -118,6 +118,8 @@ def test_linalg_has_one_elimination_and_its_skew_analogue():
     # the column-scan elimination lives in tests/oracles.py; every exact
     # division by a previous pivot is in Echelon.add or pfaffian
     assert not hasattr(linalg, "_bareiss")
+    # held rows are kept at full width, with no column bookkeeping
+    assert not {"_local", "_free"} & set(linalg.Echelon.__slots__)
     own = {name: obj for name, obj in vars(linalg).items()
            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == linalg.__name__}
     assert sorted(name for name, obj in own.items() if "// prev" in inspect.getsource(obj)) == [
