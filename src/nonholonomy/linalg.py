@@ -162,11 +162,11 @@ def pfaffian(rows) -> Fraction:
 def rank(rows) -> int:
     """Rank of a matrix given as an iterable of equal-length rows."""
     M, _ = _integer_rows(rows)
-    if not M or not M[0]:
-        return 0
-    n_cols = len(M[0])
+    n_cols = len(M[0]) if M else 0
     if any(len(row) != n_cols for row in M):
         raise InputError("rows have unequal lengths")
+    if not n_cols:
+        return 0
     echelon = Echelon(n_cols)
     for row in M:
         echelon.add(row)

@@ -8,11 +8,21 @@ z^i_{1mu}; every one of them is a Pfaffian of one skew matrix M per form (see
 extract_c_coefficients, whose solve gives them all when B^i_1 = b_first =
 s Pf(M') is nonzero, M' being M without coordinate 1).
 
-The probe measures the exact rank of the assembled linear system across
-seeded random fibers; the classification argument needs that rank never
-to be 1. It takes b_first of forms 1 and 2 alone, c from them in closed
-form, and C-bar and C of c's support alone; assemble_principal_matrix
-reads no other form.
+The probe measures the exact rank of the principal system c_i C^i_r(mu)
+across seeded random fibers; the classification argument needs that rank
+never to be 1. It takes b_first of forms 1 and 2 alone and c from them in
+closed form. When c is supported on both (b_first^1 != 0 != b_first^2),
+each C^i is one solve: C^i_r(mu) = (-1)^(r+1) s Y_i[mu-2][r-2] /
+L^(n-k-2), Y_i[mu-2] being Pf(L M') (L M')^-1 applied to the unit column
+of coordinate mu. So the system is the integer (n-1) x 2(n-1) matrix
+whose row r-2 is (Y_1[mu-2][r-2])_mu followed by (Y_2[mu-2][r-2])_mu,
+with row r-2 scaled by (-1)^(r+1) s and column block i by c_i /
+L^(n-k-2), all nonzero; the probe ranks that matrix, assembling nothing.
+The right-hand side, and with it C-bar, matters only at rank 0, and this
+rank is 2k (below), so C-bar is not solved for; any other rank raises
+ConsistencyError. Otherwise c = e_i with b_first^i = 0: C-bar and C of
+form i come from the direct minors, and assemble_principal_matrix builds
+the system, reading no other form.
 
 Why the rank is never 1, with S^i = C^i diag((-1)^(mu+1)) over r, mu = 2..n:
 - S^i is skew, S^i_(r, mu) = s Pf(M' without r, mu) for r < mu, so rank
@@ -41,7 +51,7 @@ from math import factorial, lcm
 
 from .algebra import Polynomial, random_rational
 from .distributions import dimension_bounds
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .linalg import normalize_primitive, pfaffian, rank, solve
 
 
@@ -177,19 +187,25 @@ def _minor_pfaffian(M, L, omit):
     return pfaffian([[M[a][b] for b in keep] for a in keep]) / L ** (len(keep) // 2)
 
 
+def _principal_solve(fp: FiberPoint, M, L, b_first, scale, *extra):
+    """Y = Pf(L M') (L M')^-1 applied to the n - 1 unit columns of the
+    principal coordinates 2..n, then to the integer columns extra: one
+    linalg.solve with M', b_first != 0 being s Pf(M')."""
+    size = len(M) - 1
+    pf = (b_first * L ** (size // 2) / scale).numerator  # Pf(L M'), an integer
+    columns = [[int(a == b) for a in range(size)] for b in range(fp.n - 1)]
+    return solve([row[1:] for row in M[1:]], columns + list(extra), pf)
+
+
 def _form_parts(fp: FiberPoint, i, M, L, b_first, scale, cbar, cmat):
     """The extraction's second step: C-bar and C of form i into cbar and
     cmat, from _form_matrices' M, L, b_first and s. One solve with M' when
     b_first != 0, the Pfaffian minors one by one when b_first == 0."""
     n = fp.n
-    half = n - fp.k - 1
     principal = range(2, n + 1)
     if b_first:
-        pf = (b_first * L ** half / scale).numerator  # Pf(L M'), an integer
-        columns = [[int(a == b) for a in range(2 * half)] for b in range(n - 1)]
-        columns.append([row[0] for row in M[1:]])
-        Y = solve([row[1:] for row in M[1:]], columns, pf)
-        low = L ** (half - 1)
+        Y = _principal_solve(fp, M, L, b_first, scale, [row[0] for row in M[1:]])
+        low = L ** (n - fp.k - 2)
         for r in principal:
             sign = scale if r % 2 else -scale
             cbar[(i, r)] = Fraction(-sign * Y[-1][r - 2], low * L)
@@ -319,9 +335,17 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     Each sample draws a fiber (principal slots left free), builds M and
     b_first of forms 1 and 2 alone, and takes c in closed form — fibers with
     no nonzero c never meet the singular set and are only counted. Then it
-    extracts C-bar and C of c's support alone, forms 1 and 2 (the solve)
-    or one form whose b_first is 0 (the direct minors), assembles the
-    system, and records its exact rank. sample_count must be at least 1.
+    records the exact rank of the principal system:
+    - c on forms 1 and 2 (both b_first nonzero): the rank of the integer
+      matrix [Y_1^T | Y_2^T], Y_i from one solve with M'_i on the n - 1
+      principal unit columns. The system is this matrix with row r-2
+      scaled by (-1)^(r+1) s and column block i by c_i / L^(n-k-2), so the
+      ranks agree. That rank is 2k (module docstring), so the right-hand
+      side, which only rank 0 reads, and its C-bar column are never
+      solved; a rank other than 2k raises ConsistencyError.
+    - c = e_i with b_first^i = 0: C-bar and C of form i from the direct
+      minors, and the rank of the assembled system.
+    sample_count must be at least 1.
 
     Verdict FAIL iff some rank equals 1 (the argument needs codimension
     >= 2 everywhere, never 1). When every sample misses the singular set
@@ -344,15 +368,23 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
             empty += 1
             empty_like += 1
             continue
-        cbar, cmat = {}, {}
-        for i, M in matrices.items():
-            if c[i - 1]:
-                _form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
-        system = assemble_principal_matrix(fp, c, CExtraction(b_first, cbar, cmat))
-        r = rank(system.matrix)
+        if all(b_first.values()):  # c is supported on forms 1 and 2
+            Y1, Y2 = (_principal_solve(fp, M, L, b_first[i], scale) for i, M in matrices.items())
+            r = rank([[y[a] for y in Y1] + [y[a] for y in Y2] for a in range(n - 1)])
+            if r != 2 * k:
+                raise ConsistencyError(
+                    "two-form principal system has rank %d, not 2k = %d" % (r, 2 * k)
+                )
+        else:
+            cbar, cmat = {}, {}
+            for i, M in matrices.items():
+                if c[i - 1]:
+                    _form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
+            system = assemble_principal_matrix(fp, c, CExtraction(b_first, cbar, cmat))
+            r = rank(system.matrix)
+            if r == 0 and any(system.rhs):
+                empty_like += 1
         histogram[r] = histogram.get(r, 0) + 1
-        if r == 0 and any(system.rhs):
-            empty_like += 1
     if histogram.get(1):
         verdict = "FAIL"
     elif empty_like == sample_count:

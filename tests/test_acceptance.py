@@ -236,11 +236,12 @@ def test_criterion_5_extraction_structure():
 
 def test_criterion_6_thinness_probe_rank_never_one():
     # 1000 fibers per small shape, and every admissible k = 3 shape
-    # (8 <= n <= 14) and k = 4 shape (10 <= n <= 18) with fewer, costlier
-    # fibers
+    # (8 <= n <= 14), k = 4 shape (10 <= n <= 18) and k = 5 shape
+    # (12 <= n <= 22) with fewer, costlier fibers
     shapes = [(4, 1, 1000), (5, 1, 1000), (6, 1, 1000), (6, 2, 1000), (7, 2, 1000)]
     shapes += [(n, 3, 20 if n <= 10 else 5) for n in range(8, 15)]
     shapes += [(n, 4, 6) for n in range(10, 19)]
+    shapes += [(n, 5, 4) for n in range(12, 23)]
     worst = 0.0
     total_admissible = 0
     for n, k, samples in shapes:

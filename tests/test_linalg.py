@@ -49,6 +49,15 @@ def test_rank_known_cases():
         rank([[1, 2], [1]])
 
 
+def test_rank_checks_every_row_length():
+    # an empty first row used to skip the check: [[], [1]] read rank 0
+    # while [[1], []] raised
+    assert rank([[]]) == rank([[], []]) == 0
+    for rows in ([[], [1]], [[1], []], [[], [0, 0]], [[0], [0], [0, 0]]):
+        with pytest.raises(InputError, match="unequal lengths"):
+            rank(rows)
+
+
 def test_rank_matches_naive_elimination():
     rng = random.Random(10)
     for _ in range(300):

@@ -1,16 +1,19 @@
 """Fiber coefficient machinery: A, B, C coefficients and the rank probe."""
 
 import ast
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
+
+from nonholonomy import cli, singularity
 from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.distributions import dimension_bounds
-from nonholonomy.errors import InputError
+from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.forms import wedge_power
-from nonholonomy import singularity
-from nonholonomy.linalg import kernel_basis, normalize_primitive, pfaffian, rank
+from nonholonomy.linalg import kernel_basis, normalize_primitive, pfaffian, rank, solve
 from nonholonomy.singularity import (
     CExtraction,
     FiberPoint,
@@ -259,19 +262,88 @@ def test_closed_form_multipliers_are_the_first_kernel_vector():
                     assert c == normalize_primitive(basis[0])
 
 
+def _oracle_histogram(n, k, samples, seed):
+    """The probe's histogram the slow way: _probe_steps, then the assembled
+    Fraction system and its rank, on the probe's own draws."""
+    rng = random.Random(seed)
+    histogram = {}
+    for _ in range(samples):
+        fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
+        _, c, extraction = _probe_steps(fp)
+        if c is not None:
+            r = rank(assemble_principal_matrix(fp, c, extraction).matrix)
+            histogram[r] = histogram.get(r, 0) + 1
+    return histogram
+
+
 def test_probe_steps_replay_the_probe():
-    # _probe_steps above is the probe's loop body; on the probe's own draws
-    # it gives the probe's histogram
-    for n, k, seed in ((6, 1, 4), (8, 2, 5), (10, 2, 6), (12, 3, 7)):
-        rng = random.Random(seed)
-        histogram = {}
-        for _ in range(4):
-            fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
-            _, c, extraction = _probe_steps(fp)
-            if c is not None:
-                r = rank(assemble_principal_matrix(fp, c, extraction).matrix)
-                histogram[r] = histogram.get(r, 0) + 1
-        assert thinness_probe(n, k, 4, seed).rank_histogram == histogram
+    # the probe ranks the integer blocks [Y1^T | Y2^T] of a two-form
+    # support; the assembled Fraction system gives the same histogram at
+    # every admissible shape with k <= 3, and at (18,4) and (22,5)
+    shapes = [(n, k) for k in (1, 2, 3) for n in range(2 * k + 2, 4 * k + 3)]
+    for n, k in shapes + [(18, 4), (22, 5)]:
+        samples = 4 if k <= 3 else 2
+        for seed in (4, 5, 6):
+            expected = _oracle_histogram(n, k, samples, seed)
+            assert thinness_probe(n, k, samples, seed).rank_histogram == expected, (n, k, seed)
+
+
+def test_two_form_probe_assembles_no_system(monkeypatch):
+    # a two-form support is ranked from the solve's integer blocks alone:
+    # no Fraction system is assembled and no C-bar column is solved
+    fp = FiberPoint.random(10, 2, rng=random.Random(3), include_principal=False)
+    b_first, c, _ = _probe_steps(fp)
+    assert b_first[1] and b_first[2] and c[0] and c[1]
+    widths = []
+
+    def forbidden(*args):
+        raise AssertionError("assemble_principal_matrix called")
+
+    def recording(rows, columns, scale):
+        widths.append(len(columns))
+        return solve(rows, columns, scale)
+
+    monkeypatch.setattr(singularity, "assemble_principal_matrix", forbidden)
+    monkeypatch.setattr(singularity, "solve", recording)
+    report = thinness_probe(10, 2, 1, seed=3)
+    assert report.rank_histogram == {4: 1}
+    assert widths == [9, 9]
+
+
+def test_probe_one_form_supports_take_the_assembled_system(monkeypatch):
+    # fibers with b_first^1 = 0 or b_first^2 = 0 (c = e_1 or e_2) and the
+    # corank-four fibers, fed to the probe itself: it assembles their
+    # system and reads the rank the direct minors give
+    rng = random.Random(70)
+    fibers = [_singular_fiber(8, 2, rng), _singular_fiber(8, 2, rng, i=2)]
+    fibers += [_corank_four_fiber(10, 2, rng, False), _corank_four_fiber(12, 3, rng, True)]
+    for fp in fibers:
+        b_first, c, _ = _probe_steps(fp)
+        assert not all(b_first.values()) and sum(1 for x in c if x) == 1
+        expected = rank(assemble_principal_matrix(fp, c, direct_extraction(fp)).matrix)
+        calls = []
+
+        def counting(*args, calls=calls):
+            calls.append(1)
+            return assemble_principal_matrix(*args)
+
+        monkeypatch.setattr(singularity, "assemble_principal_matrix", counting)
+        monkeypatch.setattr(FiberPoint, "random", staticmethod(lambda *args, fp=fp, **kw: fp))
+        report = thinness_probe(fp.n, fp.k, 2, seed=0)
+        assert report.rank_histogram == {expected: 2} and len(calls) == 2
+
+
+def test_two_form_rank_other_than_2k_is_a_consistency_error(monkeypatch, capsys):
+    # the docstring proves rank 2k for a two-form support; any other rank
+    # is an internal failure, and the CLI reports it as one (exit 3)
+    monkeypatch.setattr(singularity, "rank", lambda rows: 2)
+    with pytest.raises(ConsistencyError, match="not 2k = 4"):
+        thinness_probe(10, 2, 1, seed=3)
+    code = cli.main(["thinness", "--n", "10", "--k", "2", "--samples", "1", "--seed", "3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert payload["error"]["kind"] == "internal"
+    assert "not 2k = 4" in payload["error"]["message"]
 
 
 def test_probe_takes_two_first_pfaffians(monkeypatch):
