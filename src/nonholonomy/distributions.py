@@ -31,8 +31,10 @@ W_i = (da_i(X_a, X_b))_{a<b} are independent at p. The route needs the
 frame to have rank r and the coframe rank m at every point, each proved by
 a constant maximal minor: a frame from frame_from_coframe has both by
 construction, while a frame given with the coframe needs a constant r x r
-minor, and the coframe a constant m x m one. Every other distribution, and
-every derived_flag_at, builds brackets.
+minor, and the coframe a constant m x m one. derived_flag_at reads its
+level 1 the same way, as r + rank W(p), and builds brackets only past a
+W(p) of rank below m or under a depth cap of 1. Every other distribution
+builds brackets.
 """
 
 from __future__ import annotations
@@ -217,11 +219,12 @@ class Distribution:
 
     def _restricted_grid(self):
         """The restricted grid of the spanning frame and the coframe, built
-        once, or None unless both are proved of constant rank: a derived
-        frame and its coframe are, by the constant minor frame_from_coframe
-        found; a given frame needs a constant r x r minor, and its coframe a
-        constant m x m one. A distribution of rank n, or without a coframe,
-        has none."""
+        once and shared by has_derived_length_one and derived_flag_at, or
+        None unless both are proved of constant rank: a derived frame and
+        its coframe are, by the constant minor frame_from_coframe found; a
+        given frame needs a constant r x r minor, and its coframe a constant
+        m x m one. A distribution of rank n, or without a coframe, has
+        none."""
         if self._restricted is False:
             proved = bool(self.coframe) and (
                 self.frame is None
@@ -262,6 +265,14 @@ def _compile_restricted_grid(frame, coframe) -> IntegerGrid:
         rows.append([sum((c * (x[j] * y[l] - x[l] * y[j]) for j, l, c in terms), zero)
                      for x, y in pairs])
     return IntegerGrid(chart, rows)
+
+
+def _independent_at(restricted: IntegerGrid, r: int, q) -> bool:
+    """Whether the m rows of the restricted grid of a rank-r frame, of
+    C(r, 2) entries each, are independent at the integer row q, that is,
+    whether the flag is [r, n] there; the elimination stops at the first
+    row in the span of those before it."""
+    return all(map(Echelon(comb(r, 2)).add, restricted.at(q)))
 
 
 def frame_from_coframe(coframe):
@@ -338,9 +349,17 @@ def _flag_ranks(spans: _SpanningSets, n: int, q, depth_cap):
 
 def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     """Pointwise derived flag: ranks of the iterated-bracket spans at the
-    point. One linalg.Echelon is extended level by level with the integer
-    rows of each level's IntegerGrid, each row evaluated only while the
-    rank is below n, so no row is evaluated past rank n or eliminated
+    point.
+
+    Where the distribution has a restricted grid W (see
+    Distribution._restricted_grid) and the cap allows level 1, W's m rows
+    are ranked at the point first: level 0 is r by the constant minors
+    that proved the frame, and level 1 is r + rank W(p), since a(p)
+    identifies TM/D_p with Q^m. When that is n, the flag is [r, n],
+    stabilized, and no bracket is built. Otherwise, and for every other
+    distribution, one linalg.Echelon is extended level by level with the
+    integer rows of each level's IntegerGrid, each row evaluated only while
+    the rank is below n, so no row is evaluated past rank n or eliminated
     twice. As the echelon only grows, the ranks never decrease.
 
     Stops when the rank hits n, repeats, or the depth cap, if one is given,
@@ -355,10 +374,14 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     in its span, reads [2, 2] unstabilized at every point too.
     """
     point = tuple(point)
-    q = _integer_point(point, dist.chart.n)
+    n = dist.chart.n
+    q = _integer_point(point, n)
     if depth_cap is not None and depth_cap < 1:
         raise InputError("depth cap must be at least 1")
-    ranks, stabilized = _flag_ranks(dist._spanning_sets(), dist.chart.n, q, depth_cap)
+    restricted = dist._restricted_grid() if depth_cap is None or depth_cap > 1 else None
+    if restricted is not None and _independent_at(restricted, dist.rank, q):
+        return DerivedFlag(point, (dist.rank, n), True)
+    ranks, stabilized = _flag_ranks(dist._spanning_sets(), n, q, depth_cap)
     return DerivedFlag(point, ranks, stabilized)
 
 
@@ -376,10 +399,9 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     """
     size, rows = _sample_set(dist.chart, points, seed)
     restricted = dist._restricted_grid()
-    if restricted is not None:  # a row in the span of those before it makes a witness
-        pairs = comb(dist.rank, 2)
+    if restricted is not None:
         witnesses = tuple(_fraction_point(q) for q in rows
-                          if not all(map(Echelon(pairs).add, restricted.at(q))))
+                          if not _independent_at(restricted, dist.rank, q))
         return Verdict(not witnesses, size, witnesses)
     spans = dist._spanning_sets()
     n = dist.chart.n

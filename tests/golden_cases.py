@@ -13,6 +13,10 @@ from nonholonomy.errors import ConsistencyError
 CASES = [
     ("flag_contact3.json",
      ["flag", "data/contact3.nh", "--point", "x=0,y=1/2,z=-1"], 0),
+    ("flag_martinet3_y0.json",
+     ["flag", "data/martinet3.nh", "--point", "y=0"], 0),
+    ("flag_integrable3.json",
+     ["flag", "data/integrable3.nh", "--point", "x=1"], 0),
     ("dlo_contact3.json",
      ["check-dlo", "data/contact3.nh"], 0),
     ("dlo_integrable3.json",

@@ -4,11 +4,11 @@ perfbench/digests.json holds the SHA-256 of every benchmark job's report.
 These tests run benchmark jobs through cli.main in-process and check each
 with perfbench's own jobs.verify: exit code, known answer and digest. So a
 report that drifts fails here, not only in a benchmark run. Every template
-runs its variant 0; the mni-check and probe-sweep templates, and the
-flag-dlo templates that sample (example-* and dlo-*), run all jobs.POOL
-variants, since each variant's seed moves the sample points at which the
-coframe guard ranks the coframe and the derived flag is ranked, and the
-fibers the thinness probe draws. Nothing under perfbench/ is written.
+runs all jobs.POOL variants: each variant's seed moves the sample points at
+which the coframe guard ranks the coframe and the derived flag is ranked,
+and the fibers the thinness probe draws, and each flag-* variant draws its
+own document and point, whose flag is read off the restricted grid.
+Nothing under perfbench/ is written.
 """
 
 import importlib.util
@@ -62,5 +62,10 @@ def test_every_probe_sweep_variant_matches_its_digest(tmp_path):
 
 
 def test_every_flag_dlo_sampling_variant_matches_its_digest(tmp_path):
-    # variant 0 is checked above; the flag --point jobs draw no sample set
+    # variant 0 is checked above
     assert _problems("flag-dlo", range(1, jobs.POOL), tmp_path, ("example-", "dlo-")) == []
+
+
+def test_every_flag_point_variant_matches_its_digest(tmp_path):
+    # variant 0 is checked above
+    assert _problems("flag-dlo", range(1, jobs.POOL), tmp_path, ("flag-",)) == []

@@ -362,13 +362,12 @@ def test_derived_flag_matches_fraction_oracle(rng):
 
 
 def test_flag_rows_are_evaluated_only_below_rank_n(monkeypatch):
-    # over the 300 sample points, derived_flag_at reads a level's rows until
-    # the echelon reaches rank n: the frame's 2M rows and one bracket on
-    # contact-M (M*(2M-1) brackets evaluated before), and the frame's N-1
-    # rows and one bracket on even-contact-N. has_derived_length_one builds
-    # no bracket level there: it reads the m = 1 row of the restricted grid
-    # once per point, and its other rows are the constant-minor searches'
-    # probe rows
+    # contact-M and even-contact-N have a restricted grid W of one row, of
+    # rank 1 at every point, so level 1 reads r + 1 = n: over the 300 sample
+    # points, derived_flag_at and has_derived_length_one each evaluate W's
+    # row once per point and build no bracket level. Their other rows are
+    # the probe rows of the constant-minor searches that prove the frame
+    # and the coframe
     evaluated = Counter()
     original = IntegerGrid.at
 
@@ -378,22 +377,27 @@ def test_flag_rows_are_evaluated_only_below_rank_n(monkeypatch):
             yield row
 
     monkeypatch.setattr(IntegerGrid, "at", counted)
-    for make, size, rows in ((contact_structure, 3, 2100), (contact_structure, 4, 2700),
-                             (even_contact_structure, 6, 1800)):
+
+    def reads_w_once_per_point(dist, name):
+        restricted = dist._restricted_grid()
+        assert len(restricted) == 1 and evaluated[restricted] == 300, name
+        assert dist._spans is None
+        assert sum(evaluated.values()) - 300 == 2 * (dist.rank + 1), name
+
+    for make, size in ((contact_structure, 3), (contact_structure, 4),
+                       (even_contact_structure, 6)):
         bundle = make(size)
         dist = bundle.distribution
         evaluated.clear()
         for p in sample_points(dist.chart):
-            assert derived_flag_at(dist, p).ranks == bundle.expected_flag
-        assert sum(evaluated.values()) == rows, bundle.name
+            flag = derived_flag_at(dist, p)
+            assert (flag.ranks, flag.stabilized) == (bundle.expected_flag, True)
+        reads_w_once_per_point(dist, bundle.name)
         dist = make(size).distribution
         evaluated.clear()
         verdict = has_derived_length_one(dist)
         assert verdict.value and verdict.checked == 300
-        restricted = dist._restricted_grid()
-        assert len(restricted) == 1 and evaluated[restricted] == 300, bundle.name
-        assert dist._spans is None
-        assert sum(evaluated.values()) - 300 == 2 * (dist.rank + 1), bundle.name
+        reads_w_once_per_point(dist, bundle.name)
 
 
 def test_a_malformed_point_reads_the_same_in_every_sampled_check():
@@ -597,6 +601,49 @@ def test_restricted_grid_matches_the_flag_route_on_random_coframes():
         assert _same_dlo_verdict(scaled, points) == has_derived_length_one(derived, points)
         assert scaled._restricted_grid() is None
     assert with_witnesses >= 80, with_witnesses
+
+
+def test_derived_flag_reads_level_one_off_the_restricted_grid_as_the_oracle(monkeypatch):
+    # identity-block coframes as in the test above, with the derived frame,
+    # a constant mix of it and the (1 + x1^2)-scaled frame: where the
+    # restricted grid exists and the cap allows level 1, a flag [r, n] is
+    # read off r + rank W alone; at the witnesses, under cap 1 and without
+    # a grid, the brackets decide
+    bracketed = []
+
+    def counted(*args):
+        bracketed.append(1)
+        return flag_ranks(*args)
+
+    flag_ranks = distributions._flag_ranks
+    monkeypatch.setattr(distributions, "_flag_ranks", counted)
+    rng = random.Random(26)
+    read_off_w = past_level_one = 0
+    for case in range(12):
+        chart, coframe = _identity_block_coframe(rng, 3 + case % 4)
+        derived = Distribution(chart, coframe=coframe)
+        frame = list(derived.spanning_frame())
+        if len(frame) > 1:
+            frame[0] = frame[0] + rnd_fraction(rng) * frame[1]
+        mixed = Distribution(chart, frame=frame, coframe=coframe)
+        x1 = Polynomial.coordinate(chart, 1)
+        frame[0] = (x1 * x1 + 1) * frame[0]
+        scaled = Distribution(chart, frame=frame, coframe=coframe)
+        points = sample_slice(chart, case, grid=8, randoms=2)
+        for dist in (derived, mixed, scaled):
+            for point in points:
+                for cap in (None, 1, 2, 3):
+                    before = len(bracketed)
+                    flag = derived_flag_at(dist, point, cap)
+                    assert (flag.ranks, flag.stabilized) == derived_flag_by_fractions(
+                        dist, point, cap)
+                    if cap == 1 or dist is scaled:
+                        assert len(bracketed) == before + 1
+                    else:
+                        read_off_w += len(bracketed) == before
+                        past_level_one += len(bracketed) > before
+        assert scaled._restricted_grid() is None and mixed._restricted_grid() is not None
+    assert read_off_w > 0 and past_level_one > 0, (read_off_w, past_level_one)
 
 
 def test_the_flag_route_serves_unproved_presentations(monkeypatch):
