@@ -204,6 +204,11 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            out = Polynomial.__new__(Polynomial)
+            out.chart = self.chart
+            out.terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return out
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -322,16 +327,17 @@ class IntegerGrid:
     multiplication. Row i at p is L_i * D^dmax times the exact values of
     row i: a positive multiple, so ranks and zero tests are those of the
     exact rows, and at two points of one D the rows carry the same factors.
+    degree is dmax, so a grid of degree 0 is constant.
     """
 
-    __slots__ = ("_rows", "_tops", "_levels")
+    __slots__ = ("degree", "_rows", "_tops", "_levels")
 
     def __init__(self, chart: Chart, rows):
         rows = [list(row) for row in rows]
         if any(p.chart != chart for row in rows for p in row):
             raise InputError("grid polynomials live on different charts")
         exponents = list(dict.fromkeys(e for row in rows for p in row for e in p.terms))
-        top = max(map(sum, exponents), default=0)
+        self.degree = top = max(map(sum, exponents), default=0)
         # the exponents of D and then of each coordinate, the index of each
         # in a point's integer row, and their powers laid end to end after
         # the empty product 1

@@ -6,11 +6,15 @@ random rational points, together with a constant-minor certificate that
 upgrades the verdict to one valid at every chart point. Exact sampling
 refutes; the certificate proves. The wedge checks rank their forms at the
 first point, and seek the certificate at once unless that point is a
-witness: a certified check ranks one point, and its coframe nowhere. Only
-an uncertified check samples the rest, and guards its coframe's rank with
-the same samples: where the coframe drops rank, a_1^...^a_q and so every
-wedge form vanishes, so the coframe is ranked only at the points where the
-forms' grid has rank 0.
+witness: a certified check ranks one point. Only an uncertified check
+samples the rest. A coframe with the pivot candidate's constant minor is
+ranked on the restricted grid of its 2-forms over the frame that minor
+gives, through the Pfaffian minors of each W_i, and never drops rank; its
+forms a_1^...^a_m^(omega_i)^k are built only to seek a certificate for a
+W that is not constant. Any other coframe ranks those forms, and guards
+its rank with the same samples: where the coframe drops rank,
+a_1^...^a_q and so every wedge form vanishes, so the coframe is ranked
+only at the points where the forms' grid has rank 0.
 
 Points are evaluated in integers. The sample set is drawn as integer rows
 q_1, ..., q_n, D of the points q/D (D = 2 on the grid, 6 at the random
@@ -34,7 +38,8 @@ construction, while a frame given with the coframe needs a constant r x r
 minor, and the coframe a constant m x m one. derived_flag_at reads its
 level 1 the same way, as r + rank W(p), and builds brackets only past a
 W(p) of rank below m or under a depth cap of 1. Every other distribution
-builds brackets.
+builds brackets. The wedge checks use the same grid, compiled from their
+own 2-forms in place of the da_i.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import comb
 
 from .algebra import Chart, IntegerGrid, Polynomial, _integer_point
@@ -230,8 +235,10 @@ class Distribution:
                 self.frame is None
                 or _constant_minor([list(f.components) for f in self.frame]) is not None
                 and _constant_minor(_coframe_grid(self.coframe)) is not None)
-            self._restricted = (_compile_restricted_grid(self.spanning_frame(), self.coframe)
-                                if proved else None)
+            self._restricted = (
+                _compile_restricted_grid(self.spanning_frame(),
+                                         [exterior_derivative(a) for a in self.coframe])
+                if proved else None)
         return self._restricted
 
     def __repr__(self):
@@ -252,27 +259,75 @@ def _coframe_grid(coframe):
     return [[form.terms.get((j,), zero) for j in range(1, chart.n + 1)] for form in coframe]
 
 
-def _compile_restricted_grid(frame, coframe) -> IntegerGrid:
-    """The restricted grid: row i holds da_i(X_a, X_b) for the frame's
-    pairs a < b in order, where da_i = sum c_jl dx_j^dx_l (j < l) gives
-    da_i(X, Y) = sum c_jl (X^j Y^l - X^l Y^j)."""
-    chart = coframe[0].chart
+def _compile_restricted_grid(frame, two_forms) -> IntegerGrid:
+    """The restricted grid of 2-forms w_i on a frame: row i holds
+    w_i(X_a, X_b) for the frame's pairs a < b in order, where
+    w_i = sum c_jl dx_j^dx_l (j < l) gives
+    w_i(X, Y) = sum c_jl (X^j Y^l - X^l Y^j). No product with a zero
+    component is formed."""
+    chart = two_forms[0].chart
     zero = Polynomial.zero(chart)
     pairs = [(x.components, y.components) for a, x in enumerate(frame) for y in frame[a + 1:]]
     rows = []
-    for form in coframe:
-        terms = [(j - 1, l - 1, c) for (j, l), c in exterior_derivative(form).terms.items()]
-        rows.append([sum((c * (x[j] * y[l] - x[l] * y[j]) for j, l, c in terms), zero)
-                     for x, y in pairs])
+    for form in two_forms:
+        terms = [(j - 1, l - 1, c) for (j, l), c in form.terms.items()]
+        row = []
+        for x, y in pairs:
+            entry = zero
+            for j, l, c in terms:
+                cross = x[j] * y[l] if x[j] and y[l] else zero
+                if x[l] and y[j]:
+                    cross = cross - x[l] * y[j]
+                if cross:
+                    entry = entry + c * cross
+            row.append(entry)
+        rows.append(row)
     return IntegerGrid(chart, rows)
 
 
-def _independent_at(restricted: IntegerGrid, r: int, q) -> bool:
-    """Whether the m rows of the restricted grid of a rank-r frame, of
-    C(r, 2) entries each, are independent at the integer row q, that is,
-    whether the flag is [r, n] there; the elimination stops at the first
-    row in the span of those before it."""
-    return all(map(Echelon(comb(r, 2)).add, restricted.at(q)))
+def _pfaffian_minors(r: int, k: int):
+    """(width, minors): minors maps a row of a restricted grid on r fields,
+    w(X_a, X_b) for a < b, to a vector of width = C(r, 2k) entries whose
+    independence, across rows, is that of the Pfaffian minors of the skew
+    r x r matrix W = (w(X_a, X_b)) over the 2k-subsets of the fields, the
+    coordinates of (w|_D)^k / k! in the frame. For k = 1 the minors are
+    the row itself, and for k = 2 each is the closed form
+    W_ab W_cd - W_ac W_bd + W_ad W_bc. For k >= 3, where r = 2k + 1, the
+    signed minors (-1)^a Pf(W without a) span ker W when W has rank 2k and
+    vanish when it has less, so minors gives a kernel vector of W, or zero:
+    the minors, reordered and signed, times a nonzero factor of its own,
+    which changes no rank.
+    """
+    if k == 1:
+        return comb(r, 2), list
+    at = {pair: i for i, pair in enumerate(combinations(range(r), 2))}
+    if k == 2:
+        picks = [(at[a, b], at[c, d], at[a, c], at[b, d], at[a, d], at[b, c])
+                 for a, b, c, d in combinations(range(r), 4)]
+        return len(picks), lambda row: [
+            row[ab] * row[cd] - row[ac] * row[bd] + row[ad] * row[bc]
+            for ab, cd, ac, bd, ad, bc in picks]
+    if r != 2 * k + 1:
+        raise ConsistencyError("a kernel vector stands in for the minors only at r = 2k + 1")
+
+    def minors(row):
+        echelon = Echelon(r)
+        for a in range(r):
+            echelon.add([row[at[a, b]] if a < b else -row[at[b, a]] if b < a else 0
+                         for b in range(r)])
+        if len(echelon.pivots) < r - 1:
+            return [0] * r
+        free = next(c for c in range(r) if c not in echelon.pivots)
+        return echelon.kernel_vector(free, echelon.last_pivot())
+
+    return r, minors
+
+
+def _independent(vectors, width: int) -> bool:
+    """Whether these integer vectors of width entries are linearly
+    independent: one Echelon, which stops at the first vector in the span
+    of those before it."""
+    return all(map(Echelon(width).add, vectors))
 
 
 def frame_from_coframe(coframe):
@@ -379,7 +434,7 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     if depth_cap is not None and depth_cap < 1:
         raise InputError("depth cap must be at least 1")
     restricted = dist._restricted_grid() if depth_cap is None or depth_cap > 1 else None
-    if restricted is not None and _independent_at(restricted, dist.rank, q):
+    if restricted is not None and _independent(restricted.at(q), comb(dist.rank, 2)):
         return DerivedFlag(point, (dist.rank, n), True)
     ranks, stabilized = _flag_ranks(dist._spanning_sets(), n, q, depth_cap)
     return DerivedFlag(point, ranks, stabilized)
@@ -401,7 +456,7 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     restricted = dist._restricted_grid()
     if restricted is not None:
         witnesses = tuple(_fraction_point(q) for q in rows
-                          if not _independent_at(restricted, dist.rank, q))
+                          if not _independent(restricted.at(q), comb(dist.rank, 2)))
         return Verdict(not witnesses, size, witnesses)
     spans = dist._spanning_sets()
     n = dist.chart.n
@@ -417,27 +472,65 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
 
 
 def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
-    """Test the forms a_1^...^a_q^(omega_i)^k for pointwise independence at
-    the sample points, guarding the coframe's rank on the way.
+    """Test the forms a_1^...^a_m^(omega_i)^k for pointwise independence
+    at the sample points.
 
-    The forms' grid is compiled once and ranked at the first point; rank
-    below the number of forms makes a witness. Unless the first point is a
-    witness, the certificate is sought before any other point is drawn.
-    When it holds, the forms are independent everywhere: no sample point is
-    a witness, a_1^...^a_q never vanishes, so the coframe never drops rank.
-    Otherwise every point is ranked, with certificate=False: at a witness
-    every maximal minor vanishes, so none is a nonzero constant. Where the
-    coframe drops rank, a_1^...^a_q vanishes and with it every form, so the
-    coframe is ranked only at the rank-0 points, and the first drop among
-    them, the first among all points, raises.
+    A coframe that forms.kernel_frame completes, by the pivot candidate's
+    constant minor det G_S, is ranked on the restricted grid W of the
+    omegas over that frame X_1, ..., X_r, compiled once: at each point,
+    row i becomes the vector of 2k x 2k Pfaffian minors of W_i over the
+    2k-subsets T of the frame, and the m vectors go to one early-stopping
+    Echelon. This is exact. The frame field of a column t outside S is
+    e_t plus a vector on S, so for a 2k-form b the coefficient of
+    a_1^...^a_m^b on dx_S^dx_T is (a^b)(e_S, X_T) = +-det(G_S) b(X_T), as
+    a(X_t) = 0, and (omega_i^k)(X_T) = k! Pf(W_i on T). Where a has rank m,
+    a^b depends on b only through b(X_T), injectively, so the forms are
+    dependent exactly when the vectors are; and the constant minor gives a
+    rank m everywhere, so no point needs a coframe guard. The columns
+    dx_S^dx_T of the forms' grid are det(G_S) times the vectors, so a W of
+    degree 0 independent at the first point makes those columns a constant
+    block of full rank, and the pivot candidate finds a constant minor
+    among them: that is the certificate, and nothing symbolic is built.
+    For any other W independent at the first point, the forms are built
+    and the certificate is sought as below.
+
+    Any other coframe keeps the symbolic route. The forms' grid is compiled
+    once and ranked at the first point; rank below the number of forms
+    makes a witness. Unless the first point is a witness, the certificate
+    is sought before any other point is drawn. When it holds, the forms are
+    independent everywhere: no sample point is a witness, a_1^...^a_m never
+    vanishes, so the coframe never drops rank. Otherwise every point is
+    ranked, with certificate=False: at a witness every maximal minor
+    vanishes, so none is a nonzero constant. Where the coframe drops rank,
+    a_1^...^a_m vanishes and with it every form, so the coframe is ranked
+    only at the rank-0 points, and the first drop among them, the first
+    among all points, raises.
     """
     chart = coframe[0].chart
     size, rows = _sample_set(chart, points, seed)
-    base = wedge_all(coframe)
-    forms = [wedge(base, wedge_power(w, k)) for w in omegas]
-    grid = IntegerGrid(chart, _grid(forms, "independence check"))
     rows = iter(rows)
     first = next(rows)
+    frame = kernel_frame(_coframe_grid(coframe))
+
+    def wedge_forms():
+        base = wedge_all(coframe)
+        return [wedge(base, wedge_power(w, k)) for w in omegas]
+
+    if frame is not None:
+        restricted = _compile_restricted_grid(frame, omegas)
+        width, minors = _pfaffian_minors(len(frame), k)
+
+        def independent(q):
+            return _independent(map(minors, restricted.at(q)), width)
+
+        witnesses = [] if independent(first) else [first]
+        if not witnesses and (restricted.degree == 0
+                              or constant_minor_certificate(wedge_forms())):
+            return Verdict(True, size, (), True)
+        witnesses += [q for q in rows if not independent(q)]
+        return Verdict(not witnesses, size, tuple(map(_fraction_point, witnesses)))
+    forms = wedge_forms()
+    grid = IntegerGrid(chart, _grid(forms, "independence check"))
     r = rank(list(grid.at(first)))
     if r == len(forms) and constant_minor_certificate(forms):
         return Verdict(True, size, (), True)

@@ -546,31 +546,55 @@ def constant_minor_certificate(forms) -> bool:
     return _constant_minor(_grid(forms, "certificate")) is not None
 
 
+def _adjugate(block):
+    """N with A^-1 = (-1)^(q+1) N / ((q-1)! det A), for a q x q matrix A
+    of Fractions or polynomials: Faddeev-LeVerrier without its divisions.
+    N_1 = I and N_(j+1) = j A N_j - tr(A N_j) I give N_j = (j-1)! M_j for
+    its M_j, and N = N_q. Nothing is divided, so where det A is a nonzero
+    constant, A^-1 of a polynomial A is a polynomial matrix."""
+    size = len(block)
+    N = [[int(i == c) for c in range(size)] for i in range(size)]
+    for j in range(1, size):
+        N = [[sum((a * N[t][c] for t, a in enumerate(row) if a and N[t][c]), 0)
+              for c in range(size)] for row in block]
+        trace = sum(N[i][i] for i in range(size))
+        N = [[j * x - trace if i == c else j * x for c, x in enumerate(row)]
+             for i, row in enumerate(N)]
+    return N
+
+
 def kernel_frame(grid):
     """Vector fields spanning the kernel of a q x n polynomial grid at every
     point, or None.
 
-    Built from the constant maximal minor D = det G_S that _constant_minor
-    finds: each column j outside S gets the field with 1 in slot j and the
-    slots of S solved by Cramer's rule, -det(G_S with that column replaced
-    by column j) / D, so the fields have constant rank.
+    Built from the constant maximal minor det G_S that _constant_minor
+    finds: each column g_j outside S gets the field with 1 in slot j and
+    -G_S^-1 g_j in the slots of S, so the fields have constant rank.
+    G_S^-1 is taken once (_adjugate): in Fractions when G_S is constant, as
+    it is whenever the grid's constant columns have full rank, and in
+    polynomials when the minor takes a non-constant column.
     """
     found = _constant_minor(grid)
     if found is None:
         return None
     subset, det_value = found
     chart = grid[0][0].chart
+    q = len(grid)
+    block = [[row[c] for c in subset] for row in grid]
+    if all(p.is_constant() for row in block for p in row):
+        block = [[p.constant_value() for p in row] for row in block]
+    factor = Fraction((-1) ** q, factorial(q - 1) * det_value)
+    solve = [[x * factor for x in row] for row in _adjugate(block)]  # -G_S^-1
     n = len(grid[0])
     zero = Polynomial.zero(chart)
-    scale = Fraction(-1, det_value)
+    one = Polynomial.constant(chart, 1)
     fields = []
     for j in range(n):
         if j in subset:
             continue
         comps = [zero] * n
-        comps[j] = Polynomial.constant(chart, 1)
-        for col in subset:
-            replaced = [[row[j] if c == col else row[c] for c in subset] for row in grid]
-            comps[col] = _poly_det(replaced) * scale
+        comps[j] = one
+        for col, coeffs in zip(subset, solve):
+            comps[col] = sum((a * row[j] for a, row in zip(coeffs, grid) if a and row[j]), zero)
         fields.append(VectorField(chart, comps))
     return fields

@@ -11,7 +11,8 @@ import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
+# the package from this checkout's src/, as pytest's pythonpath has it
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 from golden_cases import CASES, INTERNAL_ERROR_CASE, forced_internal_error
 

@@ -19,7 +19,9 @@ every point before it sought the certificate, and flag_route_dlo_verdict
 decides derived length one by brackets, the route that the restricted
 grid replaced where the presentation is proved of constant rank;
 pivot_subset_by_fractions proposes the columns of the pivot-guided
-constant minor by Fraction ranks. sample_points_by_fractions builds the
+constant minor by Fraction ranks, and cramer_kernel_frame solves the
+kernel frame's slots by Cramer's rule, the r * m symbolic determinants
+that one inverse of the constant block replaced. sample_points_by_fractions builds the
 sample set as Fraction points, the path that the lazy integer draw
 replaced, and grid_rows_by_products evaluates an IntegerGrid's rows with
 each monomial a product of powers, the evaluation that its trie replaced.
@@ -43,7 +45,9 @@ from nonholonomy.errors import InputError
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
+    _constant_minor,
     _grid,
+    _poly_det,
     _probe_points,
     constant_minor_certificate,
     dependent_points,
@@ -312,6 +316,28 @@ def pivot_subset_by_fractions(grid):
         if column_scan_rank([[row[j] for j in kept + [c]] for row in values]) > len(kept):
             kept.append(c)
     return tuple(sorted(kept)) if len(kept) == len(grid) else None
+
+
+def cramer_kernel_frame(grid):
+    """forms.kernel_frame by Cramer's rule: with the constant minor
+    det G_S of forms._constant_minor, the field of a column j outside S has
+    1 in slot j and -det(G_S with column s replaced by column j) / det G_S
+    in each slot s of S. None when there is no such minor."""
+    found = _constant_minor(grid)
+    if found is None:
+        return None
+    subset, det_value = found
+    chart = grid[0][0].chart
+    n = len(grid[0])
+    fields = []
+    for j in (j for j in range(n) if j not in subset):
+        comps = [Polynomial.zero(chart)] * n
+        comps[j] = Polynomial.constant(chart, 1)
+        for col in subset:
+            replaced = [[row[j] if c == col else row[c] for c in subset] for row in grid]
+            comps[col] = _poly_det(replaced) * Fraction(-1, det_value)
+        fields.append(VectorField(chart, comps))
+    return fields
 
 
 def derived_flag_by_fractions(dist, point, depth_cap=None):

@@ -36,18 +36,19 @@ from nonholonomy.forms import (
     constant_minor_certificate,
     dependent_points,
     exterior_derivative,
+    kernel_frame,
     wedge,
     wedge_all,
     wedge_power,
 )
-from nonholonomy.linalg import rank
+from nonholonomy.linalg import det, rank
 from nonholonomy.parser import parse_document
 
 from conftest import (
     jetlike_coframe, quadratic_coframe, rnd_form, rnd_fraction, rnd_point, rnd_poly, sample_slice,
 )
 from oracles import (
-    derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions,
+    cramer_kernel_frame, derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions,
     flag_route_dlo_verdict, pointwise_kernel, sample_points_by_fractions, witness_first_verdict,
 )
 
@@ -291,6 +292,34 @@ def test_frame_from_coframe_without_constant_minor():
         assert False
     except InputError as err:
         assert "explicit frame" in str(err)
+
+
+def test_kernel_frame_matches_the_cramer_oracle():
+    # the fields from one inverse of the constant block equal Cramer's rule
+    # on seeded coframes with m up to 5 whose block is the identity or a
+    # constant mix, on random columns; and on a block with the non-constant
+    # column (x4, 1), whose minor is the constant 1 by its zero, so the
+    # inverse is taken in polynomials
+    rng = random.Random(27)
+    for trial in range(60):
+        m = 1 + trial % 5
+        n = m + rng.randint(1, 4)
+        chart = Chart(tuple("x%d" % j for j in range(1, n + 1)))
+        block = rng.sample(range(n), m)
+        mix = [[int(i == j) for j in range(m)] for i in range(m)]
+        while trial % 2 and (mix[0][0] == 1 or not det(mix)):
+            mix = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        grid = [[Polynomial.constant(chart, mix[i][block.index(c)]) if c in block
+                 else rnd_poly(rng, chart) for c in range(n)] for i in range(m)]
+        fields = kernel_frame(grid)
+        assert fields is not None and fields == cramer_kernel_frame(grid), trial
+    chart = Chart(("x1", "x2", "x3", "x4"))
+    x1, x2, x3, x4 = (Polynomial.coordinate(chart, j) for j in range(1, 5))
+    zero, one = Polynomial.zero(chart), Polynomial.constant(chart, 1)
+    grid = [[one, x4, x1 * x2, zero], [zero, one, zero, x1 * x3]]
+    fields = kernel_frame(grid)
+    assert fields == cramer_kernel_frame(grid)
+    assert [str(f) for f in fields] == ["-x1*x2*@x1 + @x3", "x1*x3*x4*@x1 - x1*x3*@x2 + @x4"]
 
 
 def test_derived_flag_integrable_plane_field():
@@ -883,10 +912,31 @@ def _verdict_or_drop(verdict, *args):
 
 def _agreed_outcome(coframe, omegas, k, points=None, seed=0):
     """The wedge checks' Verdict or rank drop, which must equal that of
-    the witness-first order."""
-    args = (list(coframe), list(omegas), k, points, seed)
-    outcome = _verdict_or_drop(distributions._wedge_verdict, *args)
+    the witness-first order. A coframe that kernel_frame completes takes
+    the restricted-grid route: it raises no drop, and builds the wedge
+    powers only to seek a certificate, when its first point is no witness
+    and its W is not constant. Every other coframe builds them all."""
+    coframe, omegas = list(coframe), list(omegas)
+    args = (coframe, omegas, k, points, seed)
+    built = []
+
+    def counted(form, power):
+        built.append(form)
+        return wedge_power(form, power)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "wedge_power", counted)
+        outcome = _verdict_or_drop(distributions._wedge_verdict, *args)
     assert outcome == _verdict_or_drop(witness_first_verdict, *args)
+    frame = kernel_frame(distributions._coframe_grid(coframe))
+    if frame is None:
+        assert built == omegas
+        return outcome
+    assert _kind(outcome) != "drop"
+    first = tuple(points[0]) if points is not None else sample_points(coframe[0].chart, seed)[0]
+    constant = distributions._compile_restricted_grid(frame, omegas).degree == 0
+    seeks = not constant and first not in outcome.witnesses
+    assert built == (omegas if seeks else [])
     return outcome
 
 
@@ -934,24 +984,78 @@ def test_certificate_first_matches_witness_first_on_the_corpus():
 
 def test_certificate_first_matches_witness_first_on_benchmark_coframes():
     # every admissible shape with k <= 2, (10,2) the largest, at seeds 0
-    # and 3: the quadratic checks are refuted, the jet-like ones certified
-    for k in (1, 2):
-        for n in range(2 * k + 2, 4 * k + 3):
-            for seed in (0, 3):
-                quadratic = quadratic_coframe(n, k)
-                outcome = _agreed_outcome(quadratic, _derivatives(quadratic), k, None, seed)
-                assert _kind(outcome) == "value False", (n, k, seed)
-                jetlike = jetlike_coframe(n, k, random.Random(seed))
-                outcome = _agreed_outcome(jetlike, _derivatives(jetlike), k, None, seed)
-                assert _kind(outcome) == "certified", (n, k, seed)
+    # and 3, and (8,3) and (10,3) on a slice of the sample set: the
+    # quadratic checks are refuted, the jet-like ones certified, all on the
+    # restricted grid
+    shapes = [(n, k, seed, None) for k in (1, 2) for n in range(2 * k + 2, 4 * k + 3)
+              for seed in (0, 3)]
+    for n in (8, 10):
+        chart = quadratic_coframe(n, 3)[0].chart
+        shapes.append((n, 3, 0, sample_slice(chart, grid=6, randoms=6)))
+    for n, k, seed, points in shapes:
+        quadratic = quadratic_coframe(n, k)
+        outcome = _agreed_outcome(quadratic, _derivatives(quadratic), k, points, seed)
+        assert _kind(outcome) == "value False", (n, k, seed)
+        jetlike = jetlike_coframe(n, k, random.Random(seed))
+        outcome = _agreed_outcome(jetlike, _derivatives(jetlike), k, points, seed)
+        assert _kind(outcome) == "certified", (n, k, seed)
+        assert kernel_frame(distributions._coframe_grid(quadratic)) is not None
+        assert kernel_frame(distributions._coframe_grid(jetlike)) is not None
 
 
 def test_certificate_first_matches_witness_first_on_random_coframes():
     # the d-basis condition on the rank guard's 150 random coframes, where
-    # each of the four outcomes occurs
-    kinds = Counter(_kind(_agreed_outcome(coframe, _derivatives(coframe), 1, points))
-                    for _, coframe, points in _rank_drop_trials())
-    assert len(kinds) == 4 and min(kinds.values()) >= 5, kinds
+    # each of the four outcomes occurs: the identity blocks take the
+    # restricted grid, the rest the symbolic route
+    kinds = Counter()
+    for _, coframe, points in _rank_drop_trials():
+        route = "grid" if kernel_frame(distributions._coframe_grid(coframe)) else "symbolic"
+        kinds[route, _kind(_agreed_outcome(coframe, _derivatives(coframe), 1, points))] += 1
+    assert {kind for _, kind in kinds} == {"certified", "value True", "value False", "drop"}
+    assert {route for route, _ in kinds} == {"grid", "symbolic"}, kinds
+
+
+def test_the_restricted_grid_route_matches_the_symbolic_oracle():
+    # amni5 through check_almost_mni, the corpus through
+    # check_dbasis_condition, and seeded random 2-forms on identity-block
+    # coframes at k = 1 and 2, every case on the restricted grid; the
+    # off-pivot coframe, whose only constant minor needs a non-constant
+    # column, stays on the symbolic route
+    with open(os.path.join(DATA, "amni5.nh"), encoding="utf-8") as handle:
+        doc = parse_document(handle.read())
+    coframe, omegas = doc.one_forms(), [doc.binding(w).value for w in ("w1", "w2")]
+    for seed in (0, 3):
+        verdict = check_almost_mni(coframe, omegas, 1, seed=seed)
+        assert verdict == witness_first_verdict(coframe, omegas, 1, None, seed)
+        assert _agreed_outcome(coframe, omegas, 1, None, seed) == verdict
+    for bundle in builtin_corpus():
+        verdict = check_dbasis_condition(bundle.coframe)
+        assert verdict == witness_first_verdict(bundle.coframe, _derivatives(bundle.coframe), 1,
+                                                None, 0), bundle.name
+        assert kernel_frame(distributions._coframe_grid(bundle.coframe)) is not None
+    rng = random.Random(31)
+    kinds = Counter()
+    for trial in range(40):
+        k = 1 + trial % 2
+        m = 1 + trial % 3
+        chart = Chart(tuple("x%d" % j for j in range(1, 2 * k + 2 + m)))
+        coframe = [DiffForm.basis(chart, 2 * k + 2 + i) for i in range(m)]
+        if trial % 4:  # else a constant frame
+            coframe = [a + DiffForm(chart, 1, {(j,): rnd_poly(rng, chart)
+                                               for j in range(1, 2 * k + 2)})
+                       for a in coframe]
+        omegas = [rnd_form(rng, chart, 2, max_terms=6) for _ in coframe]
+        if trial % 4 < 2:  # constant 2-forms, so with a constant frame a constant W
+            omegas = [DiffForm(chart, 2, {key: Polynomial.constant(chart, rnd_fraction(rng))
+                                          for key in w.terms}) for w in omegas]
+        assert kernel_frame(distributions._coframe_grid(coframe)) is not None
+        points = sample_slice(chart, trial, grid=10, randoms=10)
+        kinds[_kind(_agreed_outcome(coframe, omegas, k, points))] += 1
+    assert set(kinds) == {"certified", "value True", "value False"}, kinds
+    with open(os.path.join(DATA, "offpivot3.nh"), encoding="utf-8") as handle:
+        offpivot = parse_document(handle.read()).one_forms()
+    assert kernel_frame(distributions._coframe_grid(offpivot)) is None
+    assert _kind(_agreed_outcome(offpivot, _derivatives(offpivot), 1)) == "value False"
 
 
 def _two_constraints():
@@ -1028,56 +1132,66 @@ def test_rank_guard_reads_past_rank_zero_points_without_a_drop():
 
 
 def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
-    # a quadratic check, whose first point is a witness, seeks no
-    # certificate, ranks its MNI forms' grid at every point, and its
-    # coframe only at the points where every MNI form vanishes; a jet-like
-    # check, whose first point is no witness and whose certificate holds,
-    # ranks its forms at that one point and its coframe nowhere
-    ranked, guarded, sought = [], [], []
+    # on a coframe that kernel_frame completes, check_mni evaluates its
+    # restricted grid W once at each point it ranks, and guards no
+    # coframe, whose rank the constant minor proves. A quadratic check,
+    # whose first point is a witness, evaluates W at every point and seeks
+    # no certificate; a jet-like check, whose W is constant, evaluates W at
+    # its first point alone and is certified without a search. A W that is
+    # not constant, without a witness at its first point, seeks the
+    # certificate once, and then evaluates W at every point
+    grids, guarded, sought = [], [], []
 
-    def counted_rank(rows):
-        ranked.append(len(rows))
-        return rank(rows)
+    class Counted:
+        def __init__(self, grid):
+            self.grid, self.degree, self.points = grid, grid.degree, []
 
-    def counted(forms, rows):
-        rows = list(rows)
-        guarded.append((forms[0].degree, [distributions._fraction_point(q) for q in rows]))
-        return dependent_points(forms, rows)
+        def at(self, q):
+            self.points.append(distributions._fraction_point(q))
+            return self.grid.at(q)
+
+    def compiled(frame, two_forms):
+        grids.append(Counted(original(frame, two_forms)))
+        return grids[-1]
 
     def counted_search(forms):
         sought.append(len(forms))
         return constant_minor_certificate(forms)
 
-    monkeypatch.setattr(distributions, "rank", counted_rank)
-    monkeypatch.setattr(distributions, "dependent_points", counted)
+    original = distributions._compile_restricted_grid
+    monkeypatch.setattr(distributions, "_compile_restricted_grid", compiled)
+    monkeypatch.setattr(distributions, "dependent_points",
+                        lambda forms, rows: guarded.append(forms) or iter(()))
     monkeypatch.setattr(distributions, "constant_minor_certificate", counted_search)
+
+    def check(coframe, k, points):
+        grids.clear()
+        sought.clear()
+        verdict = check_mni(coframe, k, points=points)
+        (grid,) = grids
+        assert guarded == []
+        return verdict, grid
+
     rng = random.Random(15)
-    vanishing = []
-    for n, k in ((5, 1), (6, 2), (7, 2), (8, 2)):
-        m = n - 2 * k - 1
+    for n, k in ((5, 1), (6, 2), (7, 2), (8, 2), (8, 3)):
         coframe = quadratic_coframe(n, k)
         points = sample_slice(coframe[0].chart, grid=5, randoms=5)
-        base = wedge_all(coframe)
-        mni = [wedge(base, wedge_power(exterior_derivative(a), k)) for a in coframe]
-        zeros = [p for p in points
-                 if all(poly_eval(c, p) == 0 for f in mni for c in f.terms.values())]
-        ranked.clear()
-        guarded.clear()
-        sought.clear()
-        assert not check_mni(coframe, k, points=points).certificate
-        assert ranked == [m] * len(points) and guarded == [(1, zeros)], (n, k)
-        assert sought == [], (n, k)
-        vanishing.append(len(zeros))
+        verdict, grid = check(coframe, k, points)
+        assert not verdict.value and verdict.witnesses[0] == points[0], (n, k)
+        assert grid.points == points and sought == [], (n, k)
 
         coframe = jetlike_coframe(n, k, rng)
         points = sample_slice(coframe[0].chart, grid=5, randoms=5)
-        ranked.clear()
-        guarded.clear()
-        sought.clear()
-        verdict = check_mni(coframe, k, points=points)
+        verdict, grid = check(coframe, k, points)
         assert verdict == distributions.Verdict(True, len(points), (), True), (n, k)
-        assert ranked == [m] and guarded == [] and sought == [m], (n, k)
-    assert min(vanishing) > 0, vanishing
+        assert grid.degree == 0 and grid.points == points[:1] and sought == [], (n, k)
+    chart = Chart(("x", "y", "z", "w"))
+    x, y = Polynomial.coordinate(chart, "x"), Polynomial.coordinate(chart, "y")
+    stretched = [DiffForm.basis(chart, "w") - (1 + x * x) * y * DiffForm.basis(chart, "x")]
+    points = sample_slice(chart, grid=5, randoms=5)
+    verdict, grid = check(stretched, 1, points)
+    assert verdict == distributions.Verdict(True, len(points), (), False)
+    assert grid.degree == 2 and grid.points == points and sought == [1]
 
 
 def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
