@@ -292,11 +292,12 @@ def _pfaffian_minors(r: int, k: int):
     r x r matrix W = (w(X_a, X_b)) over the 2k-subsets of the fields, the
     coordinates of (w|_D)^k / k! in the frame. For k = 1 the minors are
     the row itself, and for k = 2 each is the closed form
-    W_ab W_cd - W_ac W_bd + W_ad W_bc. For k >= 3, where r = 2k + 1, the
-    signed minors (-1)^a Pf(W without a) span ker W when W has rank 2k and
-    vanish when it has less, so minors gives a kernel vector of W, or zero:
-    the minors, reordered and signed, times a nonzero factor of its own,
-    which changes no rank.
+    W_ab W_cd - W_ac W_bd + W_ad W_bc, which at r = 5 costs a small
+    fraction of the 5 x 5 echelon of a kernel vector. For k >= 3, where
+    r = 2k + 1, the signed minors (-1)^a Pf(W without a) span ker W when W
+    has rank 2k and vanish when it has less, so minors gives a kernel
+    vector of W, or zero: the minors, reordered and signed, times a nonzero
+    factor of its own, which changes no rank.
     """
     if k == 1:
         return comb(r, 2), list

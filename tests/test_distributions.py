@@ -1005,13 +1005,16 @@ def test_certificate_first_matches_witness_first_on_benchmark_coframes():
 
 def test_certificate_first_matches_witness_first_on_random_coframes():
     # the d-basis condition on the rank guard's 150 random coframes, where
-    # each of the four outcomes occurs: the identity blocks take the
-    # restricted grid, the rest the symbolic route
+    # each of the four outcomes occurs at least 5 times: the identity
+    # blocks take the restricted grid, the rest the symbolic route
     kinds = Counter()
     for _, coframe, points in _rank_drop_trials():
         route = "grid" if kernel_frame(distributions._coframe_grid(coframe)) else "symbolic"
         kinds[route, _kind(_agreed_outcome(coframe, _derivatives(coframe), 1, points))] += 1
-    assert {kind for _, kind in kinds} == {"certified", "value True", "value False", "drop"}
+    outcomes = Counter()
+    for (_, kind), count in kinds.items():
+        outcomes[kind] += count
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 5, kinds
     assert {route for route, _ in kinds} == {"grid", "symbolic"}, kinds
 
 
@@ -1139,8 +1142,11 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
     # no certificate; a jet-like check, whose W is constant, evaluates W at
     # its first point alone and is certified without a search. A W that is
     # not constant, without a witness at its first point, seeks the
-    # certificate once, and then evaluates W at every point
-    grids, guarded, sought = [], [], []
+    # certificate once, and then evaluates W at every point. A coframe
+    # without the constant minor keeps the symbolic route: it ranks its MNI
+    # forms' grid at every point, and its coframe only at the points where
+    # every MNI form vanishes
+    grids, ranked, guarded, sought = [], [], [], []
 
     class Counted:
         def __init__(self, grid):
@@ -1154,22 +1160,31 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
         grids.append(Counted(original(frame, two_forms)))
         return grids[-1]
 
+    def counted_rank(rows):
+        ranked.append(len(rows))
+        return rank(rows)
+
+    def counted_guard(forms, rows):
+        rows = list(rows)
+        guarded.append((forms[0].degree, [distributions._fraction_point(q) for q in rows]))
+        return dependent_points(forms, rows)
+
     def counted_search(forms):
         sought.append(len(forms))
         return constant_minor_certificate(forms)
 
     original = distributions._compile_restricted_grid
     monkeypatch.setattr(distributions, "_compile_restricted_grid", compiled)
-    monkeypatch.setattr(distributions, "dependent_points",
-                        lambda forms, rows: guarded.append(forms) or iter(()))
+    monkeypatch.setattr(distributions, "rank", counted_rank)
+    monkeypatch.setattr(distributions, "dependent_points", counted_guard)
     monkeypatch.setattr(distributions, "constant_minor_certificate", counted_search)
 
     def check(coframe, k, points):
-        grids.clear()
-        sought.clear()
+        for calls in (grids, ranked, guarded, sought):
+            calls.clear()
         verdict = check_mni(coframe, k, points=points)
         (grid,) = grids
-        assert guarded == []
+        assert ranked == [] and guarded == []
         return verdict, grid
 
     rng = random.Random(15)
@@ -1192,6 +1207,27 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
     verdict, grid = check(stretched, 1, points)
     assert verdict == distributions.Verdict(True, len(points), (), False)
     assert grid.degree == 2 and grid.points == points and sought == [1]
+
+    vanishing = []
+    for n, k in ((5, 1), (6, 2), (7, 2)):
+        m = n - 2 * k - 1
+        quadratic = quadratic_coframe(n, k)
+        chart = quadratic[0].chart
+        x1 = Polynomial.coordinate(chart, 1)
+        scaled = [(1 + x1 * x1) * a for a in quadratic]
+        assert kernel_frame(distributions._coframe_grid(scaled)) is None
+        points = sample_slice(chart, grid=5, randoms=5)
+        base = wedge_all(scaled)
+        mni = [wedge(base, wedge_power(exterior_derivative(a), k)) for a in scaled]
+        zeros = [p for p in points
+                 if all(poly_eval(c, p) == 0 for f in mni for c in f.terms.values())]
+        for calls in (grids, ranked, guarded, sought):
+            calls.clear()
+        assert not check_mni(scaled, k, points=points).value
+        assert grids == [] and ranked == [m] * len(points) and sought == [], (n, k)
+        assert guarded == [(1, zeros)], (n, k)
+        vanishing.append(len(zeros))
+    assert min(vanishing) > 0, vanishing
 
 
 def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
