@@ -4,17 +4,13 @@ pointwise non-integrability checks.
 "Pointwise at every point" is realized as a deterministic grid plus seeded
 random rational points, together with a constant-minor certificate that
 upgrades the verdict to one valid at every chart point. Exact sampling
-refutes; the certificate proves. The wedge checks rank their forms at the
-first point, and seek the certificate at once unless that point is a
-witness: a certified check ranks one point. Only an uncertified check
-samples the rest. A coframe with the pivot candidate's constant minor is
-ranked on the restricted grid of its 2-forms over the frame that minor
-gives, through the Pfaffian minors of each W_i, and never drops rank; its
-forms a_1^...^a_m^(omega_i)^k are built only to seek a certificate for a
-W that is not constant. Any other coframe ranks those forms, and guards
-its rank with the same samples: where the coframe drops rank,
-a_1^...^a_q and so every wedge form vanishes, so the coframe is ranked
-only at the points where the forms' grid has rank 0.
+refutes; the certificate proves. At each point the wedge checks rank the
+Pfaffian minors of the restricted grid W of their 2-forms over a basis of
+ker a: compiled once over the frame of the pivot candidate's constant
+minor where the coframe has one, else built at the point from an integer
+kernel basis, where a coframe rank drop raises. They seek the certificate
+at once unless the first point is a witness: a certified check ranks one
+point, and only an uncertified check samples the rest.
 
 Points are evaluated in integers. The sample set is drawn as integer rows
 q_1, ..., q_n, D of the points q/D (D = 2 on the grid, 6 at the random
@@ -38,8 +34,7 @@ construction, while a frame given with the coframe needs a constant r x r
 minor, and the coframe a constant m x m one. derived_flag_at reads its
 level 1 the same way, as r + rank W(p), and builds brackets only past a
 W(p) of rank below m or under a depth cap of 1. Every other distribution
-builds brackets. The wedge checks use the same grid, compiled from their
-own 2-forms in place of the da_i.
+builds brackets.
 """
 
 from __future__ import annotations
@@ -56,9 +51,7 @@ from .forms import (
     DiffForm,
     VectorField,
     _constant_minor,
-    _grid,
     constant_minor_certificate,
-    dependent_points,
     exterior_derivative,
     kernel_frame,
     lie_bracket,
@@ -66,7 +59,7 @@ from .forms import (
     wedge_all,
     wedge_power,
 )
-from .linalg import Echelon, rank
+from .linalg import Echelon
 
 _GRID_NUMERATORS = (0, 2, -2, 1, -1)  # over D = 2: 0, 1, -1, 1/2, -1/2
 
@@ -259,18 +252,15 @@ def _coframe_grid(coframe):
     return [[form.terms.get((j,), zero) for j in range(1, chart.n + 1)] for form in coframe]
 
 
-def _compile_restricted_grid(frame, two_forms) -> IntegerGrid:
-    """The restricted grid of 2-forms w_i on a frame: row i holds
-    w_i(X_a, X_b) for the frame's pairs a < b in order, where
-    w_i = sum c_jl dx_j^dx_l (j < l) gives
-    w_i(X, Y) = sum c_jl (X^j Y^l - X^l Y^j). No product with a zero
-    component is formed."""
-    chart = two_forms[0].chart
-    zero = Polynomial.zero(chart)
-    pairs = [(x.components, y.components) for a, x in enumerate(frame) for y in frame[a + 1:]]
+def _restricted_rows(frame, two_forms, zero):
+    """Rows w_i(X_a, X_b), a < b, with w_i(X, Y) = sum c_jl (X^j Y^l - X^l Y^j)
+    for w_i = sum c_jl dx_j^dx_l (j < l), from the fields' components and
+    the forms' terms ((j, l), c_jl), polynomials or integers at a point.
+    No product with a zero component is formed."""
+    pairs = [(x, y) for a, x in enumerate(frame) for y in frame[a + 1:]]
     rows = []
-    for form in two_forms:
-        terms = [(j - 1, l - 1, c) for (j, l), c in form.terms.items()]
+    for terms in two_forms:
+        terms = [(j - 1, l - 1, c) for (j, l), c in terms]
         row = []
         for x, y in pairs:
             entry = zero
@@ -282,7 +272,36 @@ def _compile_restricted_grid(frame, two_forms) -> IntegerGrid:
                     entry = entry + c * cross
             row.append(entry)
         rows.append(row)
-    return IntegerGrid(chart, rows)
+    return rows
+
+
+def _compile_restricted_grid(frame, two_forms) -> IntegerGrid:
+    """The rows of _restricted_rows on a polynomial frame, compiled once."""
+    chart = two_forms[0].chart
+    return IntegerGrid(chart, _restricted_rows([f.components for f in frame],
+                                               [w.terms.items() for w in two_forms],
+                                               Polynomial.zero(chart)))
+
+
+def _pointwise_restricted_grid(coframe, two_forms):
+    """W for a coframe without a frame, as a function of an integer row q:
+    the rows of _restricted_rows over the basis Echelon.kernel gives of
+    ker a(q), where a row of a in the span of those before it raises the
+    coframe's rank drop. Each row of W is a positive multiple of the exact
+    one, as the rows of a and the 2-forms' coefficients at q are."""
+    chart = coframe[0].chart
+    keys = [list(w.terms) for w in two_forms]
+    grid = IntegerGrid(chart, _coframe_grid(coframe) + [list(w.terms.values()) for w in two_forms])
+
+    def at(q):
+        rows = grid.at(q)
+        echelon = Echelon(chart.n)
+        for row in islice(rows, len(coframe)):
+            if not echelon.add(row):
+                raise _rank_drop("coframe", _fraction_point(q))
+        return _restricted_rows(echelon.kernel(), map(zip, keys, rows), 0)
+
+    return at
 
 
 def _pfaffian_minors(r: int, k: int):
@@ -316,10 +335,7 @@ def _pfaffian_minors(r: int, k: int):
         for a in range(r):
             echelon.add([row[at[a, b]] if a < b else -row[at[b, a]] if b < a else 0
                          for b in range(r)])
-        if len(echelon.pivots) < r - 1:
-            return [0] * r
-        free = next(c for c in range(r) if c not in echelon.pivots)
-        return echelon.kernel_vector(free, echelon.last_pivot())
+        return echelon.kernel()[0] if len(echelon.pivots) == r - 1 else [0] * r
 
     return r, minors
 
@@ -476,71 +492,52 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     """Test the forms a_1^...^a_m^(omega_i)^k for pointwise independence
     at the sample points.
 
-    A coframe that forms.kernel_frame completes, by the pivot candidate's
-    constant minor det G_S, is ranked on the restricted grid W of the
-    omegas over that frame X_1, ..., X_r, compiled once: at each point,
-    row i becomes the vector of 2k x 2k Pfaffian minors of W_i over the
-    2k-subsets T of the frame, and the m vectors go to one early-stopping
-    Echelon. This is exact. The frame field of a column t outside S is
-    e_t plus a vector on S, so for a 2k-form b the coefficient of
-    a_1^...^a_m^b on dx_S^dx_T is (a^b)(e_S, X_T) = +-det(G_S) b(X_T), as
-    a(X_t) = 0, and (omega_i^k)(X_T) = k! Pf(W_i on T). Where a has rank m,
-    a^b depends on b only through b(X_T), injectively, so the forms are
-    dependent exactly when the vectors are; and the constant minor gives a
-    rank m everywhere, so no point needs a coframe guard. The columns
-    dx_S^dx_T of the forms' grid are det(G_S) times the vectors, so a W of
-    degree 0 independent at the first point makes those columns a constant
-    block of full rank, and the pivot candidate finds a constant minor
-    among them: that is the certificate, and nothing symbolic is built.
-    For any other W independent at the first point, the forms are built
-    and the certificate is sought as below.
+    Each point ranks the restricted grid W of the omegas over a basis
+    X_1, ..., X_r of ker a: one early-stopping Echelon takes, for each i,
+    the vector of 2k x 2k Pfaffian minors of W_i over the 2k-subsets T of
+    the basis. Where a has rank m, take S with det G_S != 0 and the basis
+    whose field for t outside S is e_t plus a vector on S: the coefficient
+    of a_1^...^a_m^b on dx_S^dx_T is +-det(G_S) b(X_T), as a(X_t) = 0, and
+    (omega_i^k)(X_T) = k! Pf(W_i on T), so the forms are dependent exactly
+    when the vectors are, over this basis and so over any. W is compiled
+    once over forms.kernel_frame where that completes the coframe, whose
+    constant minor proves rank m everywhere; otherwise it is built at each
+    point (_pointwise_restricted_grid), and the first point where the
+    coframe drops rank, so that every form vanishes, raises.
 
-    Any other coframe keeps the symbolic route. The forms' grid is compiled
-    once and ranked at the first point; rank below the number of forms
-    makes a witness. Unless the first point is a witness, the certificate
-    is sought before any other point is drawn. When it holds, the forms are
-    independent everywhere: no sample point is a witness, a_1^...^a_m never
-    vanishes, so the coframe never drops rank. Otherwise every point is
-    ranked, with certificate=False: at a witness every maximal minor
-    vanishes, so none is a nonzero constant. Where the coframe drops rank,
-    a_1^...^a_m vanishes and with it every form, so the coframe is ranked
-    only at the rank-0 points, and the first drop among them, the first
-    among all points, raises.
+    Unless the first point is a witness, where every maximal minor
+    vanishes, the certificate is sought before any other point is drawn.
+    A compiled W of degree 0 is its own: the columns dx_S^dx_T of the
+    forms' grid, det(G_S) times its vectors, are then a constant block of
+    full rank, in which the pivot candidate finds a constant minor. Any
+    other W builds the forms for constant_minor_certificate. Without a
+    certificate every point is ranked, with certificate=False.
     """
     chart = coframe[0].chart
     size, rows = _sample_set(chart, points, seed)
     rows = iter(rows)
     first = next(rows)
     frame = kernel_frame(_coframe_grid(coframe))
+    if frame is None:
+        restricted, constant = _pointwise_restricted_grid(coframe, omegas), False
+    else:
+        compiled = _compile_restricted_grid(frame, omegas)
+        restricted, constant = compiled.at, compiled.degree == 0
+    # a coframe of more than n forms drops rank at every point
+    width, minors = _pfaffian_minors(max(chart.n - len(coframe), 0), k)
 
-    def wedge_forms():
+    def independent(q):
+        return _independent(map(minors, restricted(q)), width)
+
+    def certified():
         base = wedge_all(coframe)
-        return [wedge(base, wedge_power(w, k)) for w in omegas]
+        return constant_minor_certificate([wedge(base, wedge_power(w, k)) for w in omegas])
 
-    if frame is not None:
-        restricted = _compile_restricted_grid(frame, omegas)
-        width, minors = _pfaffian_minors(len(frame), k)
-
-        def independent(q):
-            return _independent(map(minors, restricted.at(q)), width)
-
-        witnesses = [] if independent(first) else [first]
-        if not witnesses and (restricted.degree == 0
-                              or constant_minor_certificate(wedge_forms())):
-            return Verdict(True, size, (), True)
-        witnesses += [q for q in rows if not independent(q)]
-        return Verdict(not witnesses, size, tuple(map(_fraction_point, witnesses)))
-    forms = wedge_forms()
-    grid = IntegerGrid(chart, _grid(forms, "independence check"))
-    r = rank(list(grid.at(first)))
-    if r == len(forms) and constant_minor_certificate(forms):
+    witnesses = [] if independent(first) else [first]
+    if not witnesses and (constant or certified()):
         return Verdict(True, size, (), True)
-    ranked = [(first, r)] + [(q, rank(list(grid.at(q)))) for q in rows]
-    dropped = next(dependent_points(coframe, (q for q, r in ranked if not r)), None)
-    if dropped is not None:
-        raise _rank_drop("coframe", _fraction_point(dropped))
-    witnesses = tuple(_fraction_point(q) for q, r in ranked if r < len(forms))
-    return Verdict(not witnesses, size, witnesses)
+    witnesses += [q for q in rows if not independent(q)]
+    return Verdict(not witnesses, size, tuple(map(_fraction_point, witnesses)))
 
 
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:

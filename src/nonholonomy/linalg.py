@@ -120,6 +120,14 @@ class Echelon:
             v[c] = value
         return v
 
+    def kernel(self):
+        """A basis of the kernel of the rows added: for each non-pivot
+        column in order, the kernel_vector with the last pivot there,
+        integral as its pivot entries are then minors by Cramer's rule."""
+        last = self.last_pivot()
+        return [self.kernel_vector(free, last) for free in range(self._n_cols)
+                if free not in self.pivots]
+
 
 def pfaffian(rows) -> Fraction:
     """Pfaffian of a skew-symmetric matrix given as an iterable of rows.
@@ -200,11 +208,9 @@ def kernel_basis(rows, n_cols: int):
     An empty row list means the zero map, whose kernel is all of Q^n_cols.
     Basis vectors are tuples of Fractions, one per free column, in column
     order: the one for a free column has 1 there and 0 in the other free
-    columns. Its pivot entries are back-substituted in integers with the
-    last pivot D in the free column, which makes them minors by Cramer's
-    rule, and then divided by D. The pivot columns are the first column
-    basis in lexicographic order, whatever order the rows come in, so the
-    basis depends only on the matrix.
+    columns, Echelon.kernel's vector divided by the last pivot. The pivot
+    columns are the first column basis in lexicographic order, whatever
+    order the rows come in, so the basis depends only on the matrix.
     """
     M, _ = _integer_rows(rows)
     echelon = Echelon(n_cols)
@@ -213,11 +219,7 @@ def kernel_basis(rows, n_cols: int):
             raise InputError("row of length %d does not match %d columns" % (len(row), n_cols))
         echelon.add(row)
     last = echelon.last_pivot()
-    return [
-        tuple(Fraction(x, last) for x in echelon.kernel_vector(free, last))
-        for free in range(n_cols)
-        if free not in echelon.pivots
-    ]
+    return [tuple(Fraction(x, last) for x in v) for v in echelon.kernel()]
 
 
 def solve(rows, columns, scale: int):

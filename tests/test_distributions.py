@@ -29,7 +29,7 @@ from nonholonomy.distributions import (
     sample_points,
 )
 from nonholonomy.errors import DegeneratePresentationError, InputError, ParseError
-from nonholonomy import distributions, forms
+from nonholonomy import distributions, forms, linalg
 from nonholonomy.forms import (
     DiffForm,
     VectorField,
@@ -887,9 +887,9 @@ def _rank_drop_trials():
 
 
 def test_rank_guard_matches_point_by_point_oracle():
-    # the guard of the wedge checks raises at the first point where a
-    # point-by-point Fraction guard finds the coframe dependent, and only
-    # then, although it ranks the coframe only where the wedge forms vanish
+    # the wedge checks raise at the first point where a point-by-point
+    # Fraction guard finds the coframe dependent, and only then, although
+    # they rank the coframe in the Echelon that builds their pointwise W
     outcomes = {"dropped": 0, "full rank": 0}
     for trial, coframe, points in _rank_drop_trials():
         expected = first_rank_drop_by_fractions(coframe, points)
@@ -912,10 +912,10 @@ def _verdict_or_drop(verdict, *args):
 
 def _agreed_outcome(coframe, omegas, k, points=None, seed=0):
     """The wedge checks' Verdict or rank drop, which must equal that of
-    the witness-first order. A coframe that kernel_frame completes takes
-    the restricted-grid route: it raises no drop, and builds the wedge
-    powers only to seek a certificate, when its first point is no witness
-    and its W is not constant. Every other coframe builds them all."""
+    the witness-first order. Only a coframe that kernel_frame does not
+    complete can drop rank, and a drop builds no wedge power. Otherwise
+    the wedge powers are built only to seek a certificate, when the first
+    point is no witness and W is not compiled and constant."""
     coframe, omegas = list(coframe), list(omegas)
     args = (coframe, omegas, k, points, seed)
     built = []
@@ -929,12 +929,12 @@ def _agreed_outcome(coframe, omegas, k, points=None, seed=0):
         outcome = _verdict_or_drop(distributions._wedge_verdict, *args)
     assert outcome == _verdict_or_drop(witness_first_verdict, *args)
     frame = kernel_frame(distributions._coframe_grid(coframe))
-    if frame is None:
-        assert built == omegas
+    if _kind(outcome) == "drop":
+        assert frame is None and built == []
         return outcome
-    assert _kind(outcome) != "drop"
     first = tuple(points[0]) if points is not None else sample_points(coframe[0].chart, seed)[0]
-    constant = distributions._compile_restricted_grid(frame, omegas).degree == 0
+    constant = (frame is not None
+                and distributions._compile_restricted_grid(frame, omegas).degree == 0)
     seeks = not constant and first not in outcome.witnesses
     assert built == (omegas if seeks else [])
     return outcome
@@ -1006,24 +1006,25 @@ def test_certificate_first_matches_witness_first_on_benchmark_coframes():
 def test_certificate_first_matches_witness_first_on_random_coframes():
     # the d-basis condition on the rank guard's 150 random coframes, where
     # each of the four outcomes occurs at least 5 times: the identity
-    # blocks take the restricted grid, the rest the symbolic route
+    # blocks take the compiled W, the rest the pointwise W
     kinds = Counter()
     for _, coframe, points in _rank_drop_trials():
-        route = "grid" if kernel_frame(distributions._coframe_grid(coframe)) else "symbolic"
+        route = "grid" if kernel_frame(distributions._coframe_grid(coframe)) else "pointwise"
         kinds[route, _kind(_agreed_outcome(coframe, _derivatives(coframe), 1, points))] += 1
     outcomes = Counter()
     for (_, kind), count in kinds.items():
         outcomes[kind] += count
     assert len(outcomes) == 4 and min(outcomes.values()) >= 5, kinds
-    assert {route for route, _ in kinds} == {"grid", "symbolic"}, kinds
+    assert {route for route, _ in kinds} == {"grid", "pointwise"}, kinds
 
 
 def test_the_restricted_grid_route_matches_the_symbolic_oracle():
     # amni5 through check_almost_mni, the corpus through
     # check_dbasis_condition, and seeded random 2-forms on identity-block
-    # coframes at k = 1 and 2, every case on the restricted grid; the
-    # off-pivot coframe, whose only constant minor needs a non-constant
-    # column, stays on the symbolic route
+    # coframes at k = 1 and 2, every case on the compiled W. The off-pivot
+    # coframe, whose only constant minor needs a non-constant column, the
+    # quadratic (8,3) and (10,3) scaled by 1 + x1^2, and a coframe whose
+    # pivot column moves between points take the pointwise W
     with open(os.path.join(DATA, "amni5.nh"), encoding="utf-8") as handle:
         doc = parse_document(handle.read())
     coframe, omegas = doc.one_forms(), [doc.binding(w).value for w in ("w1", "w2")]
@@ -1059,6 +1060,24 @@ def test_the_restricted_grid_route_matches_the_symbolic_oracle():
         offpivot = parse_document(handle.read()).one_forms()
     assert kernel_frame(distributions._coframe_grid(offpivot)) is None
     assert _kind(_agreed_outcome(offpivot, _derivatives(offpivot), 1)) == "value False"
+    for n in (8, 10):  # k = 3 ranks a kernel vector of each W_i
+        quadratic = quadratic_coframe(n, 3)
+        x1 = Polynomial.coordinate(quadratic[0].chart, 1)
+        scaled = [(1 + x1 * x1) * a for a in quadratic]
+        assert kernel_frame(distributions._coframe_grid(scaled)) is None
+        points = sample_slice(scaled[0].chart, grid=6, randoms=6)
+        assert _kind(_agreed_outcome(scaled, _derivatives(scaled), 3, points)) == "value False"
+    # y dx + (1 + y^2) dy + z dz, whose pivot column at q is x where y != 0
+    # and y where y = 0: a^da = -z dx^dy^dz, so the witnesses are z = 0
+    chart = Chart(("x", "y", "z", "w"))
+    x, y, z = (Polynomial.coordinate(chart, name) for name in "xyz")
+    moving = [DiffForm(chart, 1, {(1,): y, (2,): 1 + y * y, (3,): z})]
+    assert kernel_frame(distributions._coframe_grid(moving)) is None
+    points = sample_slice(chart, grid=30, randoms=10)
+    assert {min(j for (j,), c in moving[0].terms.items() if poly_eval(c, p))
+            for p in points} == {1, 2}
+    outcome = _agreed_outcome(moving, _derivatives(moving), 1, points)
+    assert outcome.witnesses == tuple(p for p in points if p[2] == 0)
 
 
 def _two_constraints():
@@ -1135,18 +1154,17 @@ def test_rank_guard_reads_past_rank_zero_points_without_a_drop():
 
 
 def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
-    # on a coframe that kernel_frame completes, check_mni evaluates its
-    # restricted grid W once at each point it ranks, and guards no
-    # coframe, whose rank the constant minor proves. A quadratic check,
-    # whose first point is a witness, evaluates W at every point and seeks
-    # no certificate; a jet-like check, whose W is constant, evaluates W at
+    # check_mni evaluates one restricted grid W once at each point it
+    # ranks, and calls no rank and no dependent_points. On a coframe that
+    # kernel_frame completes, W is compiled: a quadratic check, whose first
+    # point is a witness, evaluates W at every point and seeks no
+    # certificate; a jet-like check, whose W is constant, evaluates W at
     # its first point alone and is certified without a search. A W that is
     # not constant, without a witness at its first point, seeks the
     # certificate once, and then evaluates W at every point. A coframe
-    # without the constant minor keeps the symbolic route: it ranks its MNI
-    # forms' grid at every point, and its coframe only at the points where
-    # every MNI form vanishes
-    grids, ranked, guarded, sought = [], [], [], []
+    # without the constant minor builds W at every point, pointwise, and
+    # the points where every MNI form vanishes are among its witnesses
+    grids, pointwise, ranked, guarded, sought = [], [], [], [], []
 
     class Counted:
         def __init__(self, grid):
@@ -1160,13 +1178,22 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
         grids.append(Counted(original(frame, two_forms)))
         return grids[-1]
 
+    def built_at_points(coframe, two_forms):
+        at = original_pointwise(coframe, two_forms)
+        pointwise.append([])
+
+        def counted_at(q):
+            pointwise[-1].append(distributions._fraction_point(q))
+            return at(q)
+
+        return counted_at
+
     def counted_rank(rows):
         ranked.append(len(rows))
         return rank(rows)
 
     def counted_guard(forms, rows):
-        rows = list(rows)
-        guarded.append((forms[0].degree, [distributions._fraction_point(q) for q in rows]))
+        guarded.append(forms)
         return dependent_points(forms, rows)
 
     def counted_search(forms):
@@ -1174,43 +1201,50 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
         return constant_minor_certificate(forms)
 
     original = distributions._compile_restricted_grid
+    original_pointwise = distributions._pointwise_restricted_grid
     monkeypatch.setattr(distributions, "_compile_restricted_grid", compiled)
-    monkeypatch.setattr(distributions, "rank", counted_rank)
-    monkeypatch.setattr(distributions, "dependent_points", counted_guard)
+    monkeypatch.setattr(distributions, "_pointwise_restricted_grid", built_at_points)
+    for module in (forms, linalg):
+        monkeypatch.setattr(module, "rank", counted_rank)
+    monkeypatch.setattr(forms, "dependent_points", counted_guard)
     monkeypatch.setattr(distributions, "constant_minor_certificate", counted_search)
 
     def check(coframe, k, points):
-        for calls in (grids, ranked, guarded, sought):
+        for calls in (grids, pointwise, ranked, guarded, sought):
             calls.clear()
         verdict = check_mni(coframe, k, points=points)
-        (grid,) = grids
         assert ranked == [] and guarded == []
+        return verdict
+
+    def compiled_check(coframe, k, points):
+        verdict = check(coframe, k, points)
+        (grid,) = grids
+        assert pointwise == []
         return verdict, grid
 
     rng = random.Random(15)
     for n, k in ((5, 1), (6, 2), (7, 2), (8, 2), (8, 3)):
         coframe = quadratic_coframe(n, k)
         points = sample_slice(coframe[0].chart, grid=5, randoms=5)
-        verdict, grid = check(coframe, k, points)
+        verdict, grid = compiled_check(coframe, k, points)
         assert not verdict.value and verdict.witnesses[0] == points[0], (n, k)
         assert grid.points == points and sought == [], (n, k)
 
         coframe = jetlike_coframe(n, k, rng)
         points = sample_slice(coframe[0].chart, grid=5, randoms=5)
-        verdict, grid = check(coframe, k, points)
+        verdict, grid = compiled_check(coframe, k, points)
         assert verdict == distributions.Verdict(True, len(points), (), True), (n, k)
         assert grid.degree == 0 and grid.points == points[:1] and sought == [], (n, k)
     chart = Chart(("x", "y", "z", "w"))
     x, y = Polynomial.coordinate(chart, "x"), Polynomial.coordinate(chart, "y")
     stretched = [DiffForm.basis(chart, "w") - (1 + x * x) * y * DiffForm.basis(chart, "x")]
     points = sample_slice(chart, grid=5, randoms=5)
-    verdict, grid = check(stretched, 1, points)
+    verdict, grid = compiled_check(stretched, 1, points)
     assert verdict == distributions.Verdict(True, len(points), (), False)
     assert grid.degree == 2 and grid.points == points and sought == [1]
 
     vanishing = []
     for n, k in ((5, 1), (6, 2), (7, 2)):
-        m = n - 2 * k - 1
         quadratic = quadratic_coframe(n, k)
         chart = quadratic[0].chart
         x1 = Polynomial.coordinate(chart, 1)
@@ -1221,11 +1255,9 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
         mni = [wedge(base, wedge_power(exterior_derivative(a), k)) for a in scaled]
         zeros = [p for p in points
                  if all(poly_eval(c, p) == 0 for f in mni for c in f.terms.values())]
-        for calls in (grids, ranked, guarded, sought):
-            calls.clear()
-        assert not check_mni(scaled, k, points=points).value
-        assert grids == [] and ranked == [m] * len(points) and sought == [], (n, k)
-        assert guarded == [(1, zeros)], (n, k)
+        verdict = check(scaled, k, points)
+        assert not verdict.value and set(zeros) <= set(verdict.witnesses), (n, k)
+        assert grids == [] and pointwise == [points] and sought == [], (n, k)
         vanishing.append(len(zeros))
     assert min(vanishing) > 0, vanishing
 
@@ -1249,7 +1281,7 @@ def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
             for coframe, block in ((quadratic_coframe(n, k), tuple(range(n - m, n))),
                                    (jetlike_coframe(n, k, rng), tuple(range(m)))):
                 seen.clear()
-                assert forms._constant_minor(distributions._grid(coframe, "test")) == (block, 1)
+                assert forms._constant_minor(forms._grid(coframe, "test")) == (block, 1)
                 assert seen == [(block, (block, 1))], (n, k)
 
 

@@ -432,8 +432,9 @@ def test_held_rows_are_full_width_echelon_rows():
             assert not any(held[j] for j in echelon.pivots[:k])
         free_columns = [j for j in range(n_cols) if j not in echelon.pivots]
         scale = echelon.last_pivot()
-        for free in free_columns:
-            v = echelon.kernel_vector(free, scale)
+        kernel = echelon.kernel()  # kernel_vector with the last pivot at each free column
+        assert len(kernel) == len(free_columns)
+        for free, v in zip(free_columns, kernel):
             assert [v[j] for j in free_columns] == [scale if j == free else 0 for j in free_columns]
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
     assert all(count > 50 for count in shapes.values()), shapes

@@ -88,14 +88,15 @@ def test_single_caller_helpers_stay_folded():
 
 
 def test_rank_guard_has_one_idiom():
-    # the wedge checks rank their coframe through dependent_points at the
-    # points where their forms vanish; the paired-omission construction
-    # seeks a constant minor and ranks its 1-forms only without one. One
-    # constant-minor search serves both
+    # the wedge checks find a coframe's rank drop in the Echelon that
+    # builds their pointwise W, and rank no symbolic grid; the
+    # paired-omission construction seeks a constant minor and ranks its
+    # 1-forms through dependent_points only without one
     assert not hasattr(distributions, "_first_drop")
     assert not hasattr(forms, "_pivot_minor")
     assert not hasattr(forms, "_minor_search")
-    assert "dependent_points(" in inspect.getsource(distributions._wedge_verdict)
+    for name in ("rank", "dependent_points", "_grid"):
+        assert not hasattr(distributions, name), name
     source = inspect.getsource(constructions.build_prop_ori_omegas)
     assert 0 <= source.find("constant_minor_certificate(") < source.find("dependent_points(")
 
