@@ -267,13 +267,13 @@ def _run_example(args, seed, doc):
                 verdict = has_derived_length_one(dist, seed=seed)
                 yield _verdict_task("check-dlo", verdict, dist.chart)
             elif claim == "check-dbasis":
-                verdict = check_dbasis_condition(bundle.coframe, seed=seed)
+                verdict = check_dbasis_condition(dist, seed=seed)
                 yield _verdict_task("check-dbasis", verdict, dist.chart)
             elif claim == "check-mni":
-                verdict = check_mni(bundle.coframe, bundle.k, seed=seed)
+                verdict = check_mni(dist, bundle.k, seed=seed)
                 yield _verdict_task("check-mni", verdict, dist.chart, k=bundle.k)
             elif claim == "check-amni":
-                verdict = check_almost_mni(bundle.coframe, bundle.omegas, bundle.k, seed=seed)
+                verdict = check_almost_mni(dist, bundle.omegas, bundle.k, seed=seed)
                 yield _verdict_task("check-amni", verdict, dist.chart, k=bundle.k)
             elif claim == "verify-ori":
                 yield _ori_task(bundle.ori_coframe, bundle.k)

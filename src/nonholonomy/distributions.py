@@ -4,37 +4,26 @@ pointwise non-integrability checks.
 "Pointwise at every point" is realized as a deterministic grid plus seeded
 random rational points, together with a constant-minor certificate that
 upgrades the verdict to one valid at every chart point. Exact sampling
-refutes; the certificate proves. At each point the wedge checks rank the
-Pfaffian minors of the restricted grid W of their 2-forms over a basis of
-ker a: compiled once over the frame of the pivot candidate's constant
-minor where the coframe has one, else built at the point from an integer
-kernel basis, where a coframe rank drop raises. They seek the certificate
-at once unless the first point is a witness: a certified check ranks one
-point, and only an uncertified check samples the rest.
+refutes; the certificate proves.
 
 Points are evaluated in integers. The sample set is drawn as integer rows
 q_1, ..., q_n, D of the points q/D (D = 2 on the grid, 6 at the random
 points), one at a time as a check ranks them, so a certified check draws
 one point; its size is known without drawing it. A caller's points become
 such rows up front, and only witnesses and rank-drop points become tuples
-of Fractions again. The forms of a check, and each level of a derived
+of Fractions again. A check's restricted grid, and each level of a derived
 flag's bracket fields, are compiled once into an algebra.IntegerGrid,
 whose rows at q are positive multiples of the exact values at q/D, for
 any D, and go straight to the fraction-free rank.
 
-Derived length one, D + [D, D] = TM, is decided on the restricted grid
-where the presentation allows. For fields X, Y in D = ker(a_1, ..., a_m),
-a_i([X, Y]) = X(a_i(Y)) - Y(a_i(X)) - da_i(X, Y) = -da_i(X, Y): this is the
-curvature, or Levi bracket, L^2 D -> TM/D. So for a frame X_1, ..., X_r of
-D, the flag is [r, n] at p exactly when the m rows
-W_i = (da_i(X_a, X_b))_{a<b} are independent at p. The route needs the
-frame to have rank r and the coframe rank m at every point, each proved by
-a constant maximal minor: a frame from frame_from_coframe has both by
-construction, while a frame given with the coframe needs a constant r x r
-minor, and the coframe a constant m x m one. derived_flag_at reads its
-level 1 the same way, as r + rank W(p), and builds brackets only past a
-W(p) of rank below m or under a depth cap of 1. Every other distribution
-builds brackets.
+The checks share a restricted grid W. For X, Y in D = ker(a_1, ..., a_m),
+a_i([X, Y]) = X(a_i(Y)) - Y(a_i(X)) - da_i(X, Y) = -da_i(X, Y), the
+curvature, or Levi bracket, L^2 D -> TM/D. So over a basis X_1, ..., X_r
+of D, D + [D, D] = TM at p exactly when the m rows
+W_i = (da_i(X_a, X_b))_{a<b} are independent there, and the wedge checks
+rank the Pfaffian minors of the W_i of their 2-forms. A Distribution
+proves its presentation once, and _restricted_test chooses each check's
+route.
 """
 
 from __future__ import annotations
@@ -42,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice, product
 from math import comb
 
@@ -113,6 +103,13 @@ def _pairing(form: DiffForm, vector_field: VectorField) -> Polynomial:
     return total
 
 
+def _annihilate(coframe, frame, error=ConsistencyError,
+                message="complement field fails to annihilate the coframe"):
+    """Raise error(message) unless the coframe annihilates the frame."""
+    if any(not _pairing(a, f).is_zero() for a in coframe for f in frame):
+        raise error(message)
+
+
 def _check_coframe(coframe):
     coframe = list(coframe)
     if not coframe:
@@ -159,8 +156,11 @@ class DerivedFlag:
 class Distribution:
     """A constant-rank distribution presented by a frame, a coframe, or both.
 
-    The rank is validated lazily at queried points; a violation raises
-    rather than silently recording garbage.
+    It proves its presentation once: the kernel frame of its coframe,
+    which it spans with when no frame is given, and the W of its da_i over
+    that frame are each built at most once and shared by every check on
+    it. Where nothing proves the rank, it is validated at the queried
+    points; a violation raises rather than silently recording garbage.
     """
 
     def __init__(self, chart: Chart, frame=None, coframe=None):
@@ -169,18 +169,16 @@ class Distribution:
         self.chart = chart
         self.frame = tuple(frame) if frame is not None else None
         self.coframe = tuple(coframe) if coframe is not None else None
+        counts = set()
         if self.frame is not None:
             for f in self.frame:
                 if not isinstance(f, VectorField) or f.chart != chart:
                     raise InputError("frame entries must be vector fields on the chart")
+            counts.add(len(self.frame))
         if self.coframe is not None:
             for a in self.coframe:
                 if not isinstance(a, DiffForm) or a.degree != 1 or a.chart != chart:
                     raise InputError("coframe entries must be 1-forms on the chart")
-        counts = set()
-        if self.frame is not None:
-            counts.add(len(self.frame))
-        if self.coframe is not None:
             counts.add(chart.n - len(self.coframe))
         if len(counts) != 1:
             raise InputError("frame size and coframe corank disagree: %s" % sorted(counts))
@@ -188,51 +186,57 @@ class Distribution:
         if not 1 <= self.rank <= chart.n:
             raise InputError("rank %d out of range 1..%d" % (self.rank, chart.n))
         if self.frame is not None and self.coframe is not None:
-            for a in self.coframe:
-                for f in self.frame:
-                    if not _pairing(a, f).is_zero():
-                        raise InputError("coframe does not annihilate the frame")
-        self._derived_frame = None
+            _annihilate(self.coframe, self.frame, InputError,
+                        "coframe does not annihilate the frame")
         self._spans = None
-        self._restricted = False  # not built yet; then the restricted grid, or None
 
     def spanning_frame(self):
-        """A polynomial frame: the given one, or a symbolic complement of the
-        coframe when one with constant-coefficient structure exists."""
-        if self.frame is not None:
-            return self.frame
-        if self._derived_frame is None:
-            built = frame_from_coframe(self.coframe)
-            if built is None:
-                raise InputError(
-                    "coframe admits no constant-minor complement; supply an explicit frame"
-                )
-            self._derived_frame = tuple(built)
-        return self._derived_frame
+        """A polynomial frame: the given one, or else the coframe's kernel
+        frame, which must exist."""
+        return self.frame if self.frame is not None else self._derived_frame
+
+    @cached_property
+    def _derived_frame(self):
+        if self._kernel_frame is None:
+            raise InputError(
+                "coframe admits no constant-minor complement; supply an explicit frame")
+        _annihilate(self.coframe, self._kernel_frame)
+        return tuple(self._kernel_frame)
 
     def _spanning_sets(self):
         if self._spans is None:
             self._spans = _SpanningSets(self.spanning_frame())
         return self._spans
 
+    @cached_property
+    def _kernel_frame(self):
+        """The coframe's kernel frame (forms.kernel_frame), or None."""
+        return kernel_frame(_coframe_grid(self.coframe)) if self.coframe else None
+
+    @cached_property
+    def _derivatives(self):
+        return [exterior_derivative(a) for a in self.coframe]
+
+    @cached_property
+    def _curvature(self):
+        """The restricted grid W of the da_i over the kernel frame, shared by
+        every check on the distribution."""
+        return _compile_restricted_grid(self._kernel_frame, self._derivatives)
+
+    @cached_property
+    def _proved(self):
+        return bool(self.coframe) and (
+            self.spanning_frame() is not None if self.frame is None
+            else _constant_minor([list(f.components) for f in self.frame]) is not None
+            and self._kernel_frame is not None)
+
     def _restricted_grid(self):
-        """The restricted grid of the spanning frame and the coframe, built
-        once and shared by has_derived_length_one and derived_flag_at, or
-        None unless both are proved of constant rank: a derived frame and
-        its coframe are, by the constant minor frame_from_coframe found; a
-        given frame needs a constant r x r minor, and its coframe a constant
-        m x m one. A distribution of rank n, or without a coframe, has
-        none."""
-        if self._restricted is False:
-            proved = bool(self.coframe) and (
-                self.frame is None
-                or _constant_minor([list(f.components) for f in self.frame]) is not None
-                and _constant_minor(_coframe_grid(self.coframe)) is not None)
-            self._restricted = (
-                _compile_restricted_grid(self.spanning_frame(),
-                                         [exterior_derivative(a) for a in self.coframe])
-                if proved else None)
-        return self._restricted
+        """W of the da_i where has_derived_length_one and derived_flag_at may
+        read it, else None: the coframe needs its kernel frame, which a
+        coframe-only distribution spans with, and a given frame a constant
+        r x r minor of its own, so that it spans ker a everywhere and W over
+        it has the rank of W over the kernel frame."""
+        return self._curvature if self._proved else None
 
     def __repr__(self):
         return "Distribution(rank %d on %r)" % (self.rank, self.chart)
@@ -284,9 +288,9 @@ def _compile_restricted_grid(frame, two_forms) -> IntegerGrid:
 
 
 def _pointwise_restricted_grid(coframe, two_forms):
-    """W for a coframe without a frame, as a function of an integer row q:
-    the rows of _restricted_rows over the basis Echelon.kernel gives of
-    ker a(q), where a row of a in the span of those before it raises the
+    """W for a coframe without a kernel frame, as a function of an integer
+    row q: the rows of _restricted_rows over the basis Echelon.kernel gives
+    of ker a(q), where a row of a in the span of those before it raises the
     coframe's rank drop. Each row of W is a positive multiple of the exact
     one, as the rows of a and the 2-forms' coefficients at q are."""
     chart = coframe[0].chart
@@ -347,25 +351,35 @@ def _independent(vectors, width: int) -> bool:
     return all(map(Echelon(width).add, vectors))
 
 
-def frame_from_coframe(coframe):
-    """Complete a coframe to a polynomial frame of its kernel, or None.
+def _restricted_test(dist: Distribution, omegas=None, k=1, flag=False):
+    """(independent, constant): whether the Pfaffian minors of the W of the
+    omegas (by default the da_i) are independent at an integer row q, and
+    whether W is a compiled grid of degree 0. The route is chosen here: W
+    over the kernel frame; W built at each point for a wedge check without
+    one; or, for the flag (flag=True) unproved, (None, False): brackets."""
+    if flag and dist._restricted_grid() is None:
+        return None, False
+    if dist._kernel_frame is None:
+        two_forms = dist._derivatives if omegas is None else omegas
+        rows, constant = _pointwise_restricted_grid(dist.coframe, two_forms), False
+    else:
+        compiled = (dist._curvature if omegas is None
+                    else _compile_restricted_grid(dist._kernel_frame, omegas))
+        rows, constant = compiled.at, compiled.degree == 0
+    width, minors = _pfaffian_minors(dist.rank, k)
+    return (lambda q: _independent(map(minors, rows(q)), width)), constant
 
-    Tries the pivot candidate of forms._constant_minor, a column subset
-    whose minor, if a nonzero constant, makes the complementary columns
-    carry an identity block, so the frame has constant rank everywhere. It
-    is found whenever the coframe's constant columns alone have full rank,
-    as with an identity block. Other coframes get None, including those
-    whose only constant minors need a non-constant column by cancellation
-    (dx1 + x3^2*dx3, x1*dx2 + dx3): the caller must supply a frame.
+
+def frame_from_coframe(coframe):
+    """Complete a coframe to a polynomial frame of its kernel, of constant
+    rank everywhere (forms.kernel_frame), or None without the pivot
+    candidate's constant minor, as for dx1 + x3^2*dx3, x1*dx2 + dx3: the
+    caller must supply a frame.
     """
     coframe, _ = _check_coframe(coframe)
     fields = kernel_frame(_coframe_grid(coframe))
-    if fields is None:
-        return None
-    for form in coframe:
-        for f in fields:
-            if not _pairing(form, f).is_zero():
-                raise ConsistencyError("complement field fails to annihilate the coframe")
+    if fields is not None:
+        _annihilate(coframe, fields)
     return fields
 
 
@@ -450,9 +464,10 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     q = _integer_point(point, n)
     if depth_cap is not None and depth_cap < 1:
         raise InputError("depth cap must be at least 1")
-    restricted = dist._restricted_grid() if depth_cap is None or depth_cap > 1 else None
-    if restricted is not None and _independent(restricted.at(q), comb(dist.rank, 2)):
-        return DerivedFlag(point, (dist.rank, n), True)
+    if depth_cap is None or depth_cap > 1:
+        independent, _ = _restricted_test(dist, flag=True)
+        if independent is not None and independent(q):
+            return DerivedFlag(point, (dist.rank, n), True)
     ranks, stabilized = _flag_ranks(dist._spanning_sets(), n, q, depth_cap)
     return DerivedFlag(point, ranks, stabilized)
 
@@ -460,37 +475,34 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
 def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Verdict:
     """True iff the flag is [r, n] at every sample point.
 
-    Where the frame and the coframe are proved of constant rank (see
-    Distribution._restricted_grid), no bracket is built: since
-    a_i([X_a, X_b]) = -da_i(X_a, X_b) on D, the flag is [r, n] at a point
-    exactly when the m rows of the restricted grid have rank m there, and
-    the frame cannot drop rank. Otherwise only the first two levels of the
-    flag are built: a full flag differs from [r, n] exactly when its first
-    two levels do. A first-level rank below the distribution's rank is a
-    presentation failure, not integrability information, and raises.
+    Where the presentation is proved (Distribution._restricted_grid), no
+    bracket is built: the flag is [r, n] at a point exactly when W has
+    rank m there, and the frame cannot drop rank. Otherwise only the first
+    two levels of the flag are built: a full flag differs from [r, n]
+    exactly when its first two levels do. A first-level rank below the
+    distribution's rank is a presentation failure, not integrability
+    information, and raises.
     """
     size, rows = _sample_set(dist.chart, points, seed)
-    restricted = dist._restricted_grid()
-    if restricted is not None:
-        witnesses = tuple(_fraction_point(q) for q in rows
-                          if not _independent(restricted.at(q), comb(dist.rank, 2)))
-        return Verdict(not witnesses, size, witnesses)
-    spans = dist._spanning_sets()
-    n = dist.chart.n
-    expected = (n,) if dist.rank == n else (dist.rank, n)
-    witnesses = []
-    for q in rows:
-        ranks, _ = _flag_ranks(spans, n, q, 2)
-        if ranks[0] < dist.rank:
-            raise _rank_drop("frame", _fraction_point(q))
-        if ranks != expected:
-            witnesses.append(_fraction_point(q))
-    return Verdict(not witnesses, size, tuple(witnesses))
+    holds, _ = _restricted_test(dist, flag=True)
+    if holds is None:
+        spans, n = dist._spanning_sets(), dist.chart.n
+        expected = (n,) if dist.rank == n else (dist.rank, n)
+
+        def holds(q):
+            ranks, _ = _flag_ranks(spans, n, q, 2)
+            if ranks[0] < dist.rank:
+                raise _rank_drop("frame", _fraction_point(q))
+            return ranks == expected
+
+    witnesses = tuple(_fraction_point(q) for q in rows if not holds(q))
+    return Verdict(not witnesses, size, witnesses)
 
 
 def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     """Test the forms a_1^...^a_m^(omega_i)^k for pointwise independence
-    at the sample points.
+    at the sample points; coframe is a Distribution or a bare coframe (see
+    _wedge_distribution), and omegas None stands for its da_i.
 
     Each point ranks the restricted grid W of the omegas over a basis
     X_1, ..., X_r of ker a: one early-stopping Echelon takes, for each i,
@@ -499,11 +511,9 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     whose field for t outside S is e_t plus a vector on S: the coefficient
     of a_1^...^a_m^b on dx_S^dx_T is +-det(G_S) b(X_T), as a(X_t) = 0, and
     (omega_i^k)(X_T) = k! Pf(W_i on T), so the forms are dependent exactly
-    when the vectors are, over this basis and so over any. W is compiled
-    once over forms.kernel_frame where that completes the coframe, whose
-    constant minor proves rank m everywhere; otherwise it is built at each
-    point (_pointwise_restricted_grid), and the first point where the
-    coframe drops rank, so that every form vanishes, raises.
+    when the vectors are, over this basis and so over any. _restricted_test
+    gives the test; a point where the coframe drops rank, so that every
+    form vanishes, raises.
 
     Unless the first point is a witness, where every maximal minor
     vanishes, the certificate is sought before any other point is drawn.
@@ -513,25 +523,16 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     other W builds the forms for constant_minor_certificate. Without a
     certificate every point is ranked, with certificate=False.
     """
-    chart = coframe[0].chart
-    size, rows = _sample_set(chart, points, seed)
+    dist = _wedge_distribution(coframe)
+    size, rows = _sample_set(dist.chart, points, seed)
     rows = iter(rows)
     first = next(rows)
-    frame = kernel_frame(_coframe_grid(coframe))
-    if frame is None:
-        restricted, constant = _pointwise_restricted_grid(coframe, omegas), False
-    else:
-        compiled = _compile_restricted_grid(frame, omegas)
-        restricted, constant = compiled.at, compiled.degree == 0
-    # a coframe of more than n forms drops rank at every point
-    width, minors = _pfaffian_minors(max(chart.n - len(coframe), 0), k)
-
-    def independent(q):
-        return _independent(map(minors, restricted(q)), width)
+    independent, constant = _restricted_test(dist, omegas, k)
 
     def certified():
-        base = wedge_all(coframe)
-        return constant_minor_certificate([wedge(base, wedge_power(w, k)) for w in omegas])
+        base = wedge_all(dist.coframe)
+        two_forms = dist._derivatives if omegas is None else omegas
+        return constant_minor_certificate([wedge(base, wedge_power(w, k)) for w in two_forms])
 
     witnesses = [] if independent(first) else [first]
     if not witnesses and (constant or certified()):
@@ -540,10 +541,29 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     return Verdict(not witnesses, size, tuple(map(_fraction_point, witnesses)))
 
 
+def _wedge_distribution(coframe, omegas=None, k=None) -> Distribution:
+    """A wedge check's first argument, a Distribution or a bare coframe, as
+    a Distribution. Its coframe passes _check_coframe, then, given k, the
+    omegas' checks and dimension_bounds, before a bare coframe is wrapped."""
+    dist = coframe if isinstance(coframe, Distribution) else None
+    coframe, chart = _check_coframe(coframe if dist is None else dist.coframe or ())
+    if omegas is not None:
+        if len(omegas) != len(coframe):
+            raise InputError(
+                "expected %d two-forms to match the coframe, got %d" % (len(coframe), len(omegas))
+            )
+        for w in omegas:
+            if not isinstance(w, DiffForm) or w.degree != 2 or w.chart != chart:
+                raise InputError("omega entries must be 2-forms on the coframe's chart")
+    if k is not None:
+        dimension_bounds(k, chart.n, len(coframe))
+    return dist if dist is not None else Distribution(chart, coframe=coframe)
+
+
 def check_dbasis_condition(coframe, points=None, seed: int = 0) -> Verdict:
-    """Pointwise independence of the q forms a_1^...^a_q^da_i (degree q+2)."""
-    coframe, _ = _check_coframe(coframe)
-    return _wedge_verdict(coframe, [exterior_derivative(a) for a in coframe], 1, points, seed)
+    """Pointwise independence of the q forms a_1^...^a_q^da_i (degree q+2),
+    for a Distribution with a coframe or a bare coframe."""
+    return _wedge_verdict(_wedge_distribution(coframe), None, 1, points, seed)
 
 
 def dimension_bounds(k: int, n=None, count=None):
@@ -570,22 +590,14 @@ def dimension_bounds(k: int, n=None, count=None):
 
 def check_mni(coframe, k: int, points=None, seed: int = 0) -> Verdict:
     """Maximal non-integrability: the n-2k-1 forms a_1^...^a_m^(da_i)^k,
-    each of degree n-1, are pointwise linearly independent."""
-    coframe, _ = _check_coframe(coframe)
-    return check_almost_mni(coframe, [exterior_derivative(a) for a in coframe], k, points, seed)
+    each of degree n-1, are pointwise linearly independent, for a
+    Distribution with a coframe or a bare coframe."""
+    return _wedge_verdict(_wedge_distribution(coframe, k=k), None, k, points, seed)
 
 
 def check_almost_mni(coframe, omegas, k: int, points=None, seed: int = 0) -> Verdict:
-    """Almost maximal non-integrability: like check_mni but with arbitrary
-    2-forms omega_i in place of the derivatives da_i."""
-    coframe, chart = _check_coframe(coframe)
+    """Almost maximal non-integrability: like check_mni, for a Distribution
+    or a bare coframe, but with arbitrary 2-forms omega_i in place of the
+    derivatives da_i, their W compiled over the same kernel frame."""
     omegas = list(omegas)
-    if len(omegas) != len(coframe):
-        raise InputError(
-            "expected %d two-forms to match the coframe, got %d" % (len(coframe), len(omegas))
-        )
-    for w in omegas:
-        if not isinstance(w, DiffForm) or w.degree != 2 or w.chart != chart:
-            raise InputError("omega entries must be 2-forms on the coframe's chart")
-    dimension_bounds(k, chart.n, len(coframe))
-    return _wedge_verdict(coframe, omegas, k, points, seed)
+    return _wedge_verdict(_wedge_distribution(coframe, omegas, k), omegas, k, points, seed)

@@ -32,22 +32,16 @@ def run_case(argv):
 def main():
     golden_dir = os.path.join(HERE, "golden")
     os.makedirs(golden_dir, exist_ok=True)
-    for name, argv, expected in CASES:
-        code, text = run_case(argv)
+    runs = [(case, contextlib.nullcontext) for case in CASES]
+    runs.append((INTERNAL_ERROR_CASE, forced_internal_error))
+    for (name, argv, expected), context in runs:
+        with context():
+            code, text = run_case(argv)
         if code != expected:
             raise SystemExit("%s: exit %d, expected %d" % (name, code, expected))
         with open(os.path.join(golden_dir, name), "w", encoding="utf-8") as handle:
             handle.write(text)
         print("wrote %s (exit %d)" % (name, code))
-
-    name, argv, expected = INTERNAL_ERROR_CASE
-    with forced_internal_error():
-        code, text = run_case(argv)
-    if code != expected:
-        raise SystemExit("%s: exit %d, expected %d" % (name, code, expected))
-    with open(os.path.join(golden_dir, name), "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print("wrote %s (exit %d)" % (name, code))
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Command-line front end: golden reports, exit codes, and seed handling."""
 
+import importlib.util
 import json
 import os
 import random
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import nonholonomy.cli as cli
+from nonholonomy import distributions
+from nonholonomy.constructions import build_example
 
 from golden_cases import CASES, INTERNAL_ERROR_CASE, forced_internal_error
 
@@ -46,6 +51,45 @@ def test_golden_internal_error(capsys):
 def test_exit_codes_cover_all_four():
     codes = {expected for _, _, expected in CASES} | {INTERNAL_ERROR_CASE[2]}
     assert codes == {0, 1, 2, 3}
+
+
+def _gallery_names():
+    """The example names the benchmark's flag-dlo workload runs."""
+    path = Path(HERE).parent / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return sorted(jobs._GALLERY)
+
+
+def test_example_check_proves_each_presentation_once(capsys, monkeypatch):
+    # every claim of `example NAME --check` runs on the bundle's one
+    # Distribution: it builds one kernel frame of the coframe, one set of
+    # da_i and one W of them, which the flag, check-dlo and the wedge
+    # checks share; prop-ori's check-amni compiles its omegas' W over the
+    # same frame
+    counts = Counter()
+
+    def count(name):
+        original = getattr(distributions, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(distributions, name, counted)
+
+    for name in ("kernel_frame", "_compile_restricted_grid", "exterior_derivative"):
+        count(name)
+    names = _gallery_names()
+    assert len(names) == 12
+    for name in names + ["prop-ori-5-1"]:
+        m = len(build_example(name).coframe)
+        counts.clear()
+        assert _run(capsys, ["example", name, "--check"])[0] == 0, name
+        compiles = 2 if name == "prop-ori-5-1" else 1
+        assert counts == Counter({"kernel_frame": 1, "exterior_derivative": m,
+                                  "_compile_restricted_grid": compiles}), name
 
 
 def test_reports_are_deterministic(capsys):

@@ -675,6 +675,63 @@ def test_derived_flag_reads_level_one_off_the_restricted_grid_as_the_oracle(monk
     assert read_off_w > 0 and past_level_one > 0, (read_off_w, past_level_one)
 
 
+def _mni_k(dist):
+    """The k of check_mni's dimension bounds for this distribution, or None."""
+    k = (dist.rank - 1) // 2
+    return k if dist.rank % 2 and k >= 1 and 2 * k + 2 <= dist.chart.n <= 4 * k + 2 else None
+
+
+def test_a_distribution_and_its_bare_coframe_give_the_same_verdicts(monkeypatch):
+    # the wedge checks on a Distribution rank the W of its da_i over the
+    # kernel frame it shares with the flag, whatever frame it was given, so
+    # their whole Verdicts, certificate included, are those of the bare
+    # coframe, whose checks never pair a form with a field; check-dlo still
+    # equals the flag route. The corpus, and the random identity-block
+    # coframes of the tests above with the derived frame, a constant mix
+    # of it and the (1 + x1^2)-scaled frame; and a coframe without a kernel
+    # frame, given with a frame, whose wedge checks build W at each point
+    paired = []
+    pairing = distributions._pairing
+    monkeypatch.setattr(distributions, "_pairing", lambda a, f: paired.append(1) or pairing(a, f))
+    cases = [(bundle.distribution, None) for bundle in builtin_corpus()]
+    rng = random.Random(29)
+    for case in range(16):
+        chart, coframe = _identity_block_coframe(rng, 3 + case % 5)
+        derived = Distribution(chart, coframe=coframe)
+        frame = list(derived.spanning_frame())
+        if len(frame) > 1:
+            frame[0] = frame[0] + rnd_fraction(rng) * frame[1]
+        frame[-1] = -frame[-1]
+        mixed = Distribution(chart, frame=frame, coframe=coframe)
+        x1 = Polynomial.coordinate(chart, 1)
+        frame[0] = (x1 * x1 + 1) * frame[0]
+        scaled = Distribution(chart, frame=frame, coframe=coframe)
+        points = sample_slice(chart, case, grid=20, randoms=10)
+        cases += [(dist, points) for dist in (derived, mixed, scaled)]
+    chart = _chart3()
+    x1, x3 = (Polynomial.coordinate(chart, i) for i in (1, 3))
+    dx = [DiffForm.basis(chart, i) for i in range(1, 4)]
+    offpivot = Distribution(chart, frame=[VectorField(chart, [x1 * x3 * x3, 1, -x1])],
+                            coframe=[dx[0] + x3 * x3 * dx[2], x1 * dx[1] + dx[2]])
+    assert offpivot._kernel_frame is None
+    cases.append((offpivot, None))
+    kinds = Counter()
+    for dist, points in cases:
+        coframe, k = list(dist.coframe), _mni_k(dist)
+        paired.clear()
+        bare = [check_dbasis_condition(coframe, points)]
+        if k is not None:
+            bare.append(check_mni(coframe, k, points))
+        assert paired == [], dist
+        verdicts = [check_dbasis_condition(dist, points)]
+        if k is not None:
+            verdicts.append(check_mni(dist, k, points))
+        assert verdicts == bare, dist
+        kinds.update(map(_kind, verdicts))
+        assert has_derived_length_one(dist, points) == flag_route_dlo_verdict(dist, points)
+    assert set(kinds) == {"certified", "value True", "value False"}, kinds
+
+
 def test_the_flag_route_serves_unproved_presentations(monkeypatch):
     # a caller frame without a constant minor, a coframe without one, a
     # frame alone and rank n build no restricted grid; the frame and
@@ -765,6 +822,32 @@ def test_check_dbasis_condition_examples():
     verdict = check_dbasis_condition(coframe, sample_slice(five, grid=5, randoms=5))
     assert verdict.value is True
     assert verdict.certificate
+
+
+def test_wedge_checks_refuse_presentations_without_a_kernel():
+    # n or more 1-forms on n coordinates leave no kernel to rank W on:
+    # check-dbasis refuses them up front, with Distribution's message,
+    # where four forms on three coordinates used to raise a rank drop at
+    # the first point and three forms to fail at every point; check-mni
+    # keeps its dimension-bound message. A distribution presented by a
+    # frame alone has no coframe for any wedge check
+    chart = _chart3()
+    d = [DiffForm.basis(chart, name) for name in ("x", "y", "z")]
+    for coframe, message in ((d + [d[0] + d[1]], "rank -1 out of range 1..3"),
+                             (d, "rank 0 out of range 1..3")):
+        with pytest.raises(InputError) as caught:
+            check_dbasis_condition(coframe)
+        assert str(caught.value) == message
+    with pytest.raises(InputError) as caught:
+        check_mni(d, 1)
+    assert str(caught.value) == "coframe size 3 does not match n - 2k - 1 = 0"
+    contact = contact_structure(1).distribution
+    frame_only = Distribution(contact.chart, frame=contact.frame)
+    for check in (lambda: check_dbasis_condition(frame_only), lambda: check_mni(frame_only, 1),
+                  lambda: check_almost_mni(frame_only, [], 1)):
+        with pytest.raises(InputError) as caught:
+            check()
+        assert str(caught.value) == "expected at least one coframe form"
 
 
 def test_check_dbasis_degenerate_coframe():
