@@ -9,7 +9,7 @@ failing check_mni, say) is exercised in the test suite instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -27,19 +27,15 @@ from .forms import (
 )
 
 
-@dataclass(frozen=True)
-class ExampleBundle:
+class ExampleBundle(namedtuple(
+        "ExampleBundle",
+        "name distribution coframe omegas k ori_coframe expected_flag claims",
+        defaults=(None, None, None, (), ()))):
     """A named construction: the distribution, its defining coframe, an
-    optional omega-tuple, and the advertised (expected-true) checks."""
+    optional omega-tuple, and the advertised (expected-true) checks, as a
+    tuple of those eight fields."""
 
-    name: str
-    distribution: Distribution
-    coframe: tuple
-    omegas: object = None
-    k: object = None
-    ori_coframe: object = None
-    expected_flag: tuple = ()
-    claims: tuple = ()
+    __slots__ = ()
 
 
 def _contact_form(m: int, extra=()):

@@ -29,7 +29,7 @@ route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
@@ -123,8 +123,8 @@ def _check_coframe(coframe):
     return coframe, chart
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "value checked witnesses certificate",
+                          defaults=((), False))):
     """Outcome of a sampled pointwise check.
 
     certificate=True marks a True that a constant-minor certificate proves
@@ -132,25 +132,21 @@ class Verdict:
     first sample point. Otherwise value is decided by ranking every sample
     point, and a False value always comes with certificate=False. checked
     is the size of the sample set either way, for a certificate the set it
-    covers, whose other points are never drawn.
+    covers, whose other points are never drawn. A Verdict is a tuple, but
+    its truth is value, not its length.
     """
 
-    value: bool
-    checked: int
-    witnesses: tuple = ()
-    certificate: bool = False
+    __slots__ = ()
 
     def __bool__(self):
         return self.value
 
 
-@dataclass(frozen=True)
-class DerivedFlag:
-    """Pointwise ranks of the iterated-bracket spans at one point."""
+class DerivedFlag(namedtuple("DerivedFlag", "point ranks stabilized", defaults=(True,))):
+    """Pointwise ranks of the iterated-bracket spans at one point, as a
+    tuple (point, ranks, stabilized)."""
 
-    point: tuple
-    ranks: tuple
-    stabilized: bool = True
+    __slots__ = ()
 
 
 class Distribution:
@@ -184,7 +180,11 @@ class Distribution:
             raise InputError("frame size and coframe corank disagree: %s" % sorted(counts))
         self.rank = counts.pop()
         if not 1 <= self.rank <= chart.n:
-            raise InputError("rank %d out of range 1..%d" % (self.rank, chart.n))
+            if self.coframe is not None:
+                raise InputError("a coframe of %d 1-forms on %d coordinates leaves no kernel"
+                                 % (len(self.coframe), chart.n))
+            raise InputError("a frame of %d vector fields on %d coordinates cannot span a "
+                             "distribution" % (len(self.frame), chart.n))
         if self.frame is not None and self.coframe is not None:
             _annihilate(self.coframe, self.frame, InputError,
                         "coframe does not annihilate the frame")

@@ -23,7 +23,7 @@ reading order is the one reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Chart, Polynomial
@@ -34,12 +34,10 @@ _PUNCT = set("=;(),+-*^@/")
 _MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT, NUMBER, PUNCT, EOF
-    text: str
-    line: int
-    col: int
+class Token(namedtuple("Token", "kind text line col")):
+    """A tuple (kind, text, line, col); kind is IDENT, NUMBER, PUNCT or EOF."""
+
+    __slots__ = ()
 
 
 def tokenize(text: str):
@@ -90,18 +88,16 @@ def tokenize(text: str):
     return tokens
 
 
-@dataclass(frozen=True)
-class Binding:
-    kind: str  # form | field
-    name: str
-    value: object
+class Binding(namedtuple("Binding", "kind name value")):
+    """A tuple (kind, name, value); kind is form or field."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    coords: tuple
-    bindings: tuple
-    chart: Chart = field(default=None, compare=False)
+class InputDocument(namedtuple("InputDocument", "coords bindings chart", defaults=(None,))):
+    """A parsed document, the tuple (coords, bindings, chart)."""
+
+    __slots__ = ()
 
     def binding(self, name: str):
         for b in self.bindings:

@@ -44,7 +44,7 @@ test_skew_structure_and_probe_rank_2k pins the first three steps.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
@@ -140,15 +140,13 @@ class FiberPoint:
         )
 
 
-@dataclass(frozen=True)
-class CExtraction:
+class CExtraction(namedtuple("CExtraction", "b_first cbar cmat")):
     """Symbolic split of the dependence coefficients over the principal
     subspace: B^i_r = cbar[(i,r)] + sum_mu cmat[(i,r,mu)] * z^i_{1mu} for
-    r >= 2, while b_first[i] = B^i_1 carries no symbol at all."""
+    r >= 2, while b_first[i] = B^i_1 carries no symbol at all. A tuple
+    (b_first, cbar, cmat) of three dicts."""
 
-    b_first: dict
-    cbar: dict
-    cmat: dict
+    __slots__ = ()
 
 
 def _form_matrices(fp: FiberPoint, forms):
@@ -257,13 +255,12 @@ def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     return CExtraction(b_first, cbar, cmat)
 
 
-@dataclass(frozen=True)
-class PrincipalSystem:
+class PrincipalSystem(namedtuple("PrincipalSystem", "matrix rhs")):
     """The linear system cutting Sigma out of one principal subspace: rows
-    indexed by r = 2..n, columns by (form index i, symbol index mu)."""
+    indexed by r = 2..n, columns by (form index i, symbol index mu). A
+    tuple (matrix, rhs)."""
 
-    matrix: tuple
-    rhs: tuple
+    __slots__ = ()
 
 
 def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction) -> PrincipalSystem:
@@ -302,18 +299,14 @@ def assemble_principal_matrix(fp: FiberPoint, c, extraction: CExtraction) -> Pri
     return PrincipalSystem(tuple(matrix), tuple(rhs))
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    n: int
-    k: int
-    seed: int
-    samples: int
-    rank_histogram: dict
-    empty_fiber_count: int
-    verdict: str
+class ProbeReport(namedtuple(
+        "ProbeReport", "n k seed samples rank_histogram empty_fiber_count verdict")):
+    """thinness_probe's result, a tuple of its seven fields."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
-        payload = asdict(self)
+        payload = self._asdict()
         payload["rank_histogram"] = {str(r): count for r, count in self.rank_histogram.items()}
         return payload
 

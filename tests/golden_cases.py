@@ -23,6 +23,8 @@ CASES = [
      ["check-dlo", "data/integrable3.nh"], 1),
     ("dlo_offpivot3.json",
      ["check-dlo", "data/offpivot3.nh"], 2),
+    ("dlo_oversized3.json",
+     ["check-dlo", "data/oversized3.nh"], 2),
     ("mni_jetlike5.json",
      ["check-mni", "data/jetlike5.nh", "--k", "1"], 0),
     ("mni_integrable5.json",

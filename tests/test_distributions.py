@@ -833,8 +833,9 @@ def test_wedge_checks_refuse_presentations_without_a_kernel():
     # frame alone has no coframe for any wedge check
     chart = _chart3()
     d = [DiffForm.basis(chart, name) for name in ("x", "y", "z")]
-    for coframe, message in ((d + [d[0] + d[1]], "rank -1 out of range 1..3"),
-                             (d, "rank 0 out of range 1..3")):
+    for coframe, message in (
+            (d + [d[0] + d[1]], "a coframe of 4 1-forms on 3 coordinates leaves no kernel"),
+            (d, "a coframe of 3 1-forms on 3 coordinates leaves no kernel")):
         with pytest.raises(InputError) as caught:
             check_dbasis_condition(coframe)
         assert str(caught.value) == message
@@ -848,6 +849,25 @@ def test_wedge_checks_refuse_presentations_without_a_kernel():
         with pytest.raises(InputError) as caught:
             check()
         assert str(caught.value) == "expected at least one coframe form"
+
+
+def test_distribution_names_the_size_of_a_presentation_out_of_range():
+    # the message counts the presentation and the coordinates; a coframe
+    # takes precedence when both are given (test_wedge_checks_refuse_
+    # presentations_without_a_kernel has the coframe alone)
+    chart = _chart3()
+    d = [DiffForm.basis(chart, name) for name in ("x", "y", "z")]
+    fields = [VectorField.basis(chart, i) for i in (1, 2, 3, 1)]
+    for kwargs, message in (
+            ({"frame": fields}, "a frame of 4 vector fields on 3 coordinates cannot span a "
+                                "distribution"),
+            ({"frame": []}, "a frame of 0 vector fields on 3 coordinates cannot span a "
+                            "distribution"),
+            ({"frame": [], "coframe": d}, "a coframe of 3 1-forms on 3 coordinates leaves "
+                                          "no kernel")):
+        with pytest.raises(InputError) as caught:
+            Distribution(chart, **kwargs)
+        assert str(caught.value) == message
 
 
 def test_check_dbasis_degenerate_coframe():
@@ -1046,6 +1066,10 @@ def test_certificate_first_matches_witness_first_on_the_corpus():
                 continue
         coframe = doc.one_forms()
         if not coframe:
+            continue
+        if len(coframe) >= doc.chart.n:  # no kernel: refused before any point
+            with pytest.raises(InputError):
+                check_dbasis_condition(coframe)
             continue
         cases.append((coframe, _derivatives(coframe), 1))
         twice_k = doc.chart.n - len(coframe) - 1
