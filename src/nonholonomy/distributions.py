@@ -188,7 +188,6 @@ class Distribution:
         if self.frame is not None and self.coframe is not None:
             _annihilate(self.coframe, self.frame, InputError,
                         "coframe does not annihilate the frame")
-        self._spans = None
 
     def spanning_frame(self):
         """A polynomial frame: the given one, or else the coframe's kernel
@@ -203,10 +202,9 @@ class Distribution:
         _annihilate(self.coframe, self._kernel_frame)
         return tuple(self._kernel_frame)
 
-    def _spanning_sets(self):
-        if self._spans is None:
-            self._spans = _SpanningSets(self.spanning_frame())
-        return self._spans
+    @cached_property
+    def _spans(self):
+        return _SpanningSets(self.spanning_frame())
 
     @cached_property
     def _kernel_frame(self):
@@ -371,16 +369,13 @@ def _restricted_test(dist: Distribution, omegas=None, k=1, flag=False):
 
 
 def frame_from_coframe(coframe):
-    """Complete a coframe to a polynomial frame of its kernel, of constant
-    rank everywhere (forms.kernel_frame), or None without the pivot
-    candidate's constant minor, as for dx1 + x3^2*dx3, x1*dx2 + dx3: the
-    caller must supply a frame.
-    """
-    coframe, _ = _check_coframe(coframe)
-    fields = kernel_frame(_coframe_grid(coframe))
-    if fields is not None:
-        _annihilate(coframe, fields)
-    return fields
+    """The polynomial kernel frame, of constant rank everywhere, that a
+    coframe-only Distribution proves and spans with; None without the pivot
+    candidate's constant minor, as for dx1 + x3^2*dx3, x1*dx2 + dx3. A
+    coframe of n or more 1-forms on n coordinates raises InputError."""
+    coframe, chart = _check_coframe(coframe)
+    dist = Distribution(chart, coframe=coframe)
+    return None if dist._kernel_frame is None else list(dist.spanning_frame())
 
 
 class _SpanningSets:
@@ -468,7 +463,7 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
         independent, _ = _restricted_test(dist, flag=True)
         if independent is not None and independent(q):
             return DerivedFlag(point, (dist.rank, n), True)
-    ranks, stabilized = _flag_ranks(dist._spanning_sets(), n, q, depth_cap)
+    ranks, stabilized = _flag_ranks(dist._spans, n, q, depth_cap)
     return DerivedFlag(point, ranks, stabilized)
 
 
@@ -486,7 +481,7 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     size, rows = _sample_set(dist.chart, points, seed)
     holds, _ = _restricted_test(dist, flag=True)
     if holds is None:
-        spans, n = dist._spanning_sets(), dist.chart.n
+        spans, n = dist._spans, dist.chart.n
         expected = (n,) if dist.rank == n else (dist.rank, n)
 
         def holds(q):

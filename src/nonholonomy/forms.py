@@ -11,11 +11,11 @@ algebra.IntegerGrid and take the fraction-free rank of its integer rows at
 each point, itself given as the integer row q_1, ..., q_n, D of q/D;
 evaluate_at_point is the plain Fraction evaluation. A nonzero constant
 maximal minor of the grid proves independence at every point at once. One
-search looks for it (_constant_minor), and tries one column subset: the
-pivot candidate, proposed by one elimination. It finds a constant minor
-whenever the grid's constant columns alone have full rank, as they do for
-a coframe with an identity block; a constant minor that needs a
-non-constant column, by cancellation, is not sought.
+search looks for it (_constant_minor) on one column subset, the pivot
+candidate of one elimination, and decides a block of constants by its
+integer determinant. It finds a constant minor whenever the grid's constant
+columns alone have full rank, as for a coframe with an identity block; one
+that needs a non-constant column, by cancellation, is not sought.
 """
 
 from __future__ import annotations
@@ -472,18 +472,30 @@ def _probe_points(n: int):
             tuple((-1) ** j * (2 * j + 1) for j in range(1, n + 1)))
 
 
+def _block(grid, subset):
+    """The grid's block on the column subset: Fractions if all constant."""
+    block = [[row[c] for c in subset] for row in grid]
+    if all(p.is_constant() for row in block for p in row):
+        return [[p.constant_value() for p in row] for row in block]
+    return block
+
+
 def _confirmed(grid, values, subset):
     """(subset, constant) when the grid's maximal minor on the column subset
     is a nonzero constant, else None.
 
     A nonzero constant minor has the same nonzero value at every point, so
-    the symbolic _poly_det is taken only if the subset's integer minors at
-    the two probe points (values, integer rows there) are nonzero and equal.
+    the block is built only if the subset's integer minors at the two probe
+    points (values, integer rows there) are nonzero and equal. A block of
+    constants is its linalg.det; one with a polynomial entry takes _poly_det.
     """
     d0 = det([[row[c] for c in subset] for row in values[0]])
     if not d0 or d0 != det([[row[c] for c in subset] for row in values[1]]):
         return None
-    value = _poly_det([[row[c] for c in subset] for row in grid])
+    block = _block(grid, subset)
+    if not isinstance(block[0][0], Polynomial):
+        return subset, det(block)
+    value = _poly_det(block)
     return (subset, value.constant_value()) if value.is_constant() else None
 
 
@@ -532,13 +544,8 @@ def constant_minor_certificate(forms) -> bool:
     witness: at a dependent point every maximal minor vanishes, so a
     witness already rules out a certificate. A certificate found spares
     the check every other point.
-    Only the pivot candidate is tried (see _constant_minor): it is found
-    whenever the constant columns alone have full rank, and a constant
-    minor that needs a non-constant column is not sought, so False means
-    "no certificate found", not "dependent". The candidate is expanded
-    symbolically only if its exact minors at two fixed probe points are
-    nonzero and equal: a nonzero constant minor takes one value at both, so
-    this prefilter never rules out a certificate.
+    Only the pivot candidate is tried (see _constant_minor), so False means
+    "no certificate found", not "dependent".
     """
     forms = list(forms)
     if not forms:
@@ -570,9 +577,9 @@ def kernel_frame(grid):
     Built from the constant maximal minor det G_S that _constant_minor
     finds: each column g_j outside S gets the field with 1 in slot j and
     -G_S^-1 g_j in the slots of S, so the fields have constant rank.
-    G_S^-1 is taken once (_adjugate): in Fractions when G_S is constant, as
-    it is whenever the grid's constant columns have full rank, and in
-    polynomials when the minor takes a non-constant column.
+    G_S^-1 is taken once, by _adjugate of its _block: in Fractions when G_S
+    is constant, as it is whenever the grid's constant columns have full
+    rank, and in polynomials when the minor takes a non-constant column.
     """
     found = _constant_minor(grid)
     if found is None:
@@ -580,11 +587,8 @@ def kernel_frame(grid):
     subset, det_value = found
     chart = grid[0][0].chart
     q = len(grid)
-    block = [[row[c] for c in subset] for row in grid]
-    if all(p.is_constant() for row in block for p in row):
-        block = [[p.constant_value() for p in row] for row in block]
     factor = Fraction((-1) ** q, factorial(q - 1) * det_value)
-    solve = [[x * factor for x in row] for row in _adjugate(block)]  # -G_S^-1
+    solve = [[x * factor for x in row] for row in _adjugate(_block(grid, subset))]  # -G_S^-1
     n = len(grid[0])
     zero = Polynomial.zero(chart)
     one = Polynomial.constant(chart, 1)

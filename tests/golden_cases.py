@@ -25,6 +25,8 @@ CASES = [
      ["check-dlo", "data/offpivot3.nh"], 2),
     ("dlo_oversized3.json",
      ["check-dlo", "data/oversized3.nh"], 2),
+    ("dlo_dense9.json",
+     ["check-dlo", "data/dense9.nh"], 1),
     ("mni_jetlike5.json",
      ["check-mni", "data/jetlike5.nh", "--k", "1"], 0),
     ("mni_integrable5.json",

@@ -294,6 +294,18 @@ def test_frame_from_coframe_without_constant_minor():
         assert "explicit frame" in str(err)
 
 
+def test_frame_from_coframe_refuses_a_coframe_that_leaves_no_kernel():
+    # n forms used to give [] and n + 1 forms None; like Distribution,
+    # frame_from_coframe now names the sizes
+    chart = _chart3()
+    dx, dy, dz = (DiffForm.basis(chart, name) for name in ("x", "y", "z"))
+    for coframe in ([dx, dy, dz], [dx, dy, dz, dx + dy]):
+        with pytest.raises(InputError) as caught:
+            frame_from_coframe(coframe)
+        assert str(caught.value) == (
+            "a coframe of %d 1-forms on 3 coordinates leaves no kernel" % len(coframe))
+
+
 def test_kernel_frame_matches_the_cramer_oracle():
     # the fields from one inverse of the constant block equal Cramer's rule
     # on seeded coframes with m up to 5 whose block is the identity or a
@@ -410,7 +422,7 @@ def test_flag_rows_are_evaluated_only_below_rank_n(monkeypatch):
     def reads_w_once_per_point(dist, name):
         restricted = dist._restricted_grid()
         assert len(restricted) == 1 and evaluated[restricted] == 300, name
-        assert dist._spans is None
+        assert "_spans" not in vars(dist)
         assert sum(evaluated.values()) - 300 == 2 * (dist.rank + 1), name
 
     for make, size in ((contact_structure, 3), (contact_structure, 4),
@@ -526,7 +538,7 @@ def test_has_derived_length_one_builds_two_levels(monkeypatch):
     for bundle in builtin_corpus():
         dist = bundle.distribution
         r = len(dist.spanning_frame())
-        level = dist._spanning_sets().level(1)
+        level = dist._spans.level(1)
         assert len(list(level.at((0,) * dist.chart.n + (1,)))) <= r * (r - 1) // 2
 
 
@@ -592,7 +604,7 @@ def test_restricted_grid_matches_the_flag_route_on_the_corpus():
     for bundle in builtin_corpus():
         dist = bundle.distribution
         _same_dlo_verdict(dist)
-        assert dist._restricted_grid() is not None and dist._spans is None, bundle.name
+        assert dist._restricted_grid() is not None and "_spans" not in vars(dist), bundle.name
     # at rank 1 the restricted grid has no column: every point is a witness
     chart = Chart(("x", "y"))
     x = Polynomial.coordinate(chart, "x")
@@ -777,7 +789,7 @@ def test_the_flag_route_serves_unproved_presentations(monkeypatch):
                  Distribution(jet.distribution.chart, coframe=jet.coframe)):
         brackets.clear()
         assert has_derived_length_one(dist).value
-        assert brackets == [] and dist._spans is None
+        assert brackets == [] and "_spans" not in vars(dist)
     assert built == [1, 1]
 
 

@@ -1,6 +1,7 @@
 """Exterior calculus: operation examples and the algebraic axioms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -547,6 +548,10 @@ def _fraction_prefilter_survivors(grid):
     return survivors
 
 
+def _has_polynomial_entry(block):
+    return not all(p.is_constant() for row in block for p in row)
+
+
 def _assert_matches_reference(grid):
     poly_det = forms_module._poly_det
     expanded = []
@@ -560,9 +565,12 @@ def _assert_matches_reference(grid):
         monkeypatch.setattr(forms_module, "_poly_det", recorded)
         assert _constant_minor(grid) == _reference_constant_minor(grid)
     # the integer prefilter passes on exactly the subset the Fraction one
-    # did, so the same subset comes back
+    # did, so the same subset comes back; its block is expanded
+    # symbolically only if it has a polynomial entry, as a block of
+    # constants is decided by its integer determinant
     survivors = _fraction_prefilter_survivors(grid)
-    assert expanded == [[[row[c] for c in s] for row in grid] for s in survivors]
+    blocks = [[[row[c] for c in s] for row in grid] for s in survivors]
+    assert expanded == [b for b in blocks if _has_polynomial_entry(b)]
 
 
 def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
@@ -606,20 +614,25 @@ def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
     assert _constant_minor(vanishing) == ((2,), 7)
     assert _constant_minor(scaled) == ((1,), 1)
     assert _constant_minor(hollow) is None
-    calls = []
-    poly_det = forms_module._poly_det
+    calls, confirmed = [], []
+    poly_det, original = forms_module._poly_det, forms_module._confirmed
 
-    def top_level(matrix):
-        if len(matrix) == len(twin):
-            calls.append(matrix)
+    def counted(grid, values, subset):
+        confirmed.append(subset)
+        return original(grid, values, subset)
+
+    def recorded(matrix):
+        calls.append(matrix)
         return poly_det(matrix)
 
-    monkeypatch.setattr(forms_module, "_poly_det", top_level)
+    monkeypatch.setattr(forms_module, "_poly_det", recorded)
+    monkeypatch.setattr(forms_module, "_confirmed", counted)
     assert _constant_minor(twin) == ((1, 2), -3)
-    # the pivot candidate, the constant columns 1 and 2, is expanded first
-    # and is the only subset tried, so (0, 1), which passes both probes but
-    # is not constant, is never expanded
-    assert len(calls) == 1
+    # the pivot candidate, the constant columns 1 and 2, is the only subset
+    # tried, so (0, 1), which passes both probes but is not constant, is
+    # never expanded; and the candidate is a block of constants, decided by
+    # its integer determinant with no symbolic one
+    assert confirmed == [(1, 2)] and calls == []
     # no columns at all: the certificate search finds nothing
     assert not constant_minor_certificate([DiffForm.zero(chart, 1)])
 
@@ -723,6 +736,109 @@ def test_constant_columns_of_full_rank_are_confirmed_at_once(monkeypatch):
         subset, value = result
         assert set(subset) <= set(constant) and value != 0, trial
         assert _symbolic_constant(grid, subset) == result, trial
+
+
+def _random_block_grid(rng, m, dense, constant):
+    """An m x n grid with n = m, m + 1 or m + 2, of constants: each entry a
+    rnd_fraction when dense, and 0 with probability 3/5 when sparse. A
+    polynomial grid then takes one to three polynomial entries, or, half
+    the time, is the square L*U for a constant L of full rank and the
+    identity U with one polynomial entry above its diagonal, whose
+    determinant det L is constant although a whole column is polynomial."""
+    n = m + rng.randint(0, 2)
+    chart = Chart(tuple("x%d" % i for i in range(1, n + 1)))
+
+    def constants(rows, cols):
+        return [[rnd_fraction(rng) if dense or rng.random() < 0.4 else 0 for _ in range(cols)]
+                for _ in range(rows)]
+
+    if not constant and m > 1 and rng.random() < 0.5:
+        lower = [[0]]
+        while not det(lower):
+            lower = constants(m, m)
+        i, j = sorted(rng.sample(range(m), 2))
+        factor = rnd_poly(rng, chart, max_degree=1)
+        grid = [[Polynomial.constant(chart, x) for x in row] for row in lower]
+        for row, values in zip(grid, lower):
+            row[j] = row[j] + factor * values[i]
+        return grid
+    grid = [[Polynomial.constant(chart, x) for x in row] for row in constants(m, n)]
+    if not constant:
+        for _ in range(rng.randint(1, 3)):
+            grid[rng.randrange(m)][rng.randrange(n)] = rnd_poly(rng, chart, max_degree=1)
+    return grid
+
+
+def _random_block_grids():
+    rng = random.Random(31)
+    for m in range(1, 8):
+        for dense in (True, False):
+            for constant in (True, False):
+                for _ in range(3):
+                    yield _random_block_grid(rng, m, dense, constant)
+
+
+def test_constant_minor_matches_the_laplace_reference_on_random_blocks():
+    # m <= 7, dense and sparse, constant and polynomial: the search returns
+    # the subset and value of the Laplace _poly_det on the subset it tries
+    found = Counter()
+    for grid in _random_block_grids():
+        result = _constant_minor(grid)
+        assert result == _reference_constant_minor(grid), grid
+        if result is not None:
+            block = [[row[c] for c in result[0]] for row in grid]
+            found[_has_polynomial_entry(block)] += 1
+    assert found[False] > 20 and found[True] > 5, found
+
+
+def test_poly_det_is_entered_only_for_a_block_with_a_polynomial_entry(monkeypatch):
+    entered, depth = [], [0]
+    poly_det = forms_module._poly_det
+
+    def recorded(matrix):
+        if not depth[0]:
+            entered.append(_has_polynomial_entry(matrix))
+        depth[0] += 1
+        try:
+            return poly_det(matrix)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(forms_module, "_poly_det", recorded)
+    for grid in _random_block_grids():
+        _constant_minor(grid)
+        forms_module.kernel_frame(grid)
+    assert entered and all(entered)
+
+
+def test_a_dense_constant_block_of_eleven_forms_takes_no_symbolic_determinant(monkeypatch):
+    # a_i = x1*x2*dx_(i mod 3 + 1) + sum_(j >= 4) c_ij dx_j on 14
+    # coordinates, with every c_ij in 1..9: Laplace would take 11! products
+    # on the block of columns 4 to 14, its integer determinant takes none
+    calls = []
+    poly_det = forms_module._poly_det
+
+    def recorded(matrix):
+        calls.append(matrix)
+        return poly_det(matrix)
+
+    monkeypatch.setattr(forms_module, "_poly_det", recorded)
+    m = 11
+    chart = Chart(tuple("x%d" % i for i in range(1, m + 4)))
+    rng = random.Random(9)
+    block = [[0]]
+    while not det(block):
+        block = [[rng.randint(1, 9) for _ in range(m)] for _ in range(m)]
+    x1x2 = Polynomial.coordinate(chart, 1) * Polynomial.coordinate(chart, 2)
+    zero = Polynomial.zero(chart)
+    grid = [[x1x2 if j == i % 3 else zero for j in range(3)]
+            + [Polynomial.constant(chart, c) for c in row] for i, row in enumerate(block)]
+    assert _constant_minor(grid) == (tuple(range(3, m + 3)), det(block))
+    frame = forms_module.kernel_frame(grid)
+    assert calls == [] and len(frame) == 3
+    for row in grid:
+        for field in frame:
+            assert sum((a * x for a, x in zip(row, field.components)), zero).is_zero()
 
 
 def test_form_string_rendering():

@@ -101,6 +101,14 @@ def test_rank_guard_has_one_idiom():
     assert 0 <= source.find("constant_minor_certificate(") < source.find("dependent_points(")
 
 
+def test_a_coframe_frame_has_one_proof():
+    # frame_from_coframe returns the frame a coframe-only Distribution
+    # proves, and neither builds nor checks one of its own
+    source = inspect.getsource(distributions.frame_from_coframe)
+    assert "kernel_frame(" not in source and "_annihilate(" not in source
+    assert "Distribution(" in source
+
+
 def test_integer_rows_are_the_only_point_type_below_the_api():
     # IntegerGrid has one entry, at(q) on an integer row; a sample set is
     # (size, rows), and its witnesses are made from the rows, not looked up
