@@ -49,7 +49,7 @@ from .forms import (
     wedge_all,
     wedge_power,
 )
-from .linalg import Echelon
+from .linalg import Echelon, _independent
 
 _GRID_NUMERATORS = (0, 2, -2, 1, -1)  # over D = 2: 0, 1, -1, 1/2, -1/2
 
@@ -342,13 +342,6 @@ def _pfaffian_minors(r: int, k: int):
     return r, minors
 
 
-def _independent(vectors, width: int) -> bool:
-    """Whether these integer vectors of width entries are linearly
-    independent: one Echelon, which stops at the first vector in the span
-    of those before it."""
-    return all(map(Echelon(width).add, vectors))
-
-
 def _restricted_test(dist: Distribution, omegas=None, k=1, flag=False):
     """(independent, constant): whether the Pfaffian minors of the W of the
     omegas (by default the da_i) are independent at an integer row q, and
@@ -494,10 +487,10 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     return Verdict(not witnesses, size, witnesses)
 
 
-def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
+def _wedge_verdict(dist, omegas, k, points, seed) -> Verdict:
     """Test the forms a_1^...^a_m^(omega_i)^k for pointwise independence
-    at the sample points; coframe is a Distribution or a bare coframe (see
-    _wedge_distribution), and omegas None stands for its da_i.
+    at the sample points; dist is the Distribution that _wedge_distribution
+    built, and omegas None stands for its da_i.
 
     Each point ranks the restricted grid W of the omegas over a basis
     X_1, ..., X_r of ker a: one early-stopping Echelon takes, for each i,
@@ -518,7 +511,6 @@ def _wedge_verdict(coframe, omegas, k, points, seed) -> Verdict:
     other W builds the forms for constant_minor_certificate. Without a
     certificate every point is ranked, with certificate=False.
     """
-    dist = _wedge_distribution(coframe)
     size, rows = _sample_set(dist.chart, points, seed)
     rows = iter(rows)
     first = next(rows)

@@ -8,8 +8,8 @@ so independence checks below are decisions, not estimates.
 
 Pointwise checks compile a form's coefficient grid once into an
 algebra.IntegerGrid and take the fraction-free rank of its integer rows at
-each point, itself given as the integer row q_1, ..., q_n, D of q/D;
-evaluate_at_point is the plain Fraction evaluation. A nonzero constant
+each point, itself given as the integer row q_1, ..., q_n, D of q/D; the
+one Fraction evaluation is algebra.poly_eval. A nonzero constant
 maximal minor of the grid proves independence at every point at once. One
 search looks for it (_constant_minor) on one column subset, the pivot
 candidate of one elimination, and decides a block of constants by its
@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval, signed_sum
+from .algebra import Chart, IntegerGrid, Polynomial, poly_diff, signed_sum
 from .errors import InputError
-from .linalg import Echelon, det, rank
+from .linalg import Echelon, _independent, det
 
 
 def sort_with_sign(indices):
@@ -394,18 +394,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, comps)
 
 
-# -- pointwise evaluation and independence ---------------------------------
-
-
-def evaluate_at_point(a: DiffForm, point):
-    """Numeric coefficients at a point: a map from index tuples to
-    Fractions, zero values dropped."""
-    out = {}
-    for key, coeff in a.terms.items():
-        value = poly_eval(coeff, point)
-        if value:
-            out[key] = value
-    return out
+# -- pointwise independence ------------------------------------------------
 
 
 def _grid(forms, what):
@@ -429,22 +418,14 @@ def dependent_points(forms, rows):
 
     The coefficient grid is compiled once into an IntegerGrid, and its
     integer rows at each point, positive multiples of the exact ones, go
-    to the fraction-free rank.
+    to one early-stopping Echelon.
     """
     forms = list(forms)
     if not forms:
         return
-    grid = IntegerGrid(forms[0].chart, _grid(forms, "independence check"))
-    yield from (q for q in rows if rank(list(grid.at(q))) < len(forms))
-
-
-def independent_at_point(forms, point) -> bool:
-    """Are these same-degree forms independent at a point of ints and Fractions?"""
-    forms = list(forms)
-    if not forms:
-        return True
-    q = _integer_point(point, forms[0].chart.n)
-    return next(dependent_points(forms, [q]), None) is None
+    polys = _grid(forms, "independence check")
+    grid = IntegerGrid(forms[0].chart, polys)
+    yield from (q for q in rows if not _independent(grid.at(q), len(polys[0])))
 
 
 def _poly_det(matrix) -> Polynomial:

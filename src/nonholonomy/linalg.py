@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
-One fraction-free (Bareiss) reduction, Echelon, serves rank, det,
-kernel_basis and solve. It takes integer rows one at a time, each reduced
-against the rows held so far, so a caller whose rows come in batches, as
-the derived flag's levels do, extends one elimination instead of starting
-again. Each function clears the denominators of its rows itself, so
-intermediate entries stay integers and never lose exactness. A held row
-is kept at full width, zero before its pivot and at the pivots of the rows
-held before it, so kernel_basis and solve share one back-substitution that
-takes one dot product and one exact division by the pivot per held row.
+One fraction-free (Bareiss) reduction, Echelon, serves rank, det, solve
+and the independence test _independent. It takes integer rows one at a
+time, each reduced against the rows held so far, so a caller whose rows
+come in batches, as the derived flag's levels do, extends one elimination
+instead of starting again. rank and det clear the denominators of their
+rows themselves, so intermediate entries stay integers and never lose
+exactness. A held row is kept at full width, zero before its pivot and at
+the pivots of the rows held before it, so Echelon.kernel, the one kernel
+routine, and solve share one back-substitution that takes one dot product
+and one exact division by the pivot per held row.
 pfaffian runs the skew analogue of the elimination.
 
 Everything here is deterministic, and the pivot columns do not depend on
@@ -129,6 +130,13 @@ class Echelon:
                 if free not in self.pivots]
 
 
+def _independent(vectors, width: int) -> bool:
+    """Whether these integer vectors of width entries are linearly
+    independent: one Echelon, which stops at the first vector in the span
+    of those before it."""
+    return all(map(Echelon(width).add, vectors))
+
+
 def pfaffian(rows) -> Fraction:
     """Pfaffian of a skew-symmetric matrix given as an iterable of rows.
 
@@ -200,26 +208,6 @@ def det(rows) -> Fraction:
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
     last = echelon.last_pivot()
     return Fraction(-last if inversions % 2 else last, scale)
-
-
-def kernel_basis(rows, n_cols: int):
-    """Basis of {v : A v = 0} for the matrix with the given rows.
-
-    An empty row list means the zero map, whose kernel is all of Q^n_cols.
-    Basis vectors are tuples of Fractions, one per free column, in column
-    order: the one for a free column has 1 there and 0 in the other free
-    columns, Echelon.kernel's vector divided by the last pivot. The pivot
-    columns are the first column basis in lexicographic order, whatever
-    order the rows come in, so the basis depends only on the matrix.
-    """
-    M, _ = _integer_rows(rows)
-    echelon = Echelon(n_cols)
-    for row in M:
-        if len(row) != n_cols:
-            raise InputError("row of length %d does not match %d columns" % (len(row), n_cols))
-        echelon.add(row)
-    last = echelon.last_pivot()
-    return [tuple(Fraction(x, last) for x in v) for v in echelon.kernel()]
 
 
 def solve(rows, columns, scale: int):

@@ -9,9 +9,9 @@ Pfaffian minor of that extraction one by one, the path that the single
 skew solve per form replaced. interior_product is the
 contraction behind the Leibniz-rule axiom of criterion 1, and
 pointwise_kernel the exact pointwise kernel that symbolic frames are
-cross-checked against. evaluate_field, independent_by_fractions and
-derived_flag_by_fractions evaluate one point at a time in Fractions, the
-path that the compiled integer evaluation replaced, and
+cross-checked against; it and evaluate_field, independent_by_fractions
+and derived_flag_by_fractions evaluate one point at a time in Fractions,
+through poly_eval, the path that the compiled integer evaluation replaced.
 first_rank_drop_by_fractions is the point-by-point rank guard that the
 wedge checks now run only where their forms vanish;
 witness_first_verdict is the wedge checks' earlier order, which ranked
@@ -26,8 +26,9 @@ sample set as Fraction points, the path that the lazy integer draw
 replaced, and grid_rows_by_products evaluates an IntegerGrid's rows with
 each monomial a product of powers, the evaluation that its trie replaced.
 column_scan_bareiss is the whole-matrix elimination that linalg.Echelon's
-row-at-a-time reduction replaced, with the rank, det, kernel_basis and
-solve built on it; the derived-flag oracle ranks with it.
+row-at-a-time reduction replaced, with the rank, det, kernel basis and
+solve built on it; the derived-flag oracle ranks with it, and
+pointwise_kernel takes its kernel basis, a reference for Echelon.kernel.
 """
 
 import random
@@ -51,13 +52,12 @@ from nonholonomy.forms import (
     _probe_points,
     constant_minor_certificate,
     dependent_points,
-    evaluate_at_point,
     lie_bracket,
     wedge,
     wedge_all,
     wedge_power,
 )
-from nonholonomy.linalg import _integer_rows, kernel_basis, pfaffian, rank
+from nonholonomy.linalg import _integer_rows, pfaffian, rank
 from nonholonomy.singularity import CExtraction, FiberPoint
 
 
@@ -100,13 +100,12 @@ def pointwise_kernel(coframe, point):
                 for i in range(chart_n)]
     coframe, chart = _check_coframe(coframe)
     point = tuple(point)
-    rows = []
-    for form in coframe:
-        values = evaluate_at_point(form, point)
-        rows.append([values.get((j,), Fraction(0)) for j in range(1, chart.n + 1)])
+    zero = Polynomial.zero(chart)
+    rows = [[poly_eval(form.terms.get((j,), zero), point) for j in range(1, chart.n + 1)]
+            for form in coframe]
     if rank(rows) != len(coframe):
         raise _rank_drop("coframe", point)
-    return kernel_basis(rows, chart.n)
+    return column_scan_kernel_basis(rows, chart.n)
 
 
 def column_scan_bareiss(M):
@@ -194,18 +193,16 @@ def evaluate_field(field: VectorField, point):
 
 
 def independent_by_fractions(forms, point) -> bool:
-    """Same-degree forms independent at the point, by evaluate_at_point
-    and the rank of the Fraction rows."""
+    """Same-degree forms independent at the point, by poly_eval of each
+    coefficient and the rank of the Fraction rows."""
     forms = list(forms)
     if not forms:
         return True
     columns = sorted(set().union(*(f.terms.keys() for f in forms)))
     if not columns:
         return False
-    rows = []
-    for form in forms:
-        values = evaluate_at_point(form, point)
-        rows.append([values.get(c, Fraction(0)) for c in columns])
+    zero = Polynomial.zero(forms[0].chart)
+    rows = [[poly_eval(form.terms.get(c, zero), point) for c in columns] for form in forms]
     return rank(rows) == len(forms)
 
 

@@ -139,13 +139,13 @@ def test_build_prop_ori_omegas_stops_at_the_first_dependent_row(monkeypatch):
     x1 = Polynomial.coordinate(chart, "x1")
     dx = [DiffForm.basis(chart, j) for j in (1, 2, 3)]
     ranked = []
-    original = forms.rank
+    original = forms._independent
 
-    def counted(rows):
-        ranked.append(len(rows))
-        return original(rows)
+    def counted(rows, width):
+        ranked.append(width)
+        return original(rows, width)
 
-    monkeypatch.setattr(forms, "rank", counted)
+    monkeypatch.setattr(forms, "_independent", counted)
     try:
         build_prop_ori_omegas([(x1 - Fraction(1, 2)) * dx[0], dx[1], dx[2]])
         assert False

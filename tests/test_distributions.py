@@ -1041,7 +1041,9 @@ def _agreed_outcome(coframe, omegas, k, points=None, seed=0):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distributions, "wedge_power", counted)
-        outcome = _verdict_or_drop(distributions._wedge_verdict, *args)
+        outcome = _verdict_or_drop(
+            lambda c, *rest: distributions._wedge_verdict(distributions._wedge_distribution(c), *rest),
+            *args)
     assert outcome == _verdict_or_drop(witness_first_verdict, *args)
     frame = kernel_frame(distributions._coframe_grid(coframe))
     if _kind(outcome) == "drop":
@@ -1323,8 +1325,8 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
     original_pointwise = distributions._pointwise_restricted_grid
     monkeypatch.setattr(distributions, "_compile_restricted_grid", compiled)
     monkeypatch.setattr(distributions, "_pointwise_restricted_grid", built_at_points)
-    for module in (forms, linalg):
-        monkeypatch.setattr(module, "rank", counted_rank)
+    assert not hasattr(forms, "rank")
+    monkeypatch.setattr(linalg, "rank", counted_rank)
     monkeypatch.setattr(forms, "dependent_points", counted_guard)
     monkeypatch.setattr(distributions, "constant_minor_certificate", counted_search)
 

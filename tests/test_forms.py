@@ -24,9 +24,7 @@ from nonholonomy.forms import (
     _probe_points,
     constant_minor_certificate,
     dependent_points,
-    evaluate_at_point,
     exterior_derivative,
-    independent_at_point,
     lie_bracket,
     sort_with_sign,
     wedge,
@@ -365,29 +363,44 @@ def test_lie_bracket_algebra(rng):
 
 
 def test_evaluate_at_point():
+    # a form's values at a point are poly_eval of its coefficients, and
+    # dependent_points sees the same values through the integer rows
     chart = Chart(("x", "y", "z"))
     x = Polynomial.coordinate(chart, "x")
     y = Polynomial.coordinate(chart, "y")
     dx, dy, dz = (DiffForm.basis(chart, name) for name in ("x", "y", "z"))
-    assert evaluate_at_point(DiffForm.zero(chart, 1), (0, 0, 0)) == {}
-    assert evaluate_at_point(dz - y * dx, (5, 1, 2)) == {(3,): 1, (1,): -1}
+    assert list(dependent_points([DiffForm.zero(chart, 1)], [[0, 0, 0, 1]])) == [[0, 0, 0, 1]]
+    form = dz - y * dx
+    assert {key: poly_eval(c, (5, 1, 2)) for key, c in form.terms.items()} == {(3,): 1, (1,): -1}
+    row = _integer_point((5, 1, 2), 3)
+    assert list(dependent_points([form, dz - dx], [row])) == [row]
+    assert list(dependent_points([form, dz + dx], [row])) == []
     two_form = x * wedge(dy, dz) + (x * y) * wedge(dx, dy)
-    assert evaluate_at_point(two_form, (2, 3, 0)) == {(2, 3): 2, (1, 2): 6}
+    values = {key: poly_eval(c, (2, 3, 0)) for key, c in two_form.terms.items()}
+    assert values == {(2, 3): 2, (1, 2): 6}
+    row = _integer_point((2, 3, 0), 3)
+    assert list(dependent_points([two_form, 3 * wedge(dx, dy) + wedge(dy, dz)], [row])) == [row]
+    assert independent_by_fractions([two_form, wedge(dx, dy)], (2, 3, 0))
 
 
 def test_independent_at_point_basics():
+    # pointwise independence at points of ints and Fractions: the integer
+    # rows of dependent_points, and the Fraction rows of the oracle
     chart = Chart(("x", "y"))
     dx = DiffForm.basis(chart, "x")
     dy = DiffForm.basis(chart, "y")
-    assert independent_at_point([dx, dy], (0, 0))
-    assert independent_at_point([dx, dy], (3, Fraction(-1, 2)))
-    assert not independent_at_point([dx, 2 * dx], (1, 1))
-    assert independent_at_point([], (0, 0))
-    try:
-        independent_at_point([dx, DiffForm.zero(chart, 2)], (0, 0))
-        assert False
-    except InputError:
-        pass
+    points = [(0, 0), (3, Fraction(-1, 2)), (1, 1)]
+    rows = [_integer_point(p, 2) for p in points]
+    assert rows[1] == [6, -1, 2]
+    assert list(dependent_points([dx, dy], rows)) == []
+    assert list(dependent_points([dx, 2 * dx], rows)) == rows
+    assert list(dependent_points([], rows)) == []
+    for p in points:
+        assert independent_by_fractions([dx, dy], p)
+        assert not independent_by_fractions([dx, 2 * dx], p)
+        assert independent_by_fractions([], p)
+    with pytest.raises(InputError):
+        list(dependent_points([dx, DiffForm.zero(chart, 2)], rows))
 
 
 def test_independent_at_point_jet_four_forms():
@@ -403,10 +416,12 @@ def test_independent_at_point_jet_four_forms():
         wedge_all([alphas[0], alphas[1], exterior_derivative(alphas[i])]) for i in (0, 1)
     ]
     origin = (0, 0, 0, 0, 0)
-    assert independent_at_point(four_forms, origin)
+    assert list(dependent_points(four_forms, [_integer_point(origin, 5)])) == []
+    assert independent_by_fractions(four_forms, origin)
     # oracle: at the origin the two forms have disjoint single supports
-    assert evaluate_at_point(four_forms[0], origin) == {(1, 2, 3, 4): 1}
-    assert evaluate_at_point(four_forms[1], origin) == {(1, 2, 3, 5): 1}
+    for form, key in zip(four_forms, ((1, 2, 3, 4), (1, 2, 3, 5))):
+        assert poly_eval(form.terms[key], origin) == 1
+        assert all(poly_eval(c, origin) == 0 for other, c in form.terms.items() if other != key)
 
 
 def _corpus_form_tuples():
@@ -444,8 +459,6 @@ def test_dependent_points_matches_fraction_oracle():
         expected = [p for p in points if not independent_by_fractions(forms, p)]
         rows = [_integer_point(p, forms[0].chart.n) for p in points]
         assert list(map(_fraction_point, dependent_points(forms, rows))) == expected, name
-        for p in points[::6]:
-            assert independent_at_point(forms, p) == independent_by_fractions(forms, p), name
         dependent += len(expected)
     assert dependent > 100
 
@@ -462,8 +475,8 @@ def test_constant_minor_certificate():
     # the certificate search comes back empty without contradicting sampling
     stretched = (x * x + 1) * dx
     assert not constant_minor_certificate([stretched])
-    for pt in ((0, 0, 0), (1, 2, 3), (Fraction(-1, 2), 0, 7)):
-        assert independent_at_point([stretched], pt)
+    points = ((0, 0, 0), (1, 2, 3), (Fraction(-1, 2), 0, 7))
+    assert not list(dependent_points([stretched], [_integer_point(pt, 3) for pt in points]))
     assert constant_minor_certificate([])
     try:
         constant_minor_certificate([dx, wedge(dx, dy)])

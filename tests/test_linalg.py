@@ -6,7 +6,7 @@ import pytest
 
 from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.linalg import (
-    Echelon, _integer_rows, det, kernel_basis, normalize_primitive, pfaffian, rank, solve,
+    Echelon, _integer_rows, det, normalize_primitive, pfaffian, rank, solve,
 )
 
 from conftest import rnd_fraction
@@ -243,13 +243,21 @@ def test_integer_rows_scale():
     assert scale == 24
 
 
+# Echelon.kernel of the rows, each vector divided by the last pivot
+def echelon_kernel(rows, n_cols):
+    echelon = Echelon(n_cols)
+    for row in _integer_rows(rows)[0]:
+        echelon.add(row)
+    return [tuple(Fraction(x, echelon.last_pivot()) for x in v) for v in echelon.kernel()]
+
+
 def test_kernel_basis_properties():
     rng = random.Random(11)
     for _ in range(200):
         n_rows = rng.randint(0, 4)
         n_cols = rng.randint(1, 5)
         rows = [[rnd_fraction(rng) for _ in range(n_cols)] for _ in range(n_rows)]
-        basis = kernel_basis(rows, n_cols)
+        basis = echelon_kernel(rows, n_cols)
         assert len(basis) == n_cols - rank(rows)
         for v in basis:
             for row in rows:
@@ -259,7 +267,7 @@ def test_kernel_basis_properties():
 
 
 def test_kernel_of_empty_matrix_is_everything():
-    basis = kernel_basis([], 3)
+    basis = echelon_kernel([], 3)
     assert len(basis) == 3
     assert rank(basis) == 3
 
@@ -298,7 +306,7 @@ def reference_kernel_basis(rows, n_cols):
 def test_kernel_basis_matches_reduced_echelon_reference():
     # a zero first column and a proportional second row: one pivot, in
     # column 1, and free columns 0 and 2
-    assert kernel_basis([[0, 1, 2], [0, 2, 4]], 3) == [
+    assert echelon_kernel([[0, 1, 2], [0, 2, 4]], 3) == [
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(-2), Fraction(1)),
     ]
@@ -310,7 +318,7 @@ def test_kernel_basis_matches_reduced_echelon_reference():
         # about 40% zero entries, so zero columns and dependent rows occur
         rows = [[Fraction(0) if rng.random() < 0.4 else rnd_fraction(rng) for _ in range(n_cols)]
                 for _ in range(n_rows)]
-        basis = kernel_basis(rows, n_cols)
+        basis = echelon_kernel(rows, n_cols)
         assert basis == reference_kernel_basis(rows, n_cols)
         assert all(type(x) is Fraction for v in basis for x in v)
         deficient += len(basis) > max(n_cols - n_rows, 0)
@@ -362,7 +370,7 @@ def test_elimination_matches_column_scan_oracle():
             rows = _integer_rows(rows)[0]
         n_cols = len(rows[0]) if rows else rng.randint(1, 4)
         assert rank(rows) == column_scan_rank(rows)
-        assert kernel_basis(rows, n_cols) == column_scan_kernel_basis(rows, n_cols)
+        assert echelon_kernel(rows, n_cols) == column_scan_kernel_basis(rows, n_cols)
         seen["deficient"] += rank(rows) < min(len(rows), n_cols)
         M, _ = _integer_rows(rows)
         echelon = Echelon(n_cols)

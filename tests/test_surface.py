@@ -1,6 +1,7 @@
 """The package's public surface: the exported names, the parameters that
 were folded into constants, and the README's library tour."""
 
+import ast
 import contextlib
 import inspect
 import io
@@ -12,6 +13,7 @@ import nonholonomy
 from nonholonomy import algebra, constructions, distributions, forms, linalg, singularity
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(nonholonomy.__file__).resolve().parent
 
 EXPORTED = [
     "Chart", "ConsistencyError", "DegeneratePresentationError", "DerivedFlag",
@@ -60,6 +62,32 @@ def test_test_only_entry_points_stay_out_of_the_package():
     for module in (nonholonomy, distributions):
         assert not hasattr(module, "type_of")
         assert not hasattr(module, "TypeReport")
+    # pointwise checks evaluate integer rows and take kernels from
+    # Echelon.kernel; the Fraction-point helpers are gone
+    assert not hasattr(forms, "evaluate_at_point")
+    assert not hasattr(forms, "independent_at_point")
+    assert not hasattr(linalg, "kernel_basis")
+
+
+def test_every_module_function_is_exported_or_called():
+    # a module-level function of the package is named in __all__ or
+    # referenced, as a name or an attribute, from its code; docstrings and
+    # imports do not count
+    defined, referenced = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update((node.name, path.stem) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = sorted("%s.%s" % (module, name) for name, module in defined.items()
+                    if name not in nonholonomy.__all__ and name not in referenced)
+    assert unused == []
 
 
 def test_removed_parameters_stay_removed():
@@ -82,7 +110,7 @@ def test_single_caller_helpers_stay_folded():
     assert not hasattr(forms, "_probe_values")
     assert not hasattr(forms, "integer_rows")
     assert not hasattr(linalg, "integer_rows")
-    # kernel_basis back-substitutes on the Bareiss echelon rows; the
+    # Echelon.kernel back-substitutes on the Bareiss echelon rows; the
     # Gauss-Jordan reference lives in tests/test_linalg.py
     assert not hasattr(linalg, "rref")
 
@@ -133,7 +161,7 @@ def test_linalg_has_one_elimination_and_its_skew_analogue():
            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == linalg.__name__}
     assert sorted(name for name, obj in own.items() if "// prev" in inspect.getsource(obj)) == [
         "Echelon", "pfaffian"]
-    for name in ("rank", "det", "kernel_basis", "solve"):
+    for name in ("rank", "det", "solve", "_independent"):
         assert "Echelon(" in inspect.getsource(own[name]), name
 
 
