@@ -19,10 +19,13 @@ from operator import mul
 
 from .errors import InputError
 
+_SMALL_RATIONALS = tuple(tuple(Fraction(p, q) for q in (1, 2, 3)) for p in range(-9, 10))
+
 
 def random_rational(rng: random.Random) -> Fraction:
-    """A small random rational: numerator in [-9, 9], denominator in {1, 2, 3}."""
-    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+    """A small random rational: numerator in [-9, 9] by randint, then
+    denominator in {1, 2, 3} by choice, looked up in a table of all 57."""
+    return rng.choice(_SMALL_RATIONALS[rng.randint(-9, 9) + 9])
 
 
 def signed_sum(parts) -> str:

@@ -8,8 +8,8 @@ instead of starting again. rank and det clear the denominators of their
 rows themselves, so intermediate entries stay integers and never lose
 exactness. A held row is kept at full width, zero before its pivot and at
 the pivots of the rows held before it, so Echelon.kernel, the one kernel
-routine, and solve share one back-substitution that takes one dot product
-and one exact division by the pivot per held row.
+routine, and solve share one back-substitution: per held row, a dot
+product over the row from its pivot on and an exact division by the pivot.
 pfaffian runs the skew analogue of the elimination.
 
 Everything here is deterministic, and the pivot columns do not depend on
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ConsistencyError, InputError
 
@@ -108,14 +109,19 @@ class Echelon:
         of addition, each by one dot product and one division by its pivot:
         v[c_k] = -(held_k . v) / p_k, as v is still 0 at c_k and at the
         pivots of the rows held before k, and known everywhere else by then.
-        The division is exact whenever the whole vector is integral, which
-        the caller ensures by its choice of scale; a remainder raises
-        ConsistencyError.
+        held_k is 0 before c_k, and v at the non-pivot columns but free
+        (such as solve's other right-hand sides), so the dot product runs
+        over the held row from its pivot on to the last pivot column, top,
+        and at free. The division is exact whenever the whole vector is
+        integral, as the caller's scale ensures; else ConsistencyError.
         """
         v = [0] * self._n_cols
         v[free] = scale
+        top = max(self.pivots, default=-1) + 1
+        past = scale if free >= top else 0  # v[free] when the band misses it
         for held, p, c in zip(*map(reversed, (self._rows, self._heads, self.pivots))):
-            value, remainder = divmod(-sum(x * y for x, y in zip(held, v)), p)
+            dot = sum(map(mul, held[c + 1:top], v[c + 1:top])) + held[free] * past
+            value, remainder = divmod(-dot, p)
             if remainder:
                 raise ConsistencyError("back-substitution scale leaves a fraction")
             v[c] = value

@@ -122,17 +122,17 @@ class FiberPoint:
         """A fiber with every entry drawn by the small-rational sampler from rng.
 
         include_principal=False leaves the z^i_{1mu} slots empty, matching
-        the probe's setup where those are the unknowns.
+        the probe's setup where those are the unknowns. The constructor checks
+        n and k; the draws fill a and z in order, zeros left out, unchecked.
         """
-        m = n - 2 * k - 1
-        a = {(i, j): random_rational(rng) for i in range(1, m + 1) for j in range(1, n + 1)}
-        z = {}
-        for i in range(1, m + 1):
-            for j, l in combinations(range(1, n + 1), 2):
-                if j == 1 and not include_principal:
-                    continue
-                z[(i, j, l)] = random_rational(rng)
-        return cls(n, k, a, z)
+        fp = cls(n, k)
+        forms = range(1, fp.m + 1)
+        a_keys = ((i, j) for i in forms for j in range(1, n + 1))
+        z_keys = ((i, j, l) for i in forms for j, l in combinations(range(1, n + 1), 2)
+                  if include_principal or j != 1)
+        fp.a = {key: v for key in a_keys if (v := random_rational(rng))}
+        fp.z = {key: v for key in z_keys if (v := random_rational(rng))}
+        return fp
 
     def __repr__(self):
         return "FiberPoint(n=%d, k=%d, %d a-entries, %d z-entries)" % (

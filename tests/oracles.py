@@ -23,7 +23,9 @@ constant minor by Fraction ranks, and cramer_kernel_frame solves the
 kernel frame's slots by Cramer's rule, the r * m symbolic determinants
 that one inverse of the constant block replaced. sample_points_by_fractions builds the
 sample set as Fraction points, the path that the lazy integer draw
-replaced, and grid_rows_by_products evaluates an IntegerGrid's rows with
+replaced; fiber_by_fractions draws a fiber with a new Fraction per entry,
+the path that the table of small rationals replaced; and
+grid_rows_by_products evaluates an IntegerGrid's rows with
 each monomial a product of powers, the evaluation that its trie replaced.
 column_scan_bareiss is the whole-matrix elimination that linalg.Echelon's
 row-at-a-time reduction replaced, with the rank, det, kernel basis and
@@ -36,9 +38,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import factorial, lcm, prod
 
-from nonholonomy.algebra import (
-    Chart, IntegerGrid, Polynomial, _integer_point, poly_eval, random_rational,
-)
+from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, _integer_point, poly_eval
 from nonholonomy.distributions import (
     Verdict, _SpanningSets, _check_coframe, _flag_ranks, _fraction_point, _rank_drop, _sample_set,
 )
@@ -233,11 +233,11 @@ GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(
 def sample_points_by_fractions(chart, seed=0):
     """The sample set as a list of tuples of Fractions: the first 200 points
     of the grid over GRID_VALUES in lexicographic order, then 100 points of
-    random_rational coordinates seeded by seed."""
+    fraction_draw coordinates seeded by seed."""
     points = list(islice(product(GRID_VALUES, repeat=chart.n), 200))
     rng = random.Random(seed)
     for _ in range(100):
-        points.append(tuple(random_rational(rng) for _ in range(chart.n)))
+        points.append(tuple(fraction_draw(rng) for _ in range(chart.n)))
     return points
 
 
@@ -366,6 +366,26 @@ def fiber_chart(n: int) -> Chart:
     if n not in _fiber_charts:
         _fiber_charts[n] = Chart(tuple("x%d" % j for j in range(1, n + 1)))
     return _fiber_charts[n]
+
+
+def fraction_draw(rng):
+    """random_rational's draw with a new Fraction built from its two rng
+    calls, the path that the table of small rationals replaced."""
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+
+def fiber_by_fractions(n, k, rng, include_principal=True):
+    """FiberPoint.random as it was before it filled a and z itself: every
+    entry a fraction_draw, the whole fiber validated by the constructor."""
+    m = n - 2 * k - 1
+    a = {(i, j): fraction_draw(rng) for i in range(1, m + 1) for j in range(1, n + 1)}
+    z = {}
+    for i in range(1, m + 1):
+        for j, l in combinations(range(1, n + 1), 2):
+            if j == 1 and not include_principal:
+                continue
+            z[(i, j, l)] = fraction_draw(rng)
+    return FiberPoint(n, k, a, z)
 
 
 def alpha_form(fp: FiberPoint, i: int, chart: Chart = None) -> DiffForm:

@@ -5,12 +5,12 @@ from math import lcm
 import pytest
 
 from nonholonomy.algebra import (
-    Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval,
+    Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval, random_rational,
 )
 from nonholonomy.errors import InputError
 
 from conftest import rnd_chart, rnd_poly, rnd_point
-from oracles import grid_rows_by_products
+from oracles import fraction_draw, grid_rows_by_products
 
 
 def test_chart_basics():
@@ -24,6 +24,19 @@ def test_chart_basics():
         Chart(())
     with pytest.raises(InputError):
         Chart(("x", "x"))
+
+
+def test_random_rational_takes_the_fraction_draws_rng_calls():
+    # the table lookup returns the Fraction a new one would be, from the
+    # same two rng calls, over every numerator and denominator
+    fast, slow = random.Random(5), random.Random(5)
+    seen = set()
+    for _ in range(3000):
+        value = random_rational(fast)
+        assert value == fraction_draw(slow) and type(value) is Fraction
+        seen.add(value)
+    assert fast.getstate() == slow.getstate()
+    assert seen == {Fraction(p, q) for p in range(-9, 10) for q in (1, 2, 3)}
 
 
 def test_polynomial_construction_drops_zeros():

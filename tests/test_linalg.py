@@ -396,6 +396,55 @@ def test_elimination_matches_column_scan_oracle():
     assert all(count > 20 for count in seen.values()), seen
 
 
+def test_back_substitution_band_matches_column_scan_oracle():
+    # kernel_vector's dot product runs over each held row from its pivot to
+    # the last pivot column, plus the free column when it lies past them;
+    # against the column scan's full-width back-substitution: kernels of
+    # rank-deficient and wide integer matrices, rows ordered so that a
+    # later row takes an earlier pivot column, and solves with up to
+    # 2 * size columns at the Pfaffian scale
+    rng = random.Random(71)
+    seen = dict.fromkeys(("deficient", "wide", "earlier pivot", "free past the pivots"), 0)
+    for trial in range(600):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 8)
+        # a product through inner columns has rank at most inner
+        inner = rng.randint(0, min(n_rows, n_cols)) if trial % 2 else max(n_rows, n_cols)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(n_rows)]
+        right = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(inner)]
+        rows = [[sum(a * r[j] for a, r in zip(row, right)) for j in range(n_cols)] for row in left]
+        if trial % 3 == 0:  # by leading column, last first
+            rows.sort(key=lambda row: next((j for j, x in enumerate(row) if x), n_cols), reverse=True)
+        echelon = Echelon(n_cols)
+        for row in rows:
+            echelon.add(row)
+        assert echelon_kernel(rows, n_cols) == column_scan_kernel_basis(rows, n_cols)
+        pivots = echelon.pivots
+        seen["deficient"] += len(pivots) < min(n_rows, n_cols)
+        seen["wide"] += n_rows < n_cols
+        seen["earlier pivot"] += pivots != sorted(pivots)
+        seen["free past the pivots"] += max(pivots, default=-1) < n_cols - 1
+    solved = 0
+    for size in (2, 4, 6, 8):
+        for _ in range(20):
+            A = [[0] * size for _ in range(size)]
+            for i, j in combinations(range(size), 2):
+                A[i][j] = rng.randint(-4, 4)
+                A[j][i] = -A[i][j]
+            pf = int(pfaffian(A))
+            if not pf:
+                continue
+            columns = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(rng.randint(1, 2 * size))]
+            assert solve(A, columns, pf) == column_scan_solve(A, columns, pf)
+            if abs(pf) > 1:
+                # A^-1 is integral only when det A = Pf(A)^2 is 1, so at
+                # scale 1 some unit column leaves a remainder
+                units = [[int(a == b) for a in range(size)] for b in range(size)]
+                with pytest.raises(ConsistencyError):
+                    solve(A, units * 2, 1)
+            solved += 1
+    assert solved > 40 and all(count > 30 for count in seen.values()), (solved, seen)
+
+
 def test_echelon_grows_by_rows():
     # a row in the span of the held rows is not held, and the pivots are
     # each row's first column left nonzero

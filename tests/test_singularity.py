@@ -32,6 +32,7 @@ from oracles import (
     column_scan_kernel_basis,
     dependence_form,
     direct_extraction,
+    fiber_by_fractions,
     fiber_chart,
     omega_form,
     pseudo_symmetry_check,
@@ -165,6 +166,23 @@ def test_fiber_point_random_is_seeded():
     assert one.a == two.a and one.z == two.z
     bare = FiberPoint.random(5, 1, random.Random(9), include_principal=False)
     assert all(j != 1 for (_, j, _) in bare.z)
+
+
+def test_fiber_point_random_matches_the_fraction_draw():
+    # the table draw, filled straight into a and z, gives every fiber the
+    # same entries in the same order as a new Fraction per entry validated
+    # by the constructor, and leaves the rng in the same state
+    for k in range(1, 6):
+        for n in range(2 * k + 2, 4 * k + 3):
+            for include_principal in (True, False):
+                fast, slow = random.Random(100 * n + k), random.Random(100 * n + k)
+                fp = FiberPoint.random(n, k, fast, include_principal)
+                reference = fiber_by_fractions(n, k, slow, include_principal)
+                assert list(fp.a.items()) == list(reference.a.items())
+                assert list(fp.z.items()) == list(reference.z.items())
+                assert fast.getstate() == slow.getstate()
+    with pytest.raises(InputError):
+        FiberPoint.random(5, 2, random.Random(0))
 
 
 def test_alpha_and_omega_forms():

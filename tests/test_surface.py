@@ -163,6 +163,9 @@ def test_linalg_has_one_elimination_and_its_skew_analogue():
         "Echelon", "pfaffian"]
     for name in ("rank", "det", "solve", "_independent"):
         assert "Echelon(" in inspect.getsource(own[name]), name
+    # one back-substitution, Echelon.kernel_vector, behind Echelon.kernel and solve
+    assert [name for name, obj in own.items() if "divmod(" in inspect.getsource(obj)] == ["Echelon"]
+    assert all("kernel_vector(" in inspect.getsource(f) for f in (linalg.Echelon.kernel, linalg.solve))
 
 
 def test_readme_library_tour_runs():
