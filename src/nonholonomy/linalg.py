@@ -10,7 +10,9 @@ exactness. A held row is kept at full width, zero before its pivot and at
 the pivots of the rows held before it, so Echelon.kernel, the one kernel
 routine, and solve share one back-substitution: per held row, a dot
 product over the row from its pivot on and an exact division by the pivot.
-pfaffian runs the skew analogue of the elimination.
+solve takes a skew A and reads its scale |Pf(A)| off the same elimination,
+whose last pivot is +-det(A) = +-Pf(A)^2, so a skew system is eliminated
+once. pfaffian runs the skew analogue of the elimination.
 
 Everything here is deterministic, and the pivot columns do not depend on
 the order of the rows: a held row is zero before its pivot, its first
@@ -22,7 +24,7 @@ columns, the lexicographically first column basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .errors import ConsistencyError, InputError
@@ -216,39 +218,29 @@ def det(rows) -> Fraction:
     return Fraction(-last if inversions % 2 else last, scale)
 
 
-def solve(rows, columns, scale: int):
-    """The columns of scale * A^-1 * B, in integers.
+def solve(rows, columns):
+    """(p, X) with p = |Pf(A)| and X the columns of p * A^-1 * B, in
+    integers; None when A is singular.
 
-    rows is a nonsingular square integer matrix A and columns the integer
+    rows is a skew-symmetric integer matrix A and columns the integer
     columns of B. One elimination of [A | B] serves every column: A is
     nonsingular exactly when the pivots of [A | B] are A's columns in some
-    order. scale must make scale * A^-1 * B integral; det(A) always does,
-    and a skew A's Pfaffian does for an integral B, as Pf(A) * A^-1 is the
-    skew matrix of signed Pfaffian minors of A. A singular A raises
-    InputError.
+    order, and its last pivot is then +-det(A) = +-Pf(A)^2. p * A^-1 * B is
+    integral, as Pf(A) * A^-1 is the skew matrix of signed Pfaffian minors
+    of A. A non-square or non-skew A raises InputError.
     """
     size = len(rows)
     if any(len(row) != size for row in rows) or any(len(col) != size for col in columns):
         raise InputError("solve needs a square matrix and columns of its size")
+    if [[-x for x in col] for col in zip(*rows)] != [list(row) for row in rows]:
+        raise InputError("solve needs a skew-symmetric matrix")
     echelon = Echelon(size + len(columns))
     for a, row in enumerate(rows):
         echelon.add(list(row) + [col[a] for col in columns])
     if sorted(echelon.pivots) != list(range(size)):
-        raise InputError("solve needs a nonsingular matrix")
-    return [echelon.kernel_vector(size + j, -scale)[:size] for j in range(len(columns))]
-
-
-def normalize_primitive(vec):
-    """Scale a rational vector to integers with gcd 1 and first nonzero entry
-    positive. The zero vector comes back as integer zeros."""
-    vec = [Fraction(x) for x in vec]
-    if not any(vec):
-        return tuple(0 for _ in vec)
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+        return None
+    square = abs(echelon.last_pivot())
+    p = isqrt(square)
+    if p * p != square:
+        raise ConsistencyError("determinant of a skew matrix is not a square")
+    return p, [echelon.kernel_vector(size + j, -p)[:size] for j in range(len(columns))]

@@ -10,19 +10,26 @@ s Pf(M') is nonzero, M' being M without coordinate 1).
 
 The probe measures the exact rank of the principal system c_i C^i_r(mu)
 across seeded random fibers; the classification argument needs that rank
-never to be 1. It takes b_first of forms 1 and 2 alone and c from them in
-closed form. When c is supported on both (b_first^1 != 0 != b_first^2),
-each C^i is one solve: C^i_r(mu) = (-1)^(r+1) s Y_i[mu-2][r-2] /
-L^(n-k-2), Y_i[mu-2] being Pf(L M') (L M')^-1 applied to the unit column
-of coordinate mu. So the system is the integer (n-1) x 2(n-1) matrix
-whose row r-2 is (Y_1[mu-2][r-2])_mu followed by (Y_2[mu-2][r-2])_mu,
-with row r-2 scaled by (-1)^(r+1) s and column block i by c_i /
-L^(n-k-2), all nonzero; the probe ranks that matrix, assembling nothing.
-The right-hand side, and with it C-bar, matters only at rank 0, and this
-rank is 2k (below), so C-bar is not solved for; any other rank raises
-ConsistencyError. Otherwise c = e_i with b_first^i = 0: C-bar and C of
-form i come from the direct minors, and assemble_principal_matrix builds
-the system, reading no other form.
+never to be 1. c is the first kernel vector of the row (b_first^i)_i: it
+is supported on forms 1 and 2 when b_first^1 != 0 != b_first^2, and is
+e_i for the first i with b_first^i = 0 otherwise. So the probe reads each
+b_first only as zero or not, and at m >= 2 takes it off one elimination
+per form, solving M'_1 first and M'_2 only when M'_1 is nonsingular: that
+solve of L M' returns None when M' is singular, and else p = |Pf(L M')|,
+read off its last pivot +-det(L M') = +-Pf(L M')^2, and
+Y_i = p (L M')^-1 applied to the principal unit columns. When c is
+supported on both forms, each C^i is that solve: C^i_r(mu) =
+(-1)^(r+1) s sgn(Pf(M')) Y_i[mu-2][r-2] / L^(n-k-2), Y_i[mu-2] being the
+column of coordinate mu. So the system is the integer (n-1) x 2(n-1)
+matrix whose row r-2 is (Y_1[mu-2][r-2])_mu followed by
+(Y_2[mu-2][r-2])_mu, with row r-2 scaled by (-1)^(r+1) s and column block
+i by +-c_i / L^(n-k-2), all nonzero; the probe ranks that matrix,
+assembling nothing and taking no Pfaffian. The right-hand side, and with
+it C-bar, matters only at rank 0, and this rank is 2k (below), so C-bar
+is not solved for; any other rank raises ConsistencyError. Otherwise
+c = e_i with b_first^i = 0: C-bar and C of form i come from the direct
+minors, and assemble_principal_matrix builds the system, reading no other
+form. At m = 1 a nonzero b_first^1, one Pfaffian, leaves no c.
 
 Why the rank is never 1, with S^i = C^i diag((-1)^(mu+1)) over r, mu = 2..n:
 - S^i is skew, S^i_(r, mu) = s Pf(M' without r, mu) for r < mu, so rank
@@ -52,7 +59,7 @@ from math import factorial, lcm
 from .algebra import Polynomial, random_rational
 from .distributions import dimension_bounds
 from .errors import ConsistencyError, InputError
-from .linalg import normalize_primitive, pfaffian, rank, solve
+from .linalg import pfaffian, rank, solve
 
 
 def _entry_value(value):
@@ -150,11 +157,10 @@ class CExtraction(namedtuple("CExtraction", "b_first cbar cmat")):
 
 
 def _form_matrices(fp: FiberPoint, forms):
-    """The extraction's first step: M = [[Z, A^T], [-A, 0]] of each form in
-    forms, principal entries w = 0, as integer rows scaled by one common
-    denominator L of the fiber's other entries, and b_first = s Pf(M');
-    returns ({i: M}, L, {i: b_first}, s). A polynomial entry raises
-    InputError."""
+    """The extraction's and the probe's first step: M = [[Z, A^T], [-A, 0]]
+    of each form in forms, principal entries w = 0, as integer rows scaled
+    by one common denominator L of the fiber's other entries; returns
+    ({i: M}, L, s). A polynomial entry raises InputError."""
     if not all(isinstance(v, Fraction) for v in (*fp.a.values(), *fp.z.values())):
         raise InputError("extraction needs numeric fiber entries")
     n, z = fp.n, fp.z
@@ -175,8 +181,7 @@ def _form_matrices(fp: FiberPoint, forms):
         for j, l in combinations(range(2, n + 1), 2):
             if (i, j, l) in z:
                 put(M, j, l, z[i, j, l])
-    scale = (-1) ** (fp.m * (fp.m - 1) // 2) * factorial(fp.k)
-    return matrices, L, {i: scale * _minor_pfaffian(M, L, {0}) for i, M in matrices.items()}, scale
+    return matrices, L, (-1) ** (fp.m * (fp.m - 1) // 2) * factorial(fp.k)
 
 
 def _minor_pfaffian(M, L, omit):
@@ -185,27 +190,29 @@ def _minor_pfaffian(M, L, omit):
     return pfaffian([[M[a][b] for b in keep] for a in keep]) / L ** (len(keep) // 2)
 
 
-def _principal_solve(fp: FiberPoint, M, L, b_first, scale, *extra):
-    """Y = Pf(L M') (L M')^-1 applied to the n - 1 unit columns of the
+def _principal_solve(fp: FiberPoint, M, *extra):
+    """|Pf(L M')| (L M')^-1 applied to the n - 1 unit columns of the
     principal coordinates 2..n, then to the integer columns extra: one
-    linalg.solve with M', b_first != 0 being s Pf(M')."""
+    linalg.solve with M', which returns (|Pf(L M')|, those columns), or None
+    when M' is singular, that is when b_first = 0."""
     size = len(M) - 1
-    pf = (b_first * L ** (size // 2) / scale).numerator  # Pf(L M'), an integer
     columns = [[int(a == b) for a in range(size)] for b in range(fp.n - 1)]
-    return solve([row[1:] for row in M[1:]], columns + list(extra), pf)
+    return solve([row[1:] for row in M[1:]], columns + list(extra))
 
 
 def _form_parts(fp: FiberPoint, i, M, L, b_first, scale, cbar, cmat):
     """The extraction's second step: C-bar and C of form i into cbar and
-    cmat, from _form_matrices' M, L, b_first and s. One solve with M' when
-    b_first != 0, the Pfaffian minors one by one when b_first == 0."""
+    cmat, from _form_matrices' M, L and s and from b_first = s Pf(M'). One
+    solve with M' when b_first != 0, its columns signed by the sign of
+    Pf(M') = b_first / s, the Pfaffian minors one by one when b_first == 0."""
     n = fp.n
     principal = range(2, n + 1)
     if b_first:
-        Y = _principal_solve(fp, M, L, b_first, scale, [row[0] for row in M[1:]])
+        _, Y = _principal_solve(fp, M, [row[0] for row in M[1:]])
         low = L ** (n - fp.k - 2)
+        signed = abs(scale) if b_first > 0 else -abs(scale)  # s sgn(Pf(M'))
         for r in principal:
-            sign = scale if r % 2 else -scale
+            sign = signed if r % 2 else -signed
             cbar[(i, r)] = Fraction(-sign * Y[-1][r - 2], low * L)
             for mu in principal:
                 cmat[(i, r, mu)] = Fraction(sign * Y[mu - 2][r - 2], low)
@@ -239,16 +246,20 @@ def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     0-based a < b, Pf(M' without a, b) = (-1)^(a+b) Pf(M') (M'^-1)_ab with
     a = r - 2, b = mu - 2, and with x = -M'^-1 M[2.., 1], C-bar_r =
     (-1)^(r-1) b_first x_(r-2). In integers, M scaled by the common
-    denominator L, that is one linalg.solve with scale Pf(L M'): with
-    Y = Pf(L M') (L M')^-1, C^i_r(mu) = (-1)^(r+1) s Y_(r-2, mu-2) /
-    L^(n-k-2), and C-bar_r = (-1)^r s (Y L M[2.., 1])_(r-2) / L^(n-k-1).
-    When b_first == 0 the minors are taken directly.
+    denominator L, that is one linalg.solve with M', which scales by
+    |Pf(L M')|, read off its own last pivot: with Y = |Pf(L M')| (L M')^-1
+    and sigma = sgn(Pf(M')) = sgn(b_first / s), C^i_r(mu) =
+    (-1)^(r+1) s sigma Y_(r-2, mu-2) / L^(n-k-2), and C-bar_r =
+    (-1)^r s sigma (Y L M[2.., 1])_(r-2) / L^(n-k-1). When b_first == 0
+    the minors are taken directly.
 
-    This runs the steps _form_matrices and _form_parts for every form; the
-    probe runs them for c's support alone. A polynomial entry raises
+    This runs the step _form_matrices, b_first and the step _form_parts for
+    every form; the probe takes b_first only as zero or not, and
+    _form_parts for a one-form c alone. A polynomial entry raises
     InputError.
     """
-    matrices, L, b_first, scale = _form_matrices(fp, range(1, fp.m + 1))
+    matrices, L, scale = _form_matrices(fp, range(1, fp.m + 1))
+    b_first = {i: scale * _minor_pfaffian(M, L, {0}) for i, M in matrices.items()}
     cbar, cmat = {}, {}
     for i, M in matrices.items():
         _form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
@@ -311,31 +322,24 @@ class ProbeReport(namedtuple(
         return payload
 
 
-def _multipliers(b_first, m):
-    """c, the first kernel vector of the row (b_first^1, ..., b_first^m),
-    whose pivot is its first nonzero column: e_1 when b_first^1 == 0, else
-    the primitive (-b_first^2, b_first^1, 0, ...), or None when m = 1."""
-    if not b_first[1]:
-        return (1,) + (0,) * (m - 1)
-    if m == 1:
-        return None
-    return normalize_primitive((-b_first[2], b_first[1]) + (0,) * (m - 2))
-
-
 def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeReport:
     """Rank statistics of the principal system over seeded random fibers.
 
-    Each sample draws a fiber (principal slots left free), builds M and
-    b_first of forms 1 and 2 alone, and takes c in closed form — fibers with
-    no nonzero c never meet the singular set and are only counted. Then it
-    records the exact rank of the principal system:
-    - c on forms 1 and 2 (both b_first nonzero): the rank of the integer
-      matrix [Y_1^T | Y_2^T], Y_i from one solve with M'_i on the n - 1
-      principal unit columns. The system is this matrix with row r-2
-      scaled by (-1)^(r+1) s and column block i by c_i / L^(n-k-2), so the
-      ranks agree. That rank is 2k (module docstring), so the right-hand
-      side, which only rank 0 reads, and its C-bar column are never
-      solved; a rank other than 2k raises ConsistencyError.
+    Each sample draws a fiber (principal slots left free), builds M of
+    forms 1 and 2 alone, and decides from b_first^1 and b_first^2, as zero
+    or not, where c lies (module docstring): at m = 1 by the Pfaffian of
+    M'_1, and fibers with no nonzero c never meet the singular set and are
+    only counted; at m >= 2 by one elimination per form, M'_2 solved only
+    when M'_1 is nonsingular. Then it records the exact rank of the
+    principal system:
+    - c on forms 1 and 2 (both M'_i nonsingular): the rank of the integer
+      matrix [Y_1^T | Y_2^T], Y_i = |Pf(L M'_i)| (L M'_i)^-1 on the n - 1
+      principal unit columns, from the one solve with M'_i. The system is
+      this matrix with row r-2 scaled by (-1)^(r+1) s and column block i
+      by +-c_i / L^(n-k-2), so the ranks agree. That rank is 2k (module
+      docstring), so the right-hand side, which only rank 0 reads, and its
+      C-bar column are never solved; a rank other than 2k raises
+      ConsistencyError.
     - c = e_i with b_first^i = 0: C-bar and C of form i from the direct
       minors, and the rank of the assembled system.
     sample_count must be at least 1.
@@ -355,25 +359,31 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     empty_like = 0
     for _ in range(sample_count):
         fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
-        matrices, L, b_first, scale = _form_matrices(fp, range(1, min(m, 2) + 1))
-        c = _multipliers(b_first, m)
-        if c is None:
-            empty += 1
-            empty_like += 1
-            continue
-        if all(b_first.values()):  # c is supported on forms 1 and 2
-            Y1, Y2 = (_principal_solve(fp, M, L, b_first[i], scale) for i, M in matrices.items())
+        matrices, L, scale = _form_matrices(fp, range(1, min(m, 2) + 1))
+        solved = []
+        if m == 1:
+            if pfaffian([row[1:] for row in matrices[1][1:]]):  # b_first^1 != 0: no c
+                empty += 1
+                empty_like += 1
+                continue
+        else:
+            for M in matrices.values():
+                if (solution := _principal_solve(fp, M)) is None:  # b_first = 0
+                    break
+                solved.append(solution[1])
+        if len(solved) == 2:  # c is supported on forms 1 and 2
+            Y1, Y2 = solved
             r = rank([[y[a] for y in Y1] + [y[a] for y in Y2] for a in range(n - 1)])
             if r != 2 * k:
                 raise ConsistencyError(
                     "two-form principal system has rank %d, not 2k = %d" % (r, 2 * k)
                 )
-        else:
+        else:  # c = e_i, i the first form with b_first^i = 0
+            i = len(solved) + 1
             cbar, cmat = {}, {}
-            for i, M in matrices.items():
-                if c[i - 1]:
-                    _form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
-            system = assemble_principal_matrix(fp, c, CExtraction(b_first, cbar, cmat))
+            _form_parts(fp, i, matrices[i], L, 0, scale, cbar, cmat)
+            c = tuple(int(t == i) for t in range(1, m + 1))
+            system = assemble_principal_matrix(fp, c, CExtraction({i: 0}, cbar, cmat))
             r = rank(system.matrix)
             if r == 0 and any(system.rhs):
                 empty_like += 1

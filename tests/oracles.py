@@ -6,7 +6,9 @@ wedge_power) and by arrangement sums, independently of the Pfaffian
 extraction in nonholonomy.singularity; the tests and the acceptance
 criteria check the fast path against them. direct_extraction takes every
 Pfaffian minor of that extraction one by one, the path that the single
-skew solve per form replaced. interior_product is the
+skew solve per form replaced, and closed_form_multipliers takes the
+probe's c from the values of b_first, which the probe reads only as zero
+or not, off its solves. interior_product is the
 contraction behind the Leibniz-rule axiom of criterion 1, and
 pointwise_kernel the exact pointwise kernel that symbolic frames are
 cross-checked against; it and evaluate_field, independent_by_fractions
@@ -36,7 +38,7 @@ pointwise_kernel takes its kernel basis, a reference for Echelon.kernel.
 import random
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from nonholonomy.algebra import Chart, IntegerGrid, Polynomial, _integer_point, poly_eval
 from nonholonomy.distributions import (
@@ -496,6 +498,35 @@ def direct_extraction(fp: FiberPoint) -> CExtraction:
             cmat[(i, r, mu)] = -value if mu % 2 == 0 else value
             cmat[(i, mu, r)] = -value if r % 2 else value
     return CExtraction(b_first, cbar, cmat)
+
+
+def normalize_primitive(vec):
+    """Scale a rational vector to integers with gcd 1 and first nonzero entry
+    positive. The zero vector comes back as integer zeros."""
+    vec = [Fraction(x) for x in vec]
+    if not any(vec):
+        return tuple(0 for _ in vec)
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    first = next(x for x in ints if x)
+    if first < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def closed_form_multipliers(b_first, m):
+    """c, the first kernel vector of the row (b_first^1, ..., b_first^m),
+    whose pivot is its first nonzero column: e_1 when b_first^1 == 0, else
+    the primitive (-b_first^2, b_first^1, 0, ...), or None when m = 1. The
+    probe's choice of c, read here from the values of b_first that the
+    probe itself reads only as zero or not."""
+    if not b_first[1]:
+        return (1,) + (0,) * (m - 1)
+    if m == 1:
+        return None
+    return normalize_primitive((-b_first[2], b_first[1]) + (0,) * (m - 2))
 
 
 def pseudo_symmetry_check(cmat):

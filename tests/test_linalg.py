@@ -6,7 +6,7 @@ import pytest
 
 from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.linalg import (
-    Echelon, _integer_rows, det, normalize_primitive, pfaffian, rank, solve,
+    Echelon, _integer_rows, det, pfaffian, rank, solve,
 )
 
 from conftest import rnd_fraction
@@ -16,6 +16,7 @@ from oracles import (
     column_scan_kernel_basis,
     column_scan_rank,
     column_scan_solve,
+    normalize_primitive,
 )
 
 
@@ -186,27 +187,54 @@ def test_pfaffian_matches_matching_expansion():
     assert swaps > 0 and zeros > 0
 
 
+def random_skew(rng, size, bound=5):
+    """A dense skew integer matrix, entries above the diagonal in
+    -bound..bound."""
+    A = [[0] * size for _ in range(size)]
+    for i, j in combinations(range(size), 2):
+        A[i][j] = rng.randint(-bound, bound)
+        A[j][i] = -A[i][j]
+    return A
+
+
+def low_rank_skew(rng, size, pairs):
+    """sum over pairs of u ^ v, a skew integer matrix of rank at most
+    2 * pairs."""
+    A = [[0] * size for _ in range(size)]
+    for _ in range(pairs):
+        u = [rng.randint(-3, 3) for _ in range(size)]
+        v = [rng.randint(-3, 3) for _ in range(size)]
+        for i in range(size):
+            for j in range(size):
+                A[i][j] += u[i] * v[j] - u[j] * v[i]
+    return A
+
+
 def test_solve_scales_the_inverse():
-    # scale det(A) makes every solution integral: A x = det(A) b exactly
+    # p = |Pf(A)| makes every solution integral: A x = p b exactly, and
+    # p^2 = |det A|
     rng = random.Random(47)
     solved = 0
-    for size in range(1, 7):
-        for _ in range(20):
-            A = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+    for size in range(2, 9, 2):
+        for _ in range(25):
+            A = random_skew(rng, size)
             D = det(A)
             if D == 0:
                 continue
             columns = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(2)]
-            for x, b in zip(solve(A, columns, int(D)), columns):
+            scale, X = solve(A, columns)
+            assert scale * scale == abs(D)
+            for x, b in zip(X, columns):
                 assert all(type(v) is int for v in x)
-                assert [sum(p * q for p, q in zip(row, x)) for row in A] == [D * v for v in b]
+                assert [sum(p * q for p, q in zip(row, x)) for row in A] == [scale * v for v in b]
             solved += 1
     assert solved > 80
 
 
 def test_solve_with_pfaffian_scale_gives_pfaffian_minors():
     # for a skew A and 0-based a < b, (Pf(A) A^-1)_ab = (-1)^(a+b) Pf(A
-    # without a, b): the identity behind the thinness extraction
+    # without a, b): the identity behind the thinness extraction. solve
+    # returns |Pf(A)| A^-1, so its columns carry the sign of Pf(A)
     rng = random.Random(53)
     checked = 0
     for size in (2, 4, 6, 8):
@@ -215,26 +243,80 @@ def test_solve_with_pfaffian_scale_gives_pfaffian_minors():
             A, _ = _integer_rows([[x * 27720 for x in row] for row in rows])
             pf = pfaffian(A)
             if pf == 0:
+                assert solve(A, []) is None
                 continue
             identity = [[int(a == b) for a in range(size)] for b in range(size)]
-            X = solve(A, identity, pf.numerator)
+            scale, X = solve(A, identity)
+            assert scale == abs(pf)
+            sign = 1 if pf > 0 else -1
             for a, b in combinations(range(size), 2):
                 keep = [c for c in range(size) if c not in (a, b)]
                 minor = pfaffian([[A[p][q] for q in keep] for p in keep])
-                assert X[b][a] == (-1) ** (a + b) * minor
+                assert sign * X[b][a] == (-1) ** (a + b) * minor
                 assert X[a][b] == -X[b][a]
             checked += 1
     assert checked > 10
 
 
-def test_solve_rejects_bad_input():
-    with pytest.raises(InputError):
-        solve([[1, 2], [2, 4]], [[1, 0]], 1)
-    with pytest.raises(InputError):
-        solve([[1, 2], [3, 4]], [[1]], 1)
-    with pytest.raises(ConsistencyError):
-        solve([[2]], [[1]], 1)  # 1/2 is not an integer
-    assert solve([], [], 1) == []
+def test_solve_rejects_bad_input(monkeypatch):
+    for rows, columns in (([[0, 1]], []), ([[0, 1], [-1, 0]], [[1]]),
+                          ([[1, 2], [3, 4]], [[1, 0]]), ([[2]], [[1]]), ([[0, 1], [1, 0]], [])):
+        with pytest.raises(InputError):
+            solve(rows, columns)
+    assert solve([[0]], [[1]]) is None
+    assert solve([[0, 0], [0, 0]], [[1, 0]]) is None
+    assert solve([], []) == (1, [])
+    assert solve([[0, 2], [-2, 0]], [[1, 0]]) == (2, [[0, 1]])
+    # a skew determinant is a square, so its check cannot fail on real
+    # pivots, and |Pf| makes the back-substitution integral; each failure
+    # is a ConsistencyError
+    monkeypatch.setattr(Echelon, "last_pivot", lambda self: 8)
+    with pytest.raises(ConsistencyError, match="not a square"):
+        solve([[0, 2], [-2, 0]], [[1, 0]])
+    monkeypatch.setattr(Echelon, "last_pivot", lambda self: 1)
+    with pytest.raises(ConsistencyError, match="fraction"):
+        solve([[0, 2], [-2, 0]], [[1, 0]])
+
+
+def test_skew_solve_matches_column_scan_at_the_pfaffian_scale():
+    # solve against the column scan's back-substitution at scale |Pf(A)|,
+    # the Pfaffian taken by linalg.pfaffian: dense, sparse and conjugated
+    # skew matrices up to size 14, whose pivots come out permuted (row 0 of
+    # a skew matrix has its pivot past column 0); None exactly when A is
+    # singular, at odd sizes and at even sizes of corank 2 or more
+    rng = random.Random(79)
+    seen = dict.fromkeys(("solved", "permuted pivots", "odd size", "even corank", "odd corank > 1"), 0)
+    for trial in range(240):
+        size = rng.randint(1, 14)
+        kind = trial % 4
+        if kind == 0:
+            A = random_skew(rng, size, 4)
+        elif kind == 1:
+            A, _ = _integer_rows([[x * 27720 for x in row] for row in sparse_skew(rng, size)])
+        elif kind == 2:  # conjugate by a permutation: rows and columns reordered alike
+            B = random_skew(rng, size, 3)
+            order = rng.sample(range(size), size)
+            A = [[B[a][b] for b in order] for a in order]
+        else:
+            A = low_rank_skew(rng, size, rng.randint(0, max(0, size // 2 - 1)))
+        columns = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(rng.randint(0, size + 2))]
+        pf = int(pfaffian(A))
+        result = solve(A, columns)
+        if not pf:
+            assert result is None
+            assert column_scan_solve(A, columns, 1) is None
+            corank = size - rank(A)
+            seen["odd size"] += size % 2
+            seen["even corank"] += size % 2 == 0 and corank >= 2
+            seen["odd corank > 1"] += corank >= 3 and corank % 2 == 1
+            continue
+        assert result == (abs(pf), column_scan_solve(A, columns, abs(pf)))
+        echelon = Echelon(size)
+        for row in A:
+            echelon.add(row)
+        seen["solved"] += 1
+        seen["permuted pivots"] += echelon.pivots != sorted(echelon.pivots)
+    assert all(count >= 5 for count in seen.values()), seen
 
 
 def test_integer_rows_scale():
@@ -384,15 +466,17 @@ def test_elimination_matches_column_scan_oracle():
         value = det(rows)
         assert value == column_scan_det(rows)
         seen["negative sign"] += value != 0 and echelon.pivots != sorted(echelon.pivots)
-        D = int(column_scan_det(M))
+        # solve takes the skew part M - M^T, at the scale |Pf| it reads
+        # off its own last pivot
+        S = [[x - y for x, y in zip(row, col)] for row, col in zip(M, zip(*M))]
+        pf = abs(int(pfaffian(S)))
         columns = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(rng.randint(1, 2))]
-        expected = column_scan_solve(M, columns, D)
+        expected = column_scan_solve(S, columns, pf)
         if expected is None:
-            with pytest.raises(InputError):
-                solve(M, columns, 1)
+            assert solve(S, columns) is None
             seen["singular solve"] += 1
         else:
-            assert solve(M, columns, D) == expected
+            assert solve(S, columns) == (pf, expected)
     assert all(count > 20 for count in seen.values()), seen
 
 
@@ -426,21 +510,22 @@ def test_back_substitution_band_matches_column_scan_oracle():
     solved = 0
     for size in (2, 4, 6, 8):
         for _ in range(20):
-            A = [[0] * size for _ in range(size)]
-            for i, j in combinations(range(size), 2):
-                A[i][j] = rng.randint(-4, 4)
-                A[j][i] = -A[i][j]
-            pf = int(pfaffian(A))
+            A = random_skew(rng, size, 4)
+            pf = abs(int(pfaffian(A)))
             if not pf:
                 continue
             columns = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(rng.randint(1, 2 * size))]
-            assert solve(A, columns, pf) == column_scan_solve(A, columns, pf)
-            if abs(pf) > 1:
+            assert solve(A, columns) == (pf, column_scan_solve(A, columns, pf))
+            if pf > 1:
                 # A^-1 is integral only when det A = Pf(A)^2 is 1, so at
                 # scale 1 some unit column leaves a remainder
                 units = [[int(a == b) for a in range(size)] for b in range(size)]
+                echelon = Echelon(3 * size)
+                for a, row in enumerate(A):
+                    echelon.add(row + [col[a] for col in units * 2])
                 with pytest.raises(ConsistencyError):
-                    solve(A, units * 2, 1)
+                    for j in range(2 * size):
+                        echelon.kernel_vector(size + j, -1)
             solved += 1
     assert solved > 40 and all(count > 30 for count in seen.values()), (solved, seen)
 

@@ -13,7 +13,7 @@ from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.distributions import dimension_bounds
 from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.forms import wedge_power
-from nonholonomy.linalg import normalize_primitive, pfaffian, rank, solve
+from nonholonomy.linalg import pfaffian, rank, solve
 from nonholonomy.singularity import (
     CExtraction,
     FiberPoint,
@@ -29,11 +29,13 @@ from oracles import (
     a_coefficients,
     alpha_form,
     b_coefficients,
+    closed_form_multipliers,
     column_scan_kernel_basis,
     dependence_form,
     direct_extraction,
     fiber_by_fractions,
     fiber_chart,
+    normalize_primitive,
     omega_form,
     pseudo_symmetry_check,
 )
@@ -248,12 +250,13 @@ def test_b_coefficients_match_permutation_sum():
 
 
 def _probe_steps(fp):
-    """The probe's steps on one fiber: M and b_first of forms 1 and 2, c in
-    closed form, then C-bar and C of c's support alone; returns b_first, c
-    and the extraction (None when c is)."""
+    """The probe's steps the slow way on one fiber: M of forms 1 and 2,
+    their b_first as Pfaffians, c in closed form, then C-bar and C of c's
+    support alone; returns b_first, c and the extraction (None when c is)."""
     m = fp.m
-    matrices, L, b_first, scale = singularity._form_matrices(fp, range(1, min(m, 2) + 1))
-    c = singularity._multipliers(b_first, m)
+    matrices, L, scale = singularity._form_matrices(fp, range(1, min(m, 2) + 1))
+    b_first = {i: scale * singularity._minor_pfaffian(M, L, {0}) for i, M in matrices.items()}
+    c = closed_form_multipliers(b_first, m)
     if c is None:
         return b_first, None, None
     cbar, cmat = {}, {}
@@ -274,7 +277,7 @@ def test_closed_form_multipliers_are_the_first_kernel_vector():
                 for index in zeros:
                     if index < m:
                         row[index] = Fraction(0)
-                c = singularity._multipliers(dict(enumerate(row, start=1)), m)
+                c = closed_form_multipliers(dict(enumerate(row, start=1)), m)
                 basis = column_scan_kernel_basis([row], m)
                 assert (c is None) == (m == 1 and row[0] != 0) == (not basis)
                 if basis:
@@ -318,9 +321,9 @@ def test_two_form_probe_assembles_no_system(monkeypatch):
     def forbidden(*args):
         raise AssertionError("assemble_principal_matrix called")
 
-    def recording(rows, columns, scale):
+    def recording(rows, columns):
         widths.append(len(columns))
-        return solve(rows, columns, scale)
+        return solve(rows, columns)
 
     monkeypatch.setattr(singularity, "assemble_principal_matrix", forbidden)
     monkeypatch.setattr(singularity, "solve", recording)
@@ -365,21 +368,35 @@ def test_two_form_rank_other_than_2k_is_a_consistency_error(monkeypatch, capsys)
     assert "not 2k = 4" in payload["error"]["message"]
 
 
-def test_probe_takes_two_first_pfaffians(monkeypatch):
-    # at (10,2), m = 5: b_first of forms 1 and 2 decide c, and the solve
-    # takes no Pfaffian, so a fiber with b^1 != 0 and b^2 != 0 costs two
-    fp = FiberPoint.random(10, 2, rng=random.Random(3), include_principal=False)
-    b_first, c, _ = _probe_steps(fp)
-    assert b_first[1] and b_first[2] and c[0] and c[1]
-    calls = []
+def test_probe_takes_pfaffians_only_where_read(monkeypatch):
+    # at (10,2), m = 5, a two-form sample reads b_first^1, b_first^2 != 0
+    # off its two solves and takes no Pfaffian; at (6,2), m = 1, the one
+    # Pfaffian is the zero test of b_first^1; a singular M'_1 is solved
+    # once, M'_2 never, and form 1's direct minors are the only Pfaffians
+    pfaffians, solved = [], []
 
     def counting(rows):
-        calls.append(1)
+        pfaffians.append(rows)
         return pfaffian(rows)
 
+    def recording(rows, columns):
+        solved.append(rows)
+        return solve(rows, columns)
+
     monkeypatch.setattr(singularity, "pfaffian", counting)
-    thinness_probe(10, 2, 1, seed=3)
-    assert len(calls) == 2
+    monkeypatch.setattr(singularity, "solve", recording)
+    assert thinness_probe(10, 2, 1, seed=3).rank_histogram == {4: 1}
+    assert (len(pfaffians), len(solved)) == (0, 2)
+    del pfaffians[:], solved[:]
+    assert thinness_probe(6, 2, 1, seed=3).empty_fiber_count == 1
+    assert (len(pfaffians), len(solved)) == (1, 0)
+    del pfaffians[:], solved[:]
+    fp = _singular_fiber(8, 2, random.Random(70))
+    monkeypatch.setattr(FiberPoint, "random", staticmethod(lambda *args, **kw: fp))
+    thinness_probe(8, 2, 1, seed=0)
+    (M1,) = singularity._form_matrices(fp, (1,))[0].values()
+    assert solved == [[row[1:] for row in M1[1:]]]
+    assert len(pfaffians) == 7 + 21  # Pf(M_1 without r) and Pf(M_1 without 1, r, mu)
 
 
 def _assert_reconstructs_b(fp, extraction, rng, forms=None):
@@ -436,7 +453,10 @@ ORACLE_SHAPES = ((4, 1), (5, 1), (6, 1), (7, 2), (8, 2), (9, 3), (10, 2), (11, 3
 def test_extraction_matches_direct_minors():
     # the one solve per form gives exactly the Pfaffian minors taken one by
     # one; the private steps run on some forms agree with it on those forms
+    # C-bar and C take their sign from b_first, as solve returns
+    # |Pf(L M')| (L M')^-1, so both signs of b_first are met
     rng = random.Random(61)
+    signs = {True: 0, False: 0}
     for n, k in ORACLE_SHAPES:
         m = n - 2 * k - 1
         for include_principal in (False, True, False):
@@ -444,9 +464,11 @@ def test_extraction_matches_direct_minors():
             reference = direct_extraction(fp)
             assert all(reference.b_first.values())  # the solve branch runs
             assert extract_c_coefficients(fp) == reference
+            for value in reference.b_first.values():
+                signs[value > 0] += 1
             for forms in ((), (1,), (m,), tuple(range(1, min(m, 2) + 1))):
-                matrices, L, b_first, scale = singularity._form_matrices(fp, forms)
-                assert b_first == {i: reference.b_first[i] for i in forms}
+                matrices, L, scale = singularity._form_matrices(fp, forms)
+                b_first = {i: reference.b_first[i] for i in forms}
                 part = CExtraction(b_first, {}, {})
                 for i in forms:
                     singularity._form_parts(fp, i, matrices[i], L, b_first[i], scale, part.cbar, part.cmat)
@@ -454,6 +476,7 @@ def test_extraction_matches_direct_minors():
                 assert all(part.cbar[key] == reference.cbar[key] for key in part.cbar)
                 assert all(part.cmat[key] == reference.cmat[key] for key in part.cmat)
                 assert len(part.cmat) == len(forms) * (n - 1) ** 2
+    assert min(signs.values()) >= 5, signs
 
 
 def _singular_fiber(n, k, rng, i=1):
@@ -537,7 +560,7 @@ def test_corank_four_fiber_in_the_probe_path():
         m = n - 2 * k - 1
         for _ in range(2):
             fp = _corank_four_fiber(n, k, rng, twist)
-            matrices, _, _, _ = singularity._form_matrices(fp, (1,))
+            matrices, _, _ = singularity._form_matrices(fp, (1,))
             reduced = [row[1:] for row in matrices[1][1:]]
             assert rank(reduced) == len(reduced) - 4
             b_first, c, extraction = _probe_steps(fp)
@@ -688,7 +711,7 @@ def test_probe_multipliers_touch_at_most_two_forms():
         for _ in range(8):
             fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
             extraction = extract_c_coefficients(fp)
-            c = singularity._multipliers(extraction.b_first, m)
+            c = closed_form_multipliers(extraction.b_first, m)
             support = tuple(i for i in range(1, m + 1) if c[i - 1])
             assert 1 <= len(support) <= 2
             supports[support] = supports.get(support, 0) + 1
@@ -724,7 +747,7 @@ def test_skew_structure_and_probe_rank_2k():
                     for mu in principal:
                         assert sum((-1) ** r * fp.a_entry(t, r) * S[r, mu] for r in principal) == 0
                 forms += 1
-            c = singularity._multipliers(extraction.b_first, m)
+            c = closed_form_multipliers(extraction.b_first, m)
             if c is not None and sum(1 for x in c if x) == 2:
                 system = assemble_principal_matrix(fp, c, extraction)
                 assert rank(system.matrix) == 2 * k, (n, k)
