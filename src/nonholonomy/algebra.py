@@ -231,6 +231,32 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other):
+        """Exact division by a nonzero int, Fraction or polynomial d, taken by
+        leading terms in lex order. One polynomial is a Groebner basis of
+        its own ideal, so InputError exactly when d does not divide."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = max(other.terms)
+        inverse = 1 / other.terms[lead]
+        if not any(lead):
+            return self * inverse
+        quotient, left = Polynomial(self.chart), self
+        while left:
+            top = max(left.terms)
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if min(shift) < 0:
+                raise InputError("%s does not divide %s" % (other, self))
+            step = Polynomial(self.chart, {shift: left.terms[top] * inverse})
+            quotient, left = quotient + step, left - step * other
+        return quotient
+
+    def __divmod__(self, other):
+        return self // other, 0
+
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise InputError("polynomial powers take a non-negative integer")

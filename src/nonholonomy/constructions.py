@@ -218,22 +218,34 @@ def oriented_pairing(n: int, k: int) -> ExampleBundle:
     )
 
 
+_MAX_COORDINATES = 256  # the largest chart build_example builds; the gallery's has 11
+
+# (identifier parts before the integers, their count, builder, chart size)
+_EXAMPLES = (
+    (["contact"], 1, contact_structure, lambda m: 2 * m + 1),
+    (["even", "contact"], 1, even_contact_structure, lambda n: n),
+    (["jet", "canonical"], 1, jet_canonical, lambda k: 2 * k + 1),
+    (["example2", "r5"], 0, single_constraint_r5, lambda: 5),
+    (["prop", "ori"], 2, oriented_pairing, lambda n, k: n),
+)
+
+
 def build_example(example_id: str) -> ExampleBundle:
-    """Resolve a stable example identifier like 'contact-2' or 'prop-ori-5-1'."""
+    """Resolve a stable example identifier like 'contact-2' or 'prop-ori-5-1'.
+    An example whose chart would exceed _MAX_COORDINATES is refused
+    before anything is built; the builders' own errors pass through."""
     parts = example_id.strip().split("-")
-    try:
-        if parts[0] == "contact" and len(parts) == 2:
-            return contact_structure(int(parts[1]))
-        if parts[:2] == ["even", "contact"] and len(parts) == 3:
-            return even_contact_structure(int(parts[2]))
-        if parts[:2] == ["jet", "canonical"] and len(parts) == 3:
-            return jet_canonical(int(parts[2]))
-        if example_id == "example2-r5":
-            return single_constraint_r5()
-        if parts[:2] == ["prop", "ori"] and len(parts) == 4:
-            return oriented_pairing(int(parts[2]), int(parts[3]))
-    except ValueError as exc:
-        raise InputError("bad example parameter in %r" % example_id) from exc
+    for head, count, builder, size in _EXAMPLES:
+        if parts[:len(head)] != head or len(parts) != len(head) + count:
+            continue
+        try:
+            params = [int(p) for p in parts[len(head):]]
+        except ValueError as exc:
+            raise InputError("bad example parameter in %r" % example_id) from exc
+        if size(*params) > _MAX_COORDINATES:
+            raise InputError("example %r would have %d coordinates; at most %d are built"
+                             % (example_id, size(*params), _MAX_COORDINATES))
+        return builder(*params)
     raise InputError(
         "unknown example %r; expected contact-M, even-contact-N, jet-canonical-K, "
         "example2-r5, or prop-ori-N-K" % example_id

@@ -12,20 +12,21 @@ each point, itself given as the integer row q_1, ..., q_n, D of q/D; the
 one Fraction evaluation is algebra.poly_eval. A nonzero constant
 maximal minor of the grid proves independence at every point at once. One
 search looks for it (_constant_minor) on one column subset, the pivot
-candidate of one elimination, and decides a block of constants by its
-integer determinant. It finds a constant minor whenever the grid's constant
+candidate of one linalg.Echelon, which proves a block of constants by that
+pivot choice alone. It finds a constant minor whenever the grid's constant
 columns alone have full rank, as for a coframe with an identity block; one
-that needs a non-constant column, by cancellation, is not sought.
+that needs a non-constant column, by cancellation, is not sought. The same
+elimination, run on polynomial rows, gives the symbolic determinant
+(_poly_det) and the kernel frame's -G_S^-1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .algebra import Chart, IntegerGrid, Polynomial, poly_diff, signed_sum
 from .errors import InputError
-from .linalg import Echelon, _independent, det
+from .linalg import Echelon, _independent, _integer_rows, _signed_last_pivot, det
 
 
 def sort_with_sign(indices):
@@ -429,20 +430,15 @@ def dependent_points(forms, rows):
 
 
 def _poly_det(matrix) -> Polynomial:
-    """Determinant of a square matrix of polynomials, by Laplace expansion."""
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    chart = matrix[0][0].chart
-    total = Polynomial.zero(chart)
-    for col in range(size):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
-        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        cofactor = entry * _poly_det(minor)
-        total = total + (cofactor if col % 2 == 0 else -cofactor)
-    return total
+    """Determinant of a square matrix of polynomials: the last pivot of one
+    linalg.Echelon of its rows, signed by the parity of the pivot order.
+    Each step's division by the previous pivot is exact by Sylvester's
+    identity, and Polynomial // takes it exactly."""
+    echelon = Echelon(len(matrix))
+    for row in matrix:
+        if not echelon.add(row):
+            return Polynomial.zero(matrix[0][0].chart)
+    return _signed_last_pivot(echelon)
 
 
 def _probe_points(n: int):
@@ -453,46 +449,20 @@ def _probe_points(n: int):
             tuple((-1) ** j * (2 * j + 1) for j in range(1, n + 1)))
 
 
-def _block(grid, subset):
-    """The grid's block on the column subset: Fractions if all constant."""
-    block = [[row[c] for c in subset] for row in grid]
-    if all(p.is_constant() for row in block for p in row):
-        return [[p.constant_value() for p in row] for row in block]
-    return block
-
-
-def _confirmed(grid, values, subset):
-    """(subset, constant) when the grid's maximal minor on the column subset
-    is a nonzero constant, else None.
-
-    A nonzero constant minor has the same nonzero value at every point, so
-    the block is built only if the subset's integer minors at the two probe
-    points (values, integer rows there) are nonzero and equal. A block of
-    constants is its linalg.det; one with a polynomial entry takes _poly_det.
-    """
-    d0 = det([[row[c] for c in subset] for row in values[0]])
-    if not d0 or d0 != det([[row[c] for c in subset] for row in values[1]]):
-        return None
-    block = _block(grid, subset)
-    if not isinstance(block[0][0], Polynomial):
-        return subset, det(block)
-    value = _poly_det(block)
-    return (subset, value.constant_value()) if value.is_constant() else None
-
-
 def _constant_minor(grid):
-    """(subset, constant) for the pivot candidate's column subset when
-    _confirmed finds its maximal minor to be a nonzero constant, else None.
+    """(subset, block) for the pivot candidate's column subset when the
+    grid's block there has a nonzero constant determinant, else None.
 
     The candidate, the only subset tried, is the first column basis of the
     integer rows at the first probe point, from one linalg.Echelon, with the
     columns ordered by the top total degree of their entries, constants
-    first and ties by index. When the constant columns alone have full rank
-    the candidate lies among them, so its minor is a nonzero constant and is
-    found, as for a coframe with an identity block or the jet-like MNI
-    forms. A constant minor that needs a non-constant column is not sought.
-    Rows dependent at the probe point have no nonzero maximal minor there,
-    and then nothing is tried.
+    first and ties by index. Its minor is nonzero there, so a block of
+    constants is proved by this pivot choice alone. When the constant
+    columns alone have full rank the candidate lies among them, as for a
+    coframe with an identity block or the jet-like MNI forms. A block with
+    a polynomial entry needs equal integer minors at the two probe points,
+    and then a constant _poly_det. Rows dependent at the probe point have
+    no nonzero maximal minor there, and then nothing is tried.
     """
     if len(grid) > len(grid[0]):
         return None
@@ -503,16 +473,24 @@ def _constant_minor(grid):
     order = sorted(range(len(grid[0])), key=lambda c: (degree(c), c))
     chart = grid[0][0].chart
     compiled = IntegerGrid(chart, grid)
-    # both probe points are integer, so these rows are the exact rows times
-    # one factor per row, the same at both points: the integer minors are
-    # the exact ones times one positive constant, and decide the same way
-    values = [list(compiled.at(p + (1,))) for p in _probe_points(chart.n)]
+    first, second = _probe_points(chart.n)
+    values = list(compiled.at(first + (1,)))
     echelon = Echelon(len(order))
-    for row in values[0]:
+    for row in values:
         echelon.add([row[c] for c in order])
     if len(echelon.pivots) < len(grid):  # every maximal minor vanishes there
         return None
-    return _confirmed(grid, values, tuple(sorted(order[p] for p in echelon.pivots)))
+    subset = tuple(sorted(order[p] for p in echelon.pivots))
+    block = [[row[c] for c in subset] for row in grid]
+    if all(p.is_constant() for row in block for p in row):
+        return subset, block
+    # both probe points are integer, so the rows there are the exact rows
+    # times one factor per row, the same at both points: a constant minor
+    # has equal integer minors at the two
+    if det([[row[c] for c in subset] for row in values]) != det(
+            [[row[c] for c in subset] for row in compiled.at(second + (1,))]):
+        return None
+    return (subset, block) if _poly_det(block).is_constant() else None
 
 
 def constant_minor_certificate(forms) -> bool:
@@ -534,45 +512,34 @@ def constant_minor_certificate(forms) -> bool:
     return _constant_minor(_grid(forms, "certificate")) is not None
 
 
-def _adjugate(block):
-    """N with A^-1 = (-1)^(q+1) N / ((q-1)! det A), for a q x q matrix A
-    of Fractions or polynomials: Faddeev-LeVerrier without its divisions.
-    N_1 = I and N_(j+1) = j A N_j - tr(A N_j) I give N_j = (j-1)! M_j for
-    its M_j, and N = N_q. Nothing is divided, so where det A is a nonzero
-    constant, A^-1 of a polynomial A is a polynomial matrix."""
-    size = len(block)
-    N = [[int(i == c) for c in range(size)] for i in range(size)]
-    for j in range(1, size):
-        N = [[sum((a * N[t][c] for t, a in enumerate(row) if a and N[t][c]), 0)
-              for c in range(size)] for row in block]
-        trace = sum(N[i][i] for i in range(size))
-        N = [[j * x - trace if i == c else j * x for c, x in enumerate(row)]
-             for i, row in enumerate(N)]
-    return N
-
-
 def kernel_frame(grid):
     """Vector fields spanning the kernel of a q x n polynomial grid at every
     point, or None.
 
-    Built from the constant maximal minor det G_S that _constant_minor
+    Built from the block G_S of constant determinant that _constant_minor
     finds: each column g_j outside S gets the field with 1 in slot j and
-    -G_S^-1 g_j in the slots of S, so the fields have constant rank.
-    G_S^-1 is taken once, by _adjugate of its _block: in Fractions when G_S
-    is constant, as it is whenever the grid's constant columns have full
-    rank, and in polynomials when the minor takes a non-constant column.
+    -G_S^-1 g_j in the slots of S, so the fields have constant rank. One
+    linalg.Echelon of [G_S | I], in integers when G_S is constant and in
+    polynomials when the minor takes a non-constant column, gives its
+    kernel as last * (-G_S^-1, I), last being its last pivot +-det G_S.
     """
     found = _constant_minor(grid)
     if found is None:
         return None
-    subset, det_value = found
+    subset, block = found
     chart = grid[0][0].chart
-    q = len(grid)
-    factor = Fraction((-1) ** q, factorial(q - 1) * det_value)
-    solve = [[x * factor for x in row] for row in _adjugate(_block(grid, subset))]  # -G_S^-1
-    n = len(grid[0])
-    zero = Polynomial.zero(chart)
-    one = Polynomial.constant(chart, 1)
+    q, n = len(grid), len(grid[0])
+    zero, one = Polynomial.zero(chart), Polynomial.constant(chart, 1)
+    if all(p.is_constant() for row in block for p in row):
+        rows, _ = _integer_rows([p.constant_value() for p in row] + [int(i == t) for t in range(q)]
+                                for i, row in enumerate(block))
+    else:
+        rows = [row + [one if i == t else zero for t in range(q)] for i, row in enumerate(block)]
+    echelon = Echelon(2 * q)
+    for row in rows:
+        echelon.add(row)
+    last = echelon.last_pivot()
+    solve = list(zip(*echelon.kernel()))  # last * -G_S^-1 in its first q rows
     fields = []
     for j in range(n):
         if j in subset:
@@ -580,6 +547,6 @@ def kernel_frame(grid):
         comps = [zero] * n
         comps[j] = one
         for col, coeffs in zip(subset, solve):
-            comps[col] = sum((a * row[j] for a, row in zip(coeffs, grid) if a and row[j]), zero)
+            comps[col] = sum((a * row[j] for a, row in zip(coeffs, grid) if a and row[j]), zero) // last
         fields.append(VectorField(chart, comps))
     return fields

@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals.
 
 One fraction-free (Bareiss) reduction, Echelon, serves rank, det, solve
-and the independence test _independent. It takes integer rows one at a
-time, each reduced against the rows held so far, so a caller whose rows
-come in batches, as the derived flag's levels do, extends one elimination
-instead of starting again. rank and det clear the denominators of their
-rows themselves, so intermediate entries stay integers and never lose
-exactness. A held row is kept at full width, zero before its pivot and at
-the pivots of the rows held before it, so Echelon.kernel, the one kernel
-routine, and solve share one back-substitution: per held row, a dot
-product over the row from its pivot on and an exact division by the pivot.
+and the independence test _independent, and forms' symbolic determinant
+and kernel frame. It takes rows one at a time, each reduced against the
+rows held so far, so a caller whose rows come in batches, as the derived
+flag's levels do, extends one elimination instead of starting again. Its
+rows are integers, or polynomials, whose exact division
+(algebra.Polynomial //) takes the same steps, each exact by Sylvester's
+identity. rank and det clear the denominators of their rows themselves,
+so intermediate entries stay integers and never lose exactness. A held
+row is kept at full width, zero before its pivot and at the pivots of the
+rows held before it, so Echelon.kernel, the one kernel routine, and solve
+share one back-substitution: per held row, a dot product over the row
+from its pivot on and an exact division by the pivot.
 solve takes a skew A and reads its scale |Pf(A)| off the same elimination,
 whose last pivot is +-det(A) = +-Pf(A)^2, so a skew system is eliminated
 once. pfaffian runs the skew analogue of the elimination.
@@ -200,11 +203,9 @@ def rank(rows) -> int:
 
 
 def det(rows) -> Fraction:
-    """Determinant of a square matrix given as an iterable of rows.
-
-    With every row held, the last pivot is the determinant of the columns
-    taken in pivot order, so it is signed by that order's parity.
-    """
+    """Determinant of a square matrix given as an iterable of rows: the
+    signed last pivot of one Echelon of its integer rows, over the product
+    of their row scales."""
     M, scale = _integer_rows(rows)
     if any(len(row) != len(M) for row in M):
         raise InputError("determinant needs a square matrix")
@@ -212,10 +213,16 @@ def det(rows) -> Fraction:
     for row in M:
         if not echelon.add(row):
             return Fraction(0)
+    return Fraction(_signed_last_pivot(echelon), scale)
+
+
+def _signed_last_pivot(echelon):
+    """The determinant of a square matrix whose rows are all held: the last
+    pivot, the minor in pivot order, signed by that order's parity."""
     pivots = echelon.pivots
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
     last = echelon.last_pivot()
-    return Fraction(-last if inversions % 2 else last, scale)
+    return -last if inversions % 2 else last
 
 
 def solve(rows, columns):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from nonholonomy.algebra import Chart, Polynomial
+from nonholonomy import distributions, forms
+from nonholonomy.algebra import Chart, IntegerGrid, Polynomial
 from nonholonomy.distributions import sample_points
 from nonholonomy.forms import DiffForm, VectorField
 
@@ -58,6 +60,39 @@ def sample_slice(chart, seed=0, *, grid, randoms):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+@pytest.fixture
+def minor_search(monkeypatch):
+    """A log of the constant-minor proof's work: found, the result of each
+    forms._constant_minor call; evaluated, the IntegerGrid.at calls; dets,
+    the integer determinants forms.det takes; expanded, the blocks given to
+    forms._poly_det."""
+    log = SimpleNamespace(found=[], evaluated=0, dets=[], expanded=[])
+    search, at, det, poly_det = forms._constant_minor, IntegerGrid.at, forms.det, forms._poly_det
+
+    def searched(grid):
+        log.found.append(search(grid))
+        return log.found[-1]
+
+    def evaluated(self, q):
+        log.evaluated += 1
+        return at(self, q)
+
+    def integer(rows):
+        log.dets.append(det(rows))
+        return log.dets[-1]
+
+    def symbolic(matrix):
+        log.expanded.append(matrix)
+        return poly_det(matrix)
+
+    for module in (forms, distributions):
+        monkeypatch.setattr(module, "_constant_minor", searched)
+    monkeypatch.setattr(IntegerGrid, "at", evaluated)
+    monkeypatch.setattr(forms, "det", integer)
+    monkeypatch.setattr(forms, "_poly_det", symbolic)
+    return log
 
 
 def quadratic_coframe(n, k):

@@ -21,9 +21,11 @@ every point before it sought the certificate, and flag_route_dlo_verdict
 decides derived length one by brackets, the route that the restricted
 grid replaced where the presentation is proved of constant rank;
 pivot_subset_by_fractions proposes the columns of the pivot-guided
-constant minor by Fraction ranks, and cramer_kernel_frame solves the
-kernel frame's slots by Cramer's rule, the r * m symbolic determinants
-that one inverse of the constant block replaced. sample_points_by_fractions builds the
+constant minor by Fraction ranks; laplace_det expands a polynomial
+determinant by cofactors, the m! products that forms._poly_det's one
+elimination replaced; and cramer_kernel_frame solves the kernel frame's
+slots by Cramer's rule on laplace_det, the r * m symbolic determinants
+that one elimination of [G_S | I] replaced. sample_points_by_fractions builds the
 sample set as Fraction points, the path that the lazy integer draw
 replaced; fiber_by_fractions draws a fiber with a new Fraction per entry,
 the path that the table of small rationals replaced; and
@@ -50,7 +52,6 @@ from nonholonomy.forms import (
     VectorField,
     _constant_minor,
     _grid,
-    _poly_det,
     _probe_points,
     constant_minor_certificate,
     dependent_points,
@@ -317,15 +318,35 @@ def pivot_subset_by_fractions(grid):
     return tuple(sorted(kept)) if len(kept) == len(grid) else None
 
 
+def laplace_det(matrix) -> Polynomial:
+    """Determinant of a square matrix of polynomials by Laplace expansion
+    along the first row, m! products: the path that forms._poly_det's one
+    elimination replaced."""
+    size = len(matrix)
+    if size == 1:
+        return matrix[0][0]
+    total = Polynomial.zero(matrix[0][0].chart)
+    for col in range(size):
+        entry = matrix[0][col]
+        if entry.is_zero():
+            continue
+        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
+        cofactor = entry * laplace_det(minor)
+        total = total + (cofactor if col % 2 == 0 else -cofactor)
+    return total
+
+
 def cramer_kernel_frame(grid):
-    """forms.kernel_frame by Cramer's rule: with the constant minor
-    det G_S of forms._constant_minor, the field of a column j outside S has
-    1 in slot j and -det(G_S with column s replaced by column j) / det G_S
-    in each slot s of S. None when there is no such minor."""
+    """forms.kernel_frame by Cramer's rule: with the block G_S of constant
+    determinant that forms._constant_minor finds, the field of a column j
+    outside S has 1 in slot j and -det(G_S with column s replaced by column
+    j) / det G_S in each slot s of S, every determinant by laplace_det.
+    None when there is no such block."""
     found = _constant_minor(grid)
     if found is None:
         return None
-    subset, det_value = found
+    subset, block = found
+    det_value = laplace_det(block).constant_value()
     chart = grid[0][0].chart
     n = len(grid[0])
     fields = []
@@ -334,7 +355,7 @@ def cramer_kernel_frame(grid):
         comps[j] = Polynomial.constant(chart, 1)
         for col in subset:
             replaced = [[row[j] if c == col else row[c] for c in subset] for row in grid]
-            comps[col] = _poly_det(replaced) * Fraction(-1, det_value)
+            comps[col] = laplace_det(replaced) * Fraction(-1, det_value)
         fields.append(VectorField(chart, comps))
     return fields
 

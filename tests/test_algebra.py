@@ -64,6 +64,32 @@ def test_polynomial_arithmetic_example():
         x ** -1
 
 
+def test_exact_division_inverts_multiplication():
+    # (a*b) // b == a on random polynomials; a scalar divisor divides every
+    # coefficient; a non-divisor raises InputError, a zero one
+    # ZeroDivisionError
+    rng = random.Random(7)
+    divided = 0
+    while divided < 200:
+        ch = rnd_chart(rng, max_n=4)
+        a, b = rnd_poly(rng, ch), rnd_poly(rng, ch)
+        if not b.is_zero():
+            assert (a * b) // b == a and divmod(a * b, b) == (a, 0)
+            divided += 1
+    ch = Chart(("x", "y"))
+    x = Polynomial.coordinate(ch, "x")
+    y = Polynomial.coordinate(ch, "y")
+    assert (x * x - y * y) // (x - y) == x + y
+    assert (2 * x + 4) // 2 == x + 2 and (2 * x) // Fraction(2, 3) == 3 * x
+    assert (6 * y) // Polynomial.constant(ch, 3) == 2 * y
+    for p, d in ((x, y), (x * x + 1, x), (x * y + 1, x + y), (Polynomial.constant(ch, 1), x)):
+        with pytest.raises(InputError):
+            p // d
+    for zero in (0, Fraction(0), Polynomial.zero(ch)):
+        with pytest.raises(ZeroDivisionError):
+            x // zero
+
+
 def test_ring_axioms_random():
     rng = random.Random(1)
     for _ in range(200):

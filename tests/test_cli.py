@@ -279,6 +279,15 @@ def test_unknown_example_is_an_input_error(capsys):
     assert "unknown example" in json.loads(out)["error"]["message"]
 
 
+def test_example_errors_keep_the_builders_message_and_exit_2(capsys):
+    for name, message in (("contact-0", "contact structure needs m >= 1"),
+                          ("jet-canonical-128", "example 'jet-canonical-128' would have 257 "
+                                                "coordinates; at most 256 are built")):
+        code, out = _run(capsys, ["example", name])
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "input", "message": message}
+
+
 def test_missing_required_option_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(_resolve(["check-mni", "data/jetlike5.nh"]))

@@ -3,7 +3,9 @@
 from fractions import Fraction
 from math import factorial
 
-from nonholonomy import forms
+import pytest
+
+from nonholonomy import constructions, forms
 from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.constructions import (
     build_example,
@@ -253,6 +255,33 @@ def test_build_example_ids():
             assert False
         except InputError:
             pass
+
+
+def test_build_example_keeps_the_builders_messages():
+    for name, message in (
+            ("contact-0", "contact structure needs m >= 1"),
+            ("even-contact-5", "even-contact structure needs even n >= 4"),
+            ("jet-canonical-0", "jet construction needs k >= 1"),
+            ("prop-ori-4-1", "ambient dimension must be 4k+1 or 4k+2, got n = 4"),
+            ("contact-x", "bad example parameter in 'contact-x'")):
+        with pytest.raises(InputError) as caught:
+            build_example(name)
+        assert str(caught.value) == message, name
+
+
+def test_build_example_refuses_a_chart_past_256_coordinates(monkeypatch):
+    # contact-128 and jet-canonical-128 have 257 coordinates: refused before
+    # any builder runs; contact-127 has 255 and is built
+    def refused(*args, **kwargs):
+        raise AssertionError("a distribution was built")
+
+    monkeypatch.setattr(constructions, "Distribution", refused)
+    for name in ("contact-128", "jet-canonical-128", "even-contact-258", "prop-ori-258-64"):
+        with pytest.raises(InputError) as caught:
+            build_example(name)
+        assert "at most 256" in str(caught.value), name
+    monkeypatch.undo()
+    assert build_example("contact-127").distribution.chart.n == 255
 
 
 def test_builtin_corpus_claims_hold():

@@ -211,59 +211,49 @@ def test_minor_search_cap():
     assert verdict == distributions.Verdict(True, 300, (), False)
 
 
-def test_the_cap_message_needs_a_search_that_reached_the_cap(monkeypatch):
+def test_the_cap_message_needs_a_search_that_reached_the_cap(minor_search):
     # dx1, ..., dx9 and dx1 again on 20 coordinates: the rows are dependent
-    # at the probe point, so the search tries no subset at all
-    confirmed = []
-    monkeypatch.setattr(forms, "_confirmed", lambda *args: confirmed.append(args))
+    # at the probe point, so the search tries no subset at all: one
+    # evaluation of the grid, and no determinant
     chart = Chart(tuple("x%d" % j for j in range(1, 21)))
     coframe = [DiffForm.basis(chart, j) for j in (*range(1, 10), 1)]
-    assert frame_from_coframe(coframe) is None and confirmed == []
+    assert frame_from_coframe(coframe) is None and minor_search.found == [None]
+    assert minor_search.evaluated == 1
+    assert minor_search.dets == [] and minor_search.expanded == []
     with pytest.raises(InputError) as caught:
         Distribution(chart, coframe=coframe).spanning_frame()
     assert str(caught.value) == (
         "coframe admits no constant-minor complement; supply an explicit frame")
 
 
-def test_the_pivot_candidate_leads_the_minor_search(monkeypatch):
+def test_the_pivot_candidate_leads_the_minor_search(minor_search):
     # quadratic (8,2) has 56 column subsets of 3, and its identity block,
     # columns 6 to 8, is the last of them; the pivot candidate is that block
-    # and is confirmed at once. So is the candidate of a jet-like (8,2) MNI
-    # grid, which settles its certificate
-    confirmed = []
-    original = forms._confirmed
-
-    def counted(grid, values, subset):
-        confirmed.append(subset)
-        return original(grid, values, subset)
-
-    monkeypatch.setattr(forms, "_confirmed", counted)
+    # and is proved at once, by one evaluation of the grid and no
+    # determinant. So is the candidate of a jet-like (8,2) MNI grid, which
+    # settles its certificate
     coframe = quadratic_coframe(8, 2)
     frame = frame_from_coframe(coframe)
-    assert confirmed == [(5, 6, 7)] and len(frame) == 5
+    ((subset, block),) = minor_search.found
+    assert subset == (5, 6, 7) and block == [[int(i == j) for j in range(3)] for i in range(3)]
+    assert len(frame) == 5 and minor_search.evaluated == 1 and minor_search.dets == []
     assert all(distributions._pairing(a, f).is_zero() for a in coframe for f in frame)
     coframe = jetlike_coframe(8, 2, random.Random(15))
     base = wedge_all(coframe)
     mni = [wedge(base, wedge_power(exterior_derivative(a), 2)) for a in coframe]
-    confirmed.clear()
+    minor_search.found.clear()
+    minor_search.evaluated = 0
     assert constant_minor_certificate(mni)
-    assert len(confirmed) == 1
+    assert len(minor_search.found) == 1 and minor_search.evaluated == 1
+    assert minor_search.dets == [] and minor_search.expanded == []
 
 
-def test_check_mni_confirms_one_subset_on_a_jetlike_coframe(monkeypatch):
-    # the coframe guard does no minor search: the one subset confirmed is
-    # the MNI forms' candidate, which settles their certificate
-    confirmed = []
-    original = forms._confirmed
-
-    def counted(grid, values, subset):
-        confirmed.append(subset)
-        return original(grid, values, subset)
-
-    monkeypatch.setattr(forms, "_confirmed", counted)
+def test_check_mni_confirms_one_subset_on_a_jetlike_coframe(minor_search):
+    # the coframe guard does no minor search: the one search is the MNI
+    # forms', whose candidate settles their certificate
     verdict = check_mni(jetlike_coframe(8, 2, random.Random(15)), 2)
     assert verdict.value and verdict.certificate
-    assert len(confirmed) == 1
+    assert len(minor_search.found) == 1 and minor_search.found[0] is not None
 
 
 def test_pivot_frame_differs_from_the_first_lexicographic_one():
@@ -332,6 +322,44 @@ def test_kernel_frame_matches_the_cramer_oracle():
     fields = kernel_frame(grid)
     assert fields == cramer_kernel_frame(grid)
     assert [str(f) for f in fields] == ["-x1*x2*@x1 + @x3", "x1*x3*x4*@x1 - x1*x3*@x2 + @x4"]
+
+
+def test_kernel_frame_inverts_a_polynomial_block_by_one_elimination():
+    # G_S = L*U with L constant of full rank and U unit upper triangular,
+    # its entries above the diagonal linear: det G_S = det L is constant
+    # although G_S has polynomial columns. The columns outside S have
+    # degree 2, so the candidate is S, and -G_S^-1 comes from one
+    # elimination of [G_S | I] over polynomials; the fields equal Cramer's
+    # rule on laplace_det
+    rng = random.Random(43)
+    polynomial = 0
+    for trial in range(30):
+        m = 2 + trial % 3
+        n = m + rng.randint(1, 3)
+        chart = Chart(tuple("x%d" % j for j in range(1, n + 1)))
+        lower = [[0]]
+        while not det(lower):
+            lower = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        upper = [[Polynomial.constant(chart, int(i == j)) if i >= j
+                  else rnd_poly(rng, chart, max_terms=2, max_degree=1) for j in range(m)]
+                 for i in range(m)]
+        block = rng.sample(range(n), m)
+        grid = [[rnd_poly(rng, chart) for _ in range(n)] for _ in range(m)]
+        for c in set(range(n)) - set(block):
+            x = Polynomial.coordinate(chart, rng.randint(1, n))
+            grid[rng.randrange(m)][c] += 10 * x * x
+        for i in range(m):
+            for t, c in enumerate(block):
+                grid[i][c] = sum((lower[i][s] * upper[s][t] for s in range(m)),
+                                 Polynomial.zero(chart))
+        subset, found = forms._constant_minor(grid)
+        assert subset == tuple(sorted(block)), trial
+        polynomial += not all(p.is_constant() for row in found for p in row)
+        fields = kernel_frame(grid)
+        assert fields == cramer_kernel_frame(grid), trial
+        assert all(sum((a * x for a, x in zip(row, f.components)), 0).is_zero()
+                   for row in grid for f in fields), trial
+    assert polynomial >= 20, polynomial
 
 
 def test_derived_flag_integrable_plane_field():
@@ -407,8 +435,9 @@ def test_flag_rows_are_evaluated_only_below_rank_n(monkeypatch):
     # rank 1 at every point, so level 1 reads r + 1 = n: over the 300 sample
     # points, derived_flag_at and has_derived_length_one each evaluate W's
     # row once per point and build no bracket level. Their other rows are
-    # the probe rows of the constant-minor searches that prove the frame
-    # and the coframe
+    # the rows at the first probe point of the constant-minor searches that
+    # prove the frame and the coframe, each a block of constants proved by
+    # one evaluation
     evaluated = Counter()
     original = IntegerGrid.at
 
@@ -423,7 +452,7 @@ def test_flag_rows_are_evaluated_only_below_rank_n(monkeypatch):
         restricted = dist._restricted_grid()
         assert len(restricted) == 1 and evaluated[restricted] == 300, name
         assert "_spans" not in vars(dist)
-        assert sum(evaluated.values()) - 300 == 2 * (dist.rank + 1), name
+        assert sum(evaluated.values()) - 300 == dist.rank + 1, name
 
     for make, size in ((contact_structure, 3), (contact_structure, 4),
                        (even_contact_structure, 6)):
@@ -793,23 +822,11 @@ def test_the_flag_route_serves_unproved_presentations(monkeypatch):
     assert built == [1, 1]
 
 
-def test_a_caller_frame_without_a_constant_minor_costs_one_probe(monkeypatch):
+def test_a_caller_frame_without_a_constant_minor_costs_one_probe(minor_search):
     # the frame (1 + x1^2)*@x_j, j <= 9, with the coframe dx10, ..., dx18:
     # the frame's one candidate, columns 1 to 9, has unequal probe minors 5^9
-    # and 10^9, so no symbolic determinant is taken before the flag route
-    confirmed, expanded = [], []
-    original_confirmed, original_det = forms._confirmed, forms._poly_det
-
-    def counted(grid, values, subset):
-        confirmed.append(subset)
-        return original_confirmed(grid, values, subset)
-
-    def determinant(matrix):
-        expanded.append(len(matrix))
-        return original_det(matrix)
-
-    monkeypatch.setattr(forms, "_confirmed", counted)
-    monkeypatch.setattr(forms, "_poly_det", determinant)
+    # and 10^9, so no symbolic determinant is taken before the flag route;
+    # the coframe's block of constants takes no determinant at all
     chart = Chart(tuple("x%d" % j for j in range(1, 19)))
     x1 = Polynomial.coordinate(chart, 1)
     frame = [(x1 * x1 + 1) * VectorField.basis(chart, j) for j in range(1, 10)]
@@ -817,7 +834,7 @@ def test_a_caller_frame_without_a_constant_minor_costs_one_probe(monkeypatch):
     dist = Distribution(chart, frame=frame, coframe=coframe)
     verdict = has_derived_length_one(dist, [(0,) * 18])
     assert verdict.witnesses == ((0,) * 18,) and dist._restricted_grid() is None
-    assert confirmed == [tuple(range(9))] and expanded == []
+    assert minor_search.dets == [5 ** 9, 10 ** 9] and minor_search.expanded == []
 
 
 def test_check_dbasis_condition_examples():
@@ -1383,27 +1400,22 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
     assert min(vanishing) > 0, vanishing
 
 
-def test_pivot_candidate_proves_the_benchmark_coframes(monkeypatch):
-    # the candidate, the first subset that forms._confirmed sees, is the
-    # identity block of quadratic_coframe (the last m columns) and of a
-    # jet-like coframe (the first m) at every admissible shape with k <= 4
-    seen = []
-    original = forms._confirmed
-
-    def counted(grid, values, subset):
-        seen.append((subset, original(grid, values, subset)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(forms, "_confirmed", counted)
+def test_pivot_candidate_proves_the_benchmark_coframes(minor_search):
+    # the candidate, the one subset tried, is the identity block of
+    # quadratic_coframe (the last m columns) and of a jet-like coframe (the
+    # first m) at every admissible shape with k <= 4, proved by one
+    # evaluation of the grid and no determinant
     rng = random.Random(15)
     for k in range(1, 5):
         for n in range(2 * k + 2, 4 * k + 3):
             m = n - 2 * k - 1
+            identity = [[int(i == j) for j in range(m)] for i in range(m)]
             for coframe, block in ((quadratic_coframe(n, k), tuple(range(n - m, n))),
                                    (jetlike_coframe(n, k, rng), tuple(range(m)))):
-                seen.clear()
-                assert forms._constant_minor(forms._grid(coframe, "test")) == (block, 1)
-                assert seen == [(block, (block, 1))], (n, k)
+                minor_search.evaluated = 0
+                assert forms._constant_minor(forms._grid(coframe, "test")) == (block, identity)
+                assert minor_search.evaluated == 1, (n, k)
+    assert minor_search.dets == [] and minor_search.expanded == []
 
 
 def test_check_mni_shape_errors():

@@ -38,9 +38,10 @@ from conftest import (
     jetlike_coframe, quadratic_coframe, rnd_chart, rnd_field, rnd_form, rnd_fraction, rnd_point,
     rnd_poly, sample_slice,
 )
+import oracles
 from oracles import (
-    evaluate_field, independent_by_fractions, interior_product, pivot_subset_by_fractions,
-    squaring_wedge_power,
+    evaluate_field, independent_by_fractions, interior_product, laplace_det,
+    pivot_subset_by_fractions, squaring_wedge_power,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -516,10 +517,17 @@ def test_dependent_mni_tuples_have_no_certificate():
 
 
 def _symbolic_constant(grid, subset):
-    value = _poly_det([[row[c] for c in subset] for row in grid])
+    block = [[row[c] for c in subset] for row in grid]
+    value = laplace_det(block)
     if value.is_constant() and not value.is_zero():
-        return subset, value.constant_value()
+        return subset, block
     return None
+
+
+def _minor_value(found):
+    # the subset and the constant minor of a search result, by Laplace
+    subset, block = found
+    return subset, laplace_det(block).constant_value()
 
 
 def _searched_subsets(grid):
@@ -532,7 +540,7 @@ def _searched_subsets(grid):
 
 
 def _reference_constant_minor(grid):
-    # the search without the numeric prefilter: the symbolic determinant of
+    # the search without the numeric prefilter: the Laplace determinant of
     # the subset it tries
     for subset in _searched_subsets(grid):
         return _symbolic_constant(grid, subset)
@@ -580,7 +588,7 @@ def _assert_matches_reference(grid):
     # the integer prefilter passes on exactly the subset the Fraction one
     # did, so the same subset comes back; its block is expanded
     # symbolically only if it has a polynomial entry, as a block of
-    # constants is decided by its integer determinant
+    # constants is proved by the pivot choice
     survivors = _fraction_prefilter_survivors(grid)
     blocks = [[[row[c] for c in s] for row in grid] for s in survivors]
     assert expanded == [b for b in blocks if _has_polynomial_entry(b)]
@@ -603,7 +611,7 @@ def test_constant_minor_prefilter_matches_reference_on_corpus_and_mni_forms():
     assert found == 4  # every jet-like tuple, no quadratic one
 
 
-def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
+def test_constant_minor_prefilter_adversarial_grids(minor_search):
     chart = Chart(("x1", "x2", "x3"))
     x1, x2 = (Polynomial.coordinate(chart, i) for i in (1, 2))
     (a1, a2, _), (b1, _, _) = _probe_points(chart.n)
@@ -624,28 +632,19 @@ def test_constant_minor_prefilter_adversarial_grids(monkeypatch):
     scaled = [[(x1 - a1) * Fraction(1, 2 * (b1 - a1)), one]]
     for grid in (vanishing, twin, hollow, scaled):
         _assert_matches_reference(grid)
-    assert _constant_minor(vanishing) == ((2,), 7)
-    assert _constant_minor(scaled) == ((1,), 1)
-    assert _constant_minor(hollow) is None
-    calls, confirmed = [], []
-    poly_det, original = forms_module._poly_det, forms_module._confirmed
-
-    def counted(grid, values, subset):
-        confirmed.append(subset)
-        return original(grid, values, subset)
-
-    def recorded(matrix):
-        calls.append(matrix)
-        return poly_det(matrix)
-
-    monkeypatch.setattr(forms_module, "_poly_det", recorded)
-    monkeypatch.setattr(forms_module, "_confirmed", counted)
-    assert _constant_minor(twin) == ((1, 2), -3)
+    assert _minor_value(forms_module._constant_minor(vanishing)) == ((2,), 7)
+    assert _minor_value(forms_module._constant_minor(scaled)) == ((1,), 1)
+    assert forms_module._constant_minor(hollow) is None
+    minor_search.evaluated = 0
+    minor_search.dets.clear()
+    minor_search.expanded.clear()
+    assert _minor_value(forms_module._constant_minor(twin)) == ((1, 2), -3)
     # the pivot candidate, the constant columns 1 and 2, is the only subset
     # tried, so (0, 1), which passes both probes but is not constant, is
-    # never expanded; and the candidate is a block of constants, decided by
-    # its integer determinant with no symbolic one
-    assert confirmed == [(1, 2)] and calls == []
+    # never expanded; and the candidate is a block of constants, proved by
+    # one evaluation of the grid with no determinant at all
+    assert minor_search.evaluated == 1
+    assert minor_search.dets == [] and minor_search.expanded == []
     # no columns at all: the certificate search finds nothing
     assert not constant_minor_certificate([DiffForm.zero(chart, 1)])
 
@@ -677,53 +676,37 @@ def _random_grid(rng, n):
     return rows
 
 
-def test_pivot_minor_matches_fraction_oracle_on_random_grids(monkeypatch):
-    # the candidate, the one subset that _confirmed sees, is the Fraction
-    # oracle's pivot subset; it is confirmed exactly when that subset's
-    # symbolic minor is a nonzero constant, and then is the search's result.
-    # Where no subset has a constant minor nothing is confirmed
-    seen = []
-    original = forms_module._confirmed
-
-    def counted(grid, values, subset):
-        seen.append((subset, original(grid, values, subset)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(forms_module, "_confirmed", counted)
+def test_pivot_minor_matches_fraction_oracle_on_random_grids(minor_search):
+    # the candidate, the one subset tried, is the Fraction oracle's pivot
+    # subset: the search returns it exactly when that subset's Laplace minor
+    # is a nonzero constant, and expands no other block. Where no subset has
+    # a constant minor nothing is found
     rng = random.Random(15)
-    found = searched_in_vain = 0
+    found = searched_in_vain = expanded = 0
     for trial in range(240):
         grid = _random_grid(rng, 4 + trial % 5)
-        seen.clear()
-        result = _constant_minor(grid)
+        minor_search.expanded.clear()
+        result = forms_module._constant_minor(grid)
         subset = pivot_subset_by_fractions(grid)
-        assert (seen[0][0] if seen else None) == subset, trial
-        candidate = seen[0][1] if seen else None
-        assert candidate == (None if subset is None else _symbolic_constant(grid, subset)), trial
-        assert result == candidate and len(seen) <= 1, trial
-        if candidate is not None:
+        assert result == (None if subset is None else _symbolic_constant(grid, subset)), trial
+        tried = [] if subset is None else [[[row[c] for c in subset] for row in grid]]
+        assert minor_search.expanded in ([], tried), trial
+        expanded += bool(minor_search.expanded)
+        if result is not None:
             found += 1
-            value = _poly_det([[row[c] for c in candidate[0]] for row in grid])
-            assert value.is_constant() and value.constant_value() == candidate[1] != 0
+            assert _minor_value(result)[1] != 0
         subsets = combinations(range(len(grid[0])), len(grid))
         if not any(_symbolic_constant(grid, s) for s in subsets):
             searched_in_vain += 1
-            assert candidate is None and result is None, trial
-    assert found > 40 and searched_in_vain > 40
+            assert result is None, trial
+    assert found > 40 and searched_in_vain > 40 and expanded >= 5
 
 
-def test_constant_columns_of_full_rank_are_confirmed_at_once(monkeypatch):
+def test_constant_columns_of_full_rank_are_confirmed_at_once(minor_search):
     # the search's guarantee: when the constant columns alone have full
-    # rank, the candidate lies among them, and the first and only _confirmed
-    # call returns its minor, a nonzero constant, whatever the other columns
-    seen = []
-    original = forms_module._confirmed
-
-    def counted(grid, values, subset):
-        seen.append(original(grid, values, subset))
-        return seen[-1]
-
-    monkeypatch.setattr(forms_module, "_confirmed", counted)
+    # rank, the candidate lies among them, and its minor, a nonzero
+    # constant, is proved by one evaluation of the grid with no determinant,
+    # integer or symbolic, whatever the other columns
     rng = random.Random(23)
     for trial in range(120):
         n = 3 + trial % 6
@@ -743,10 +726,11 @@ def test_constant_columns_of_full_rank_are_confirmed_at_once(monkeypatch):
             for row in grid:
                 row[c] = rnd_poly(rng, chart)
             grid[rng.randrange(q)][c] += x * x * rnd_fraction(rng) + x
-        seen.clear()
-        result = _constant_minor(grid)
-        assert result is not None and seen == [result], trial
-        subset, value = result
+        minor_search.evaluated = 0
+        result = forms_module._constant_minor(grid)
+        assert result is not None and minor_search.evaluated == 1, trial
+        assert minor_search.dets == [] and minor_search.expanded == [], trial
+        subset, value = _minor_value(result)
         assert set(subset) <= set(constant) and value != 0, trial
         assert _symbolic_constant(grid, subset) == result, trial
 
@@ -793,7 +777,8 @@ def _random_block_grids():
 
 def test_constant_minor_matches_the_laplace_reference_on_random_blocks():
     # m <= 7, dense and sparse, constant and polynomial: the search returns
-    # the subset and value of the Laplace _poly_det on the subset it tries
+    # the subset and block it tries exactly when laplace_det finds the
+    # block's determinant a nonzero constant
     found = Counter()
     for grid in _random_block_grids():
         result = _constant_minor(grid)
@@ -804,38 +789,18 @@ def test_constant_minor_matches_the_laplace_reference_on_random_blocks():
     assert found[False] > 20 and found[True] > 5, found
 
 
-def test_poly_det_is_entered_only_for_a_block_with_a_polynomial_entry(monkeypatch):
-    entered, depth = [], [0]
-    poly_det = forms_module._poly_det
-
-    def recorded(matrix):
-        if not depth[0]:
-            entered.append(_has_polynomial_entry(matrix))
-        depth[0] += 1
-        try:
-            return poly_det(matrix)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(forms_module, "_poly_det", recorded)
+def test_poly_det_is_entered_only_for_a_block_with_a_polynomial_entry(minor_search):
     for grid in _random_block_grids():
-        _constant_minor(grid)
+        forms_module._constant_minor(grid)
         forms_module.kernel_frame(grid)
+    entered = list(map(_has_polynomial_entry, minor_search.expanded))
     assert entered and all(entered)
 
 
-def test_a_dense_constant_block_of_eleven_forms_takes_no_symbolic_determinant(monkeypatch):
+def test_a_dense_constant_block_of_eleven_forms_takes_no_symbolic_determinant(minor_search):
     # a_i = x1*x2*dx_(i mod 3 + 1) + sum_(j >= 4) c_ij dx_j on 14
     # coordinates, with every c_ij in 1..9: Laplace would take 11! products
-    # on the block of columns 4 to 14, its integer determinant takes none
-    calls = []
-    poly_det = forms_module._poly_det
-
-    def recorded(matrix):
-        calls.append(matrix)
-        return poly_det(matrix)
-
-    monkeypatch.setattr(forms_module, "_poly_det", recorded)
+    # on the block of columns 4 to 14, the pivot choice proves it with none
     m = 11
     chart = Chart(tuple("x%d" % i for i in range(1, m + 4)))
     rng = random.Random(9)
@@ -846,12 +811,80 @@ def test_a_dense_constant_block_of_eleven_forms_takes_no_symbolic_determinant(mo
     zero = Polynomial.zero(chart)
     grid = [[x1x2 if j == i % 3 else zero for j in range(3)]
             + [Polynomial.constant(chart, c) for c in row] for i, row in enumerate(block)]
-    assert _constant_minor(grid) == (tuple(range(3, m + 3)), det(block))
+    subset, found = forms_module._constant_minor(grid)
+    assert subset == tuple(range(3, m + 3))
+    assert det([[p.constant_value() for p in row] for row in found]) == det(block)
     frame = forms_module.kernel_frame(grid)
-    assert calls == [] and len(frame) == 3
+    assert minor_search.dets == [] and minor_search.expanded == [] and len(frame) == 3
     for row in grid:
         for field in frame:
             assert sum((a * x for a, x in zip(row, field.components)), zero).is_zero()
+
+
+def test_poly_det_matches_laplace_on_random_blocks():
+    # 240 blocks of size 1 to 6, entries linear in three coordinates; in
+    # every fourth the last row is a polynomial combination of two others,
+    # so the block is singular. A row permutation, odd or even, scales the
+    # one elimination's determinant by its sign
+    rng = random.Random(41)
+    chart = Chart(("x", "y", "z"))
+    singular, parities = 0, Counter()
+    for trial in range(240):
+        m = 1 + trial % 6
+        block = [[rnd_poly(rng, chart, max_terms=2, max_degree=1) for _ in range(m)]
+                 for _ in range(m)]
+        if m > 1 and trial % 4 == 0:
+            f, g = (rnd_poly(rng, chart, max_terms=2, max_degree=1) for _ in range(2))
+            block[-1] = [f * a + g * b for a, b in zip(block[0], block[1 if m > 2 else 0])]
+        expected = laplace_det(block)
+        assert _poly_det(block) == expected, trial
+        singular += expected.is_zero()
+        perm = rng.sample(range(m), m)
+        sign = _perm_sign(perm)
+        assert _poly_det([block[i] for i in perm]) == expected * sign, trial
+        parities[sign] += m > 1
+    assert singular >= 40 and min(parities.values()) >= 60, (singular, parities)
+
+
+def test_a_dense_unit_triangular_product_takes_one_elimination(monkeypatch):
+    # L unit lower and U unit upper triangular, their off-diagonal entries
+    # linear forms in x, y, z: L*U at m = 8 is dense, of degree 2, and of
+    # determinant 1. Laplace would take 8! = 40320 products; the one
+    # elimination adds each row once and multiplies at most 2 m^3 times
+    m = 8
+    chart = Chart(("x", "y", "z"))
+    rng = random.Random(19)
+    one = Polynomial.constant(chart, 1)
+    linear = [Polynomial.coordinate(chart, i) for i in (1, 2, 3)] + [one]
+
+    def unit_triangular(lower):
+        return [[one if i == j else sum((rnd_fraction(rng) * v for v in linear), 0 * one)
+                 if (i > j) == lower else 0 * one for j in range(m)] for i in range(m)]
+
+    L, U = unit_triangular(True), unit_triangular(False)
+    block = [[sum((L[i][t] * U[t][j] for t in range(m)), 0 * one) for j in range(m)]
+             for i in range(m)]
+    assert all(not p.is_constant() for row in block[1:] for p in row[1:])
+    added, multiplied = [0], [0]
+    add, mul = forms_module.Echelon.add, Polynomial.__mul__
+
+    def counted_add(self, row):
+        added[0] += 1
+        return add(self, row)
+
+    def counted_mul(self, other):
+        multiplied[0] += 1
+        return mul(self, other)
+
+    def refused(matrix):
+        raise AssertionError("Laplace expansion entered")
+
+    monkeypatch.setattr(forms_module.Echelon, "add", counted_add)
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted_mul)
+    monkeypatch.setattr(oracles, "laplace_det", refused)
+    assert _poly_det(block) == 1
+    assert added[0] == m and multiplied[0] <= 2 * m ** 3, (added, multiplied)
 
 
 def test_form_string_rendering():

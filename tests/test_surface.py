@@ -168,6 +168,19 @@ def test_linalg_has_one_elimination_and_its_skew_analogue():
     assert all("kernel_vector(" in inspect.getsource(f) for f in (linalg.Echelon.kernel, linalg.solve))
 
 
+def test_the_presentation_proof_runs_on_one_elimination():
+    # Laplace expansion lives in tests/oracles.py as laplace_det; the
+    # symbolic determinant, the minor search and the kernel frame's inverse
+    # each take one linalg.Echelon, and the Faddeev-LeVerrier adjugate, the
+    # separate confirmation step and its block builder are gone
+    for name in ("_adjugate", "_confirmed", "_block"):
+        assert not hasattr(forms, name), name
+    for function in (forms._poly_det, forms._constant_minor, forms.kernel_frame):
+        assert "Echelon(" in inspect.getsource(function), function.__name__
+    assert inspect.getsource(forms._poly_det).count("_poly_det(") == 1
+    assert "_signed_last_pivot(" in inspect.getsource(linalg.det)
+
+
 def test_readme_library_tour_runs():
     # every print in the README's python block shows its output in a
     # trailing comment
