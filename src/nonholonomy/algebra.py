@@ -356,13 +356,14 @@ class IntegerGrid:
     multiplication. Row i at p is L_i * D^dmax times the exact values of
     row i: a positive multiple, so ranks and zero tests are those of the
     exact rows, and at two points of one D the rows carry the same factors.
-    degree is dmax, so a grid of degree 0 is constant.
+    degree is dmax, so a grid of degree 0 is constant, and polynomials holds
+    the rows of polynomials it was compiled from.
     """
 
-    __slots__ = ("degree", "_rows", "_tops", "_levels")
+    __slots__ = ("degree", "polynomials", "_rows", "_tops", "_levels")
 
     def __init__(self, chart: Chart, rows):
-        rows = [list(row) for row in rows]
+        self.polynomials = rows = [list(row) for row in rows]
         if any(p.chart != chart for row in rows for p in row):
             raise InputError("grid polynomials live on different charts")
         exponents = list(dict.fromkeys(e for row in rows for p in row for e in p.terms))

@@ -22,7 +22,7 @@ from math import factorial
 
 from . import __version__
 from .algebra import Chart
-from .constructions import build_example, verify_prop_ori_identity
+from .constructions import _MAX_COORDINATES, build_example, verify_prop_ori_identity
 from .distributions import (
     Distribution,
     check_almost_mni,
@@ -288,6 +288,9 @@ def _run_verify_ori(args, seed, doc):
     n = args.n if args.n is not None else 2 * k + 1
     if n < 2 * k + 1:
         raise InputError("need n >= 2k+1 = %d, got %d" % (2 * k + 1, n))
+    if n > _MAX_COORDINATES:
+        raise InputError("verify-ori would have %d coordinates; at most %d are built"
+                         % (n, _MAX_COORDINATES))
     chart = Chart(tuple("x%d" % j for j in range(1, n + 1)))
     coframe = [DiffForm.basis(chart, j) for j in range(1, 2 * k + 2)]
     task = _ori_task(coframe, k)

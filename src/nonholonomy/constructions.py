@@ -218,7 +218,7 @@ def oriented_pairing(n: int, k: int) -> ExampleBundle:
     )
 
 
-_MAX_COORDINATES = 256  # the largest chart build_example builds; the gallery's has 11
+_MAX_COORDINATES = 256  # the largest chart build_example or verify-ori builds; the gallery's has 11
 
 # (identifier parts before the integers, their count, builder, chart size)
 _EXAMPLES = (
@@ -232,16 +232,17 @@ _EXAMPLES = (
 
 def build_example(example_id: str) -> ExampleBundle:
     """Resolve a stable example identifier like 'contact-2' or 'prop-ori-5-1'.
-    An example whose chart would exceed _MAX_COORDINATES is refused
-    before anything is built; the builders' own errors pass through."""
+    Each parameter must be ASCII digits, so that int() reads no sign,
+    underscore or other script. An example whose chart would exceed
+    _MAX_COORDINATES is refused before anything is built; the builders'
+    own errors pass through."""
     parts = example_id.strip().split("-")
     for head, count, builder, size in _EXAMPLES:
         if parts[:len(head)] != head or len(parts) != len(head) + count:
             continue
-        try:
-            params = [int(p) for p in parts[len(head):]]
-        except ValueError as exc:
-            raise InputError("bad example parameter in %r" % example_id) from exc
+        if not all(p.isascii() and p.isdigit() for p in parts[len(head):]):
+            raise InputError("bad example parameter in %r" % example_id)
+        params = [int(p) for p in parts[len(head):]]
         if size(*params) > _MAX_COORDINATES:
             raise InputError("example %r would have %d coordinates; at most %d are built"
                              % (example_id, size(*params), _MAX_COORDINATES))

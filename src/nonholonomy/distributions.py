@@ -21,9 +21,10 @@ a_i([X, Y]) = X(a_i(Y)) - Y(a_i(X)) - da_i(X, Y) = -da_i(X, Y), the
 curvature, or Levi bracket, L^2 D -> TM/D. So over a basis X_1, ..., X_r
 of D, D + [D, D] = TM at p exactly when the m rows
 W_i = (da_i(X_a, X_b))_{a<b} are independent there, and the wedge checks
-rank the Pfaffian minors of the W_i of their 2-forms. A Distribution
-proves its presentation once, and _restricted_test chooses each check's
-route.
+rank the Pfaffian minors of the W_i of their 2-forms, and seek their
+certificate on the minors of W's polynomial rows, so no check builds a
+wedge form. A Distribution proves its presentation once, and
+_restricted_test chooses each check's route.
 """
 
 from __future__ import annotations
@@ -41,15 +42,11 @@ from .forms import (
     DiffForm,
     VectorField,
     _constant_minor,
-    constant_minor_certificate,
     exterior_derivative,
     kernel_frame,
     lie_bracket,
-    wedge,
-    wedge_all,
-    wedge_power,
 )
-from .linalg import Echelon, _independent
+from .linalg import Echelon, _independent, pfaffian
 
 _GRID_NUMERATORS = (0, 2, -2, 1, -1)  # over D = 2: 0, 1, -1, 1/2, -1/2
 
@@ -316,9 +313,12 @@ def _pfaffian_minors(r: int, k: int):
     W_ab W_cd - W_ac W_bd + W_ad W_bc, which at r = 5 costs a small
     fraction of the 5 x 5 echelon of a kernel vector. For k >= 3, where
     r = 2k + 1, the signed minors (-1)^a Pf(W without a) span ker W when W
-    has rank 2k and vanish when it has less, so minors gives a kernel
-    vector of W, or zero: the minors, reordered and signed, times a nonzero
-    factor of its own, which changes no rank.
+    has rank 2k and vanish when it has less. On integer rows minors gives
+    the kernel vector of one Echelon of W, or zero: the minors times a
+    nonzero factor of its own, which changes no rank. On polynomial rows
+    it gives the signed minors themselves, each by linalg.pfaffian, as the
+    certificate needs: the kernel vector's factor is a polynomial there,
+    which would hide a constant minor.
     """
     if k == 1:
         return comb(r, 2), list
@@ -333,32 +333,52 @@ def _pfaffian_minors(r: int, k: int):
         raise ConsistencyError("a kernel vector stands in for the minors only at r = 2k + 1")
 
     def minors(row):
+        zero = 0 * row[0]  # 0, or the zero polynomial on polynomial rows
+        skew = [[row[at[a, b]] if a < b else -row[at[b, a]] if b < a else zero
+                 for b in range(r)] for a in range(r)]
+        if not isinstance(zero, int):
+            return [(-1) ** a * pfaffian([x[:a] + x[a + 1:] for x in skew[:a] + skew[a + 1:]])
+                    for a in range(r)]
         echelon = Echelon(r)
-        for a in range(r):
-            echelon.add([row[at[a, b]] if a < b else -row[at[b, a]] if b < a else 0
-                         for b in range(r)])
-        return echelon.kernel()[0] if len(echelon.pivots) == r - 1 else [0] * r
+        for line in skew:
+            echelon.add(line)
+        return echelon.kernel()[0] if len(echelon.pivots) == r - 1 else [zero] * r
 
     return r, minors
 
 
 def _restricted_test(dist: Distribution, omegas=None, k=1, flag=False):
-    """(independent, constant): whether the Pfaffian minors of the W of the
-    omegas (by default the da_i) are independent at an integer row q, and
-    whether W is a compiled grid of degree 0. The route is chosen here: W
-    over the kernel frame; W built at each point for a wedge check without
-    one; or, for the flag (flag=True) unproved, (None, False): brackets."""
+    """(independent, certified): whether the Pfaffian minors of the W of
+    the omegas (by default the da_i) are independent at an integer row q,
+    and a callable that tells whether a constant minor proves them
+    independent at every point, given that they are at one. The route is
+    chosen here: W over the kernel frame, compiled once; W built at each
+    point for a wedge check without one, which no certificate covers; or,
+    for the flag (flag=True) unproved, (None, None): brackets.
+
+    Over the kernel frame, certified runs _constant_minor on the Pfaffian
+    minors of W's polynomial rows, the signed minors themselves at every k:
+    a nonzero constant maximal minor of theirs proves them independent at
+    every point. A W of degree 0, independent at one point, is its own
+    certificate.
+    """
     if flag and dist._restricted_grid() is None:
-        return None, False
+        return None, None
+    width, minors = _pfaffian_minors(dist.rank, k)
     if dist._kernel_frame is None:
         two_forms = dist._derivatives if omegas is None else omegas
-        rows, constant = _pointwise_restricted_grid(dist.coframe, two_forms), False
+        rows, certified = _pointwise_restricted_grid(dist.coframe, two_forms), lambda: False
     else:
         compiled = (dist._curvature if omegas is None
                     else _compile_restricted_grid(dist._kernel_frame, omegas))
-        rows, constant = compiled.at, compiled.degree == 0
-    width, minors = _pfaffian_minors(dist.rank, k)
-    return (lambda q: _independent(map(minors, rows(q)), width)), constant
+        rows = compiled.at
+
+        def certified():
+            if compiled.degree == 0:
+                return True
+            return _constant_minor([minors(row) for row in compiled.polynomials]) is not None
+
+    return (lambda q: _independent(map(minors, rows(q)), width)), certified
 
 
 def frame_from_coframe(coframe):
@@ -504,25 +524,19 @@ def _wedge_verdict(dist, omegas, k, points, seed) -> Verdict:
     form vanishes, raises.
 
     Unless the first point is a witness, where every maximal minor
-    vanishes, the certificate is sought before any other point is drawn.
-    A compiled W of degree 0 is its own: the columns dx_S^dx_T of the
-    forms' grid, det(G_S) times its vectors, are then a constant block of
-    full rank, in which the pivot candidate finds a constant minor. Any
-    other W builds the forms for constant_minor_certificate. Without a
-    certificate every point is ranked, with certificate=False.
+    vanishes, _restricted_test's certificate is sought before any other
+    point is drawn: over the kernel frame the columns dx_S^dx_T of the
+    forms are the constant +-k! det(G_S) times W's Pfaffian minors, so a
+    constant maximal minor of those is one of the forms' grid, and no form
+    is built. Without a certificate every point is ranked, with
+    certificate=False.
     """
     size, rows = _sample_set(dist.chart, points, seed)
     rows = iter(rows)
     first = next(rows)
-    independent, constant = _restricted_test(dist, omegas, k)
-
-    def certified():
-        base = wedge_all(dist.coframe)
-        two_forms = dist._derivatives if omegas is None else omegas
-        return constant_minor_certificate([wedge(base, wedge_power(w, k)) for w in two_forms])
-
+    independent, certified = _restricted_test(dist, omegas, k)
     witnesses = [] if independent(first) else [first]
-    if not witnesses and (constant or certified()):
+    if not witnesses and certified():
         return Verdict(True, size, (), True)
     witnesses += [q for q in rows if not independent(q)]
     return Verdict(not witnesses, size, tuple(map(_fraction_point, witnesses)))

@@ -125,12 +125,7 @@ class DiffForm:
         self._check_mate(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            total = terms.get(key)
-            total = coeff if total is None else total + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
+            _add_term(terms, key, coeff)
         out = DiffForm.__new__(DiffForm)
         out.chart, out.degree, out.terms = self.chart, self.degree, terms
         return out
@@ -283,6 +278,17 @@ class VectorField:
 # -- operations -----------------------------------------------------------
 
 
+def _add_term(terms, key, coeff):
+    """Add coeff into the term map terms at key, in place, dropping a term
+    that cancels."""
+    total = terms.get(key)
+    total = coeff if total is None else total + coeff
+    if total.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = total
+
+
 def _wedge_into(terms, a_terms, b_terms):
     """Add the exterior product of two term maps, given as (key,
     coefficient) pairs, into the term map terms, in place."""
@@ -293,14 +299,7 @@ def _wedge_into(terms, a_terms, b_terms):
                 continue
             key, sign = packed
             contrib = coeff_a * coeff_b
-            if sign < 0:
-                contrib = -contrib
-            total = terms.get(key)
-            total = contrib if total is None else total + contrib
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
+            _add_term(terms, key, contrib if sign > 0 else -contrib)
 
 
 def wedge(a, b) -> DiffForm:
@@ -374,13 +373,7 @@ def exterior_derivative(a) -> DiffForm:
             if packed is None:
                 continue
             new_key, sign = packed
-            contrib = partial if sign > 0 else -partial
-            total = out.terms.get(new_key)
-            total = contrib if total is None else total + contrib
-            if total.is_zero():
-                out.terms.pop(new_key, None)
-            else:
-                out.terms[new_key] = total
+            _add_term(out.terms, new_key, partial if sign > 0 else -partial)
     return out
 
 
@@ -498,11 +491,11 @@ def constant_minor_certificate(forms) -> bool:
     nonzero constant.
 
     Such a minor certifies pointwise independence at every point of the
-    chart, upgrading a sampled verdict to a proof. The sampled checks ask
-    for it after ranking their first sample point, unless that point is a
-    witness: at a dependent point every maximal minor vanishes, so a
-    witness already rules out a certificate. A certificate found spares
-    the check every other point.
+    chart. The sampled checks do not call it: they seek theirs on the
+    Pfaffian minors of their restricted grid, with no form built. Its
+    callers are constructions.build_prop_ori_omegas, which asks it of the
+    coframe before ranking sample points, and perfbench's tracer, which
+    counts the certificates it finds.
     Only the pivot candidate is tried (see _constant_minor), so False means
     "no certificate found", not "dependent".
     """

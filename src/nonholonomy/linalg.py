@@ -15,7 +15,8 @@ share one back-substitution: per held row, a dot product over the row
 from its pivot on and an exact division by the pivot.
 solve takes a skew A and reads its scale |Pf(A)| off the same elimination,
 whose last pivot is +-det(A) = +-Pf(A)^2, so a skew system is eliminated
-once. pfaffian runs the skew analogue of the elimination.
+once. pfaffian runs the skew analogue of the elimination, on rationals
+or on polynomials.
 
 Everything here is deterministic, and the pivot columns do not depend on
 the order of the rows: a held row is zero before its pivot, its first
@@ -148,14 +149,17 @@ def _independent(vectors, width: int) -> bool:
     return all(map(Echelon(width).add, vectors))
 
 
-def pfaffian(rows) -> Fraction:
+def pfaffian(rows):
     """Pfaffian of a skew-symmetric matrix given as an iterable of rows.
 
-    One denominator L is cleared over the whole matrix, as clearing row by
-    row would break skew symmetry; this scales the Pfaffian by L^(size/2).
-    Then, as in Echelon but on 2x2 pivot blocks, each trailing entry is
-    the Pfaffian of a bordered minor, so the division by the previous pivot
-    is exact. Odd sizes give 0.
+    One denominator L is cleared over a whole matrix of ints and
+    Fractions, as clearing row by row would break skew symmetry; this
+    scales the Pfaffian by L^(size/2). Then, as in Echelon but on 2x2
+    pivot blocks, each trailing entry is the Pfaffian of a bordered minor,
+    so the division by the previous pivot is exact. A matrix of
+    polynomials, told by its first entry, takes the same steps by exact
+    division (algebra.Polynomial //) and gives a polynomial. Odd sizes give
+    0.
     """
     rows = [list(row) for row in rows]
     size = len(rows)
@@ -163,14 +167,15 @@ def pfaffian(rows) -> Fraction:
         raise InputError("Pfaffian needs a square matrix")
     if size % 2:
         return Fraction(0)
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    M = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    numbers = not rows or isinstance(rows[0][0], (int, Fraction))
+    scale = lcm(*(x.denominator for row in rows for x in row)) if numbers else 1
+    M = [[x.numerator * (scale // x.denominator) for x in row] for row in rows] if numbers else rows
     prev = 1
     sign = 1
     while M:
         piv = next((c for c in range(1, len(M)) if M[0][c]), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0) if numbers else M[0][0]  # the zero diagonal
         if piv != 1:
             M[1], M[piv] = M[piv], M[1]
             for row in M:
@@ -183,7 +188,7 @@ def pfaffian(rows) -> Fraction:
             for j, row in enumerate(M[2:], start=2)
         ]
         prev = p
-    return Fraction(sign * prev, scale ** (size // 2))
+    return Fraction(sign * prev, scale ** (size // 2)) if numbers else sign * prev
 
 
 def rank(rows) -> int:

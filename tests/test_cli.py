@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import nonholonomy.cli as cli
-from nonholonomy import distributions
+from nonholonomy import distributions, forms
 from nonholonomy.constructions import build_example
 
+from conftest import jetlike_coframe
 from golden_cases import CASES, INTERNAL_ERROR_CASE, forced_internal_error
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -299,6 +300,55 @@ def test_verify_ori_rejects_small_n(capsys):
     code, out = _run(capsys, ["verify-ori", "--k", "2", "--n", "4"])
     assert code == 2
     assert "2k+1" in json.loads(out)["error"]["message"]
+
+
+def test_verify_ori_refuses_a_chart_past_256_coordinates(capsys, monkeypatch):
+    # the default n is 2k+1, so one bound caps --k too; the refusal names
+    # the size, and no chart is built before it
+    def refused(*args, **kwargs):
+        raise AssertionError("a chart was built")
+
+    monkeypatch.setattr(cli, "Chart", refused)
+    for argv, size in ((["--k", "128"], 257), (["--k", "1", "--n", "300"], 300),
+                       (["--k", "10000000"], 20000001)):
+        code, out = _run(capsys, ["verify-ori"] + argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["message"] == (
+            "verify-ori would have %d coordinates; at most 256 are built" % size)
+    with pytest.raises(AssertionError, match="a chart was built"):
+        cli.main(["verify-ori", "--k", "1", "--n", "256"])
+
+
+def test_check_mni_builds_no_wedge_where_the_certificate_is_sought(capsys, monkeypatch, tmp_path):
+    # the perturbed jet-like (22,5) coframe, dy_i - sum c h dh + y1^2 dh11:
+    # its first point is no witness and W is not constant, so the certificate
+    # is sought, once, on W's Pfaffian minors. The wedge kernel that every
+    # wedge and wedge power goes through raises, and every point is ranked
+    coframe = jetlike_coframe(22, 5, random.Random(3))
+    names = coframe[0].chart.names
+    lines = ["coords %s;" % " ".join(names)]
+    for i, a in enumerate(coframe, 1):
+        terms = ["(%s) * d(%s)" % (c, names[j - 1]) for (j,), c in sorted(a.terms.items())]
+        lines.append("form a%d = %s + y1 * y1 * d(h11);" % (i, " + ".join(terms)))
+    path = tmp_path / "perturbed22.nh"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sought = []
+
+    def counted(grid):
+        sought.append(len(grid))
+        return original(grid)
+
+    def no_wedge(*args):
+        raise AssertionError("a wedge was built")
+
+    original = distributions._constant_minor
+    monkeypatch.setattr(forms, "_wedge_into", no_wedge)
+    monkeypatch.setattr(distributions, "_constant_minor", counted)
+    code, out = _run(capsys, ["check-mni", str(path), "--k", "5", "--seed", "0"])
+    (task,) = json.loads(out)["tasks"]
+    assert (code, task["verdict"], task["certificate"]) == (1, False, False)
+    assert (task["points_checked"], task["failure_count"]) == (300, 1)
+    assert sought == [11]
 
 
 def test_amni_rejects_non_two_form_binding(capsys):

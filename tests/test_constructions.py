@@ -269,6 +269,16 @@ def test_build_example_keeps_the_builders_messages():
         assert str(caught.value) == message, name
 
 
+def test_build_example_reads_parameters_as_ascii_digits():
+    # int() would read contact-1_0 as contact-10, contact-+2 as contact-2
+    # and an Arabic-Indic or superscript two as 2
+    for name in ("contact-1_0", "contact-+2", "contact-\u0662", "contact-\u00b2",
+                 "prop-ori-5- 1", "contact-"):
+        with pytest.raises(InputError) as caught:
+            build_example(name)
+        assert str(caught.value) == "bad example parameter in %r" % name
+
+
 def test_build_example_refuses_a_chart_past_256_coordinates(monkeypatch):
     # contact-128 and jet-canonical-128 have 257 coordinates: refused before
     # any builder runs; contact-127 has 255 and is built

@@ -6,6 +6,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,7 +42,7 @@ from nonholonomy.forms import (
     wedge_all,
     wedge_power,
 )
-from nonholonomy.linalg import det, rank
+from nonholonomy.linalg import det, pfaffian, rank
 from nonholonomy.parser import parse_document
 
 from conftest import (
@@ -1043,34 +1044,41 @@ def _verdict_or_drop(verdict, *args):
 
 
 def _agreed_outcome(coframe, omegas, k, points=None, seed=0):
-    """The wedge checks' Verdict or rank drop, which must equal that of
-    the witness-first order. Only a coframe that kernel_frame does not
-    complete can drop rank, and a drop builds no wedge power. Otherwise
-    the wedge powers are built only to seek a certificate, when the first
-    point is no witness and W is not compiled and constant."""
+    """The wedge checks' Verdict or rank drop, reached without a symbolic
+    wedge, which must equal that of the witness-first order on the
+    symbolic forms: in every field over the kernel frame, and in all but
+    the certificate on the pointwise route, which seeks none. Only a
+    coframe that kernel_frame does not complete can drop rank. The
+    certificate is sought once, on W's Pfaffian minors, when the kernel
+    frame exists, W is not constant and the first point is no witness."""
     coframe, omegas = list(coframe), list(omegas)
     args = (coframe, omegas, k, points, seed)
-    built = []
+    sought = []
 
-    def counted(form, power):
-        built.append(form)
-        return wedge_power(form, power)
+    def counted(grid):
+        sought.append(grid)
+        return forms._constant_minor(grid)
+
+    def no_wedge(*args):
+        raise AssertionError("a wedge check built a symbolic wedge")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distributions, "wedge_power", counted)
+        patch.setattr(distributions, "_constant_minor", counted)
+        patch.setattr(forms, "_wedge_into", no_wedge)
         outcome = _verdict_or_drop(
             lambda c, *rest: distributions._wedge_verdict(distributions._wedge_distribution(c), *rest),
             *args)
-    assert outcome == _verdict_or_drop(witness_first_verdict, *args)
+    expected = _verdict_or_drop(witness_first_verdict, *args)
     frame = kernel_frame(distributions._coframe_grid(coframe))
-    if _kind(outcome) == "drop":
-        assert frame is None and built == []
+    if frame is None:
+        if _kind(expected) != "drop":
+            expected = expected._replace(certificate=False)
+        assert outcome == expected and sought == []
         return outcome
+    assert outcome == expected
     first = tuple(points[0]) if points is not None else sample_points(coframe[0].chart, seed)[0]
-    constant = (frame is not None
-                and distributions._compile_restricted_grid(frame, omegas).degree == 0)
-    seeks = not constant and first not in outcome.witnesses
-    assert built == (omegas if seeks else [])
+    constant = distributions._compile_restricted_grid(frame, omegas).degree == 0
+    assert len(sought) == (not constant and first not in outcome.witnesses)
     return outcome
 
 
@@ -1142,18 +1150,87 @@ def test_certificate_first_matches_witness_first_on_benchmark_coframes():
 
 
 def test_certificate_first_matches_witness_first_on_random_coframes():
-    # the d-basis condition on the rank guard's 150 random coframes, where
-    # each of the four outcomes occurs at least 5 times: the identity
-    # blocks take the compiled W, the rest the pointwise W
+    # the d-basis condition on the rank guard's 150 random coframes: the
+    # identity blocks take the compiled W, where each of the three outcomes
+    # of a coframe of constant rank occurs, and the rest the pointwise W,
+    # which seeks no certificate, where a drop, True and False each occur
+    # at least 5 times
     kinds = Counter()
     for _, coframe, points in _rank_drop_trials():
         route = "grid" if kernel_frame(distributions._coframe_grid(coframe)) else "pointwise"
         kinds[route, _kind(_agreed_outcome(coframe, _derivatives(coframe), 1, points))] += 1
-    outcomes = Counter()
-    for (_, kind), count in kinds.items():
-        outcomes[kind] += count
-    assert len(outcomes) == 4 and min(outcomes.values()) >= 5, kinds
-    assert {route for route, _ in kinds} == {"grid", "pointwise"}, kinds
+    assert {kind for route, kind in kinds if route == "grid"} == {
+        "certified", "value True", "value False"}, kinds
+    pointwise = {kind: count for (route, kind), count in kinds.items() if route == "pointwise"}
+    assert set(pointwise) == {"drop", "value True", "value False"}, kinds
+    assert min(pointwise.values()) >= 5, kinds
+
+
+def _perturbed_jetlike(rng, n, k):
+    """jetlike_coframe(n, k, rng) with up to two terms c * monomial * dh_j
+    added to each form, monomials of degree 1 or 2 in any coordinates: the
+    identity block on the y's keeps the kernel frame, and W is no longer
+    constant where a term survives d."""
+    coframe = jetlike_coframe(n, k, rng)
+    chart, m = coframe[0].chart, len(coframe)
+    perturbed = []
+    for a in coframe:
+        for _ in range(rng.randint(0, 2)):
+            term = Polynomial.constant(chart, rnd_fraction(rng))
+            for _ in range(rng.randint(1, 2)):
+                term = term * Polynomial.coordinate(chart, rng.randint(1, n))
+            a = a + term * DiffForm.basis(chart, rng.randint(m + 1, n))
+        perturbed.append(a)
+    return perturbed
+
+
+def test_the_w_rule_finds_the_certificates_of_the_symbolic_forms():
+    # on random kernel-frame coframes at k = 1 to 4 the certificate is
+    # sought on the Pfaffian minors of W's polynomial rows, at k >= 3 the
+    # signed minors themselves, and builds no wedge; it is found exactly
+    # where the witness-first oracle finds one on the symbolic forms, and
+    # each k has non-constant W both with and without one
+    rng = random.Random(0)
+    kinds = Counter()
+    for trial in range(80):
+        k = 1 + trial % 4
+        n = 2 * k + 2 + (trial // 4) % 2
+        coframe = _perturbed_jetlike(rng, n, k)
+        frame = kernel_frame(distributions._coframe_grid(coframe))
+        assert frame is not None
+        points = sample_slice(coframe[0].chart, trial, grid=8, randoms=8)
+        outcome = _agreed_outcome(coframe, _derivatives(coframe), k, points)
+        if distributions._compile_restricted_grid(frame, _derivatives(coframe)).degree:
+            kinds[k, _kind(outcome)] += 1
+    for k in range(1, 5):
+        assert min(kinds[k, "certified"], kinds[k, "value True"]) >= 3, kinds
+
+
+def test_polynomial_minors_are_the_signed_pfaffian_minors():
+    # at k >= 3 the minors of a polynomial W are (-1)^a Pf(W without a),
+    # each Pfaffian by linalg.pfaffian, which test_linalg checks on
+    # polynomials against the matching expansion, not a kernel vector,
+    # whose polynomial factor would hide a constant minor; W of rank below
+    # 2k gives zero
+    rng = random.Random(5)
+    chart = Chart(("x", "y"))
+    zero = Polynomial.zero(chart)
+    for k in (3, 4):
+        r = 2 * k + 1
+        width, minors = distributions._pfaffian_minors(r, k)
+        pairs = list(combinations(range(r), 2))
+        for trial in range(4):
+            row = [rnd_poly(rng, chart, max_terms=2, max_degree=1) for _ in pairs]
+            if trial == 3:  # rank 2k - 2: fields 0 and 1 pair with nothing
+                row = [zero if {a, b} & {0, 1} else w for (a, b), w in zip(pairs, row)]
+            W = [[zero] * r for _ in range(r)]
+            for (a, b), w in zip(pairs, row):
+                W[a][b], W[b][a] = w, -w
+            expected = [(-1) ** a * pfaffian([[W[i][j] for j in range(r) if j != a]
+                                              for i in range(r) if i != a])
+                        for a in range(r)]
+            assert width == r and minors(row) == expected, (k, trial)
+            assert any(expected) == (trial != 3), (k, trial)
 
 
 def test_the_restricted_grid_route_matches_the_symbolic_oracle():
@@ -1299,14 +1376,16 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
     # certificate; a jet-like check, whose W is constant, evaluates W at
     # its first point alone and is certified without a search. A W that is
     # not constant, without a witness at its first point, seeks the
-    # certificate once, and then evaluates W at every point. A coframe
-    # without the constant minor builds W at every point, pointwise, and
-    # the points where every MNI form vanishes are among its witnesses
+    # certificate once, on the Pfaffian minors of its polynomial rows, and
+    # then evaluates W at every point. A coframe without the constant minor
+    # builds W at every point, pointwise, and the points where every MNI
+    # form vanishes are among its witnesses
     grids, pointwise, ranked, guarded, sought = [], [], [], [], []
 
     class Counted:
         def __init__(self, grid):
             self.grid, self.degree, self.points = grid, grid.degree, []
+            self.polynomials = grid.polynomials
 
         def at(self, q):
             self.points.append(distributions._fraction_point(q))
@@ -1334,9 +1413,9 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
         guarded.append(forms)
         return dependent_points(forms, rows)
 
-    def counted_search(forms):
-        sought.append(len(forms))
-        return constant_minor_certificate(forms)
+    def counted_search(grid):
+        sought.append(len(grid))
+        return forms._constant_minor(grid)
 
     original = distributions._compile_restricted_grid
     original_pointwise = distributions._pointwise_restricted_grid
@@ -1345,7 +1424,7 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
     assert not hasattr(forms, "rank")
     monkeypatch.setattr(linalg, "rank", counted_rank)
     monkeypatch.setattr(forms, "dependent_points", counted_guard)
-    monkeypatch.setattr(distributions, "constant_minor_certificate", counted_search)
+    monkeypatch.setattr(distributions, "_constant_minor", counted_search)
 
     def check(coframe, k, points):
         for calls in (grids, pointwise, ranked, guarded, sought):

@@ -4,12 +4,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.linalg import (
     Echelon, _integer_rows, det, pfaffian, rank, solve,
 )
 
-from conftest import rnd_fraction
+from conftest import rnd_fraction, rnd_poly
 from oracles import (
     column_scan_bareiss,
     column_scan_det,
@@ -185,6 +186,31 @@ def test_pfaffian_matches_matching_expansion():
             assert pfaffian(sparse_skew(rng, size)) == 0
     # both the pivot swap and a vanishing Pfaffian are exercised
     assert swaps > 0 and zeros > 0
+
+
+def test_pfaffian_of_polynomials_matches_matching_expansion():
+    # polynomial entries take the same steps by exact division and give a
+    # polynomial; a zero row gives 0
+    rng = random.Random(7)
+    chart = Chart(("x", "y"))
+    zero = Polynomial.zero(chart)
+    nonzero = 0
+    for size in (2, 4, 6):
+        for trial in range(6):
+            rows = [[zero] * size for _ in range(size)]
+            for i, j in combinations(range(size), 2):
+                if trial == 5 and 0 in (i, j):
+                    continue
+                value = rnd_poly(rng, chart, max_terms=2, max_degree=1)
+                rows[i][j], rows[j][i] = value, -value
+            value = pfaffian(rows)
+            assert value == matching_pfaffian(rows), (size, trial)
+            if trial == 5:
+                assert value == 0, size
+            else:
+                assert isinstance(value, Polynomial), (size, trial)
+                nonzero += not value.is_constant()
+    assert nonzero >= 5, nonzero
 
 
 def random_skew(rng, size, bound=5):

@@ -129,6 +129,17 @@ def test_rank_guard_has_one_idiom():
     assert 0 <= source.find("constant_minor_certificate(") < source.find("dependent_points(")
 
 
+def test_the_wedge_checks_build_no_symbolic_wedge_forms():
+    # the certificate is sought on W's Pfaffian minors, so distributions
+    # imports no wedge, wedge power or symbolic certificate, and the wedge
+    # verdict has no search of its own
+    imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(distributions)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for name in ("wedge", "wedge_all", "wedge_power", "constant_minor_certificate"):
+        assert name not in imported and not hasattr(distributions, name), name
+    assert "def certified(" not in inspect.getsource(distributions._wedge_verdict)
+
+
 def test_a_coframe_frame_has_one_proof():
     # frame_from_coframe returns the frame a coframe-only Distribution
     # proves, and neither builds nor checks one of its own
