@@ -8,13 +8,17 @@ refutes; the certificate proves.
 
 Points are evaluated in integers. The sample set is drawn as integer rows
 q_1, ..., q_n, D of the points q/D (D = 2 on the grid, 6 at the random
-points), one at a time as a check ranks them, so a certified check draws
-one point; its size is known without drawing it. A caller's points become
-such rows up front, and only witnesses and rank-drop points become tuples
-of Fractions again. A check's restricted grid, and each level of a derived
-flag's bracket fields, are compiled once into an algebra.IntegerGrid,
-whose rows at q are positive multiples of the exact values at q/D, for
-any D, and go straight to the fraction-free rank.
+points), lazily: its size is known without drawing it, and a certified
+check draws one point. A wedge check draws and ranks its first point,
+seeks its certificate, and only without one draws the rest of the set at
+once; the derived-length-one check draws one point at a time as it ranks
+them. A caller's points become such rows up front, and only witnesses and
+rank-drop points become tuples of Fractions again. A check's restricted
+grid, and each level of a derived flag's bracket fields, are compiled once
+into an algebra.IntegerGrid, whose rows at q are positive multiples of the
+exact values at q/D, for any D, and go straight to the fraction-free
+rank: IntegerGrid.at evaluates one point, and IntegerGrid.over the rest
+of an uncertified wedge check's sample, column-wise.
 
 The checks share a restricted grid W. For X, Y in D = ker(a_1, ..., a_m),
 a_i([X, Y]) = X(a_i(Y)) - Y(a_i(X)) - da_i(X, Y) = -da_i(X, Y), the
@@ -32,7 +36,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, islice, product
 from math import comb
 
@@ -52,10 +56,10 @@ _GRID_NUMERATORS = (0, 2, -2, 1, -1)  # over D = 2: 0, 1, -1, 1/2, -1/2
 
 
 def _integer_sample(n: int, seed: int):
-    """The sample set's points, drawn one at a time as integer rows
-    q_1, ..., q_n, D of the points q/D: the first 200 points of the grid
-    over {0, +-1, +-1/2} in lexicographic order with D = 2 (all 5^n of them
-    when n <= 3), then 100 random points with D = 6, each coordinate
+    """The sample set's points, drawn as a caller reads them, as integer
+    rows q_1, ..., q_n, D of the points q/D: the first 200 points of the
+    grid over {0, +-1, +-1/2} in lexicographic order with D = 2 (all 5^n of
+    them when n <= 3), then 100 random points with D = 6, each coordinate
     drawn as random_rational draws it."""
     for q in islice(product(_GRID_NUMERATORS, repeat=n), 200):
         yield q + (2,)
@@ -312,13 +316,15 @@ def _pfaffian_minors(r: int, k: int):
     the row itself, and for k = 2 each is the closed form
     W_ab W_cd - W_ac W_bd + W_ad W_bc, which at r = 5 costs a small
     fraction of the 5 x 5 echelon of a kernel vector. For k >= 3, where
-    r = 2k + 1, the signed minors (-1)^a Pf(W without a) span ker W when W
-    has rank 2k and vanish when it has less. On integer rows minors gives
-    the kernel vector of one Echelon of W, or zero: the minors times a
-    nonzero factor of its own, which changes no rank. On polynomial rows
-    it gives the signed minors themselves, each by linalg.pfaffian, as the
-    certificate needs: the kernel vector's factor is a polynomial there,
-    which would hide a constant minor.
+    r = 2k + 1, the signed minors m_a = (-1)^a Pf(W without a) span ker W
+    when W has rank 2k and vanish when it has less. One Echelon of W gives
+    its rank and, at rank 2k, the kernel vector v that is the last pivot
+    at the one free column f: the minors times a nonzero factor. On
+    integer rows minors gives v, whose factor changes no rank. On
+    polynomial rows it gives the signed minors themselves, as the
+    certificate needs, since there the factor is a polynomial, which would
+    hide a constant minor: v // (v[f] // m_f), by one linalg.pfaffian, where
+    m_f != 0 as v[f] != 0. Below rank 2k it gives zero.
     """
     if k == 1:
         return comb(r, 2), list
@@ -336,25 +342,33 @@ def _pfaffian_minors(r: int, k: int):
         zero = 0 * row[0]  # 0, or the zero polynomial on polynomial rows
         skew = [[row[at[a, b]] if a < b else -row[at[b, a]] if b < a else zero
                  for b in range(r)] for a in range(r)]
-        if not isinstance(zero, int):
-            return [(-1) ** a * pfaffian([x[:a] + x[a + 1:] for x in skew[:a] + skew[a + 1:]])
-                    for a in range(r)]
         echelon = Echelon(r)
         for line in skew:
             echelon.add(line)
-        return echelon.kernel()[0] if len(echelon.pivots) == r - 1 else [zero] * r
+        if len(echelon.pivots) < r - 1:
+            return [zero] * r
+        (f,) = set(range(r)).difference(echelon.pivots)
+        v = echelon.kernel_vector(f, echelon.last_pivot())
+        if isinstance(zero, int):
+            return v
+        m_f = (-1) ** f * pfaffian([x[:f] + x[f + 1:] for x in skew[:f] + skew[f + 1:]])
+        factor = v[f] // m_f
+        return [x // factor for x in v]
 
     return r, minors
 
 
 def _restricted_test(dist: Distribution, omegas=None, k=1, flag=False):
-    """(independent, certified): whether the Pfaffian minors of the W of
-    the omegas (by default the da_i) are independent at an integer row q,
-    and a callable that tells whether a constant minor proves them
-    independent at every point, given that they are at one. The route is
-    chosen here: W over the kernel frame, compiled once; W built at each
-    point for a wedge check without one, which no certificate covers; or,
-    for the flag (flag=True) unproved, (None, None): brackets.
+    """(independent, each, certified): independent(q) tells whether the
+    Pfaffian minors of the W of the omegas (by default the da_i) are
+    independent at an integer row q, each(qs) yields the same for each
+    integer row of the list qs in turn, and certified tells whether a
+    constant minor proves them independent at every point, given that they
+    are at one. The route is chosen here: W over the kernel frame, compiled
+    once, which independent reads by IntegerGrid.at and each column-wise by
+    IntegerGrid.over; W built at each point for a wedge check without one,
+    which no certificate covers; or, for the flag (flag=True) unproved,
+    (None, None, None): brackets.
 
     Over the kernel frame, certified runs _constant_minor on the Pfaffian
     minors of W's polynomial rows, the signed minors themselves at every k:
@@ -363,22 +377,25 @@ def _restricted_test(dist: Distribution, omegas=None, k=1, flag=False):
     certificate.
     """
     if flag and dist._restricted_grid() is None:
-        return None, None
+        return None, None, None
     width, minors = _pfaffian_minors(dist.rank, k)
     if dist._kernel_frame is None:
         two_forms = dist._derivatives if omegas is None else omegas
-        rows, certified = _pointwise_restricted_grid(dist.coframe, two_forms), lambda: False
+        at, certified = _pointwise_restricted_grid(dist.coframe, two_forms), lambda: False
+        over = partial(map, at)
     else:
         compiled = (dist._curvature if omegas is None
                     else _compile_restricted_grid(dist._kernel_frame, omegas))
-        rows = compiled.at
+        at, over = compiled.at, compiled.over
 
         def certified():
             if compiled.degree == 0:
                 return True
             return _constant_minor([minors(row) for row in compiled.polynomials]) is not None
 
-    return (lambda q: _independent(map(minors, rows(q)), width)), certified
+    return ((lambda q: _independent(map(minors, at(q)), width)),
+            (lambda qs: (_independent(map(minors, rows), width) for rows in over(qs))),
+            certified)
 
 
 def frame_from_coframe(coframe):
@@ -473,7 +490,7 @@ def derived_flag_at(dist: Distribution, point, depth_cap=None) -> DerivedFlag:
     if depth_cap is not None and depth_cap < 1:
         raise InputError("depth cap must be at least 1")
     if depth_cap is None or depth_cap > 1:
-        independent, _ = _restricted_test(dist, flag=True)
+        independent, _, _ = _restricted_test(dist, flag=True)
         if independent is not None and independent(q):
             return DerivedFlag(point, (dist.rank, n), True)
     ranks, stabilized = _flag_ranks(dist._spans, n, q, depth_cap)
@@ -492,7 +509,7 @@ def has_derived_length_one(dist: Distribution, points=None, seed: int = 0) -> Ve
     information, and raises.
     """
     size, rows = _sample_set(dist.chart, points, seed)
-    holds, _ = _restricted_test(dist, flag=True)
+    holds, _, _ = _restricted_test(dist, flag=True)
     if holds is None:
         spans, n = dist._spans, dist.chart.n
         expected = (n,) if dist.rank == n else (dist.rank, n)
@@ -523,22 +540,26 @@ def _wedge_verdict(dist, omegas, k, points, seed) -> Verdict:
     gives the test; a point where the coframe drops rank, so that every
     form vanishes, raises.
 
-    Unless the first point is a witness, where every maximal minor
+    The first point is drawn and ranked alone, with W read by
+    IntegerGrid.at. Unless it is a witness, where every maximal minor
     vanishes, _restricted_test's certificate is sought before any other
     point is drawn: over the kernel frame the columns dx_S^dx_T of the
     forms are the constant +-k! det(G_S) times W's Pfaffian minors, so a
     constant maximal minor of those is one of the forms' grid, and no form
-    is built. Without a certificate every point is ranked, with
-    certificate=False.
+    is built. Without a certificate the rest of the sample is drawn at once
+    and every point ranked, with certificate=False: over the kernel frame
+    W is read at all of them by one IntegerGrid.over, column-wise a block
+    of points at a time, and pointwise W is built at each point in turn.
     """
     size, rows = _sample_set(dist.chart, points, seed)
     rows = iter(rows)
     first = next(rows)
-    independent, certified = _restricted_test(dist, omegas, k)
+    independent, each, certified = _restricted_test(dist, omegas, k)
     witnesses = [] if independent(first) else [first]
     if not witnesses and certified():
         return Verdict(True, size, (), True)
-    witnesses += [q for q in rows if not independent(q)]
+    rest = list(rows)
+    witnesses += [q for q, holds in zip(rest, each(rest)) if not holds]
     return Verdict(not witnesses, size, tuple(map(_fraction_point, witnesses)))
 
 

@@ -27,7 +27,9 @@ elimination replaced; and cramer_kernel_frame solves the kernel frame's
 slots by Cramer's rule on laplace_det, the r * m symbolic determinants
 that one elimination of [G_S | I] replaced. sample_points_by_fractions builds the
 sample set as Fraction points, the path that the lazy integer draw
-replaced; fiber_by_fractions draws a fiber with a new Fraction per entry,
+replaced; signed_pfaffian_minors takes the certificate's Pfaffian minors of
+a polynomial W_i one Pfaffian each, the path that one elimination and one
+Pfaffian per form replaced; fiber_by_fractions draws a fiber with a new Fraction per entry,
 the path that the table of small rationals replaced; and
 grid_rows_by_products evaluates an IntegerGrid's rows with
 each monomial a product of powers, the evaluation that its trie replaced.
@@ -258,6 +260,20 @@ def grid_rows_by_products(grid, q):
                         for exps, c in p.terms.items())
                     for p in row])
     return out
+
+
+def signed_pfaffian_minors(row, r):
+    """The signed minors (-1)^a Pf(W without a), a = 0..r-1, of the skew
+    r x r matrix W above whose diagonal row lies, w(X_a, X_b) for a < b in
+    lexicographic order, each by linalg.pfaffian: the r Pfaffians per form
+    that distributions._pfaffian_minors's one elimination and one Pfaffian
+    replaced on polynomial rows at k >= 3."""
+    zero = 0 * row[0]
+    W = [[zero] * r for _ in range(r)]
+    for (a, b), w in zip(combinations(range(r), 2), row):
+        W[a][b], W[b][a] = w, -w
+    return [(-1) ** a * pfaffian([x[:a] + x[a + 1:] for x in W[:a] + W[a + 1:]])
+            for a in range(r)]
 
 
 def witness_first_verdict(coframe, omegas, k, points, seed):

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from nonholonomy import algebra
 from nonholonomy.algebra import (
     Chart, IntegerGrid, Polynomial, _integer_point, poly_diff, poly_eval, random_rational,
 )
@@ -200,6 +201,72 @@ def test_integer_grid_trie_matches_products_of_powers():
     # degree-3 monomials have up to three factors, q_j powers and one of D,
     # so the trie reaches two levels past the powers
     assert deepest == 2
+
+
+def _over_rows(compiled, qs):
+    """IntegerGrid.over's rows at each point of qs, as lists, as at gives them."""
+    return [[list(row) for row in rows] for rows in compiled.over(qs)]
+
+
+def test_integer_grid_over_matches_at_and_products_of_powers():
+    # the column-wise rows equal at(q) and the product-of-powers oracle int
+    # for int, on one list of points that mixes denominators, on random
+    # grids with empty grids, empty rows and zero entries among them, and
+    # on grids of degree 0; no point gives no rows
+    seen = dict.fromkeys(("empty grid", "empty row", "zero entry", "degree 0"), 0)
+    rng = random.Random(8)
+    constant = [(Chart(("x", "y")), [[Polynomial.constant(Chart(("x", "y")), Fraction(3, 2)),
+                                      Polynomial.zero(Chart(("x", "y")))], []],
+                 [(1, Fraction(1, 3)), (0, 0)])]
+    for chart, grid, points in constant + list(_random_grids()):
+        compiled = IntegerGrid(chart, grid)
+        reduced = [_integer_point(p, chart.n) for p in points]
+        qs = reduced + [[x * c for x in q] for q, c in zip(reduced, (2, 3, 6))]
+        rng.shuffle(qs)
+        expected = [list(compiled.at(q)) for q in qs]
+        assert expected == [grid_rows_by_products(grid, q) for q in qs]
+        assert _over_rows(compiled, qs) == expected
+        assert all(type(x) is int for rows in compiled.over(qs) for row in rows for x in row)
+        assert list(compiled.over([])) == []
+        seen["empty grid"] += not grid
+        seen["empty row"] += any(not row for row in grid)
+        seen["zero entry"] += any(not p for row in grid for p in row)
+        seen["degree 0"] += bool(grid) and compiled.degree == 0
+    assert min(seen.values()) >= 5, seen
+
+
+def test_integer_grid_over_holds_at_most_the_node_budget(monkeypatch):
+    # blocks are max(1, min(_BLOCK_POINTS, _NODE_VALUES // nodes)) points:
+    # a grid of a few hundred trie nodes, as a large W has, takes 32 points
+    # a block, and one of more than 2^11 nodes fewer, each block's node
+    # values within the budget; both give at's rows at every point
+    rng = random.Random(4)
+    seen = []
+    for n, terms, degree, width in ((8, 40, 5, 4), (12, 150, 8, 6)):
+        chart = rnd_chart(rng, max_n=n, min_n=n)
+        grid = [[rnd_poly(rng, chart, max_terms=terms, max_degree=degree) for _ in range(width)]
+                for _ in range(4)]
+        compiled = IntegerGrid(chart, grid)
+        qs = [[rng.randint(-9, 9) for _ in range(n)] + [rng.choice((1, 2, 6))]
+              for _ in range(100)]
+        blocks = []
+        columns = IntegerGrid._columns
+
+        def counted(self, block):
+            values = columns(self, block)
+            blocks.append((len(values), len(block)))
+            return values
+
+        monkeypatch.setattr(IntegerGrid, "_columns", counted)
+        assert _over_rows(compiled, qs) == [list(compiled.at(q)) for q in qs]
+        monkeypatch.undo()
+        (nodes,) = {nodes for nodes, _ in blocks}
+        size = min(algebra._BLOCK_POINTS, algebra._NODE_VALUES // nodes)
+        assert [block for _, block in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert sum(block for _, block in blocks) == len(qs) and len(blocks) > 1
+        assert all(nodes * block <= algebra._NODE_VALUES for _, block in blocks)
+        seen.append((nodes, size))
+    assert seen[0][0] > 300 and seen[0][1] == 32 and seen[1][1] < 32, seen
 
 
 def test_integer_grid_rejects_bad_points_and_charts():

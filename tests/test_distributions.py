@@ -42,7 +42,7 @@ from nonholonomy.forms import (
     wedge_all,
     wedge_power,
 )
-from nonholonomy.linalg import det, pfaffian, rank
+from nonholonomy.linalg import det, rank
 from nonholonomy.parser import parse_document
 
 from conftest import (
@@ -50,7 +50,8 @@ from conftest import (
 )
 from oracles import (
     cramer_kernel_frame, derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions,
-    flag_route_dlo_verdict, pointwise_kernel, sample_points_by_fractions, witness_first_verdict,
+    flag_route_dlo_verdict, pointwise_kernel, sample_points_by_fractions, signed_pfaffian_minors,
+    witness_first_verdict,
 )
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -1207,12 +1208,24 @@ def test_the_w_rule_finds_the_certificates_of_the_symbolic_forms():
 
 
 def test_polynomial_minors_are_the_signed_pfaffian_minors():
-    # at k >= 3 the minors of a polynomial W are (-1)^a Pf(W without a),
-    # each Pfaffian by linalg.pfaffian, which test_linalg checks on
-    # polynomials against the matching expansion, not a kernel vector,
-    # whose polynomial factor would hide a constant minor; W of rank below
-    # 2k gives zero
+    # at k >= 3 the minors of a polynomial W_i are (-1)^a Pf(W_i without a),
+    # from one elimination and one Pfaffian, equal to the oracle's r
+    # Pfaffians, not a kernel vector, whose polynomial factor would hide a
+    # constant minor: on the W of random perturbed jet-like coframes, on
+    # random rows, and zero on rows of rank below 2k
     rng = random.Random(5)
+    seen = Counter()
+    for trial in range(8):
+        k = 3 + trial % 2
+        coframe = _perturbed_jetlike(rng, 2 * k + 2 + (trial // 2) % 2, k)
+        frame = kernel_frame(distributions._coframe_grid(coframe))
+        grid = distributions._compile_restricted_grid(frame, _derivatives(coframe))
+        width, minors = distributions._pfaffian_minors(2 * k + 1, k)
+        for row in grid.polynomials:
+            got = minors(row)
+            assert width == 2 * k + 1 and got == signed_pfaffian_minors(row, 2 * k + 1), trial
+            seen["constant" if all(m.is_constant() for m in got) else "polynomial"] += 1
+    assert min(seen["constant"], seen["polynomial"]) >= 3, seen
     chart = Chart(("x", "y"))
     zero = Polynomial.zero(chart)
     for k in (3, 4):
@@ -1223,12 +1236,7 @@ def test_polynomial_minors_are_the_signed_pfaffian_minors():
             row = [rnd_poly(rng, chart, max_terms=2, max_degree=1) for _ in pairs]
             if trial == 3:  # rank 2k - 2: fields 0 and 1 pair with nothing
                 row = [zero if {a, b} & {0, 1} else w for (a, b), w in zip(pairs, row)]
-            W = [[zero] * r for _ in range(r)]
-            for (a, b), w in zip(pairs, row):
-                W[a][b], W[b][a] = w, -w
-            expected = [(-1) ** a * pfaffian([[W[i][j] for j in range(r) if j != a]
-                                              for i in range(r) if i != a])
-                        for a in range(r)]
+            expected = signed_pfaffian_minors(row, r)
             assert width == r and minors(row) == expected, (k, trial)
             assert any(expected) == (trial != 3), (k, trial)
 
@@ -1368,28 +1376,64 @@ def test_rank_guard_reads_past_rank_zero_points_without_a_drop():
         assert "coframe drops rank" in str(err)
 
 
+def test_uncertified_checks_read_the_rest_of_their_sample_column_wise(monkeypatch):
+    # an uncertified quadratic (6,1) check reads W by at on its first point
+    # and by one over on the other 299; a certified jet-like check reads its
+    # first point alone and calls over on no grid
+    calls = []
+    at, over = IntegerGrid.at, IntegerGrid.over
+
+    def counted_at(self, q):
+        calls.append((self, "at", 1))
+        return at(self, q)
+
+    def counted_over(self, qs):
+        calls.append((self, "over", len(qs)))
+        return over(self, qs)
+
+    monkeypatch.setattr(IntegerGrid, "at", counted_at)
+    monkeypatch.setattr(IntegerGrid, "over", counted_over)
+    coframe = quadratic_coframe(6, 1)
+    dist = Distribution(coframe[0].chart, coframe=coframe)
+    verdict = check_mni(dist, 1)
+    assert not verdict.value and verdict.checked == 300 and not verdict.certificate
+    assert [(name, size) for grid, name, size in calls if grid is dist._curvature] == [
+        ("at", 1), ("over", 299)]
+    calls.clear()
+    coframe = jetlike_coframe(6, 1, random.Random(2))
+    dist = Distribution(coframe[0].chart, coframe=coframe)
+    assert check_mni(dist, 1) == distributions.Verdict(True, 300, (), True)
+    assert [(name, size) for grid, name, size in calls if grid is dist._curvature] == [("at", 1)]
+    assert "over" not in [name for _, name, _ in calls]
+
+
 def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
     # check_mni evaluates one restricted grid W once at each point it
     # ranks, and calls no rank and no dependent_points. On a coframe that
-    # kernel_frame completes, W is compiled: a quadratic check, whose first
-    # point is a witness, evaluates W at every point and seeks no
-    # certificate; a jet-like check, whose W is constant, evaluates W at
-    # its first point alone and is certified without a search. A W that is
-    # not constant, without a witness at its first point, seeks the
-    # certificate once, on the Pfaffian minors of its polynomial rows, and
-    # then evaluates W at every point. A coframe without the constant minor
-    # builds W at every point, pointwise, and the points where every MNI
-    # form vanishes are among its witnesses
+    # kernel_frame completes, W is compiled: it is read by at on the first
+    # point and by one column-wise over on the rest, if any are ranked. A
+    # quadratic check, whose first point is a witness, evaluates W at every
+    # point and seeks no certificate; a jet-like check, whose W is constant,
+    # evaluates W at its first point alone and is certified without a
+    # search. A W that is not constant, without a witness at its first
+    # point, seeks the certificate once, on the Pfaffian minors of its
+    # polynomial rows, and then evaluates W at every point. A coframe
+    # without the constant minor builds W at every point, pointwise, and
+    # the points where every MNI form vanishes are among its witnesses
     grids, pointwise, ranked, guarded, sought = [], [], [], [], []
 
     class Counted:
         def __init__(self, grid):
-            self.grid, self.degree, self.points = grid, grid.degree, []
+            self.grid, self.degree, self.points, self.blocks = grid, grid.degree, [], []
             self.polynomials = grid.polynomials
 
         def at(self, q):
             self.points.append(distributions._fraction_point(q))
             return self.grid.at(q)
+
+        def over(self, qs):
+            self.blocks.append([distributions._fraction_point(q) for q in qs])
+            return self.grid.over(qs)
 
     def compiled(frame, two_forms):
         grids.append(Counted(original(frame, two_forms)))
@@ -1445,20 +1489,23 @@ def test_check_mni_ranks_only_the_mni_forms(monkeypatch):
         points = sample_slice(coframe[0].chart, grid=5, randoms=5)
         verdict, grid = compiled_check(coframe, k, points)
         assert not verdict.value and verdict.witnesses[0] == points[0], (n, k)
-        assert grid.points == points and sought == [], (n, k)
+        assert grid.points == points[:1] and grid.blocks == [points[1:]], (n, k)
+        assert sought == [], (n, k)
 
         coframe = jetlike_coframe(n, k, rng)
         points = sample_slice(coframe[0].chart, grid=5, randoms=5)
         verdict, grid = compiled_check(coframe, k, points)
         assert verdict == distributions.Verdict(True, len(points), (), True), (n, k)
-        assert grid.degree == 0 and grid.points == points[:1] and sought == [], (n, k)
+        assert grid.degree == 0 and grid.points == points[:1] and grid.blocks == [], (n, k)
+        assert sought == [], (n, k)
     chart = Chart(("x", "y", "z", "w"))
     x, y = Polynomial.coordinate(chart, "x"), Polynomial.coordinate(chart, "y")
     stretched = [DiffForm.basis(chart, "w") - (1 + x * x) * y * DiffForm.basis(chart, "x")]
     points = sample_slice(chart, grid=5, randoms=5)
     verdict, grid = compiled_check(stretched, 1, points)
     assert verdict == distributions.Verdict(True, len(points), (), False)
-    assert grid.degree == 2 and grid.points == points and sought == [1]
+    assert grid.degree == 2 and sought == [1]
+    assert grid.points == points[:1] and grid.blocks == [points[1:]]
 
     vanishing = []
     for n, k in ((5, 1), (6, 2), (7, 2)):

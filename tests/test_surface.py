@@ -149,11 +149,14 @@ def test_a_coframe_frame_has_one_proof():
 
 
 def test_integer_rows_are_the_only_point_type_below_the_api():
-    # IntegerGrid has one entry, at(q) on an integer row; a sample set is
-    # (size, rows), and its witnesses are made from the rows, not looked up
-    # among the caller's points
+    # IntegerGrid has two entries, at(q) on one integer row and over(qs) on
+    # a list of them; a sample set is (size, rows), and its witnesses are
+    # made from the rows, not looked up among the caller's points
     chart = algebra.Chart(("x", "y"))
     assert not callable(algebra.IntegerGrid(chart, []))
+    assert [name for name, value in vars(algebra.IntegerGrid).items()
+            if callable(value) and not name.startswith("_")] == ["at", "over"]
+    assert list(inspect.signature(algebra.IntegerGrid.over).parameters) == ["self", "qs"]
     assert not hasattr(distributions, "_sample_point")
     size, rows = distributions._sample_set(chart, [(0, Fraction(1, 2))], 0)
     assert (size, rows) == (1, [[0, 1, 2]])
