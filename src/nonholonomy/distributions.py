@@ -50,7 +50,7 @@ from .forms import (
     kernel_frame,
     lie_bracket,
 )
-from .linalg import Echelon, _independent, pfaffian
+from .linalg import Echelon, _independent, pfaffian_minors
 
 _GRID_NUMERATORS = (0, 2, -2, 1, -1)  # over D = 2: 0, 1, -1, 1/2, -1/2
 
@@ -316,15 +316,12 @@ def _pfaffian_minors(r: int, k: int):
     the row itself, and for k = 2 each is the closed form
     W_ab W_cd - W_ac W_bd + W_ad W_bc, which at r = 5 costs a small
     fraction of the 5 x 5 echelon of a kernel vector. For k >= 3, where
-    r = 2k + 1, the signed minors m_a = (-1)^a Pf(W without a) span ker W
-    when W has rank 2k and vanish when it has less. One Echelon of W gives
-    its rank and, at rank 2k, the kernel vector v that is the last pivot
-    at the one free column f: the minors times a nonzero factor. On
-    integer rows minors gives v, whose factor changes no rank. On
-    polynomial rows it gives the signed minors themselves, as the
-    certificate needs, since there the factor is a polynomial, which would
-    hide a constant minor: v // (v[f] // m_f), by one linalg.pfaffian, where
-    m_f != 0 as v[f] != 0. Below rank 2k it gives zero.
+    r = 2k + 1, the signed minors (-1)^a Pf(W without a) span ker W at rank
+    2k and vanish below it. On integer rows minors gives W's kernel line,
+    one Echelon's kernel vector: the minors times a nonzero factor, which
+    changes no rank, so no sampled point takes a Pfaffian. On polynomial
+    rows, where that factor is a polynomial, which would hide a constant
+    minor from the certificate, it gives linalg.pfaffian_minors(W).
     """
     if k == 1:
         return comb(r, 2), list
@@ -342,18 +339,13 @@ def _pfaffian_minors(r: int, k: int):
         zero = 0 * row[0]  # 0, or the zero polynomial on polynomial rows
         skew = [[row[at[a, b]] if a < b else -row[at[b, a]] if b < a else zero
                  for b in range(r)] for a in range(r)]
+        if not isinstance(zero, int):
+            return pfaffian_minors(skew)
         echelon = Echelon(r)
         for line in skew:
             echelon.add(line)
-        if len(echelon.pivots) < r - 1:
-            return [zero] * r
-        (f,) = set(range(r)).difference(echelon.pivots)
-        v = echelon.kernel_vector(f, echelon.last_pivot())
-        if isinstance(zero, int):
-            return v
-        m_f = (-1) ** f * pfaffian([x[:f] + x[f + 1:] for x in skew[:f] + skew[f + 1:]])
-        factor = v[f] // m_f
-        return [x // factor for x in v]
+        kernel = echelon.kernel()
+        return kernel[0] if len(kernel) == 1 else [0] * r
 
     return r, minors
 

@@ -16,7 +16,8 @@ from its pivot on and an exact division by the pivot.
 solve takes a skew A and reads its scale |Pf(A)| off the same elimination,
 whose last pivot is +-det(A) = +-Pf(A)^2, so a skew system is eliminated
 once. pfaffian runs the skew analogue of the elimination, on rationals
-or on polynomials.
+or on polynomials. pfaffian_minors takes the Pfaffian minors one order
+below the top by corank: Pf(A) A^-1, or kernel vectors and one pfaffian.
 
 Everything here is deterministic, and the pivot columns do not depend on
 the order of the rows: a held row is zero before its pivot, its first
@@ -189,6 +190,40 @@ def pfaffian(rows):
         ]
         prev = p
     return Fraction(sign * prev, scale ** (size // 2)) if numbers else sign * prev
+
+
+def pfaffian_minors(A):
+    """The Pfaffian minors one order below the top of a skew matrix A, a
+    list of rows of ints or polynomials: at odd size the vector of
+    (-1)^a Pf(A without a), at even size the skew P of
+    (-1)^(a+b) Pf(A without a, b), a < b, so that A P = Pf(A) I.
+
+    By corank, with at most two eliminations and one pfaffian. Corank 0:
+    P = Pf(A) A^-1, solve's |Pf(A)| A^-1 (integers only) signed by the
+    Pfaffian. Else one Echelon of A gives p = Pf(A[S, S]) on the pivot
+    columns S, nonzero as a column basis of a skew matrix is a row basis,
+    the last pivot d = +-p^2, and the kernel vectors with d at one free
+    column and 0 at the others: (v) at f, and the minors are
+    (-1)^f p v / d; or (u, w) at f < g, and as A P = 0 the columns of P lie
+    in ker A, so P = (-1)^(f+g) p (u ^ w) / d^2. Higher coranks give 0.
+    """
+    size = len(A)
+    if size % 2 == 0 and (solved := solve(A, [[int(a == b) for a in range(size)] for b in range(size)])):
+        # P = sgn(Pf(A)) X^T = -sgn(Pf(A)) X for solve's columns X, P being skew
+        return [[-x for x in column] for column in solved[1]] if pfaffian(A) > 0 else solved[1]
+    echelon = Echelon(size)
+    for row in A:
+        echelon.add(row)
+    free = [c for c in range(size) if c not in echelon.pivots]
+    if len(free) > 2:  # entries 0, or the zero polynomial
+        return [0 * A[0][0]] * size if size % 2 else [[0 * A[0][0]] * size for _ in A]
+    keep = sorted(echelon.pivots)
+    d = echelon.last_pivot()
+    factor = (-1) ** sum(free) * (d ** len(free) // pfaffian([[A[a][b] for b in keep] for a in keep]))
+    u, *w = (echelon.kernel_vector(f, d) for f in free)
+    if not w:
+        return [x // factor for x in u]
+    return [[(x * y - u[b] * w[0][a]) // factor for b, y in enumerate(w[0])] for a, x in enumerate(u)]
 
 
 def rank(rows) -> int:

@@ -5,31 +5,27 @@ A fiber point carries the coefficients of m 1-forms (a^i_j) and m 2-forms
 alpha_1 ^ ... ^ alpha_m ^ omega_i^k split over the principal subspace into
 constant parts C-bar and linear parts C(mu) in the principal entries
 z^i_{1mu}; every one of them is a Pfaffian of one skew matrix M per form (see
-extract_c_coefficients, whose solve gives them all when B^i_1 = b_first =
-s Pf(M') is nonzero, M' being M without coordinate 1).
+extract_c_coefficients, where linalg.pfaffian_minors of M', M without
+coordinate 1, gives them all, and B^i_1 = b_first = s Pf(M')).
 
 The probe measures the exact rank of the principal system c_i C^i_r(mu)
 across seeded random fibers; the classification argument needs that rank
-never to be 1. c is the first kernel vector of the row (b_first^i)_i: it
-is supported on forms 1 and 2 when b_first^1 != 0 != b_first^2, and is
-e_i for the first i with b_first^i = 0 otherwise. So the probe reads each
-b_first only as zero or not, and at m >= 2 takes it off one elimination
-per form, solving M'_1 first and M'_2 only when M'_1 is nonsingular: that
-solve of L M' returns None when M' is singular, and else p = |Pf(L M')|,
-read off its last pivot +-det(L M') = +-Pf(L M')^2, and
-Y_i = p (L M')^-1 applied to the principal unit columns. When c is
-supported on both forms, each C^i is that solve: C^i_r(mu) =
-(-1)^(r+1) s sgn(Pf(M')) Y_i[mu-2][r-2] / L^(n-k-2), Y_i[mu-2] being the
-column of coordinate mu. So the system is the integer (n-1) x 2(n-1)
-matrix whose row r-2 is (Y_1[mu-2][r-2])_mu followed by
-(Y_2[mu-2][r-2])_mu, with row r-2 scaled by (-1)^(r+1) s and column block
-i by +-c_i / L^(n-k-2), all nonzero; the probe ranks that matrix,
-assembling nothing and taking no Pfaffian. The right-hand side, and with
-it C-bar, matters only at rank 0, and this rank is 2k (below), so C-bar
-is not solved for; any other rank raises ConsistencyError. Otherwise
-c = e_i with b_first^i = 0: C-bar and C of form i come from the direct
-minors, and assemble_principal_matrix builds the system, reading no other
-form. At m = 1 a nonzero b_first^1, one Pfaffian, leaves no c.
+never to be 1. c is the first kernel vector of the row (b_first^i)_i:
+supported on forms 1 and 2 when b_first^1 != 0 != b_first^2, else e_i for
+the first i with b_first^i = 0. So the probe reads b_first^1 and
+b_first^2 only as zero or not. At m >= 2 one solve of L M'_i per form,
+M'_2 only when M'_1 is nonsingular, returns None when M'_i is singular and
+else Y_i = |Pf(L M'_i)| (L M'_i)^-1 on the principal unit columns, the
+scale read off its last pivot +-Pf(L M'_i)^2. As C^i_r(mu) =
++-(-1)^(r+1) s Y_i[mu-2][r-2] / L^(n-k-2), the sign being that of
+Pf(M'_i), the system of a two-form c is the integer matrix
+[Y_1^T | Y_2^T] up to nonzero row and column scales, and the probe ranks
+that, assembling nothing and taking no Pfaffian. The rank is 2k (below)
+and the right-hand side matters only at rank 0, so C-bar is not solved
+for; any other rank raises ConsistencyError. For c = e_i, C-bar and C of
+form i come from linalg.pfaffian_minors of the singular M'_i, and
+assemble_principal_matrix builds the system from form i alone. At m = 1 a
+nonzero b_first^1, one Pfaffian, leaves no c.
 
 Why the rank is never 1, with S^i = C^i diag((-1)^(mu+1)) over r, mu = 2..n:
 - S^i is skew, S^i_(r, mu) = s Pf(M' without r, mu) for r < mu, so rank
@@ -55,11 +51,15 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
+from operator import mul
 
 from .algebra import Polynomial, random_rational
 from .distributions import dimension_bounds
 from .errors import ConsistencyError, InputError
-from .linalg import pfaffian, rank, solve
+from .linalg import pfaffian, pfaffian_minors, rank, solve
+
+
+_MAX_PROBE_COORDINATES = 46  # one sample takes about 1.5 s at n = 46, growing as n^6
 
 
 def _entry_value(value):
@@ -184,46 +184,19 @@ def _form_matrices(fp: FiberPoint, forms):
     return matrices, L, (-1) ** (fp.m * (fp.m - 1) // 2) * factorial(fp.k)
 
 
-def _minor_pfaffian(M, L, omit):
-    """Pf of the rational matrix M / L without the 0-based coordinates omit."""
-    keep = [c for c in range(len(M)) if c not in omit]
-    return pfaffian([[M[a][b] for b in keep] for a in keep]) / L ** (len(keep) // 2)
-
-
-def _principal_solve(fp: FiberPoint, M, *extra):
-    """|Pf(L M')| (L M')^-1 applied to the n - 1 unit columns of the
-    principal coordinates 2..n, then to the integer columns extra: one
-    linalg.solve with M', which returns (|Pf(L M')|, those columns), or None
-    when M' is singular, that is when b_first = 0."""
-    size = len(M) - 1
-    columns = [[int(a == b) for a in range(size)] for b in range(fp.n - 1)]
-    return solve([row[1:] for row in M[1:]], columns + list(extra))
-
-
-def _form_parts(fp: FiberPoint, i, M, L, b_first, scale, cbar, cmat):
-    """The extraction's second step: C-bar and C of form i into cbar and
-    cmat, from _form_matrices' M, L and s and from b_first = s Pf(M'). One
-    solve with M' when b_first != 0, its columns signed by the sign of
-    Pf(M') = b_first / s, the Pfaffian minors one by one when b_first == 0."""
+def _form_parts(fp: FiberPoint, i, M, L, scale, cbar, cmat):
+    """The extraction's second step, one formula for every b_first: C-bar
+    and C of form i into cbar and cmat from _form_matrices' M, L and s, by
+    linalg.pfaffian_minors(L M'); returns b_first = s Pf(M')."""
     n = fp.n
-    principal = range(2, n + 1)
-    if b_first:
-        _, Y = _principal_solve(fp, M, [row[0] for row in M[1:]])
-        low = L ** (n - fp.k - 2)
-        signed = abs(scale) if b_first > 0 else -abs(scale)  # s sgn(Pf(M'))
-        for r in principal:
-            sign = signed if r % 2 else -signed
-            cbar[(i, r)] = Fraction(-sign * Y[-1][r - 2], low * L)
-            for mu in principal:
-                cmat[(i, r, mu)] = Fraction(sign * Y[mu - 2][r - 2], low)
-        return
-    for r in principal:
-        cbar[(i, r)] = scale * _minor_pfaffian(M, L, {r - 1})
-        cmat[(i, r, r)] = Fraction(0)
-    for r, mu in combinations(principal, 2):
-        value = scale * _minor_pfaffian(M, L, {0, r - 1, mu - 1})
-        cmat[(i, r, mu)] = -value if mu % 2 == 0 else value
-        cmat[(i, mu, r)] = -value if r % 2 else value
+    P = pfaffian_minors([row[1:] for row in M[1:]])
+    low = L ** (n - fp.k - 2)
+    for r in range(2, n + 1):
+        sign = scale if r % 2 else -scale  # (-1)^(r+1) s
+        cbar[(i, r)] = Fraction(-sign * sum(map(mul, P[r - 2], (row[0] for row in M[1:]))), low * L)
+        for mu in range(2, n + 1):
+            cmat[(i, r, mu)] = Fraction(sign * P[r - 2][mu - 2], low)
+    return Fraction(scale * sum(map(mul, M[1][1:], (row[0] for row in P))), low * L)
 
 
 def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
@@ -242,27 +215,23 @@ def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     - for 2 <= r < mu, with P = Pf(M without 1, r, mu), C^i_r(mu) =
       (-1)^(mu+1) s P and C^i_mu(r) = (-1)^r s P (pseudo-symmetry), while
       C^i_r(r) = 0.
-    When b_first != 0 one exact solve with M' gives all of these: for
-    0-based a < b, Pf(M' without a, b) = (-1)^(a+b) Pf(M') (M'^-1)_ab with
-    a = r - 2, b = mu - 2, and with x = -M'^-1 M[2.., 1], C-bar_r =
-    (-1)^(r-1) b_first x_(r-2). In integers, M scaled by the common
-    denominator L, that is one linalg.solve with M', which scales by
-    |Pf(L M')|, read off its own last pivot: with Y = |Pf(L M')| (L M')^-1
-    and sigma = sgn(Pf(M')) = sgn(b_first / s), C^i_r(mu) =
-    (-1)^(r+1) s sigma Y_(r-2, mu-2) / L^(n-k-2), and C-bar_r =
-    (-1)^r s sigma (Y L M[2.., 1])_(r-2) / L^(n-k-1). When b_first == 0
-    the minors are taken directly.
+    In integers, M scaled by the common denominator L, the skew matrix
+    P = linalg.pfaffian_minors(L M') of (-1)^(a+b) Pf(L M' without a, b),
+    0-based a < b, gives all of these whatever b_first, as
+    L M' P = Pf(L M') I: C^i_r(mu) = (-1)^(r+1) s P_(r-2, mu-2) / L^(n-k-2),
+    C-bar_r = (-1)^r s (P L M[2.., 1])_(r-2) / L^(n-k-1), expanding
+    Pf(M without r) along coordinate 1, and b_first =
+    s (L M' P)_(0,0) / L^(n-k-1). Where b_first != 0, P = Pf(L M') (L M')^-1
+    takes one elimination and one Pfaffian.
 
-    This runs the step _form_matrices, b_first and the step _form_parts for
-    every form; the probe takes b_first only as zero or not, and
-    _form_parts for a one-form c alone. A polynomial entry raises
-    InputError.
+    This runs the step _form_matrices and the step _form_parts for every
+    form; the probe takes b_first only as zero or not, and _form_parts for
+    a one-form c alone. A polynomial entry raises InputError.
     """
     matrices, L, scale = _form_matrices(fp, range(1, fp.m + 1))
-    b_first = {i: scale * _minor_pfaffian(M, L, {0}) for i, M in matrices.items()}
-    cbar, cmat = {}, {}
+    b_first, cbar, cmat = {}, {}, {}
     for i, M in matrices.items():
-        _form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
+        b_first[i] = _form_parts(fp, i, M, L, scale, cbar, cmat)
     return CExtraction(b_first, cbar, cmat)
 
 
@@ -333,16 +302,14 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     when M'_1 is nonsingular. Then it records the exact rank of the
     principal system:
     - c on forms 1 and 2 (both M'_i nonsingular): the rank of the integer
-      matrix [Y_1^T | Y_2^T], Y_i = |Pf(L M'_i)| (L M'_i)^-1 on the n - 1
-      principal unit columns, from the one solve with M'_i. The system is
-      this matrix with row r-2 scaled by (-1)^(r+1) s and column block i
-      by +-c_i / L^(n-k-2), so the ranks agree. That rank is 2k (module
-      docstring), so the right-hand side, which only rank 0 reads, and its
-      C-bar column are never solved; a rank other than 2k raises
+      matrix [Y_1^T | Y_2^T] of the two solves, which is that of the
+      system and is 2k (module docstring), so the right-hand side, read
+      only at rank 0, is never solved; any other rank raises
       ConsistencyError.
-    - c = e_i with b_first^i = 0: C-bar and C of form i from the direct
-      minors, and the rank of the assembled system.
-    sample_count must be at least 1.
+    - c = e_i with b_first^i = 0: C-bar and C of form i from _form_parts,
+      and the rank of the assembled system.
+    sample_count must be at least 1 and n at most _MAX_PROBE_COORDINATES;
+    a larger n raises InputError before any fiber is drawn.
 
     Verdict FAIL iff some rank equals 1 (the argument needs codimension
     >= 2 everywhere, never 1). When every sample misses the singular set
@@ -350,10 +317,14 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     is AMPLE-BY-EMPTINESS; otherwise PASS.
     """
     dimension_bounds(k, n)
+    if n > _MAX_PROBE_COORDINATES:
+        raise InputError("thinness on %d coordinates is refused; at most %d are probed"
+                         % (n, _MAX_PROBE_COORDINATES))
     if sample_count < 1:
         raise InputError("sample count must be at least 1")
     rng = random.Random(seed)
     m = n - 2 * k - 1
+    units = [[int(a == b) for a in range(n + m - 1)] for b in range(n - 1)]  # principal
     histogram = {}
     empty = 0
     empty_like = 0
@@ -368,7 +339,7 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
                 continue
         else:
             for M in matrices.values():
-                if (solution := _principal_solve(fp, M)) is None:  # b_first = 0
+                if (solution := solve([row[1:] for row in M[1:]], units)) is None:  # b_first = 0
                     break
                 solved.append(solution[1])
         if len(solved) == 2:  # c is supported on forms 1 and 2
@@ -381,9 +352,9 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
         else:  # c = e_i, i the first form with b_first^i = 0
             i = len(solved) + 1
             cbar, cmat = {}, {}
-            _form_parts(fp, i, matrices[i], L, 0, scale, cbar, cmat)
+            b_first = _form_parts(fp, i, matrices[i], L, scale, cbar, cmat)
             c = tuple(int(t == i) for t in range(1, m + 1))
-            system = assemble_principal_matrix(fp, c, CExtraction({i: 0}, cbar, cmat))
+            system = assemble_principal_matrix(fp, c, CExtraction({i: b_first}, cbar, cmat))
             r = rank(system.matrix)
             if r == 0 and any(system.rhs):
                 empty_like += 1

@@ -43,6 +43,12 @@ CASES = [
      ["thinness", "--n", "12", "--k", "3", "--samples", "2", "--seed", "7"], 0),
     ("thinness_14_4.json",
      ["thinness", "--n", "14", "--k", "4", "--samples", "2", "--seed", "7"], 0),
+    ("thinness_4_1_one_form.json",
+     ["thinness", "--n", "4", "--k", "1", "--samples", "200", "--seed", "0"], 0),
+    ("thinness_6_2_one_form.json",
+     ["thinness", "--n", "6", "--k", "2", "--samples", "200", "--seed", "0"], 0),
+    ("thinness_refused.json",
+     ["thinness", "--n", "4002", "--k", "1000", "--samples", "1"], 2),
     ("example_jet2.json",
      ["example", "jet-canonical-2", "--check"], 0),
     ("example_prop_ori.json",

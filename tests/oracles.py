@@ -5,8 +5,11 @@ alpha_1 ^ ... ^ alpha_m ^ omega_i^k through the exterior algebra (wedge,
 wedge_power) and by arrangement sums, independently of the Pfaffian
 extraction in nonholonomy.singularity; the tests and the acceptance
 criteria check the fast path against them. direct_extraction takes every
-Pfaffian minor of that extraction one by one, the path that the single
-skew solve per form replaced, and closed_form_multipliers takes the
+Pfaffian minor of that extraction one by one, the direct-minor loop that
+one linalg.pfaffian_minors per form replaced for every value of b_first,
+and direct_pfaffian_minors takes the minors one order below the top of
+any skew matrix, of either parity, one linalg.pfaffian each: the oracle
+for pfaffian_minors at every corank. closed_form_multipliers takes the
 probe's c from the values of b_first, which the probe reads only as zero
 or not, off its solves. interior_product is the
 contraction behind the Leibniz-rule axiom of criterion 1, and
@@ -27,9 +30,7 @@ elimination replaced; and cramer_kernel_frame solves the kernel frame's
 slots by Cramer's rule on laplace_det, the r * m symbolic determinants
 that one elimination of [G_S | I] replaced. sample_points_by_fractions builds the
 sample set as Fraction points, the path that the lazy integer draw
-replaced; signed_pfaffian_minors takes the certificate's Pfaffian minors of
-a polynomial W_i one Pfaffian each, the path that one elimination and one
-Pfaffian per form replaced; fiber_by_fractions draws a fiber with a new Fraction per entry,
+replaced; fiber_by_fractions draws a fiber with a new Fraction per entry,
 the path that the table of small rationals replaced; and
 grid_rows_by_products evaluates an IntegerGrid's rows with
 each monomial a product of powers, the evaluation that its trie replaced.
@@ -262,18 +263,27 @@ def grid_rows_by_products(grid, q):
     return out
 
 
-def signed_pfaffian_minors(row, r):
-    """The signed minors (-1)^a Pf(W without a), a = 0..r-1, of the skew
-    r x r matrix W above whose diagonal row lies, w(X_a, X_b) for a < b in
-    lexicographic order, each by linalg.pfaffian: the r Pfaffians per form
-    that distributions._pfaffian_minors's one elimination and one Pfaffian
-    replaced on polynomial rows at k >= 3."""
-    zero = 0 * row[0]
-    W = [[zero] * r for _ in range(r)]
-    for (a, b), w in zip(combinations(range(r), 2), row):
-        W[a][b], W[b][a] = w, -w
-    return [(-1) ** a * pfaffian([x[:a] + x[a + 1:] for x in W[:a] + W[a + 1:]])
-            for a in range(r)]
+def direct_pfaffian_minors(A):
+    """The Pfaffian minors one order below the top of the skew matrix A, each
+    by linalg.pfaffian: for odd size the vector of (-1)^a Pf(A without a),
+    for even size the skew matrix of (-1)^(a+b) Pf(A without a, b), a < b.
+    The path that linalg.pfaffian_minors's elimination by corank replaced,
+    in the extraction's one-form branch and for the certificate's minors
+    of a polynomial W_i at k >= 3."""
+    size = len(A)
+    zero = 0 * A[0][0] if A else 0
+
+    def pf(*omit):
+        keep = [c for c in range(size) if c not in omit]
+        return pfaffian([[A[a][b] for b in keep] for a in keep])
+
+    if size % 2:
+        return [(-1) ** a * pf(a) for a in range(size)]
+    P = [[zero] * size for _ in range(size)]
+    for a, b in combinations(range(size), 2):
+        P[a][b] = (-1) ** (a + b) * pf(a, b)
+        P[b][a] = -P[a][b]
+    return P
 
 
 def witness_first_verdict(coframe, omegas, k, points, seed):

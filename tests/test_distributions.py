@@ -50,7 +50,7 @@ from conftest import (
 )
 from oracles import (
     cramer_kernel_frame, derived_flag_by_fractions, evaluate_field, first_rank_drop_by_fractions,
-    flag_route_dlo_verdict, pointwise_kernel, sample_points_by_fractions, signed_pfaffian_minors,
+    direct_pfaffian_minors, flag_route_dlo_verdict, pointwise_kernel, sample_points_by_fractions,
     witness_first_verdict,
 )
 
@@ -1207,12 +1207,21 @@ def test_the_w_rule_finds_the_certificates_of_the_symbolic_forms():
         assert min(kinds[k, "certified"], kinds[k, "value True"]) >= 3, kinds
 
 
+def _skew(row, r):
+    """The skew r x r matrix above whose diagonal row lies, w(X_a, X_b) for
+    a < b in lexicographic order."""
+    W = [[0 * row[0]] * r for _ in range(r)]
+    for (a, b), w in zip(combinations(range(r), 2), row):
+        W[a][b], W[b][a] = w, -w
+    return W
+
+
 def test_polynomial_minors_are_the_signed_pfaffian_minors():
     # at k >= 3 the minors of a polynomial W_i are (-1)^a Pf(W_i without a),
-    # from one elimination and one Pfaffian, equal to the oracle's r
-    # Pfaffians, not a kernel vector, whose polynomial factor would hide a
-    # constant minor: on the W of random perturbed jet-like coframes, on
-    # random rows, and zero on rows of rank below 2k
+    # linalg.pfaffian_minors, equal to the oracle's r Pfaffians, not a
+    # kernel vector, whose polynomial factor would hide a constant minor:
+    # on the W of random perturbed jet-like coframes, on random rows, and
+    # zero on rows of rank below 2k
     rng = random.Random(5)
     seen = Counter()
     for trial in range(8):
@@ -1222,8 +1231,10 @@ def test_polynomial_minors_are_the_signed_pfaffian_minors():
         grid = distributions._compile_restricted_grid(frame, _derivatives(coframe))
         width, minors = distributions._pfaffian_minors(2 * k + 1, k)
         for row in grid.polynomials:
+            W = _skew(row, 2 * k + 1)
             got = minors(row)
-            assert width == 2 * k + 1 and got == signed_pfaffian_minors(row, 2 * k + 1), trial
+            assert width == 2 * k + 1 and got == direct_pfaffian_minors(W), trial
+            assert linalg.pfaffian_minors(W) == got, trial
             seen["constant" if all(m.is_constant() for m in got) else "polynomial"] += 1
     assert min(seen["constant"], seen["polynomial"]) >= 3, seen
     chart = Chart(("x", "y"))
@@ -1236,9 +1247,36 @@ def test_polynomial_minors_are_the_signed_pfaffian_minors():
             row = [rnd_poly(rng, chart, max_terms=2, max_degree=1) for _ in pairs]
             if trial == 3:  # rank 2k - 2: fields 0 and 1 pair with nothing
                 row = [zero if {a, b} & {0, 1} else w for (a, b), w in zip(pairs, row)]
-            expected = signed_pfaffian_minors(row, r)
+            expected = direct_pfaffian_minors(_skew(row, r))
             assert width == r and minors(row) == expected, (k, trial)
             assert any(expected) == (trial != 3), (k, trial)
+
+
+def test_uncertified_checks_at_k3_take_no_pfaffian_at_their_sampled_points(monkeypatch):
+    # a sampled point ranks the kernel line of each integer W_i, which takes
+    # no Pfaffian; only the certificate search, on W's polynomial rows,
+    # takes one per form
+    calls = []
+    original = linalg.pfaffian
+
+    def counting(rows):
+        rows = [list(line) for line in rows]
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "pfaffian", counting)
+    rng = random.Random(3)
+    uncertified = 0
+    for trial in range(6):
+        coframe = _perturbed_jetlike(rng, 9, 3)
+        points = sample_slice(coframe[0].chart, trial, grid=8, randoms=8)
+        calls.clear()
+        verdict = check_mni(coframe, 3, points=points)
+        assert all(isinstance(rows[0][0], Polynomial) for rows in calls), trial
+        if verdict == distributions.Verdict(True, len(points), (), False):
+            uncertified += 1
+            assert len(calls) == len(coframe), trial
+    assert uncertified >= 3
 
 
 def test_the_restricted_grid_route_matches_the_symbolic_oracle():

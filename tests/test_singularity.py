@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from nonholonomy import cli, singularity
+from nonholonomy import cli, linalg, singularity
 from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.distributions import dimension_bounds
 from nonholonomy.errors import ConsistencyError, InputError
@@ -255,14 +255,15 @@ def _probe_steps(fp):
     support alone; returns b_first, c and the extraction (None when c is)."""
     m = fp.m
     matrices, L, scale = singularity._form_matrices(fp, range(1, min(m, 2) + 1))
-    b_first = {i: scale * singularity._minor_pfaffian(M, L, {0}) for i, M in matrices.items()}
+    b_first = {i: scale * pfaffian([row[1:] for row in M[1:]]) / L ** (len(M) // 2)
+               for i, M in matrices.items()}
     c = closed_form_multipliers(b_first, m)
     if c is None:
         return b_first, None, None
     cbar, cmat = {}, {}
     for i, M in matrices.items():
         if c[i - 1]:
-            singularity._form_parts(fp, i, M, L, b_first[i], scale, cbar, cmat)
+            assert singularity._form_parts(fp, i, M, L, scale, cbar, cmat) == b_first[i]
     return b_first, c, CExtraction(b_first, cbar, cmat)
 
 
@@ -369,10 +370,12 @@ def test_two_form_rank_other_than_2k_is_a_consistency_error(monkeypatch, capsys)
 
 
 def test_probe_takes_pfaffians_only_where_read(monkeypatch):
-    # at (10,2), m = 5, a two-form sample reads b_first^1, b_first^2 != 0
-    # off its two solves and takes no Pfaffian; at (6,2), m = 1, the one
-    # Pfaffian is the zero test of b_first^1; a singular M'_1 is solved
-    # once, M'_2 never, and form 1's direct minors are the only Pfaffians
+    # every Pfaffian, the probe's own and linalg.pfaffian_minors', counted
+    # through linalg: at (10,2), m = 5, a two-form sample reads b_first^1,
+    # b_first^2 != 0 off its two solves and takes no Pfaffian; at (6,2),
+    # m = 1, the one Pfaffian is the zero test of b_first^1; a singular
+    # M'_1 is solved once, M'_2 never, and form 1's minors take one
+    # Pfaffian, of the pivot block of M'_1
     pfaffians, solved = [], []
 
     def counting(rows):
@@ -383,6 +386,7 @@ def test_probe_takes_pfaffians_only_where_read(monkeypatch):
         solved.append(rows)
         return solve(rows, columns)
 
+    monkeypatch.setattr(linalg, "pfaffian", counting)
     monkeypatch.setattr(singularity, "pfaffian", counting)
     monkeypatch.setattr(singularity, "solve", recording)
     assert thinness_probe(10, 2, 1, seed=3).rank_histogram == {4: 1}
@@ -396,7 +400,35 @@ def test_probe_takes_pfaffians_only_where_read(monkeypatch):
     thinness_probe(8, 2, 1, seed=0)
     (M1,) = singularity._form_matrices(fp, (1,))[0].values()
     assert solved == [[row[1:] for row in M1[1:]]]
-    assert len(pfaffians) == 7 + 21  # Pf(M_1 without r) and Pf(M_1 without 1, r, mu)
+    assert len(pfaffians) == 1 and len(pfaffians[0]) == len(M1) - 3  # corank 2
+
+
+def test_extraction_takes_one_elimination_and_one_pfaffian_per_form(monkeypatch):
+    # where b_first != 0, linalg.pfaffian_minors eliminates L M' beside the
+    # identity once and takes its one Pfaffian for the sign of Pf(M')
+    eliminations, pfaffians = [], []
+
+    class Counted(linalg.Echelon):
+        __slots__ = ()
+
+        def __init__(self, n_cols):
+            eliminations.append(n_cols)
+            super().__init__(n_cols)
+
+    def counting(rows):
+        pfaffians.append(1)
+        return pfaffian(rows)
+
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    monkeypatch.setattr(linalg, "pfaffian", counting)
+    rng = random.Random(62)
+    for n, k in ((6, 1), (10, 2), (14, 4)):
+        fp = FiberPoint.random(n, k, rng=rng)
+        del eliminations[:], pfaffians[:]
+        extraction = extract_c_coefficients(fp)
+        assert all(extraction.b_first.values())
+        size = 2 * (n - k - 1)  # M' of each form
+        assert eliminations == [2 * size] * fp.m and len(pfaffians) == fp.m
 
 
 def _assert_reconstructs_b(fp, extraction, rng, forms=None):
@@ -451,32 +483,39 @@ ORACLE_SHAPES = ((4, 1), (5, 1), (6, 1), (7, 2), (8, 2), (9, 3), (10, 2), (11, 3
 
 
 def test_extraction_matches_direct_minors():
-    # the one solve per form gives exactly the Pfaffian minors taken one by
-    # one; the private steps run on some forms agree with it on those forms
-    # C-bar and C take their sign from b_first, as solve returns
-    # |Pf(L M')| (L M')^-1, so both signs of b_first are met
+    # one linalg.pfaffian_minors per form gives exactly the Pfaffian minors
+    # taken one by one: on random fibers, where b_first != 0 with both
+    # signs, on fibers with b_first^1 = 0 or b_first^2 = 0 (corank 2) and on
+    # corank-four fibers; the private step run on some forms agrees with
+    # it on those forms and returns their b_first
     rng = random.Random(61)
     signs = {True: 0, False: 0}
+    fibers = []
     for n, k in ORACLE_SHAPES:
-        m = n - 2 * k - 1
         for include_principal in (False, True, False):
             fp = FiberPoint.random(n, k, rng=rng, include_principal=include_principal)
-            reference = direct_extraction(fp)
-            assert all(reference.b_first.values())  # the solve branch runs
-            assert extract_c_coefficients(fp) == reference
-            for value in reference.b_first.values():
+            fibers.append(fp)
+            values = direct_extraction(fp).b_first.values()
+            assert all(values)
+            for value in values:
                 signs[value > 0] += 1
-            for forms in ((), (1,), (m,), tuple(range(1, min(m, 2) + 1))):
-                matrices, L, scale = singularity._form_matrices(fp, forms)
-                b_first = {i: reference.b_first[i] for i in forms}
-                part = CExtraction(b_first, {}, {})
-                for i in forms:
-                    singularity._form_parts(fp, i, matrices[i], L, b_first[i], scale, part.cbar, part.cmat)
-                assert {key[0] for key in (*part.cbar, *part.cmat)} == set(forms)
-                assert all(part.cbar[key] == reference.cbar[key] for key in part.cbar)
-                assert all(part.cmat[key] == reference.cmat[key] for key in part.cmat)
-                assert len(part.cmat) == len(forms) * (n - 1) ** 2
     assert min(signs.values()) >= 5, signs
+    singular = [_singular_fiber(n, k, rng, i) for n, k in ((7, 2), (8, 2)) for i in (1, 2)]
+    singular += [_corank_four_fiber(10, 2, rng, False), _corank_four_fiber(12, 3, rng, True)]
+    assert all(not all(direct_extraction(fp).b_first.values()) for fp in singular)
+    for fp in fibers + singular:
+        reference = direct_extraction(fp)
+        assert extract_c_coefficients(fp) == reference
+        for forms in ((), (1,), (fp.m,), tuple(range(1, min(fp.m, 2) + 1))):
+            matrices, L, scale = singularity._form_matrices(fp, forms)
+            part = CExtraction({}, {}, {})
+            for i in forms:
+                part.b_first[i] = singularity._form_parts(fp, i, matrices[i], L, scale, part.cbar, part.cmat)
+            assert {key[0] for key in (*part.cbar, *part.cmat)} == set(forms)
+            assert all(part.b_first[i] == reference.b_first[i] for i in forms)
+            assert all(part.cbar[key] == reference.cbar[key] for key in part.cbar)
+            assert all(part.cmat[key] == reference.cmat[key] for key in part.cmat)
+            assert len(part.cmat) == len(forms) * (fp.n - 1) ** 2
 
 
 def _singular_fiber(n, k, rng, i=1):
@@ -817,6 +856,27 @@ def test_thinness_probe_errors_and_schema():
     ]
     assert payload["n"] == 6 and payload["k"] == 1 and payload["samples"] == 5
     assert all(isinstance(key, str) for key in payload["rank_histogram"])
+
+
+def test_thinness_refuses_shapes_past_the_coordinate_limit(monkeypatch, capsys):
+    # one sample grows about as n^6, so n above the limit is refused with
+    # the size named, before any fiber is drawn; n at the limit is drawn
+    class Drawn(Exception):
+        pass
+
+    def forbidden(*args, **kw):
+        raise Drawn
+
+    monkeypatch.setattr(FiberPoint, "random", forbidden)
+    limit = singularity._MAX_PROBE_COORDINATES
+    for n, k in ((limit + 1, (limit + 2) // 4), (4002, 1000)):
+        dimension_bounds(k, n)  # admissible, so the limit alone refuses it
+        with pytest.raises(InputError, match="on %d coordinates is refused" % n):
+            thinness_probe(n, k, 1)
+    assert cli.main(["thinness", "--n", "4002", "--k", "1000", "--samples", "1"]) == 2
+    assert "4002" in json.loads(capsys.readouterr().out)["error"]["message"]
+    with pytest.raises(Drawn):
+        thinness_probe(limit, (limit - 2) // 4, 1)
 
 
 def test_extraction_requires_numeric_layout():
