@@ -14,10 +14,10 @@ rows held before it, so Echelon.kernel, the one kernel routine, and solve
 share one back-substitution: per held row, a dot product over the row
 from its pivot on and an exact division by the pivot.
 solve takes a skew A and reads its scale |Pf(A)| off the same elimination,
-whose last pivot is +-det(A) = +-Pf(A)^2, so a skew system is eliminated
-once. pfaffian runs the skew analogue of the elimination, on rationals
-or on polynomials. pfaffian_minors takes the Pfaffian minors one order
-below the top by corank: Pf(A) A^-1, or kernel vectors and one pfaffian.
+whose last pivot is +-det(A) = +-Pf(A)^2, or else a basis of ker A. The
+fraction-free pfaffian is the elimination's skew analogue, on rationals
+or polynomials. pfaffian_minors takes the minors one order below the top
+on solve's elimination and at most one pfaffian, by corank.
 
 Everything here is deterministic, and the pivot columns do not depend on
 the order of the rows: a held row is zero before its pivot, its first
@@ -198,32 +198,30 @@ def pfaffian_minors(A):
     (-1)^a Pf(A without a), at even size the skew P of
     (-1)^(a+b) Pf(A without a, b), a < b, so that A P = Pf(A) I.
 
-    By corank, with at most two eliminations and one pfaffian. Corank 0:
-    P = Pf(A) A^-1, solve's |Pf(A)| A^-1 (integers only) signed by the
-    Pfaffian. Else one Echelon of A gives p = Pf(A[S, S]) on the pivot
+    By corank, on solve's one elimination, of [A | I] at even size and of A
+    at odd size, and at most one pfaffian: p = Pf(A[S, S]) on A's pivot
     columns S, nonzero as a column basis of a skew matrix is a row basis,
-    the last pivot d = +-p^2, and the kernel vectors with d at one free
-    column and 0 at the others: (v) at f, and the minors are
-    (-1)^f p v / d; or (u, w) at f < g, and as A P = 0 the columns of P lie
-    in ker A, so P = (-1)^(f+g) p (u ^ w) / d^2. Higher coranks give 0.
+    signed by (-1)^(sum of the free columns). Corank 0: S is everything,
+    and the kernel vectors with p at a column of I are the rows of
+    P = p A^-1. Coranks 1 and 2: the kernel vectors of A with the last
+    pivot d at one free column and 0 at the others, (v) at f, and the
+    minors are p v / d; or (u, w) at f < g, and as A P = 0 the columns of
+    P lie in ker A, so P = p (u ^ w) / d^2. Higher coranks give 0.
     """
     size = len(A)
-    if size % 2 == 0 and (solved := solve(A, [[int(a == b) for a in range(size)] for b in range(size)])):
-        # P = sgn(Pf(A)) X^T = -sgn(Pf(A)) X for solve's columns X, P being skew
-        return [[-x for x in column] for column in solved[1]] if pfaffian(A) > 0 else solved[1]
-    echelon = Echelon(size)
-    for row in A:
-        echelon.add(row)
-    free = [c for c in range(size) if c not in echelon.pivots]
+    identity = [[int(a == b) for a in range(size)] for b in range(size)]
+    echelon, free = _skew_echelon(A, [] if size % 2 else identity)
     if len(free) > 2:  # entries 0, or the zero polynomial
         return [0 * A[0][0]] * size if size % 2 else [[0 * A[0][0]] * size for _ in A]
-    keep = sorted(echelon.pivots)
+    keep = [c for c in range(size) if c not in free]
+    p = (-1) ** sum(free) * pfaffian([[A[a][b] for b in keep] for a in keep])
+    if not free:
+        return [echelon.kernel_vector(size + j, p)[:size] for j in range(size)]
     d = echelon.last_pivot()
-    factor = (-1) ** sum(free) * (d ** len(free) // pfaffian([[A[a][b] for b in keep] for a in keep]))
-    u, *w = (echelon.kernel_vector(f, d) for f in free)
+    u, *w = (echelon.kernel_vector(f, d)[:size] for f in free)
     if not w:
-        return [x // factor for x in u]
-    return [[(x * y - u[b] * w[0][a]) // factor for b, y in enumerate(w[0])] for a, x in enumerate(u)]
+        return [p * x // d for x in u]
+    return [[p * (x * y - u[b] * w[0][a]) // (d * d) for b, y in enumerate(w[0])] for a, x in enumerate(u)]
 
 
 def rank(rows) -> int:
@@ -265,27 +263,37 @@ def _signed_last_pivot(echelon):
     return -last if inversions % 2 else last
 
 
-def solve(rows, columns):
-    """(p, X) with p = |Pf(A)| and X the columns of p * A^-1 * B, in
-    integers; None when A is singular.
-
-    rows is a skew-symmetric integer matrix A and columns the integer
-    columns of B. One elimination of [A | B] serves every column: A is
-    nonsingular exactly when the pivots of [A | B] are A's columns in some
-    order, and its last pivot is then +-det(A) = +-Pf(A)^2. p * A^-1 * B is
-    integral, as Pf(A) * A^-1 is the skew matrix of signed Pfaffian minors
-    of A. A non-square or non-skew A raises InputError.
-    """
+def _skew_echelon(rows, columns):
+    """solve's one Echelon of [A | B], and the free columns of A."""
     size = len(rows)
     if any(len(row) != size for row in rows) or any(len(col) != size for col in columns):
-        raise InputError("solve needs a square matrix and columns of its size")
+        raise InputError("a skew system needs a square matrix and columns of its size")
     if [[-x for x in col] for col in zip(*rows)] != [list(row) for row in rows]:
-        raise InputError("solve needs a skew-symmetric matrix")
+        raise InputError("a skew system needs a skew-symmetric matrix")
     echelon = Echelon(size + len(columns))
     for a, row in enumerate(rows):
         echelon.add(list(row) + [col[a] for col in columns])
-    if sorted(echelon.pivots) != list(range(size)):
-        return None
+    return echelon, [c for c in range(size) if c not in echelon.pivots]
+
+
+def solve(rows, columns):
+    """(p, X) with p = |Pf(A)| and X the columns of p * A^-1 * B, in
+    integers; (0, K) when A is singular, K a basis of ker A.
+
+    rows is a skew-symmetric integer matrix A and columns the integer
+    columns of B. One elimination of [A | B] serves every column: A is
+    nonsingular exactly when each of its columns is a pivot, and its last
+    pivot is then +-det(A) = +-Pf(A)^2; p * A^-1 * B is integral, as
+    Pf(A) * A^-1 is the skew matrix of signed Pfaffian minors of A. Else a
+    held row whose pivot lies in B's columns is zero on A's, so K, the
+    kernel vectors with the last pivot at one free column of A and 0 at
+    the others, is 0 on B and spans ker A. A non-square or non-skew A
+    raises InputError.
+    """
+    size = len(rows)
+    echelon, free = _skew_echelon(rows, columns)
+    if free:
+        return 0, [echelon.kernel_vector(f, echelon.last_pivot())[:size] for f in free]
     square = abs(echelon.last_pivot())
     p = isqrt(square)
     if p * p != square:

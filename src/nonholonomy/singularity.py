@@ -12,20 +12,24 @@ The probe measures the exact rank of the principal system c_i C^i_r(mu)
 across seeded random fibers; the classification argument needs that rank
 never to be 1. c is the first kernel vector of the row (b_first^i)_i:
 supported on forms 1 and 2 when b_first^1 != 0 != b_first^2, else e_i for
-the first i with b_first^i = 0. So the probe reads b_first^1 and
-b_first^2 only as zero or not. At m >= 2 one solve of L M'_i per form,
-M'_2 only when M'_1 is nonsingular, returns None when M'_i is singular and
-else Y_i = |Pf(L M'_i)| (L M'_i)^-1 on the principal unit columns, the
-scale read off its last pivot +-Pf(L M'_i)^2. As C^i_r(mu) =
-+-(-1)^(r+1) s Y_i[mu-2][r-2] / L^(n-k-2), the sign being that of
-Pf(M'_i), the system of a two-form c is the integer matrix
-[Y_1^T | Y_2^T] up to nonzero row and column scales, and the probe ranks
-that, assembling nothing and taking no Pfaffian. The rank is 2k (below)
-and the right-hand side matters only at rank 0, so C-bar is not solved
-for; any other rank raises ConsistencyError. For c = e_i, C-bar and C of
-form i come from linalg.pfaffian_minors of the singular M'_i, and
-assemble_principal_matrix builds the system from form i alone. At m = 1 a
-nonzero b_first^1, one Pfaffian, leaves no c.
+the first i with b_first^i = 0; at m = 1 a nonzero b_first^1 leaves no c.
+So the probe reads b_first^1 and b_first^2 only as zero or not, each off
+one solve of L M'_i, M'_2 only when M'_1 is nonsingular: against the
+principal unit columns at m >= 2, against none at m = 1.
+- A nonsingular M'_i gives Y_i = |Pf(L M'_i)| (L M'_i)^-1 on those columns,
+  the scale read off its last pivot +-Pf(L M'_i)^2. As C^i_r(mu) =
+  +-(-1)^(r+1) s Y_i[mu-2][r-2] / L^(n-k-2), the sign being that of
+  Pf(M'_i), the system of a two-form c is [Y_1^T | Y_2^T] up to nonzero
+  row and column scales. Its rank is 2k (below), else ConsistencyError,
+  so the right-hand side, which matters only at rank 0, is not solved.
+- A singular M'_i makes c = e_i, and solve gives a basis of its kernel,
+  where the columns of the signed minors P of L M'_i lie: P = lambda u ^ w,
+  lambda != 0, at corank 2 with (u, w) the basis, and P = 0 above. C^i is
+  the principal (n-1)-block of P up to nonzero row and column scales, so
+  the rank is that of the block of u ^ w, and the right-hand side
+  -C-bar^i, read at rank 0, is 0 where the principal part of
+  P b = lambda (u (w . b) - w (u . b)) is, b = L M[2.., 1].
+So the probe takes no Pfaffian and assembles no system.
 
 Why the rank is never 1, with S^i = C^i diag((-1)^(mu+1)) over r, mu = 2..n:
 - S^i is skew, S^i_(r, mu) = s Pf(M' without r, mu) for r < mu, so rank
@@ -56,7 +60,7 @@ from operator import mul
 from .algebra import Polynomial, random_rational
 from .distributions import dimension_bounds
 from .errors import ConsistencyError, InputError
-from .linalg import pfaffian, pfaffian_minors, rank, solve
+from .linalg import pfaffian_minors, rank, solve
 
 
 _MAX_PROBE_COORDINATES = 46  # one sample takes about 1.5 s at n = 46, growing as n^6
@@ -184,21 +188,6 @@ def _form_matrices(fp: FiberPoint, forms):
     return matrices, L, (-1) ** (fp.m * (fp.m - 1) // 2) * factorial(fp.k)
 
 
-def _form_parts(fp: FiberPoint, i, M, L, scale, cbar, cmat):
-    """The extraction's second step, one formula for every b_first: C-bar
-    and C of form i into cbar and cmat from _form_matrices' M, L and s, by
-    linalg.pfaffian_minors(L M'); returns b_first = s Pf(M')."""
-    n = fp.n
-    P = pfaffian_minors([row[1:] for row in M[1:]])
-    low = L ** (n - fp.k - 2)
-    for r in range(2, n + 1):
-        sign = scale if r % 2 else -scale  # (-1)^(r+1) s
-        cbar[(i, r)] = Fraction(-sign * sum(map(mul, P[r - 2], (row[0] for row in M[1:]))), low * L)
-        for mu in range(2, n + 1):
-            cmat[(i, r, mu)] = Fraction(sign * P[r - 2][mu - 2], low)
-    return Fraction(scale * sum(map(mul, M[1][1:], (row[0] for row in P))), low * L)
-
-
 def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     """Compute the constant and linear parts of each B^i_r in the principal
     entries z^i_{1mu}, mu = 2..n, as Pfaffians of one skew matrix per form.
@@ -224,14 +213,22 @@ def extract_c_coefficients(fp: FiberPoint) -> CExtraction:
     s (L M' P)_(0,0) / L^(n-k-1). Where b_first != 0, P = Pf(L M') (L M')^-1
     takes one elimination and one Pfaffian.
 
-    This runs the step _form_matrices and the step _form_parts for every
-    form; the probe takes b_first only as zero or not, and _form_parts for
-    a one-form c alone. A polynomial entry raises InputError.
+    The probe shares the step _form_matrices and reads the rank of these
+    parts off linalg.solve instead (thinness_probe). A polynomial entry
+    raises InputError.
     """
+    n = fp.n
     matrices, L, scale = _form_matrices(fp, range(1, fp.m + 1))
+    low = L ** (n - fp.k - 2)
     b_first, cbar, cmat = {}, {}, {}
     for i, M in matrices.items():
-        b_first[i] = _form_parts(fp, i, M, L, scale, cbar, cmat)
+        P = pfaffian_minors([row[1:] for row in M[1:]])
+        for r in range(2, n + 1):
+            sign = scale if r % 2 else -scale  # (-1)^(r+1) s
+            cbar[(i, r)] = Fraction(-sign * sum(map(mul, P[r - 2], (row[0] for row in M[1:]))), low * L)
+            for mu in range(2, n + 1):
+                cmat[(i, r, mu)] = Fraction(sign * P[r - 2][mu - 2], low)
+        b_first[i] = Fraction(scale * sum(map(mul, M[1][1:], (row[0] for row in P))), low * L)
     return CExtraction(b_first, cbar, cmat)
 
 
@@ -295,19 +292,13 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
     """Rank statistics of the principal system over seeded random fibers.
 
     Each sample draws a fiber (principal slots left free), builds M of
-    forms 1 and 2 alone, and decides from b_first^1 and b_first^2, as zero
-    or not, where c lies (module docstring): at m = 1 by the Pfaffian of
-    M'_1, and fibers with no nonzero c never meet the singular set and are
-    only counted; at m >= 2 by one elimination per form, M'_2 solved only
-    when M'_1 is nonsingular. Then it records the exact rank of the
-    principal system:
-    - c on forms 1 and 2 (both M'_i nonsingular): the rank of the integer
-      matrix [Y_1^T | Y_2^T] of the two solves, which is that of the
-      system and is 2k (module docstring), so the right-hand side, read
-      only at rank 0, is never solved; any other rank raises
-      ConsistencyError.
-    - c = e_i with b_first^i = 0: C-bar and C of form i from _form_parts,
-      and the rank of the assembled system.
+    forms 1 and 2 alone, and solves L M'_1, then L M'_2 if M'_1 is
+    nonsingular. Fibers with no nonzero c, M'_1 nonsingular at m = 1,
+    never meet the singular set and are only counted. Otherwise it records
+    the exact rank of the principal system, read off the solves as the
+    module docstring shows: of [Y_1^T | Y_2^T] for c on forms 1 and 2,
+    which must be 2k, else ConsistencyError; of the principal block of
+    u ^ w for c = e_i.
     sample_count must be at least 1 and n at most _MAX_PROBE_COORDINATES;
     a larger n raises InputError before any fiber is drawn.
 
@@ -324,40 +315,39 @@ def thinness_probe(n: int, k: int, sample_count: int, seed: int = 0) -> ProbeRep
         raise InputError("sample count must be at least 1")
     rng = random.Random(seed)
     m = n - 2 * k - 1
-    units = [[int(a == b) for a in range(n + m - 1)] for b in range(n - 1)]  # principal
+    principal = range(n - 1)
+    units = [[int(a == b) for a in range(n + m - 1)] for b in principal] if m > 1 else []
     histogram = {}
     empty = 0
     empty_like = 0
     for _ in range(sample_count):
         fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
-        matrices, L, scale = _form_matrices(fp, range(1, min(m, 2) + 1))
         solved = []
-        if m == 1:
-            if pfaffian([row[1:] for row in matrices[1][1:]]):  # b_first^1 != 0: no c
+        for M in _form_matrices(fp, range(1, min(m, 2) + 1))[0].values():
+            p, X = solve([row[1:] for row in M[1:]], units)
+            if p:  # b_first^i != 0
+                solved.append(X)
+                continue
+            # c = e_i, X a basis of ker M'_i: P = lambda u ^ w at corank 2, else 0
+            r = 0
+            if len(X) == 2:
+                u, w = X
+                r = rank([[u[a] * w[b] - u[b] * w[a] for b in principal] for a in principal])
+                if r == 0:
+                    ub, wb = (sum(map(mul, v, (row[0] for row in M[1:]))) for v in X)
+                    empty_like += any(u[a] * wb - w[a] * ub for a in principal)
+            break
+        else:
+            if m == 1:  # b_first^1 != 0: no c
                 empty += 1
                 empty_like += 1
                 continue
-        else:
-            for M in matrices.values():
-                if (solution := solve([row[1:] for row in M[1:]], units)) is None:  # b_first = 0
-                    break
-                solved.append(solution[1])
-        if len(solved) == 2:  # c is supported on forms 1 and 2
-            Y1, Y2 = solved
-            r = rank([[y[a] for y in Y1] + [y[a] for y in Y2] for a in range(n - 1)])
+            Y1, Y2 = solved  # c is supported on forms 1 and 2
+            r = rank([[y[a] for y in Y1] + [y[a] for y in Y2] for a in principal])
             if r != 2 * k:
                 raise ConsistencyError(
                     "two-form principal system has rank %d, not 2k = %d" % (r, 2 * k)
                 )
-        else:  # c = e_i, i the first form with b_first^i = 0
-            i = len(solved) + 1
-            cbar, cmat = {}, {}
-            b_first = _form_parts(fp, i, matrices[i], L, scale, cbar, cmat)
-            c = tuple(int(t == i) for t in range(1, m + 1))
-            system = assemble_principal_matrix(fp, c, CExtraction({i: b_first}, cbar, cmat))
-            r = rank(system.matrix)
-            if r == 0 and any(system.rhs):
-                empty_like += 1
         histogram[r] = histogram.get(r, 0) + 1
     if histogram.get(1):
         verdict = "FAIL"

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from nonholonomy import linalg
 from nonholonomy.algebra import Chart, Polynomial
 from nonholonomy.errors import ConsistencyError, InputError
 from nonholonomy.linalg import (
@@ -270,7 +271,7 @@ def test_solve_with_pfaffian_scale_gives_pfaffian_minors():
             A, _ = _integer_rows([[x * 27720 for x in row] for row in rows])
             pf = pfaffian(A)
             if pf == 0:
-                assert solve(A, []) is None
+                assert solve(A, [])[0] == 0
                 continue
             identity = [[int(a == b) for a in range(size)] for b in range(size)]
             scale, X = solve(A, identity)
@@ -298,30 +299,68 @@ def _wedge_pairs(rng, size, pairs):
     return A
 
 
-def test_pfaffian_minors_match_the_direct_minors_at_every_corank():
-    # skew integer matrices of sizes 1 to 11 and every corank 0 to 4 of
-    # their parity: the routine equals the oracle's one Pfaffian per minor,
-    # in ints, and A P = Pf(A) I for even size
+def test_pfaffian_minors_match_the_direct_minors_at_every_corank(monkeypatch):
+    # skew matrices, sums of x ^ y pairs, of ints at sizes 1 to 11 and of
+    # polynomials at sizes 1 to 6, every corank 0 to 4 of their parity: the
+    # routine equals the oracle's one Pfaffian per minor, in ints for ints,
+    # and A P = Pf(A) I for even size. It builds one Echelon, of [A | I] at
+    # even size and of A at odd size, and takes one pfaffian at coranks 0
+    # to 2 and none above, where the minors are 0. At corank 0 the scale of
+    # A^-1 is that pfaffian, so an even polynomial A is served
+    echelons, pfaffians = [], []
+
+    class Counted(Echelon):
+        __slots__ = ()
+
+        def __init__(self, n_cols):
+            echelons.append(self)
+            super().__init__(n_cols)
+
+    def counting(rows):
+        pfaffians.append(1)
+        return pfaffian(rows)
+
     rng = random.Random(54)
-    met = set()
+    chart = Chart(("x", "y"))
+    zero = Polynomial.zero(chart)
+    x = Polynomial.coordinate(chart, "x")
+    cases = []
     for size in range(1, 12):
         for corank in range(size % 2, min(size, 4) + 1, 2):
-            for _ in range(6):
-                A = _wedge_pairs(rng, size, (size - corank) // 2)
-                got = pfaffian_minors(A)
-                assert got == direct_pfaffian_minors(A), (size, corank)
-                met.add((size % 2, size - rank(A)))
-                if size % 2:
-                    assert all(type(x) is int for x in got)
-                    continue
-                assert all(type(x) is int for row in got for x in row)
-                pf = pfaffian(A)
-                assert [[sum(A[a][j] * got[j][b] for j in range(size)) for b in range(size)]
-                        for a in range(size)] == [[pf * (a == b) for b in range(size)]
-                                                  for a in range(size)], (size, corank)
-    assert met >= {(0, 0), (0, 2), (0, 4), (1, 1), (1, 3)}, met
+            pairs = (size - corank) // 2
+            cases += [_wedge_pairs(rng, size, pairs) for _ in range(6)]
+            if size <= 6:
+                vectors = [[[rnd_poly(rng, chart, 2, 1) for _ in range(size)] for _ in "uv"]
+                           for _ in range(pairs)]
+                cases.append([[sum((u[a] * v[b] - v[a] * u[b] for u, v in vectors), zero)
+                               for b in range(size)] for a in range(size)])
+    cases.append([[zero, x], [-x, zero]])
+    expected = [direct_pfaffian_minors(A) for A in cases]
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    monkeypatch.setattr(linalg, "pfaffian", counting)
+    met = set()
+    for A, reference in zip(cases, expected):
+        del echelons[:], pfaffians[:]
+        size, kind = len(A), type(A[0][0]).__name__
+        got = pfaffian_minors(A)
+        (echelon,) = echelons
+        corank = size - sum(c < size for c in echelon.pivots)
+        assert got == reference, (kind, size, corank)
+        assert echelon._n_cols == (size if size % 2 else 2 * size)
+        assert len(pfaffians) == (corank <= 2), (kind, size, corank)
+        met.add((kind, size % 2, corank))
+        if kind == "int":
+            assert all(type(x) is int for x in (got if size % 2 else sum(got, [])))
+        if size % 2 == 0:
+            pf = pfaffian(A)
+            assert [[sum(A[a][j] * got[j][b] for j in range(size)) for b in range(size)]
+                    for a in range(size)] == [[pf if a == b else 0 for b in range(size)]
+                                              for a in range(size)], (kind, size, corank)
+    for kind in ("int", "Polynomial"):
+        assert met >= {(kind, 0, 0), (kind, 0, 2), (kind, 0, 4), (kind, 1, 1), (kind, 1, 3)}, met
     assert pfaffian_minors([]) == [] and pfaffian_minors([[0]]) == [1]
     assert pfaffian_minors([[0, 3], [-3, 0]]) == [[0, -1], [1, 0]]
+    assert pfaffian_minors([[zero, x], [-x, zero]]) == [[0, -1], [1, 0]]
 
 
 def test_solve_rejects_bad_input(monkeypatch):
@@ -329,8 +368,8 @@ def test_solve_rejects_bad_input(monkeypatch):
                           ([[1, 2], [3, 4]], [[1, 0]]), ([[2]], [[1]]), ([[0, 1], [1, 0]], [])):
         with pytest.raises(InputError):
             solve(rows, columns)
-    assert solve([[0]], [[1]]) is None
-    assert solve([[0, 0], [0, 0]], [[1, 0]]) is None
+    assert solve([[0]], [[1]]) == (0, [[1]])
+    assert solve([[0, 0], [0, 0]], [[1, 0]]) == (0, [[1, 0], [0, 1]])
     assert solve([], []) == (1, [])
     assert solve([[0, 2], [-2, 0]], [[1, 0]]) == (2, [[0, 1]])
     # a skew determinant is a square, so its check cannot fail on real
@@ -348,8 +387,9 @@ def test_skew_solve_matches_column_scan_at_the_pfaffian_scale():
     # solve against the column scan's back-substitution at scale |Pf(A)|,
     # the Pfaffian taken by linalg.pfaffian: dense, sparse and conjugated
     # skew matrices up to size 14, whose pivots come out permuted (row 0 of
-    # a skew matrix has its pivot past column 0); None exactly when A is
-    # singular, at odd sizes and at even sizes of corank 2 or more
+    # a skew matrix has its pivot past column 0); p = 0 exactly when A is
+    # singular, at odd sizes and at even sizes of corank 2 or more, with
+    # the column scan's kernel basis of A, read off [A | B] at one scale
     rng = random.Random(79)
     seen = dict.fromkeys(("solved", "permuted pivots", "odd size", "even corank", "odd corank > 1"), 0)
     for trial in range(240):
@@ -368,8 +408,14 @@ def test_skew_solve_matches_column_scan_at_the_pfaffian_scale():
         columns = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(rng.randint(0, size + 2))]
         pf = int(pfaffian(A))
         result = solve(A, columns)
+        echelon = Echelon(size)
+        for row in A:
+            echelon.add(row)
         if not pf:
-            assert result is None
+            p, kernel = result
+            scale = kernel[0][min(set(range(size)) - set(echelon.pivots))]
+            assert p == 0 and all(type(x) is int for v in kernel for x in v)
+            assert [tuple(Fraction(x, scale) for x in v) for v in kernel] == column_scan_kernel_basis(A, size)
             assert column_scan_solve(A, columns, 1) is None
             corank = size - rank(A)
             seen["odd size"] += size % 2
@@ -377,9 +423,6 @@ def test_skew_solve_matches_column_scan_at_the_pfaffian_scale():
             seen["odd corank > 1"] += corank >= 3 and corank % 2 == 1
             continue
         assert result == (abs(pf), column_scan_solve(A, columns, abs(pf)))
-        echelon = Echelon(size)
-        for row in A:
-            echelon.add(row)
         seen["solved"] += 1
         seen["permuted pivots"] += echelon.pivots != sorted(echelon.pivots)
     assert all(count >= 5 for count in seen.values()), seen
@@ -539,7 +582,7 @@ def test_elimination_matches_column_scan_oracle():
         columns = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(rng.randint(1, 2))]
         expected = column_scan_solve(S, columns, pf)
         if expected is None:
-            assert solve(S, columns) is None
+            assert solve(S, columns)[0] == 0
             seen["singular solve"] += 1
         else:
             assert solve(S, columns) == (pf, expected)

@@ -252,7 +252,8 @@ def test_b_coefficients_match_permutation_sum():
 def _probe_steps(fp):
     """The probe's steps the slow way on one fiber: M of forms 1 and 2,
     their b_first as Pfaffians, c in closed form, then C-bar and C of c's
-    support alone; returns b_first, c and the extraction (None when c is)."""
+    support alone, taken from extract_c_coefficients; returns b_first, c
+    and the extraction (None when c is)."""
     m = fp.m
     matrices, L, scale = singularity._form_matrices(fp, range(1, min(m, 2) + 1))
     b_first = {i: scale * pfaffian([row[1:] for row in M[1:]]) / L ** (len(M) // 2)
@@ -260,10 +261,11 @@ def _probe_steps(fp):
     c = closed_form_multipliers(b_first, m)
     if c is None:
         return b_first, None, None
-    cbar, cmat = {}, {}
-    for i, M in matrices.items():
-        if c[i - 1]:
-            assert singularity._form_parts(fp, i, M, L, scale, cbar, cmat) == b_first[i]
+    full = extract_c_coefficients(fp)
+    assert all(full.b_first[i] == b_first[i] for i in matrices)
+    support = {i for i in matrices if c[i - 1]}
+    cbar = {key: v for key, v in full.cbar.items() if key[0] in support}
+    cmat = {key: v for key, v in full.cmat.items() if key[0] in support}
     return b_first, c, CExtraction(b_first, cbar, cmat)
 
 
@@ -334,26 +336,33 @@ def test_two_form_probe_assembles_no_system(monkeypatch):
 
 
 def test_probe_one_form_supports_take_the_assembled_system(monkeypatch):
-    # fibers with b_first^1 = 0 or b_first^2 = 0 (c = e_1 or e_2) and the
-    # corank-four fibers, fed to the probe itself: it assembles their
-    # system and reads the rank the direct minors give
+    # fibers with b_first^1 = 0 or b_first^2 = 0 (c = e_1 or e_2), at m = 1
+    # and m >= 2, the corank-four fibers and fibers whose 1-forms agree off
+    # coordinate 1, fed to the probe itself: it assembles no system, and
+    # reads the rank and the emptiness that the assembled system of the
+    # direct minors gives
     rng = random.Random(70)
-    fibers = [_singular_fiber(8, 2, rng), _singular_fiber(8, 2, rng, i=2)]
+    fibers = [_singular_fiber(n, k, rng, i) for n, k, i in ((4, 1, 1), (6, 2, 1), (8, 2, 1), (8, 2, 2))]
     fibers += [_corank_four_fiber(10, 2, rng, False), _corank_four_fiber(12, 3, rng, True)]
+    fibers += [_agreeing_fiber(n, k, rng) for n, k in ((5, 1), (8, 2))]
+
+    def forbidden(*args):
+        raise AssertionError("assemble_principal_matrix called")
+
+    monkeypatch.setattr(singularity, "assemble_principal_matrix", forbidden)
+    seen = set()
     for fp in fibers:
         b_first, c, _ = _probe_steps(fp)
         assert not all(b_first.values()) and sum(1 for x in c if x) == 1
-        expected = rank(assemble_principal_matrix(fp, c, direct_extraction(fp)).matrix)
-        calls = []
-
-        def counting(*args, calls=calls):
-            calls.append(1)
-            return assemble_principal_matrix(*args)
-
-        monkeypatch.setattr(singularity, "assemble_principal_matrix", counting)
+        system = assemble_principal_matrix(fp, c, direct_extraction(fp))
+        expected = rank(system.matrix)
+        empty = expected == 0 and any(system.rhs)
         monkeypatch.setattr(FiberPoint, "random", staticmethod(lambda *args, fp=fp, **kw: fp))
         report = thinness_probe(fp.n, fp.k, 2, seed=0)
-        assert report.rank_histogram == {expected: 2} and len(calls) == 2
+        assert report.rank_histogram == {expected: 2}, fp
+        assert (report.verdict == "AMPLE-BY-EMPTINESS") == empty and report.empty_fiber_count == 0
+        seen.add((fp.m == 1, expected, empty))
+    assert seen >= {(True, 2, False), (False, 2, False), (False, 0, False), (False, 0, True)}, seen
 
 
 def test_two_form_rank_other_than_2k_is_a_consistency_error(monkeypatch, capsys):
@@ -370,37 +379,49 @@ def test_two_form_rank_other_than_2k_is_a_consistency_error(monkeypatch, capsys)
 
 
 def test_probe_takes_pfaffians_only_where_read(monkeypatch):
-    # every Pfaffian, the probe's own and linalg.pfaffian_minors', counted
-    # through linalg: at (10,2), m = 5, a two-form sample reads b_first^1,
-    # b_first^2 != 0 off its two solves and takes no Pfaffian; at (6,2),
-    # m = 1, the one Pfaffian is the zero test of b_first^1; a singular
-    # M'_1 is solved once, M'_2 never, and form 1's minors take one
-    # Pfaffian, of the pivot block of M'_1
-    pfaffians, solved = [], []
+    # the probe reads every rank off one solve per M'_i it reads and takes
+    # no Pfaffian, counted through linalg: at (10,2), m = 5, a two-form
+    # sample solves M'_1 and M'_2; at (6,2), m = 1, one solve of M'_1
+    # against no column finds it nonsingular; a singular M'_1 at (8,2) is
+    # solved once, M'_2 never, and form 1's rank takes one Echelon beside
+    # the solve's, the rank of the principal block of u ^ w
+    pfaffians, solved, widths = [], [], []
+
+    class Counted(linalg.Echelon):
+        __slots__ = ()
+
+        def __init__(self, n_cols):
+            widths.append(n_cols)
+            super().__init__(n_cols)
 
     def counting(rows):
         pfaffians.append(rows)
         return pfaffian(rows)
 
     def recording(rows, columns):
-        solved.append(rows)
+        solved.append((rows, len(columns)))
         return solve(rows, columns)
 
+    def forbidden(*args):
+        raise AssertionError("the probe assembles or extracts")
+
     monkeypatch.setattr(linalg, "pfaffian", counting)
-    monkeypatch.setattr(singularity, "pfaffian", counting)
     monkeypatch.setattr(singularity, "solve", recording)
+    for name in ("pfaffian_minors", "extract_c_coefficients", "assemble_principal_matrix"):
+        monkeypatch.setattr(singularity, name, forbidden)
     assert thinness_probe(10, 2, 1, seed=3).rank_histogram == {4: 1}
     assert (len(pfaffians), len(solved)) == (0, 2)
     del pfaffians[:], solved[:]
     assert thinness_probe(6, 2, 1, seed=3).empty_fiber_count == 1
-    assert (len(pfaffians), len(solved)) == (1, 0)
+    assert (len(pfaffians), [columns for _, columns in solved]) == (0, [0])
     del pfaffians[:], solved[:]
     fp = _singular_fiber(8, 2, random.Random(70))
     monkeypatch.setattr(FiberPoint, "random", staticmethod(lambda *args, **kw: fp))
-    thinness_probe(8, 2, 1, seed=0)
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    assert thinness_probe(8, 2, 1, seed=0).rank_histogram == {2: 1}
     (M1,) = singularity._form_matrices(fp, (1,))[0].values()
-    assert solved == [[row[1:] for row in M1[1:]]]
-    assert len(pfaffians) == 1 and len(pfaffians[0]) == len(M1) - 3  # corank 2
+    assert solved == [([row[1:] for row in M1[1:]], 7)]
+    assert pfaffians == [] and widths == [17, 7]
 
 
 def test_extraction_takes_one_elimination_and_one_pfaffian_per_form(monkeypatch):
@@ -486,8 +507,8 @@ def test_extraction_matches_direct_minors():
     # one linalg.pfaffian_minors per form gives exactly the Pfaffian minors
     # taken one by one: on random fibers, where b_first != 0 with both
     # signs, on fibers with b_first^1 = 0 or b_first^2 = 0 (corank 2) and on
-    # corank-four fibers; the private step run on some forms agrees with
-    # it on those forms and returns their b_first
+    # corank-four fibers; the matrices of some forms, as the probe builds
+    # them, are those of the whole extraction
     rng = random.Random(61)
     signs = {True: 0, False: 0}
     fibers = []
@@ -506,16 +527,9 @@ def test_extraction_matches_direct_minors():
     for fp in fibers + singular:
         reference = direct_extraction(fp)
         assert extract_c_coefficients(fp) == reference
+        matrices, L, scale = singularity._form_matrices(fp, range(1, fp.m + 1))
         for forms in ((), (1,), (fp.m,), tuple(range(1, min(fp.m, 2) + 1))):
-            matrices, L, scale = singularity._form_matrices(fp, forms)
-            part = CExtraction({}, {}, {})
-            for i in forms:
-                part.b_first[i] = singularity._form_parts(fp, i, matrices[i], L, scale, part.cbar, part.cmat)
-            assert {key[0] for key in (*part.cbar, *part.cmat)} == set(forms)
-            assert all(part.b_first[i] == reference.b_first[i] for i in forms)
-            assert all(part.cbar[key] == reference.cbar[key] for key in part.cbar)
-            assert all(part.cmat[key] == reference.cmat[key] for key in part.cmat)
-            assert len(part.cmat) == len(forms) * (fp.n - 1) ** 2
+            assert singularity._form_matrices(fp, forms) == ({i: matrices[i] for i in forms}, L, scale)
 
 
 def _singular_fiber(n, k, rng, i=1):
@@ -588,6 +602,32 @@ def _corank_four_fiber(n, k, rng, twist):
     for j, l in combinations(coords, 2):
         z[(1, j, l)] = sum((u[j - 2] * v[l - 2] - u[l - 2] * v[j - 2] for u, v in pairs), Fraction(0))
     return FiberPoint(n, k, fp.a, z)
+
+
+def _agreeing_fiber(n, k, rng):
+    """A random probe fiber, m >= 2, whose 1-forms 1 and 2 agree off
+    coordinate 1, with a^2_1 = a^1_1 + 1. Every M'_i then has the kernel
+    vector y = e_1 - e_2 on the 1-form coordinates, which is 0 on the
+    principal ones, so c = e_1 and the principal block of P is 0, while
+    y . M[2.., 1] = L (a^2_1 - a^1_1) = L makes the right-hand side nonzero."""
+    fp = FiberPoint.random(n, k, rng=rng, include_principal=False)
+    a = {key: v for key, v in fp.a.items() if key[0] != 2}
+    a.update({(2, j): fp.a_entry(1, j) for j in range(2, n + 1)})
+    a[(2, 1)] = fp.a_entry(1, 1) + 1
+    return FiberPoint(n, k, a, fp.z)
+
+
+def test_fibers_agreeing_off_coordinate_one_miss_the_singular_set(monkeypatch):
+    # the rank-0 read of the right-hand side: each such fiber's system is
+    # 0 = rhs with rhs != 0, so the probe records rank 0 and counts the
+    # fiber as empty-like
+    rng = random.Random(72)
+    fibers = [_agreeing_fiber(n, k, rng) for n, k in ((5, 1), (6, 1), (7, 2), (8, 2), (10, 2)) for _ in range(6)]
+    for fp in fibers:
+        monkeypatch.setattr(FiberPoint, "random", staticmethod(lambda *args, fp=fp, **kw: fp))
+        report = thinness_probe(fp.n, fp.k, 1, seed=0)
+        assert (report.rank_histogram, report.empty_fiber_count, report.verdict) == (
+            {0: 1}, 0, "AMPLE-BY-EMPTINESS"), fp
 
 
 def test_corank_four_fiber_in_the_probe_path():

@@ -175,8 +175,10 @@ def test_linalg_has_one_elimination_and_its_skew_analogue():
            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == linalg.__name__}
     assert sorted(name for name, obj in own.items() if "// prev" in inspect.getsource(obj)) == [
         "Echelon", "pfaffian"]
-    for name in ("rank", "det", "solve", "_independent"):
+    for name in ("rank", "det", "_skew_echelon", "_independent"):
         assert "Echelon(" in inspect.getsource(own[name]), name
+    # solve and pfaffian_minors share one elimination of [A | B]
+    assert all("_skew_echelon(" in inspect.getsource(f) for f in (linalg.solve, linalg.pfaffian_minors))
     # one back-substitution, Echelon.kernel_vector, behind Echelon.kernel and solve
     assert [name for name, obj in own.items() if "divmod(" in inspect.getsource(obj)] == ["Echelon"]
     assert all("kernel_vector(" in inspect.getsource(f) for f in (linalg.Echelon.kernel, linalg.solve))
